@@ -264,15 +264,28 @@ def imitation_prior_paths(model: CostModel, network: Network, space: PathSpace,
 
 def edge_usage_from_law(space: PathSpace, law: np.ndarray,
                         floor: float = 0.0) -> dict[tuple[int, int, int], float]:
-    """Aggregate a path law into per-step edge masses ``(t, i, j) -> mass``."""
+    """Aggregate a path law into per-step edge masses ``(t, i, j) -> mass``.
+
+    Paths with mass above ``floor`` count.  Keys come out in sorted order.
+    One weighted ``bincount`` over the flat index ``(t, i, j)`` adds the
+    masses of each key in path order, as a loop over paths would.
+    """
+    law = np.asarray(law, dtype=float)
+    keep = law > floor
+    arr = space.array[keep]
+    side = space.n + 1
+    steps = np.arange(space.horizon)
+    flat = ((steps * side + arr[:, :-1]) * side + arr[:, 1:]).T.ravel()
+    weights = np.tile(law[keep], space.horizon)
+    size = space.horizon * side * side
+    counts = np.bincount(flat, minlength=size)
+    masses = np.bincount(flat, weights=weights, minlength=size)
     usage: dict[tuple[int, int, int], float] = {}
-    arr = space.array
-    for t in range(space.horizon):
-        for i, j, mass in zip(arr[:, t], arr[:, t + 1], law):
-            if mass > floor:
-                key = (t, int(i), int(j))
-                usage[key] = usage.get(key, 0.0) + float(mass)
-    return dict(sorted(usage.items()))
+    for key in np.nonzero(counts)[0].tolist():
+        rest, j = divmod(key, side)
+        t, i = divmod(rest, side)
+        usage[(t, i, j)] = float(masses[key])
+    return usage
 
 
 def evaluate_objective_terms(law: np.ndarray, costs: np.ndarray, q: np.ndarray,

@@ -15,7 +15,9 @@ a length in km.  Costs come in two flavours:
 `enumerate_paths` materialises the finite path space used by every solver in
 the package: all horizon-``T`` node sequences that start in the source support,
 end in the sink support, and use an existing finite-cost edge at every step,
-in lexicographic order.
+in lexicographic order.  `path_costs` prices a whole space with array code
+over its ``(N, T+1)`` node matrix; `path_cost` is the scalar reference it
+matches bit for bit.
 """
 
 from __future__ import annotations
@@ -278,7 +280,9 @@ def ruled_path_cost(model: CostModel, network: Network, path: Sequence[int]) -> 
             j = i
             while j < len(edges) and edges[j].kind is EdgeKind.HIGHWAY:
                 j += 1
-            run_total = sum(contribs[i:j])
+            run_total = 0.0
+            for c in contribs[i:j]:
+                run_total += c
             run_len = j - i
             if run_len == 2:
                 run_total *= 1.0 - model.highway_discount_2
@@ -297,7 +301,10 @@ def ruled_path_cost(model: CostModel, network: Network, path: Sequence[int]) -> 
 def path_cost(model: CostModel, network: Network, path: Sequence[int]) -> float:
     """Cost of a path under either model; ``math.inf`` if any step is absent."""
     if model.mode == MARKOV:
-        return sum(markov_edge_cost(model, a, b) for a, b in zip(path, path[1:]))
+        total = 0.0
+        for a, b in zip(path, path[1:]):
+            total += markov_edge_cost(model, a, b)
+        return total
     for a, b in zip(path, path[1:]):
         if not network.has_edge(a, b):
             return math.inf
@@ -470,9 +477,83 @@ def strongly_connected(network: Network) -> bool:
     return covers(succ) and covers(pred)
 
 
+def _ruled_path_costs(model: CostModel, network: Network,
+                      arr: np.ndarray) -> np.ndarray:
+    """:func:`ruled_path_cost` over the rows of ``arr``, one step at a time.
+
+    The highway-run state machine (run total, run length, kind switches) is
+    carried as columns and every term is added in the order the scalar
+    function adds it, so the floats match it bit for bit.  Rows with a step
+    over no edge come out ``inf``.
+    """
+    if model.mode != RULED:
+        raise ValidationError("ruled_path_cost requires a ruled-mode CostModel")
+    if arr.shape[1] < 2:
+        raise ValidationError("a path needs at least one step")
+    n = network.n
+    kinds = list(EdgeKind)
+    kind = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    contrib = np.zeros((n + 1, n + 1))
+    for (i, j) in network.edge_pairs():
+        edge = _resolve_step(model, network, i, j)
+        kind[i, j] = kinds.index(edge.kind)
+        contrib[i, j] = _edge_contribution(model, edge)
+    highway = kinds.index(EdgeKind.HIGHWAY)
+    # kept share of a run's total by run length 0, 1, 2, >=3 (x * 1.0 == x)
+    keep = np.array([1.0, 1.0, 1.0 - model.highway_discount_2,
+                     1.0 - model.highway_discount_3plus])
+
+    rows = arr.shape[0]
+    total = np.zeros(rows)
+    run = np.zeros(rows)
+    run_len = np.zeros(rows, dtype=np.int64)
+    switches = np.zeros(rows, dtype=np.int64)
+    missing = np.zeros(rows, dtype=bool)
+
+    def close_runs(mask: np.ndarray) -> None:
+        done = mask & (run_len > 0)
+        total[done] += run[done] * keep[np.minimum(run_len[done], 3)]
+        run[done] = 0.0
+        run_len[done] = 0
+
+    prev = None
+    for t in range(arr.shape[1] - 1):
+        k = kind[arr[:, t], arr[:, t + 1]]
+        c = contrib[arr[:, t], arr[:, t + 1]]
+        missing |= k < 0
+        on_highway = k == highway
+        run[on_highway] += c[on_highway]
+        run_len[on_highway] += 1
+        close_runs(~on_highway)
+        total[~on_highway] += c[~on_highway]
+        if prev is not None:
+            switches += prev != k
+        prev = k
+    close_runs(np.ones(rows, dtype=bool))
+    total += model.switch_penalty_km * switches
+    total[missing] = math.inf
+    return total
+
+
 def path_costs(space: PathSpace, model: CostModel, network: Network) -> np.ndarray:
-    """Vector of path costs aligned with ``space.paths`` (all finite)."""
-    out = np.array([path_cost(model, network, p) for p in space.paths], dtype=float)
+    """Vector of path costs aligned with ``space.paths`` (all finite).
+
+    Array version of :func:`path_cost`, equal to it bit for bit: Markov costs
+    gather a per-pair step table and add the steps in path order; ruled costs
+    run :func:`ruled_path_cost`'s run-length rules over all paths at once.
+    """
+    arr = space.array
+    if model.mode == MARKOV:
+        n = space.n
+        table = np.full((n + 1, n + 1), math.inf)  # absent pairs cost inf
+        for (i, j) in model.edge_costs:
+            if 1 <= i <= n and 1 <= j <= n:
+                table[i, j] = markov_edge_cost(model, i, j)
+        out = np.zeros(space.size)
+        for t in range(space.horizon):
+            out += table[arr[:, t], arr[:, t + 1]]
+    else:
+        out = _ruled_path_costs(model, network, arr)
     if not np.all(np.isfinite(out)):
         bad = [space.paths[k] for k in np.nonzero(~np.isfinite(out))[0][:5]]
         raise ValidationError(f"path space contains infinite-cost paths, e.g. {bad}")

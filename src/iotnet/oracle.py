@@ -10,7 +10,9 @@ tautology.
 * :func:`lp_ot` solves the linear transport program on the path formulation
   with a two-phase primal simplex under Bland's rule (guaranteed finite, no
   cycling), handling the redundant marginal constraint via artificial-variable
-  cleanup.
+  cleanup.  It is the verification oracle for the path LP; the scenario
+  engine calls it only on the cheapest-path subspace (one path per endpoint
+  pair, see :func:`iotnet.scenario.cheapest_path_lp`).
 * :func:`objective_eval` recomputes cost / divergence / total by direct
   summation.
 """

@@ -15,6 +15,11 @@ Scenario files are JSON.  The ``network`` field is a file path or a builtin
 name (``builtin:synthetic30`` / ``builtin:risk30``, seeded by ``--seed``);
 builtins come with supplies, demands, and — for the risk variant — the
 affected edge set, all overridable in the file.
+
+The cost-optimal plan is the path LP solved by the :func:`~iotnet.oracle.lp_ot`
+oracle on the cheapest path of each (start, end) pair, scattered back to the
+full space (:func:`cheapest_path_lp`).  The reduction is exact: moving a pair's
+mass onto its cheapest path keeps both marginals and never raises the cost.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .imitation import (ImitationTarget, IOTProblem, TransportPlan,
 from .network import (CostModel, EdgeKind, Network, PathSpace, enumerate_paths,
                       load_network, markov_model_from_network, path_costs,
                       reprice)
-from .oracle import lp_ot
+from .oracle import DenseCoupling, lp_ot
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
 
@@ -300,23 +305,51 @@ def _per_destination(space: PathSpace, law: np.ndarray,
                      costs: np.ndarray) -> tuple[dict[int, float], dict[int, float]]:
     cost_by_dest: dict[int, float] = {}
     mass_by_dest: dict[int, float] = {}
-    for end in sorted({int(e) for e in space.ends}):
+    for end in np.unique(space.ends).tolist():
         mask = space.ends == end
-        mass = float(law[mask].sum())
+        dest_law = law[mask]
+        mass = float(dest_law.sum())
         if mass <= 0:
             continue
         mass_by_dest[end] = mass
-        cost_by_dest[end] = float(law[mask] @ costs[mask])
+        cost_by_dest[end] = float(dest_law @ costs[mask])
     return cost_by_dest, mass_by_dest
 
 
 def plan_report(label: str, space: PathSpace, law: np.ndarray,
-                costs: np.ndarray) -> PlanReport:
+                costs: np.ndarray,
+                edge_usage: dict[tuple[int, int, int], float] | None = None
+                ) -> PlanReport:
+    """Report of ``law``; ``edge_usage``, when given, is its known edge usage."""
     cost_by_dest, mass_by_dest = _per_destination(space, law, costs)
+    if edge_usage is None:
+        edge_usage = edge_usage_from_law(space, law)
     return PlanReport(label=label, total_cost=float(law @ costs),
                       per_destination_cost=cost_by_dest,
                       per_destination_mass=mass_by_dest,
-                      edge_usage=edge_usage_from_law(space, law))
+                      edge_usage=edge_usage)
+
+
+def cheapest_path_lp(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
+                     nuT: np.ndarray) -> DenseCoupling:
+    """Cost-optimal plan: :func:`lp_ot` on the cheapest path of each endpoint pair.
+
+    Exact, because moving a (start, end) pair's mass onto its cheapest path
+    keeps both marginals and cannot raise the cost, so the path LP has an
+    optimum on those paths alone: an ``n x n`` transport problem.  Ties go to
+    the lowest path index, the column Bland's rule tries first.  The plan is
+    returned on the full space.
+    """
+    pair = space.starts * (space.n + 1) + space.ends
+    order = np.lexsort((costs, pair))  # stable: equal costs keep path order
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = pair[order[1:]] != pair[order[:-1]]
+    keep = np.sort(order[first])
+    sub = PathSpace(horizon=space.horizon, n=space.n,
+                    paths=tuple(space.paths[k] for k in keep.tolist()))
+    law = np.zeros(space.size)
+    law[keep] = lp_ot(sub, costs[keep], nu0, nuT).probabilities
+    return DenseCoupling(probabilities=law, objective=float(costs @ law))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +366,6 @@ def run_imitation_scenario(spec: ScenarioSpec, *, seed: int = 0,
     nu0, nuT = _marginals(network, supply, demand)
     space = enumerate_paths(network, spec.horizon, sorted(supply), sorted(demand),
                             ruled)
-    costs = path_costs(space, ruled, network)
 
     if spec.q_star_ref in (None, "builtin"):
         if fixture is None:
@@ -362,12 +394,14 @@ def run_imitation_scenario(spec: ScenarioSpec, *, seed: int = 0,
                          nu0=nu0, nuT=nuT, alpha=spec.alpha,
                          target=ImitationTarget.paths(q_star, blend=spec.beta))
     plan = solve_iot(problem, tol=tol, max_iter=max_iter)
-    lp = lp_ot(space, costs, nu0, nuT)
+    costs = plan.path_costs
+    lp = cheapest_path_lp(space, costs, nu0, nuT)
 
     reports = {
         "target": plan_report("target", space, q_star, costs),
         "optimal": plan_report("optimal", space, lp.probabilities, costs),
-        "imitation": plan_report("imitation", space, plan.path_law, costs),
+        "imitation": plan_report("imitation", space, plan.path_law, costs,
+                                 plan.edge_usage),
     }
     return ScenarioResult(kind=spec.kind, alpha=spec.alpha, beta=spec.beta,
                           space=space, imitation_plan=plan, reports=reports,
@@ -383,7 +417,6 @@ def run_risk_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
     model = markov_model_from_network(network, ruled)
     space = enumerate_paths(network, spec.horizon, sorted(supply), sorted(demand),
                             model)
-    costs = path_costs(space, model, network)
 
     affected = spec.affected
     if affected is None:
@@ -408,11 +441,13 @@ def run_risk_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
                          target=ImitationTarget.markov(matrix, initial,
                                                        stochastic=False))
     plan = solve_iot(problem, tol=tol, max_iter=max_iter)
-    lp = lp_ot(space, costs, nu0, nuT)
+    costs = plan.path_costs
+    lp = cheapest_path_lp(space, costs, nu0, nuT)
 
     reports = {
         "optimal": plan_report("optimal", space, lp.probabilities, costs),
-        "imitation": plan_report("imitation", space, plan.path_law, costs),
+        "imitation": plan_report("imitation", space, plan.path_law, costs,
+                                 plan.edge_usage),
     }
 
     disaster = spec.disaster

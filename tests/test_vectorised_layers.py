@@ -1,0 +1,195 @@
+"""Array path costs and edge usage against their scalar references.
+
+``path_costs`` and ``edge_usage_from_law`` replace per-path loops with array
+code that adds the same floats in the same order, so they must agree with the
+loops exactly, not to a tolerance.  The scenario's cost-optimal plan solves
+the LP on the cheapest path of each endpoint pair; it must reach the full
+path LP's optimum.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from iotnet import (
+    CostModel,
+    EdgeKind,
+    InfeasibleError,
+    ValidationError,
+    build_network,
+    edge_usage_from_law,
+    enumerate_paths,
+    markov_model_from_network,
+    path_cost,
+    path_costs,
+    reprice,
+)
+from iotnet import fixtures
+from iotnet.network import PathSpace, _resolve_step
+from iotnet.oracle import lp_ot
+from iotnet.scenario import cheapest_path_lp
+
+from helpers import marginal_gap
+
+ROAD_KINDS = (EdgeKind.HIGHWAY, EdgeKind.MARITIME, EdgeKind.LOCAL)
+PROPERTY = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def ruled_networks(draw):
+    """Small multigraph with parallel road kinds, storage loops, ruled model."""
+    n = draw(st.integers(2, 4))
+    length = st.floats(0.0, 100.0, allow_nan=False)
+    nodes = [(i, draw(length), draw(length)) for i in range(1, n + 1)]
+    edges = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                if draw(st.booleans()):
+                    edges.append((i, i, EdgeKind.STORAGE))
+                continue
+            for kind in sorted(draw(st.sets(st.sampled_from(ROAD_KINDS))),
+                               key=lambda k: k.value):
+                edges.append((i, j, kind, draw(st.none() | length)))
+    if not edges:
+        edges.append((1, 2, EdgeKind.HIGHWAY))
+    network = build_network(nodes, edges)
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    model = CostModel.ruled(highway_discount_2=draw(unit),
+                            highway_discount_3plus=draw(unit),
+                            switch_penalty_km=draw(length),
+                            storage_cost_km=draw(length),
+                            maritime_multiplier=draw(st.floats(0.0, 10.0)))
+    return network, model
+
+
+@st.composite
+def priced_spaces(draw):
+    """(network, model, space) in either cost mode, possibly re-priced."""
+    network, model = draw(ruled_networks())
+    pairs = network.edge_pairs()
+    if draw(st.booleans()):
+        kept = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        table = {pair: draw(st.floats(0.0, 50.0)) for pair in sorted(kept)}
+        model = CostModel.markov(table)
+    for _ in range(draw(st.integers(0, 2))):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+        model = reprice(model, chosen, draw(st.floats(0.0, 10.0)))
+    horizon = draw(st.integers(1, 5))
+    nodes = range(1, network.n + 1)
+    try:
+        space = enumerate_paths(network, horizon, nodes, nodes, model)
+    except InfeasibleError:
+        space = None
+    return network, model, space
+
+
+@PROPERTY
+@given(priced_spaces())
+def test_path_costs_equal_scalar_loop_exactly(case):
+    network, model, space = case
+    if space is None:
+        return
+    expected = np.array([path_cost(model, network, p) for p in space.paths])
+    assert np.array_equal(path_costs(space, model, network), expected)
+
+
+def _highway_runs(model, network, space):
+    """Lengths of the maximal highway runs over all paths of the space."""
+    runs = set()
+    for p in space.paths:
+        kinds = [_resolve_step(model, network, a, b).kind
+                 for a, b in zip(p, p[1:])] + [None]
+        count = 0
+        for kind in kinds:
+            if kind is EdgeKind.HIGHWAY:
+                count += 1
+            elif count:
+                runs.add(min(count, 3))
+                count = 0
+    return runs
+
+
+def test_path_costs_cover_highway_runs_of_every_discount_class():
+    nodes = [(1, 0.0, 0.0), (2, 30.0, 0.0), (3, 30.0, 40.0)]
+    edges = [(1, 1, "storage"), (3, 3, "storage")]
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            if i != j:
+                edges += [(i, j, "highway"), (i, j, "local", 80.0)]
+    edges.append((2, 3, "maritime", 1.0))
+    network = build_network(nodes, edges)
+    model = reprice(CostModel.ruled(), [(1, 2), (3, 1)], 2.5)
+    space = enumerate_paths(network, 5, (1, 2, 3), (1, 2, 3), model)
+    assert _highway_runs(model, network, space) == {1, 2, 3}
+    expected = np.array([path_cost(model, network, p) for p in space.paths])
+    assert np.array_equal(path_costs(space, model, network), expected)
+
+
+@pytest.mark.parametrize("mode", ["markov", "ruled"])
+def test_path_costs_reject_infinite_cost_paths(mode):
+    network = build_network([(1, 0.0, 0.0), (2, 1.0, 0.0)],
+                            [(1, 2, "local"), (2, 2, "storage")])
+    model = (CostModel.markov({(1, 2): 1.0}) if mode == "markov"
+             else CostModel.ruled())
+    space = PathSpace(horizon=2, n=2, paths=((1, 2, 1), (1, 2, 2)))
+    assert not math.isfinite(path_cost(model, network, space.paths[0]))
+    with pytest.raises(ValidationError, match="infinite-cost"):
+        path_costs(space, model, network)
+
+
+def _usage_loop(space, law, floor):
+    """The per-path dictionary loop that ``edge_usage_from_law`` replaced."""
+    usage = {}
+    arr = space.array
+    for t in range(space.horizon):
+        for i, j, mass in zip(arr[:, t], arr[:, t + 1], law):
+            if mass > floor:
+                key = (t, int(i), int(j))
+                usage[key] = usage.get(key, 0.0) + float(mass)
+    return dict(sorted(usage.items()))
+
+
+@PROPERTY
+@given(priced_spaces(), st.integers(0, 2**32 - 1))
+def test_edge_usage_equals_dict_loop_exactly(case, seed):
+    _, _, space = case
+    if space is None:
+        return
+    rng = np.random.default_rng(seed)
+    law = rng.random(space.size)
+    law[rng.random(space.size) < 0.3] = 0.0
+    # a negative floor keeps zero-mass paths, whose keys must still appear
+    for floor in (0.0, float(np.median(law)), -1.0):
+        got = edge_usage_from_law(space, law, floor)
+        assert list(got.items()) == list(_usage_loop(space, law, floor).items())
+
+
+def _lp_case(name):
+    """Space, costs and marginals of a fixture, at T=3 for the 30-node ones."""
+    if name == "tiny":
+        fx = fixtures.tiny_fixture()
+        return (fx.space, path_costs(fx.space, fx.model, fx.network),
+                fx.nu0, fx.nuT)
+    fx = getattr(fixtures, name)(0)
+    model = (fx.ruled if name == "synthetic30"
+             else markov_model_from_network(fx.network, fx.ruled))
+    space = enumerate_paths(fx.network, 3, sorted(fx.supply), sorted(fx.demand),
+                            model)
+    return (space, path_costs(space, model, fx.network)) + fx.marginals()
+
+
+@pytest.mark.parametrize("name", ["tiny", "synthetic30", "risk30"])
+def test_cheapest_path_lp_reaches_the_full_path_lp(name):
+    space, costs, nu0, nuT = _lp_case(name)
+    plan = cheapest_path_lp(space, costs, nu0, nuT)
+    assert plan.objective == pytest.approx(lp_ot(space, costs, nu0, nuT).objective,
+                                           abs=1e-9)
+    assert marginal_gap(space, plan.probabilities, nu0, nuT) <= 1e-9
+    pair = space.starts * (space.n + 1) + space.ends
+    for k in np.nonzero(plan.probabilities)[0]:
+        assert costs[k] == costs[pair == pair[k]].min()
