@@ -3,9 +3,11 @@
 The package solves endpoint-constrained path-distribution problems of the form
 ``min E_P[cost] + alpha * KL(P || target)`` by reduction to a Schrodinger
 bridge: tilt the target by the path costs, then match the endpoint marginals
-with Sinkhorn scaling.  Markov structure is exploited when it exists
-(``spectral`` + ``bridge``), and explicit path enumeration handles rule-based,
-non-additive costs (``imitation``).  ``approx`` fits the best Markov chain to
+with Sinkhorn scaling.  Markov structure is exploited when it exists (the
+Gibbs edge weights times the target's step weights are bridged as a Markov
+prior), and explicit path enumeration handles rule-based, non-additive costs
+(both in ``imitation``).  ``spectral`` builds the maximum-entropy-rate walk
+for ``iot rbwalk``; no solve needs it.  ``approx`` fits the best Markov chain to
 a non-Markov solution, ``robust`` certifies worst-case costs over an entropic
 ball of cost perturbations, ``oracle`` provides brute-force reference solvers,
 and ``scenario`` runs end-to-end logistics studies.
@@ -25,13 +27,14 @@ from .imitation import (ImitationTarget, IOTProblem, ObjectiveTerms,
                         TransportPlan, blend_distribution, edge_usage_from_law,
                         evaluate_objective_terms, expand_target,
                         imitation_prior_markov, imitation_prior_paths,
-                        solve_iot)
+                        plan_from_law, solve_iot)
 from .network import (CostModel, Edge, EdgeKind, Network, Node, PathSpace,
                       build_network, enumerate_paths, load_network,
                       markov_edge_cost, markov_model_from_network,
                       network_from_dict, network_to_dict, path_cost,
-                      path_costs, reprice, ruled_path_cost, save_network,
-                      strongly_connected)
+                      path_costs, path_vector, reprice, ruled_path_cost,
+                      save_network, strongly_connected, unreachable_nodes,
+                      weight_matrix)
 from .oracle import DenseCoupling, dense_ipf, lp_ot, objective_eval
 from .robust import (RobustCertificate, RobustEquivalenceReport,
                      robust_equivalence_check, robust_membership,
@@ -41,7 +44,7 @@ from .scenario import (DisasterResult, DisasterSpec, PlanReport, RiskWeights,
                        emit_report, load_scenario, run_imitation_scenario,
                        run_risk_scenario, run_scenario)
 from .spectral import (RBPrior, build_rb_prior, perron, rb_path_density,
-                       rb_path_density_gibbs, rb_walk, weight_matrix)
+                       rb_path_density_gibbs, rb_walk)
 
 __version__ = "0.1.0"
 
@@ -63,11 +66,11 @@ __all__ = [
     "markov_model_from_network", "markov_path_law", "markov_plan_from_fit",
     "network_from_dict", "network_to_dict",
     "objective_eval", "path_cost", "path_costs", "path_kl",
-    "path_law_from_endpoint", "perron", "rb_path_density",
-    "rb_path_density_gibbs", "rb_walk", "read_plan", "reprice",
+    "path_law_from_endpoint", "path_vector", "perron", "plan_from_law",
+    "rb_path_density", "rb_path_density_gibbs", "rb_walk", "read_plan", "reprice",
     "robust_equivalence_check", "robust_membership", "ruled_path_cost",
     "run_imitation_scenario", "run_risk_scenario", "run_scenario",
     "save_network", "save_path_distribution", "sinkhorn_markov",
-    "sinkhorn_path", "solve_iot", "strongly_connected",
+    "sinkhorn_path", "solve_iot", "strongly_connected", "unreachable_nodes",
     "weight_matrix", "worst_case_certificate", "write_plan",
 ]

@@ -22,9 +22,7 @@ import numpy as np
 
 from .bridge import MarkovPrior, PathPrior, markov_path_law, sinkhorn_markov
 from .errors import ValidationError
-from .imitation import (IOTProblem, TransportPlan, edge_usage_from_law,
-                        evaluate_objective_terms, expand_target, solve_iot)
-from .network import path_costs
+from .imitation import IOTProblem, TransportPlan, plan_from_law, solve_iot
 
 
 @dataclass
@@ -119,14 +117,7 @@ def markov_plan_from_fit(fit: MarkovFit, problem: IOTProblem, *,
     solution = sinkhorn_markov(prior, problem.nu0, problem.nuT, space.horizon,
                                tol=tol, max_iter=max_iter)
     law = markov_path_law(solution, problem.nu0, space)
-    costs = path_costs(space, problem.cost_model, problem.network)
-    q = expand_target(problem.target, space)
-    return TransportPlan(path_space=space, path_law=law, path_costs=costs,
-                         target_probs=q, alpha=problem.alpha,
-                         objective=evaluate_objective_terms(law, costs, q, problem.alpha),
-                         edge_usage=edge_usage_from_law(space, law),
-                         transition_matrices=solution.transitions,
-                         bridge=solution)
+    return plan_from_law(problem, law, solution)
 
 
 def fit_objective_error(fit: MarkovFit, problem: IOTProblem,

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -392,4 +391,5 @@ def path_kl(p: np.ndarray, weights: np.ndarray) -> float:
             f"(first indices {bad[:5].tolist()}); relative entropy is infinite",
             RuntimeWarning, stacklevel=2)
         return math.inf
-    return float(np.sum(p[pos] * np.log(p[pos] / weights[pos])))
+    # log p - log w, not log(p/w): p/w underflows to 0 for subnormal p
+    return float(np.sum(p[pos] * (np.log(p[pos]) - np.log(weights[pos]))))

@@ -23,16 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from .approx import fit_markov
-from .bridge import (BridgeSolution, MarkovPrior, path_law_from_endpoint,
-                     sinkhorn_markov, sinkhorn_path)
+from .approx import fit_markov, fitted_prior
+from .bridge import (MarkovPrior, path_law_from_endpoint, sinkhorn_markov,
+                     sinkhorn_path)
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .fileio import (atomic_write_text, fmt, format_path, load_marginal,
                      load_path_distribution, load_prior, load_step_weights,
                      read_plan, save_path_distribution, write_plan)
 from .imitation import ImitationTarget, IOTProblem, expand_target, solve_iot
 from .network import (CostModel, Network, enumerate_paths, load_network,
-                      markov_model_from_network, path_costs)
+                      markov_model_from_network, path_costs, path_vector)
 from .oracle import dense_ipf, lp_ot
 from .robust import worst_case_certificate
 from .scenario import emit_report, load_scenario, run_scenario
@@ -269,17 +269,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if q_horizon != horizon:
             raise ValidationError(
                 f"target horizon {q_horizon} != problem horizon {horizon}")
-        unknown = [p for p in table if p not in space.index]
-        if unknown:
-            raise ValidationError("target puts mass on paths outside the "
-                                  f"feasible space, e.g. {unknown[:3]}")
-        q = np.zeros(space.size)
-        for p, prob in table.items():
-            q[space.index[p]] = prob
-        total = float(q.sum())
-        if total <= 0:
-            raise ValidationError("target carries no mass on the feasible space")
-        target = ImitationTarget.paths(q / total, blend=args.beta)
+        target = ImitationTarget.paths(path_vector(space, table, "target"),
+                                       blend=args.beta)
     elif args.rq_file is not None:
         initial, matrix = load_step_weights(args.rq_file, network)
         target = ImitationTarget.markov(matrix, initial, blend=args.beta,
@@ -306,18 +297,12 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     if isinstance(prior, MarkovPrior):
         raise ValidationError("the prior is already Markov; nothing to fit")
     fit = fit_markov(prior)
-    init = np.zeros(fit.n)
-    for v, s in fit.initial_log.items():
-        init[v - 1] = float(np.exp(s))
-    init /= init.sum()
-    mat = np.zeros((fit.n, fit.n))
-    for (i, j), s in fit.step_log.items():
-        mat[i - 1, j - 1] = float(np.exp(s))
+    chain = fitted_prior(fit)
     out = _out_path(args, "approx.json")
     _dump_json(out, {
         "type": "markov",
-        "initial": init.tolist(),
-        "matrix": mat.tolist(),
+        "initial": chain.initial.tolist(),
+        "matrix": chain.matrix.tolist(),
         "fit_residual": fit.residual,
         "gauge_component": fit.gauge_component,
         "horizon": fit.horizon,

@@ -8,8 +8,7 @@ byte-identical structures (numpy Generator streams are versioned and stable).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,15 +171,20 @@ class SyntheticFixture:
         return sum(self.supply.values())
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.network.n
-        nu0 = np.zeros(n)
-        nuT = np.zeros(n)
-        total = float(self.total_mass)
-        for node, mass in self.supply.items():
-            nu0[node - 1] = mass / total
-        for node, mass in self.demand.items():
-            nuT[node - 1] = mass / total
-        return nu0, nuT
+        return marginals(self.network.n, self.supply, self.demand)
+
+
+def marginals(n: int, supply: dict[int, float],
+              demand: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Start/end laws over nodes ``1..n``: masses divided by the total supply."""
+    total = float(sum(supply.values()))
+    nu0 = np.zeros(n)
+    nuT = np.zeros(n)
+    for node, mass in supply.items():
+        nu0[node - 1] = mass / total
+    for node, mass in demand.items():
+        nuT[node - 1] = mass / total
+    return nu0, nuT
 
 
 def _integer_split(weights: np.ndarray, total: int) -> list[int]:

@@ -5,10 +5,13 @@ minimising ``E_P[C] + alpha * KL(P || Q)`` where ``Q`` is a target behaviour
 to imitate.  Both terms fold into a single Schrodinger bridge against a tilted
 prior, which is how :func:`solve_iot` computes the optimum:
 
-* Markov route (per-edge costs, Markov target, no blending): tilt the
-  maximum-entropy-rate walk by the target's step weights and bridge the
-  resulting Markov prior.  Cost enters through the walk, the target through
-  the Hadamard product — no path enumeration in the solve itself.
+* Markov route (per-edge costs, Markov target, no blending): bridge the
+  Markov prior whose step matrix is the Hadamard product of the Gibbs edge
+  weights ``exp(-c(i,j)/alpha)`` and the target's step weights, so a path's
+  prior weight is ``exp(-C(x)/alpha) * Q(x)`` up to its start factor, which
+  the bridge absorbs.  No path enumeration in the solve itself, and no
+  strong-connectivity requirement: the bridge exists whenever the ``T``-step
+  kernel links every supported start to every supported end.
 * Path route (everything else, including rule-based non-additive costs and
   blended targets): build explicit path weights ``exp(-C(x)/alpha) * Q(x)``
   (log-shifted before exponentiation; a global prior scale is gauge) and
@@ -32,14 +35,14 @@ from .bridge import (BridgeSolution, MarkovPrior, PathPrior, markov_path_law,
                      path_kl, path_law_from_endpoint, sinkhorn_markov,
                      sinkhorn_path)
 from .errors import InfeasibleError, ValidationError
-from .network import (MARKOV, CostModel, Network, PathSpace, path_costs)
-from .spectral import RBPrior, build_rb_prior
+from .network import (MARKOV, CostModel, Network, PathSpace, path_costs,
+                      weight_matrix)
 
 __all__ = [
     "ImitationTarget", "IOTProblem", "ObjectiveTerms", "TransportPlan",
     "blend_distribution", "expand_target", "imitation_prior_markov",
-    "imitation_prior_paths", "solve_iot", "edge_usage_from_law",
-    "evaluate_objective_terms",
+    "imitation_prior_paths", "plan_from_law", "solve_iot",
+    "edge_usage_from_law", "evaluate_objective_terms",
 ]
 
 
@@ -204,49 +207,47 @@ def expand_target(target: ImitationTarget, space: PathSpace) -> np.ndarray:
     return q
 
 
-def imitation_prior_markov(rb: RBPrior, target: ImitationTarget) -> MarkovPrior:
-    """Markov prior of the tilted problem: walk (x) target, step by step.
+def imitation_prior_markov(model: CostModel, alpha: float,
+                           target: ImitationTarget) -> MarkovPrior:
+    """Markov prior of the tilted problem: Gibbs weights (x) target, step by step.
 
-    The step matrix is the entrywise product of the walk's transitions and the
-    target's step weights; the initial weights (stationary walk law times the
-    target's initial law) are normalised to a probability vector — a global
-    prior scale shifts the divergence by a constant and cannot move the
-    bridge.
+    The step matrix is the entrywise product of ``exp(-cost/alpha)`` on the
+    edges and the target's step weights; a cost-table pair outside the
+    target's nodes is a :class:`ValidationError`.  The initial law is the
+    target's (uniform when it has none), normalised: the bridge never reads
+    it, but a target whose initial law carries no mass is infeasible.
     """
     if not target.is_markov:
         raise ValidationError("markov prior construction needs a Markov target")
     if target.blend != 0.0:
         raise ValidationError("blended targets are not Markov; use the path route")
-    if target.matrix.shape[0] != rb.transitions.shape[0]:
-        raise ValidationError("target and walk dimensions differ")
-    step = rb.transitions * target.matrix
-    init = rb.node_weights.copy()
-    if target.initial is not None:
-        init = init * target.initial
+    n = target.matrix.shape[0]
+    step = weight_matrix(model, alpha, n) * target.matrix
+    init = target.initial if target.initial is not None else np.ones(n)
     total = float(init.sum())
     if total <= 0:
-        raise InfeasibleError("target initial law annihilates the walk prior")
+        raise InfeasibleError("target initial law carries no mass")
     return MarkovPrior(initial=init / total, matrix=step)
 
 
-def imitation_prior_paths(model: CostModel, network: Network, space: PathSpace,
-                          q: np.ndarray, alpha: float, *,
+def imitation_prior_paths(space: PathSpace, costs: np.ndarray, q: np.ndarray,
+                          alpha: float, *,
                           start_scale: np.ndarray | None = None,
                           end_scale: np.ndarray | None = None) -> PathPrior:
     """Explicit tilted prior: ``scaleterms * exp(-C(x)/alpha) * q(x)``.
 
-    Built in log space and shifted by the max before exponentiation, so only
-    cost *spreads* (not absolute values) need to fit the float range; the
-    shift is a global prior scale, which is gauge.  ``start_scale`` and
-    ``end_scale`` default to ones and are themselves gauge (any strictly
-    positive choice yields the same bridge).
+    ``costs`` and ``q`` are aligned with the space.  Built in log space and
+    shifted by the max before exponentiation, so only cost *spreads* (not
+    absolute values) need to fit the float range; the shift is a global prior
+    scale, which is gauge.  ``start_scale`` and ``end_scale`` default to ones
+    and are themselves gauge (any strictly positive choice yields the same
+    bridge).
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (space.size,):
-        raise ValidationError("q must align with the path space")
+    if q.shape != (space.size,) or np.shape(costs) != (space.size,):
+        raise ValidationError("costs and q must align with the path space")
     if np.any(q < 0):
         raise ValidationError("q must be nonnegative")
-    costs = path_costs(space, model, network)
     with np.errstate(divide="ignore"):
         logw = np.where(q > 0, -costs / alpha + np.log(np.where(q > 0, q, 1.0)), -np.inf)
     for scale, col in ((start_scale, space.starts), (end_scale, space.ends)):
@@ -296,6 +297,26 @@ def evaluate_objective_terms(law: np.ndarray, costs: np.ndarray, q: np.ndarray,
     return ObjectiveTerms(expected_cost=cost, kl_to_target=div, total=total)
 
 
+def plan_from_law(problem: IOTProblem, law: np.ndarray,
+                  solution: BridgeSolution, *, costs: np.ndarray | None = None,
+                  q: np.ndarray | None = None) -> TransportPlan:
+    """Assemble the plan of a solved bridge, priced under ``problem``.
+
+    ``costs`` and ``q`` are the problem's path costs and expanded target,
+    computed here unless the caller already has them.
+    """
+    space = problem.path_space
+    if costs is None:
+        costs = path_costs(space, problem.cost_model, problem.network)
+    if q is None:
+        q = expand_target(problem.target, space)
+    return TransportPlan(path_space=space, path_law=law, path_costs=costs,
+                         target_probs=q, alpha=problem.alpha,
+                         objective=evaluate_objective_terms(law, costs, q, problem.alpha),
+                         edge_usage=edge_usage_from_law(space, law),
+                         transition_matrices=solution.transitions, bridge=solution)
+
+
 def solve_iot(problem: IOTProblem, *, force_path: bool = False,
               tol: float = 1e-10, max_iter: int = 100_000) -> TransportPlan:
     """Solve the imitation-regularized transport problem.
@@ -314,22 +335,21 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
                     and problem.target.blend == 0.0
                     and not force_path)
     if markov_route:
-        rb = build_rb_prior(problem.cost_model, problem.alpha, space.n)
-        prior = imitation_prior_markov(rb, problem.target)
+        prior = imitation_prior_markov(problem.cost_model, problem.alpha,
+                                       problem.target)
+        # the bridge never reads the initial law, so check its support here:
+        # a start without target mass has no plan of finite divergence
+        blocked = np.flatnonzero((prior.initial == 0) & (problem.nu0 > 0))
+        if blocked.size:
+            raise InfeasibleError(
+                f"target initial law puts no mass on start node "
+                f"{int(blocked[0]) + 1}, where nu0 is positive")
         solution = sinkhorn_markov(prior, problem.nu0, problem.nuT, space.horizon,
                                    tol=tol, max_iter=max_iter)
         law = markov_path_law(solution, problem.nu0, space)
-        transitions = solution.transitions
     else:
-        prior = imitation_prior_paths(problem.cost_model, problem.network, space,
-                                      q, problem.alpha)
+        prior = imitation_prior_paths(space, costs, q, problem.alpha)
         solution = sinkhorn_path(prior, problem.nu0, problem.nuT,
                                  tol=tol, max_iter=max_iter)
         law = path_law_from_endpoint(solution, prior)
-        transitions = None
-
-    return TransportPlan(path_space=space, path_law=law, path_costs=costs,
-                         target_probs=q, alpha=problem.alpha,
-                         objective=evaluate_objective_terms(law, costs, q, problem.alpha),
-                         edge_usage=edge_usage_from_law(space, law),
-                         transition_matrices=transitions, bridge=solution)
+    return plan_from_law(problem, law, solution, costs=costs, q=q)

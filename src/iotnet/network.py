@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -233,6 +233,25 @@ def markov_edge_cost(model: CostModel, tail: int, head: int) -> float:
     return c * model.edge_multipliers.get((tail, head), 1.0)
 
 
+def weight_matrix(model: CostModel, alpha: float, n: int) -> np.ndarray:
+    """Gibbs edge weights ``exp(-cost/alpha)``; exact zero off the edge set.
+
+    Row/column ``i-1`` is node ``i``; a cost-table pair outside ``1..n``
+    raises :class:`ValidationError`.
+    """
+    if model.mode != MARKOV:
+        raise ValidationError("weight_matrix requires a markov-mode CostModel")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValidationError(f"alpha must be positive and finite, got {alpha}")
+    B = np.zeros((n, n), dtype=float)
+    for (i, j), cost in model.edge_costs.items():
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValidationError(f"cost table pair ({i},{j}) outside 1..{n}")
+        mult = model.edge_multipliers.get((i, j), 1.0)
+        B[i - 1, j - 1] = math.exp(-(cost * mult) / alpha)
+    return B
+
+
 def _kind_order(kind: EdgeKind) -> str:
     return kind.value
 
@@ -377,6 +396,7 @@ class PathSpace:
 
     ``array`` is the ``(N, T+1)`` integer matrix of node ids; ``starts`` and
     ``ends`` are its first/last columns (used for endpoint marginalisation).
+    ``index`` maps each path to its position; it is built on first use.
     """
 
     horizon: int
@@ -385,7 +405,6 @@ class PathSpace:
     array: np.ndarray = field(repr=False, compare=False, default=None)
     starts: np.ndarray = field(repr=False, compare=False, default=None)
     ends: np.ndarray = field(repr=False, compare=False, default=None)
-    index: dict = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         arr = np.asarray(self.paths, dtype=np.int64).reshape(len(self.paths),
@@ -393,11 +412,34 @@ class PathSpace:
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "starts", arr[:, 0].copy())
         object.__setattr__(self, "ends", arr[:, -1].copy())
-        object.__setattr__(self, "index", {p: k for k, p in enumerate(self.paths)})
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {p: k for k, p in enumerate(self.paths)}
 
     @property
     def size(self) -> int:
         return len(self.paths)
+
+
+def path_vector(space: PathSpace, table: Mapping[tuple[int, ...], float],
+                what: str) -> np.ndarray:
+    """Normalised vector over ``space`` of a path-keyed table.
+
+    Raises :class:`ValidationError` when ``table`` names a path outside the
+    space or carries no mass on it; ``what`` names the table in the message.
+    """
+    unknown = [p for p in table if p not in space.index]
+    if unknown:
+        raise ValidationError(f"{what} puts mass on paths outside the feasible "
+                              f"space, e.g. {unknown[:3]}")
+    vec = np.zeros(space.size)
+    for p, prob in table.items():
+        vec[space.index[p]] = prob
+    total = float(vec.sum())
+    if total <= 0:
+        raise ValidationError(f"{what} carries no mass on the feasible space")
+    return vec / total
 
 
 def enumerate_paths(network: Network, horizon: int,
@@ -454,17 +496,19 @@ def enumerate_paths(network: Network, horizon: int,
     return PathSpace(horizon=horizon, n=n, paths=tuple(frontier))
 
 
-def strongly_connected(network: Network) -> bool:
-    """True when every node reaches every other along directed edges."""
-    n = network.n
-    pairs = network.edge_pairs()
+def unreachable_nodes(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Nodes of ``1..n`` that node 1 does not reach, or that do not reach it.
+
+    ``pairs`` are the directed ``(tail, head)`` steps of the support; the
+    support is strongly connected exactly when the list is empty.
+    """
     succ: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
     pred: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
     for (i, j) in pairs:
         succ[i].append(j)
         pred[j].append(i)
 
-    def covers(adj: dict[int, list[int]]) -> bool:
+    def reached(adj: dict[int, list[int]]) -> set[int]:
         seen = {1}
         stack = [1]
         while stack:
@@ -472,9 +516,15 @@ def strongly_connected(network: Network) -> bool:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-        return len(seen) == n
+        return seen
 
-    return covers(succ) and covers(pred)
+    both = reached(succ) & reached(pred)
+    return [i for i in range(1, n + 1) if i not in both]
+
+
+def strongly_connected(network: Network) -> bool:
+    """True when every node reaches every other along directed edges."""
+    return not unreachable_nodes(network.n, network.edge_pairs())
 
 
 def _ruled_path_costs(model: CostModel, network: Network,

@@ -25,8 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import InfeasibleError, ValidationError
-from .imitation import IOTProblem, expand_target, solve_iot
-from .network import path_costs
+from .imitation import IOTProblem, solve_iot
 from .oracle import dense_ipf
 
 _MEMBERSHIP_SLACK = 1e-9

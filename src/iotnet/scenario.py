@@ -24,7 +24,6 @@ mass onto its cheapest path keeps both marginals and never raises the cost.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -32,15 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fixtures
-from .bridge import path_kl
 from .errors import ValidationError
-from .fileio import (_read_json, atomic_write_text, fmt, load_path_distribution,
-                     vector_from_obj)
+from .fileio import _read_json, atomic_write_text, fmt, load_path_distribution
 from .imitation import (ImitationTarget, IOTProblem, TransportPlan,
-                        blend_distribution, edge_usage_from_law, solve_iot)
+                        edge_usage_from_law, solve_iot)
 from .network import (CostModel, EdgeKind, Network, PathSpace, enumerate_paths,
                       load_network, markov_model_from_network, path_costs,
-                      reprice)
+                      path_vector, reprice)
 from .oracle import DenseCoupling, lp_ot
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
@@ -266,18 +263,6 @@ def _resolve(spec: ScenarioSpec, seed: int) -> tuple[Network, CostModel, dict, d
     return network, ruled, supply, demand, fixture
 
 
-def _marginals(network: Network, supply: dict[int, float],
-               demand: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    total = float(sum(supply.values()))
-    nu0 = np.zeros(network.n)
-    nuT = np.zeros(network.n)
-    for node, mass in supply.items():
-        nu0[node - 1] = mass / total
-    for node, mass in demand.items():
-        nuT[node - 1] = mass / total
-    return nu0, nuT
-
-
 def build_risk_matrix(network: Network, model: CostModel,
                       affected: tuple[tuple[int, int], ...],
                       weights: RiskWeights) -> np.ndarray:
@@ -363,7 +348,7 @@ def run_imitation_scenario(spec: ScenarioSpec, *, seed: int = 0,
     if spec.kind != "imitation":
         raise ValidationError(f"expected an imitation scenario, got {spec.kind!r}")
     network, ruled, supply, demand, fixture = _resolve(spec, seed)
-    nu0, nuT = _marginals(network, supply, demand)
+    nu0, nuT = fixtures.marginals(network.n, supply, demand)
     space = enumerate_paths(network, spec.horizon, sorted(supply), sorted(demand),
                             ruled)
 
@@ -378,17 +363,7 @@ def run_imitation_scenario(spec: ScenarioSpec, *, seed: int = 0,
         if horizon != spec.horizon:
             raise ValidationError(
                 f"q_star horizon {horizon} != scenario horizon {spec.horizon}")
-    q_star = np.zeros(space.size)
-    unknown = [p for p in q_table if p not in space.index]
-    if unknown:
-        raise ValidationError(
-            f"q_star contains paths outside the feasible space, e.g. {unknown[:3]}")
-    for p, prob in q_table.items():
-        q_star[space.index[p]] = prob
-    total = float(q_star.sum())
-    if total <= 0:
-        raise ValidationError("q_star carries no mass on the feasible space")
-    q_star /= total
+    q_star = path_vector(space, q_table, "q_star")
 
     problem = IOTProblem(network=network, cost_model=ruled, path_space=space,
                          nu0=nu0, nuT=nuT, alpha=spec.alpha,
@@ -413,7 +388,7 @@ def run_risk_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
     if spec.kind != "risk":
         raise ValidationError(f"expected a risk scenario, got {spec.kind!r}")
     network, ruled, supply, demand, fixture = _resolve(spec, seed)
-    nu0, nuT = _marginals(network, supply, demand)
+    nu0, nuT = fixtures.marginals(network.n, supply, demand)
     model = markov_model_from_network(network, ruled)
     space = enumerate_paths(network, spec.horizon, sorted(supply), sorted(demand),
                             model)

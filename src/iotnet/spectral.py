@@ -1,5 +1,11 @@
 """Maximum-entropy-rate (Ruelle-Bowens) random-walk priors from edge costs.
 
+This module serves ``iot rbwalk`` and the entropic-reduction acceptance test,
+which uses the walk as an independent reference.  No solve uses it: the
+walk is a diagonal rescaling of the Gibbs weights (see :func:`rb_walk`) that
+the bridge potentials cancel, so :func:`iotnet.imitation.solve_iot` bridges
+the Gibbs weights :func:`~iotnet.network.weight_matrix` directly.
+
 The construction: put Gibbs weights ``exp(-cost/alpha)`` on existing edges,
 take the Perron root and left/right Perron vectors of that nonnegative matrix,
 and tilt it into a row-stochastic walk.  Among all stationary chains supported
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .network import MARKOV, CostModel
+from .network import CostModel, unreachable_nodes, weight_matrix
 
 _SHIFT_FRACTION = 0.1
 
@@ -43,50 +49,6 @@ class RBPrior:
     right_vector: np.ndarray
     node_weights: np.ndarray
     transitions: np.ndarray
-
-
-def _check_strongly_connected(support: np.ndarray) -> None:
-    """Double graph search over the boolean support matrix."""
-    n = support.shape[0]
-
-    def reachable(adj: np.ndarray) -> np.ndarray:
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(adj[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        return seen
-
-    fwd = reachable(support)
-    bwd = reachable(support.T)
-    if not (fwd.all() and bwd.all()):
-        missing = sorted(set(np.nonzero(~fwd)[0] + 1) | set(np.nonzero(~bwd)[0] + 1))
-        raise ValidationError(
-            f"edge support is not strongly connected (nodes {missing} unreachable "
-            f"from or to node 1); the walk prior needs a strongly connected graph")
-
-
-def weight_matrix(model: CostModel, alpha: float, n: int) -> np.ndarray:
-    """Gibbs edge weights ``exp(-cost/alpha)``; exact zero off the edge set.
-
-    Requires a markov-mode cost model whose support is strongly connected.
-    """
-    if model.mode != MARKOV:
-        raise ValidationError("weight_matrix requires a markov-mode CostModel")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValidationError(f"alpha must be positive and finite, got {alpha}")
-    B = np.zeros((n, n), dtype=float)
-    for (i, j), cost in model.edge_costs.items():
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValidationError(f"cost table pair ({i},{j}) outside 1..{n}")
-        mult = model.edge_multipliers.get((i, j), 1.0)
-        B[i - 1, j - 1] = math.exp(-(cost * mult) / alpha)
-    _check_strongly_connected(B > 0)
-    return B
 
 
 def perron(B: np.ndarray, tol: float = 1e-12,
@@ -147,8 +109,17 @@ def rb_walk(B: np.ndarray, lam: float, v: np.ndarray) -> np.ndarray:
 
 def build_rb_prior(model: CostModel, alpha: float, n: int, *,
                    tol: float = 1e-12, max_iter: int = 100_000) -> RBPrior:
-    """Full pipeline: Gibbs weights -> Perron pair -> stochastic walk."""
+    """Full pipeline: Gibbs weights -> Perron pair -> stochastic walk.
+
+    The walk needs an irreducible weight matrix, so the support of the Gibbs
+    weights must be strongly connected.
+    """
     B = weight_matrix(model, alpha, n)
+    missing = unreachable_nodes(n, (np.argwhere(B > 0) + 1).tolist())
+    if missing:
+        raise ValidationError(
+            f"edge support is not strongly connected (nodes {missing} unreachable "
+            f"from or to node 1); the walk prior needs a strongly connected graph")
     lam, u, v = perron(B, tol=tol, max_iter=max_iter)
     R = rb_walk(B, lam, v)
     node_weights = u * v

@@ -213,3 +213,10 @@ def test_path_kl_basics():
         np.log(0.5), abs=1e-12)
     with pytest.warns(RuntimeWarning):
         assert path_kl(p, np.array([1.0, 0.0, 1.0])) == np.inf
+
+
+def test_path_kl_survives_subnormal_mass():
+    """``p/q`` underflows to 0 for a subnormal ``p``; ``log p - log q`` does not."""
+    kl = path_kl(np.array([5e-320, 1.0]), np.array([1e6, 1.0]))
+    assert np.isfinite(kl)
+    assert kl == pytest.approx(0.0, abs=1e-300)

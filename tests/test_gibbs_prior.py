@@ -1,0 +1,158 @@
+"""The Markov route bridges the Gibbs prior ``exp(-C/alpha) * Q`` directly.
+
+The maximum-entropy-rate walk differs from the Gibbs edge weights only by a
+diagonal rescaling and a scalar, which the bridge potentials absorb, so the
+solve does not build it.  Without it the Markov route no longer needs a
+strongly connected graph: it must match the path route wherever the bridge
+exists, including on acyclic networks and with zero-mass marginal entries.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import iotnet.spectral
+from iotnet import (
+    CostModel,
+    EdgeKind,
+    ImitationTarget,
+    InfeasibleError,
+    IOTProblem,
+    ValidationError,
+    build_network,
+    build_rb_prior,
+    enumerate_paths,
+    solve_iot,
+    strongly_connected,
+)
+
+from helpers import marginal_gap, tv
+
+PROPERTY = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _network(n, pairs, costs):
+    edges = [(i, j, EdgeKind.STORAGE if i == j else EdgeKind.LOCAL, costs[(i, j)])
+             for (i, j) in sorted(pairs)]
+    return build_network([(i, float(i), 0.0) for i in range(1, n + 1)], edges)
+
+
+def _both_routes(problem):
+    markov = solve_iot(problem, tol=1e-12)
+    path = solve_iot(problem, force_path=True, tol=1e-12)
+    assert markov.transition_matrices is not None  # the Markov route ran
+    assert path.transition_matrices is None
+    return markov, path
+
+
+@st.composite
+def markov_problems(draw):
+    """``random_markov_problem``-style problems without the connecting ring.
+
+    Edges are drawn at random (only ``i < j`` for an acyclic network), so the
+    graph is usually not strongly connected.  Marginal masses are drawn from
+    ``{0} | [0.2, 1]`` on an endpoint rectangle where every pair is linked.
+    """
+    n = draw(st.integers(3, 5))
+    acyclic = draw(st.booleans())
+    horizon = draw(st.integers(1, n - 1 if acyclic else 3))
+    pairs = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+             if (i < j or (not acyclic and i >= j)) and draw(st.booleans())}
+    assume(pairs)
+    cost = st.floats(0.5, 3.0)
+    costs = {pair: draw(cost) for pair in sorted(pairs)}
+    network = _network(n, pairs, costs)
+    model = CostModel.markov(costs)
+    try:
+        space = enumerate_paths(network, horizon, range(1, n + 1),
+                                range(1, n + 1), model)
+    except InfeasibleError:
+        assume(False)
+
+    reach = np.zeros((n, n), dtype=bool)
+    reach[space.starts - 1, space.ends - 1] = True
+    first = draw(st.sampled_from(sorted(set((space.starts - 1).tolist()))))
+    rows, cols = [first], reach[first].copy()
+    for i in range(n):
+        if i != first and (cols & reach[i]).any() and draw(st.booleans()):
+            rows.append(i)
+            cols &= reach[i]
+    mass = st.just(0.0) | st.floats(0.2, 1.0)
+
+    def law(support):
+        vec = np.zeros(n)
+        vec[support] = [draw(mass) for _ in support]
+        if vec.sum() == 0:
+            vec[support[0]] = 1.0
+        return vec / vec.sum()
+
+    matrix = np.zeros((n, n))
+    for (i, j) in pairs:
+        matrix[i - 1, j - 1] = draw(st.floats(0.2, 1.0))
+    initial = draw(st.none() | st.lists(st.floats(0.2, 1.0), min_size=n,
+                                        max_size=n).map(np.array))
+    target = ImitationTarget.markov(matrix, initial, stochastic=False)
+    return IOTProblem(network=network, cost_model=model, path_space=space,
+                      nu0=law(sorted(rows)), nuT=law(np.flatnonzero(cols).tolist()),
+                      alpha=draw(st.floats(0.5, 3.0)), target=target)
+
+
+@PROPERTY
+@given(markov_problems())
+def test_markov_route_matches_path_route_without_strong_connectivity(problem):
+    markov, path = _both_routes(problem)
+    assert tv(markov.path_law, path.path_law) < 1e-8
+    assert marginal_gap(problem.path_space, markov.path_law,
+                        problem.nu0, problem.nuT) < 1e-8
+
+
+def _acyclic_problem():
+    """Three nodes, forward roads 1->2->3 and 1->3, storage at every node."""
+    pairs = {(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)}
+    costs = {(1, 1): 0.3, (1, 2): 1.0, (1, 3): 1.7, (2, 2): 0.4, (2, 3): 0.8,
+             (3, 3): 0.2}
+    network = _network(3, pairs, costs)
+    model = CostModel.markov(costs)
+    nu0, nuT = np.array([0.6, 0.4, 0.0]), np.array([0.0, 0.3, 0.7])
+    space = enumerate_paths(network, 2, [1, 2], [2, 3], model)
+    target = ImitationTarget.markov(np.full((3, 3), 1.0), stochastic=False)
+    return IOTProblem(network=network, cost_model=model, path_space=space,
+                      nu0=nu0, nuT=nuT, alpha=0.9, target=target)
+
+
+def test_acyclic_network_solves_on_the_markov_route():
+    problem = _acyclic_problem()
+    assert not strongly_connected(problem.network)
+    with pytest.raises(ValidationError, match="not strongly connected"):
+        build_rb_prior(problem.cost_model, problem.alpha, 3)
+    markov, path = _both_routes(problem)
+    assert tv(markov.path_law, path.path_law) < 1e-8
+
+
+def test_solve_never_builds_the_walk(monkeypatch, tiny):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve computed a Perron pair")
+
+    monkeypatch.setattr(iotnet.spectral, "perron", refuse)
+    rng = np.random.default_rng(7)
+    matrix = rng.uniform(0.2, 1.0, size=(3, 3))
+    problem = IOTProblem(network=tiny.network, cost_model=tiny.model,
+                         path_space=tiny.space, nu0=tiny.nu0, nuT=tiny.nuT,
+                         alpha=0.5,
+                         target=ImitationTarget.markov(matrix, stochastic=False))
+    markov, path = _both_routes(problem)
+    assert tv(markov.path_law, path.path_law) < 1e-8
+
+
+@pytest.mark.parametrize("initial", [np.zeros(3), np.array([0.0, 0.5, 0.5])])
+def test_target_initial_law_must_cover_the_starts(tiny, initial):
+    """No plan has finite divergence when a supported start has no target mass."""
+    target = ImitationTarget.markov(np.full((3, 3), 1.0 / 3.0), initial)
+    problem = IOTProblem(network=tiny.network, cost_model=tiny.model,
+                         path_space=tiny.space, nu0=tiny.nu0, nuT=tiny.nuT,
+                         alpha=0.5, target=target)
+    for force_path in (False, True):
+        with pytest.raises(InfeasibleError):
+            solve_iot(problem, force_path=force_path)

@@ -16,6 +16,7 @@ from iotnet import (
     objective_eval,
     path_costs,
     solve_iot,
+    weight_matrix,
 )
 from iotnet import fixtures
 from iotnet.bridge import markov_path_law, sinkhorn_markov
@@ -95,17 +96,17 @@ def test_expand_target_rejects_misaligned_paths(tiny):
 
 
 def test_markov_tilt_is_entrywise_product(tiny):
-    rb = build_rb_prior(tiny.model, 0.5, 3)
     mat = np.full((3, 3), 1.0 / 3.0)
-    prior = imitation_prior_markov(rb, ImitationTarget.markov(mat))
-    assert np.allclose(prior.matrix, rb.transitions / 3.0, atol=1e-15)
+    prior = imitation_prior_markov(tiny.model, 0.5, ImitationTarget.markov(mat))
+    assert np.allclose(prior.matrix, weight_matrix(tiny.model, 0.5, 3) / 3.0,
+                       atol=1e-15)
 
 
 def test_markov_tilt_rejects_blended_targets(tiny):
-    rb = build_rb_prior(tiny.model, 0.5, 3)
     mat = np.full((3, 3), 1.0 / 3.0)
     with pytest.raises(ValidationError):
-        imitation_prior_markov(rb, ImitationTarget.markov(mat, blend=0.1))
+        imitation_prior_markov(tiny.model, 0.5,
+                               ImitationTarget.markov(mat, blend=0.1))
 
 
 def test_endpoint_scales_are_gauge(tiny):
@@ -115,9 +116,9 @@ def test_endpoint_scales_are_gauge(tiny):
     costs = path_costs(tiny.space, tiny.model, tiny.network)
     q = np.full(tiny.space.size, 1.0 / tiny.space.size)
     rng = np.random.default_rng(4)
-    plain = imitation_prior_paths(tiny.model, tiny.network, tiny.space, q, 0.7)
+    plain = imitation_prior_paths(tiny.space, costs, q, 0.7)
     scaled = imitation_prior_paths(
-        tiny.model, tiny.network, tiny.space, q, 0.7,
+        tiny.space, costs, q, 0.7,
         start_scale=rng.uniform(0.5, 2.0, size=3),
         end_scale=rng.uniform(0.5, 2.0, size=3))
     laws = []

@@ -21,7 +21,9 @@ from iotnet import (
     reprice,
     ruled_path_cost,
     strongly_connected,
+    unreachable_nodes,
 )
+from iotnet.network import path_vector
 from iotnet import fixtures
 
 from helpers import brute_paths, line_network
@@ -263,6 +265,41 @@ def test_strongly_connected_detects_both_cases():
     oneway = build_network([(1, 0.0, 0.0), (2, 1.0, 0.0)],
                            [(1, 2, EdgeKind.LOCAL, 1.0)])
     assert not strongly_connected(oneway)
+
+
+def test_unreachable_nodes_lists_plain_ints():
+    missing = unreachable_nodes(4, [(1, 2), (2, 1), (2, 3)])
+    assert missing == [3, 4]
+    assert all(type(node) is int for node in missing)
+    assert unreachable_nodes(2, [(1, 2), (2, 1)]) == []
+
+
+# ---------------------------------------------------------------------------
+# path-keyed tables
+# ---------------------------------------------------------------------------
+
+
+def test_path_space_index_is_built_on_first_use():
+    fx = fixtures.tiny_fixture()
+    space = enumerate_paths(fx.network, 2, (1, 2, 3), (1, 2, 3), fx.model)
+    assert "index" not in vars(space)
+    assert space.index[space.paths[4]] == 4
+    assert "index" in vars(space)
+
+
+def test_path_vector_scatters_and_normalises(tiny):
+    table = {tiny.space.paths[3]: 1.0, tiny.space.paths[0]: 3.0}
+    vec = path_vector(tiny.space, table, "q")
+    expected = np.zeros(tiny.space.size)
+    expected[[0, 3]] = [0.75, 0.25]
+    assert np.array_equal(vec, expected)
+
+
+def test_path_vector_rejects_foreign_paths_and_empty_tables(tiny):
+    with pytest.raises(ValidationError, match="q puts mass on paths outside"):
+        path_vector(tiny.space, {(1, 2, 3, 1): 1.0}, "q")
+    with pytest.raises(ValidationError, match="q carries no mass"):
+        path_vector(tiny.space, {tiny.space.paths[0]: 0.0}, "q")
 
 
 # ---------------------------------------------------------------------------

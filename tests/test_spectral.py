@@ -95,8 +95,8 @@ def test_weight_matrix_is_gibbs_on_edges():
 
 def test_weight_matrix_requires_strong_connectivity():
     model = CostModel.markov({(1, 2): 1.0})
-    with pytest.raises(ValidationError):
-        weight_matrix(model, 1.0, 2)
+    with pytest.raises(ValidationError, match=r"nodes \[2\] unreachable"):
+        build_rb_prior(model, 1.0, 2)
 
 
 def test_walk_rows_are_stochastic():
