@@ -41,8 +41,7 @@ from .robust import (RobustCertificate, RobustEquivalenceReport,
                      worst_case_certificate)
 from .scenario import (DisasterResult, DisasterSpec, PlanReport, RiskWeights,
                        ScenarioResult, ScenarioSpec, build_risk_matrix,
-                       emit_report, load_scenario, run_imitation_scenario,
-                       run_risk_scenario, run_scenario)
+                       emit_report, load_scenario, run_scenario)
 from .spectral import (RBPrior, build_rb_prior, perron, rb_path_density,
                        rb_path_density_gibbs, rb_walk)
 
@@ -69,8 +68,7 @@ __all__ = [
     "path_law_from_endpoint", "path_vector", "perron", "plan_from_law",
     "rb_path_density", "rb_path_density_gibbs", "rb_walk", "read_plan", "reprice",
     "robust_equivalence_check", "robust_membership", "ruled_path_cost",
-    "run_imitation_scenario", "run_risk_scenario", "run_scenario",
-    "save_network", "save_path_distribution", "sinkhorn_markov",
+    "run_scenario", "save_network", "save_path_distribution", "sinkhorn_markov",
     "sinkhorn_path", "solve_iot", "strongly_connected", "unreachable_nodes",
     "weight_matrix", "worst_case_certificate", "write_plan",
 ]

@@ -113,15 +113,11 @@ def _load_network_ref(ref: str, seed: int) -> _NetworkBundle:
             return _NetworkBundle(network=fx.network, ruled=None, markov=fx.model,
                                   nu0=fx.nu0, nuT=fx.nuT,
                                   horizon=fx.space.horizon)
-        if name in ("synthetic30", "risk30"):
-            builder = fixtures.synthetic30 if name == "synthetic30" else fixtures.risk30
-            fx = builder(seed)
-            nu0, nuT = fx.marginals()
-            return _NetworkBundle(network=fx.network, ruled=fx.ruled,
-                                  markov=markov_model_from_network(fx.network, fx.ruled),
-                                  nu0=nu0, nuT=nuT, horizon=fx.horizon)
-        raise ValidationError(f"unknown builtin network {name!r} "
-                              f"(expected tiny, synthetic30, or risk30)")
+        fx = fixtures.builtin(name, seed)
+        nu0, nuT = fx.marginals()
+        return _NetworkBundle(network=fx.network, ruled=fx.ruled,
+                              markov=markov_model_from_network(fx.network, fx.ruled),
+                              nu0=nu0, nuT=nuT, horizon=fx.horizon)
     network, ruled = load_network(ref)
     return _NetworkBundle(network=network, ruled=ruled,
                           markov=markov_model_from_network(network, ruled))
@@ -395,8 +391,7 @@ def _oracle_problem(args: argparse.Namespace):
         nu0[0] = 1.0
         alpha = args.alpha if args.alpha is not None else 0.5
         return network, model, space, nu0, nuT, alpha, True
-    builder = fixtures.synthetic30 if name == "synthetic30" else fixtures.risk30
-    fx = builder(args.seed)
+    fx = fixtures.builtin(name, args.seed)
     nu0, nuT = fx.marginals()
     space = enumerate_paths(fx.network, fx.horizon, sorted(fx.supply),
                             sorted(fx.demand), fx.ruled)

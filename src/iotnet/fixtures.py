@@ -358,6 +358,16 @@ def risk30(seed: int = 0) -> SyntheticFixture:
     return _build_30(seed, cut=True)
 
 
+def builtin(name: str, seed: int = 0) -> SyntheticFixture:
+    """The seeded 30-node fixture behind ``builtin:<name>``."""
+    if name == "synthetic30":
+        return synthetic30(seed)
+    if name == "risk30":
+        return risk30(seed)
+    raise ValidationError(f"unknown builtin network {name!r} (the 30-node "
+                          f"builtins are synthetic30 and risk30)")
+
+
 def synthetic_q_star(fx: SyntheticFixture, *, alpha: float = 80.0,
                      tol: float = 1e-10) -> dict[tuple[int, ...], float]:
     """Deterministic stand-in for observed shipper behaviour.

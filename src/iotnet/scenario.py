@@ -1,10 +1,10 @@
 """Logistics scenario engine: load a spec, solve the plans, write reports.
 
-Two scenario kinds:
+Two scenario kinds, one runner (:func:`run_scenario`) that solves the
+imitation plan and reports it beside the cost-optimal plan, per destination:
 
 * ``imitation`` — rule-based (non-Markov) costs, a path-form target blended
-  toward uniform; compares the target itself, the cost-optimal LP plan, and
-  the imitation plan.
+  toward uniform; the target itself is reported as a third plan.
 * ``risk`` — per-edge (Markov) costs and a raw step-weight target encoding
   risk aversion (disrupted edges nearly forbidden, maritime lanes strongly
   preferred, everything else neutral); after solving, a disaster multiplies
@@ -27,17 +27,18 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
 from . import fixtures
 from .errors import ValidationError
-from .fileio import _read_json, atomic_write_text, fmt, load_path_distribution
-from .imitation import (ImitationTarget, IOTProblem, TransportPlan,
-                        edge_usage_from_law, solve_iot)
-from .network import (CostModel, EdgeKind, Network, PathSpace, enumerate_paths,
-                      load_network, markov_model_from_network, path_costs,
-                      path_vector, reprice)
+from .fileio import (_read_json, atomic_write_text, fmt, load_path_distribution,
+                     load_step_weights)
+from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
+from .network import (CostModel, EdgeKind, Network, PathSpace, _resolve_step,
+                      enumerate_paths, load_network, markov_model_from_network,
+                      network_from_dict, path_costs, path_vector, reprice)
 from .oracle import DenseCoupling, lp_ot
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
@@ -82,7 +83,6 @@ class PlanReport:
     total_cost: float
     per_destination_cost: dict[int, float]
     per_destination_mass: dict[int, float]
-    edge_usage: dict[tuple[int, int, int], float]
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,25 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
+def _field(what: str, convert: Callable, value: object) -> Any:
+    """``convert(value)``; a value it cannot convert is an error naming ``what``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"scenario field {what} is malformed: {exc}") from exc
+
+
+def _pairs(value: object) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((int(i), int(j)) for i, j in value))
+
+
 def _mass_map(obj: object, what: str) -> dict[int, float]:
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} must be a JSON object of node -> mass")
     out: dict[int, float] = {}
     for key, val in obj.items():
-        node = int(key)
-        mass = float(val)
+        node = _field(what, int, key)
+        mass = _field(what, float, val)
         if mass < 0:
             raise ValidationError(f"{what}: negative mass at node {node}")
         if mass > 0:
@@ -191,23 +203,27 @@ def load_scenario(path: str) -> ScenarioSpec:
             raise ValidationError(
                 f"scenario {path}: supply total {s!r} != demand total {d!r}")
 
-    beta = float(block.get("beta", 0.0))
+    beta = _field("beta", float, block.get("beta", 0.0))
     q_star_ref = block.get("q_star")
     rq_file_ref = block.get("rq_file")
-    normalize_rows = bool(block.get("normalize_rows", False))
-    weights = RiskWeights()
-    affected = None
+    normalize_rows = block.get("normalize_rows") or False
+    for key, value, want in (("q_star", q_star_ref, str),
+                             ("rq_file", rq_file_ref, str),
+                             ("normalize_rows", normalize_rows, bool)):
+        if value is not None and not isinstance(value, want):
+            raise ValidationError(f"scenario {path}: {key} must be a {want.__name__}")
     wdoc = block.get("weights", {})
+    if not isinstance(wdoc, dict):
+        raise ValidationError(f"scenario {path}: weights must be an object")
     unknown = set(wdoc) - {"affected", "maritime", "regular"}
     if unknown:
         raise ValidationError(
             f"scenario {path}: unknown risk weight keys {sorted(unknown)}")
-    if wdoc:
-        weights = RiskWeights(affected=float(wdoc.get("affected", 1e-5)),
-                              maritime=float(wdoc.get("maritime", 100.0)),
-                              regular=float(wdoc.get("regular", 1.0)))
+    weights = RiskWeights(**{key: _field(f"weights.{key}", float, val)
+                             for key, val in wdoc.items()})
+    affected = None
     if "affected" in block:
-        affected = tuple(sorted((int(i), int(j)) for i, j in block["affected"]))
+        affected = _field("affected", _pairs, block["affected"])
     if kind == "imitation" and (rq_file_ref or "affected" in block):
         raise ValidationError(f"scenario {path}: rq_file/affected belong to "
                               "the risk kind")
@@ -218,9 +234,12 @@ def load_scenario(path: str) -> ScenarioSpec:
     disaster = None
     if "disaster" in doc:
         ddoc = doc["disaster"]
-        edges = tuple(sorted((int(i), int(j)) for i, j in ddoc.get("edges", [])))
-        disaster = DisasterSpec(edges=edges,
-                                multiplier=float(ddoc.get("multiplier", 10.0)))
+        if not isinstance(ddoc, dict):
+            raise ValidationError(f"scenario {path}: disaster must be an object")
+        disaster = DisasterSpec(
+            edges=_field("disaster.edges", _pairs, ddoc.get("edges", [])),
+            multiplier=_field("disaster.multiplier", float,
+                              ddoc.get("multiplier", 10.0)))
 
     return ScenarioSpec(kind=kind, network_ref=network_ref, horizon=horizon,
                         alpha=alpha, beta=beta, supply=supply, demand=demand,
@@ -235,24 +254,16 @@ def _resolve(spec: ScenarioSpec, seed: int) -> tuple[Network, CostModel, dict, d
     """Network, ruled model, supply, demand; builtin fixture when applicable."""
     ref = spec.network_ref
     fixture = None
+    supply, demand = spec.supply, spec.demand
     if isinstance(ref, str) and ref.startswith("builtin:"):
-        name = ref.split(":", 1)[1]
-        if name == "synthetic30":
-            fixture = fixtures.synthetic30(seed)
-        elif name == "risk30":
-            fixture = fixtures.risk30(seed)
-        else:
-            raise ValidationError(f"unknown builtin network {name!r}")
+        fixture = fixtures.builtin(ref.split(":", 1)[1], seed)
         network, ruled = fixture.network, fixture.ruled
         supply = spec.supply or dict(fixture.supply)
         demand = spec.demand or dict(fixture.demand)
     elif isinstance(ref, dict):
-        from .network import network_from_dict
         network, ruled = network_from_dict(ref)
-        supply, demand = spec.supply, spec.demand
     else:
         network, ruled = load_network(os.path.join(spec.base_dir, str(ref)))
-        supply, demand = spec.supply, spec.demand
     if supply is None or demand is None:
         raise ValidationError("scenario needs supply and demand (builtins provide "
                               "defaults; files must state them)")
@@ -267,7 +278,6 @@ def build_risk_matrix(network: Network, model: CostModel,
                       affected: tuple[tuple[int, int], ...],
                       weights: RiskWeights) -> np.ndarray:
     """Step weights over existing pairs: affected / maritime / regular."""
-    from .network import _resolve_step
     n = network.n
     aff = set(affected)
     out = np.zeros((n, n))
@@ -286,33 +296,46 @@ def build_risk_matrix(network: Network, model: CostModel,
 # ---------------------------------------------------------------------------
 
 
-def _per_destination(space: PathSpace, law: np.ndarray,
-                     costs: np.ndarray) -> tuple[dict[int, float], dict[int, float]]:
-    cost_by_dest: dict[int, float] = {}
-    mass_by_dest: dict[int, float] = {}
-    for end in np.unique(space.ends).tolist():
-        mask = space.ends == end
-        dest_law = law[mask]
-        mass = float(dest_law.sum())
-        if mass <= 0:
-            continue
-        mass_by_dest[end] = mass
-        cost_by_dest[end] = float(dest_law @ costs[mask])
-    return cost_by_dest, mass_by_dest
+@dataclass(frozen=True)
+class Destinations:
+    """The paths of a space grouped by end node, made once per scenario run.
+
+    ``order`` is a stable argsort of ``space.ends``: each destination's paths
+    are one slice of it, in space order, so a slice sum adds the same floats
+    in the same order as a sum over the mask ``space.ends == node``.
+    """
+
+    order: np.ndarray
+    spans: tuple[tuple[int, int, int], ...]  # (node, lo, hi): order[lo:hi]
+
+    @classmethod
+    def of(cls, space: PathSpace) -> Destinations:
+        order = np.argsort(space.ends, kind="stable")
+        nodes, lo = np.unique(space.ends[order], return_index=True)
+        hi = [*lo[1:].tolist(), order.size]
+        return cls(order, tuple(zip(nodes.tolist(), lo.tolist(), hi)))
+
+    def totals(self, law: np.ndarray, costs: np.ndarray
+               ) -> tuple[dict[int, float], dict[int, float]]:
+        """Cost and mass of ``law`` per destination, skipping massless ones."""
+        law, costs = law[self.order], costs[self.order]
+        cost_by_dest: dict[int, float] = {}
+        mass_by_dest: dict[int, float] = {}
+        for node, lo, hi in self.spans:
+            mass = float(law[lo:hi].sum())
+            if mass > 0:
+                mass_by_dest[node] = mass
+                cost_by_dest[node] = float(law[lo:hi] @ costs[lo:hi])
+        return cost_by_dest, mass_by_dest
 
 
-def plan_report(label: str, space: PathSpace, law: np.ndarray,
-                costs: np.ndarray,
-                edge_usage: dict[tuple[int, int, int], float] | None = None
-                ) -> PlanReport:
-    """Report of ``law``; ``edge_usage``, when given, is its known edge usage."""
-    cost_by_dest, mass_by_dest = _per_destination(space, law, costs)
-    if edge_usage is None:
-        edge_usage = edge_usage_from_law(space, law)
+def plan_report(label: str, destinations: Destinations, law: np.ndarray,
+                costs: np.ndarray) -> PlanReport:
+    """Total and per-destination cost of ``law`` on ``costs``."""
+    cost_by_dest, mass_by_dest = destinations.totals(law, costs)
     return PlanReport(label=label, total_cost=float(law @ costs),
                       per_destination_cost=cost_by_dest,
-                      per_destination_mass=mass_by_dest,
-                      edge_usage=edge_usage)
+                      per_destination_mass=mass_by_dest)
 
 
 def cheapest_path_lp(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
@@ -338,20 +361,13 @@ def cheapest_path_lp(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runner
 # ---------------------------------------------------------------------------
 
 
-def run_imitation_scenario(spec: ScenarioSpec, *, seed: int = 0,
-                           tol: float = 1e-10,
-                           max_iter: int = 100_000) -> ScenarioResult:
-    if spec.kind != "imitation":
-        raise ValidationError(f"expected an imitation scenario, got {spec.kind!r}")
-    network, ruled, supply, demand, fixture = _resolve(spec, seed)
-    nu0, nuT = fixtures.marginals(network.n, supply, demand)
-    space = enumerate_paths(network, spec.horizon, sorted(supply), sorted(demand),
-                            ruled)
-
+def _q_star(spec: ScenarioSpec, space: PathSpace,
+            fixture: fixtures.SyntheticFixture | None) -> np.ndarray:
+    """The imitation target on ``space``: a q-file, or the builtin's own."""
     if spec.q_star_ref in (None, "builtin"):
         if fixture is None:
             raise ValidationError("imitation scenario needs q_star (builtin "
@@ -363,42 +379,14 @@ def run_imitation_scenario(spec: ScenarioSpec, *, seed: int = 0,
         if horizon != spec.horizon:
             raise ValidationError(
                 f"q_star horizon {horizon} != scenario horizon {spec.horizon}")
-    q_star = path_vector(space, q_table, "q_star")
-
-    problem = IOTProblem(network=network, cost_model=ruled, path_space=space,
-                         nu0=nu0, nuT=nuT, alpha=spec.alpha,
-                         target=ImitationTarget.paths(q_star, blend=spec.beta))
-    plan = solve_iot(problem, tol=tol, max_iter=max_iter)
-    costs = plan.path_costs
-    lp = cheapest_path_lp(space, costs, nu0, nuT)
-
-    reports = {
-        "target": plan_report("target", space, q_star, costs),
-        "optimal": plan_report("optimal", space, lp.probabilities, costs),
-        "imitation": plan_report("imitation", space, plan.path_law, costs,
-                                 plan.edge_usage),
-    }
-    return ScenarioResult(kind=spec.kind, alpha=spec.alpha, beta=spec.beta,
-                          space=space, imitation_plan=plan, reports=reports,
-                          lp_objective=lp.objective)
+    return path_vector(space, q_table, "q_star")
 
 
-def run_risk_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
-                      max_iter: int = 100_000) -> ScenarioResult:
-    if spec.kind != "risk":
-        raise ValidationError(f"expected a risk scenario, got {spec.kind!r}")
-    network, ruled, supply, demand, fixture = _resolve(spec, seed)
-    nu0, nuT = fixtures.marginals(network.n, supply, demand)
-    model = markov_model_from_network(network, ruled)
-    space = enumerate_paths(network, spec.horizon, sorted(supply), sorted(demand),
-                            model)
-
-    affected = spec.affected
-    if affected is None:
-        affected = fixture.affected if fixture is not None else ()
+def _risk_target(spec: ScenarioSpec, network: Network, model: CostModel,
+                 affected: tuple[tuple[int, int], ...]) -> ImitationTarget:
+    """Step weights from an rq-file, or built from the affected edges."""
     initial = None
     if spec.rq_file_ref is not None:
-        from .fileio import load_step_weights
         initial, matrix = load_step_weights(
             os.path.join(spec.base_dir, spec.rq_file_ref), network)
     else:
@@ -411,68 +399,76 @@ def run_risk_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
         rowsum = matrix.sum(axis=1, keepdims=True)
         matrix = np.divide(matrix, rowsum, out=np.zeros_like(matrix),
                            where=rowsum > 0)
-    problem = IOTProblem(network=network, cost_model=model, path_space=space,
-                         nu0=nu0, nuT=nuT, alpha=spec.alpha,
-                         target=ImitationTarget.markov(matrix, initial,
-                                                       stochastic=False))
-    plan = solve_iot(problem, tol=tol, max_iter=max_iter)
-    costs = plan.path_costs
-    lp = cheapest_path_lp(space, costs, nu0, nuT)
+    return ImitationTarget.markov(matrix, initial, stochastic=False)
 
-    reports = {
-        "optimal": plan_report("optimal", space, lp.probabilities, costs),
-        "imitation": plan_report("imitation", space, plan.path_law, costs,
-                                 plan.edge_usage),
-    }
 
-    disaster = spec.disaster
-    if disaster is None:
-        multiplier = (fixture.disaster_multiplier if fixture is not None
-                      else fixtures.DISASTER_MULTIPLIER)
-        disaster = DisasterSpec(edges=tuple(affected), multiplier=multiplier)
-    elif not disaster.edges:
-        disaster = DisasterSpec(edges=tuple(affected),
-                                multiplier=disaster.multiplier)
-    if not disaster.edges:
-        return ScenarioResult(kind=spec.kind, alpha=spec.alpha, beta=spec.beta,
-                              space=space, imitation_plan=plan, reports=reports,
-                              lp_objective=lp.objective)
-    repriced = reprice(model, disaster.edges, disaster.multiplier)
-    costs_after = path_costs(space, repriced, network)
-
-    def totals(law: np.ndarray) -> tuple[float, float]:
-        return float(law @ costs), float(law @ costs_after)
-
-    imi_b, imi_a = totals(plan.path_law)
-    opt_b, opt_a = totals(lp.probabilities)
-    rows = []
-    imi_cb, _ = _per_destination(space, plan.path_law, costs)
-    imi_ca, _ = _per_destination(space, plan.path_law, costs_after)
-    opt_cb, _ = _per_destination(space, lp.probabilities, costs)
-    opt_ca, _ = _per_destination(space, lp.probabilities, costs_after)
-    for node in sorted(demand):
-        mass = demand[node] / float(sum(supply.values()))
-        rows.append(DisasterRow(node=node, mass=mass,
-                                imitation_before=imi_cb.get(node, 0.0),
-                                imitation_after=imi_ca.get(node, 0.0),
-                                optimal_before=opt_cb.get(node, 0.0),
-                                optimal_after=opt_ca.get(node, 0.0)))
-    disaster_result = DisasterResult(multiplier=disaster.multiplier,
-                                     edges=tuple(disaster.edges),
-                                     rows=tuple(rows),
-                                     imitation_total_before=imi_b,
-                                     imitation_total_after=imi_a,
-                                     optimal_total_before=opt_b,
-                                     optimal_total_after=opt_a)
-    return ScenarioResult(kind=spec.kind, alpha=spec.alpha, beta=spec.beta,
-                          space=space, imitation_plan=plan, reports=reports,
-                          lp_objective=lp.objective, disaster=disaster_result)
+def _disaster_spec(spec: ScenarioSpec,
+                   fixture: fixtures.SyntheticFixture | None,
+                   affected: tuple[tuple[int, int], ...]) -> DisasterSpec | None:
+    """The spec's disaster, edges defaulting to ``affected``; None if no edges."""
+    multiplier = (fixture.disaster_multiplier if fixture is not None
+                  else fixtures.DISASTER_MULTIPLIER)
+    given = spec.disaster or DisasterSpec(edges=(), multiplier=multiplier)
+    edges = given.edges or tuple(affected)
+    return DisasterSpec(edges=edges, multiplier=given.multiplier) if edges else None
 
 
 def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
                  max_iter: int = 100_000) -> ScenarioResult:
-    runner = run_imitation_scenario if spec.kind == "imitation" else run_risk_scenario
-    return runner(spec, seed=seed, tol=tol, max_iter=max_iter)
+    """Solve ``spec``'s imitation plan and report it beside the LP optimum.
+
+    The imitation kind prices paths with the rule-based model and imitates
+    ``q_star`` blended by ``beta``; the risk kind prices them per edge,
+    imitates the risk step weights, and re-prices both plans under the
+    disaster.
+    """
+    network, ruled, supply, demand, fixture = _resolve(spec, seed)
+    nu0, nuT = fixtures.marginals(network.n, supply, demand)
+    risk = spec.kind == "risk"
+    model = markov_model_from_network(network, ruled) if risk else ruled
+    space = enumerate_paths(network, spec.horizon, sorted(supply), sorted(demand),
+                            model)
+    affected = spec.affected
+    if affected is None:
+        affected = fixture.affected if fixture is not None else ()
+    if risk:
+        target = _risk_target(spec, network, model, affected)
+    else:
+        q_star = _q_star(spec, space, fixture)
+        target = ImitationTarget.paths(q_star, blend=spec.beta)
+
+    problem = IOTProblem(network=network, cost_model=model, path_space=space,
+                         nu0=nu0, nuT=nuT, alpha=spec.alpha, target=target)
+    plan = solve_iot(problem, tol=tol, max_iter=max_iter)
+    costs = plan.path_costs
+    lp = cheapest_path_lp(space, costs, nu0, nuT)
+    destinations = Destinations.of(space)
+    laws = {"optimal": lp.probabilities, "imitation": plan.path_law}
+    if not risk:
+        laws = {"target": q_star, **laws}
+    reports = {label: plan_report(label, destinations, law, costs)
+               for label, law in laws.items()}
+
+    disaster = None
+    event = _disaster_spec(spec, fixture, affected) if risk else None
+    if event is not None:
+        costs_after = path_costs(
+            space, reprice(model, event.edges, event.multiplier), network)
+        after = {label: plan_report(label, destinations, laws[label], costs_after)
+                 for label in ("imitation", "optimal")}
+        # in field order: imitation before/after, then optimal before/after
+        plans = (reports["imitation"], after["imitation"], reports["optimal"],
+                 after["optimal"])
+        total = float(sum(supply.values()))
+        rows = tuple(DisasterRow(node, demand[node] / total,
+                                 *(p.per_destination_cost.get(node, 0.0)
+                                   for p in plans))
+                     for node in sorted(demand))
+        disaster = DisasterResult(event.multiplier, event.edges, rows,
+                                  *(p.total_cost for p in plans))
+    return ScenarioResult(kind=spec.kind, alpha=spec.alpha, beta=spec.beta,
+                          space=space, imitation_plan=plan, reports=reports,
+                          lp_objective=lp.objective, disaster=disaster)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +488,7 @@ def emit_report(result: ScenarioResult, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     plan = result.imitation_plan
-    usage = result.reports["imitation"].edge_usage
+    usage = plan.edge_usage
     for t in range(result.space.horizon):
         lines = ["from,to,mass"]
         for (step, i, j), mass in usage.items():

@@ -1,7 +1,8 @@
-"""Scenario engine: spec files, both runners, and report emission."""
+"""Scenario engine: spec files, both scenario kinds, and report emission."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,29 @@ def test_load_scenario_reads_disaster_block(tmp_path):
     spec = load_scenario(_write_spec(tmp_path, doc))
     assert spec.disaster.multiplier == 4.0
     assert spec.disaster.edges == ((7, 18), (18, 9))
+
+
+@pytest.mark.parametrize("patch, field", [
+    ({"scenario": {"kind": "risk", "affected": [[1, 2, 3]]}}, "affected"),
+    ({"disaster": {"multiplier": "ten"}}, "disaster.multiplier"),
+    ({"disaster": [1]}, "disaster"),
+    ({"supply": {"x": 1}, "demand": {"4": 1}}, "supply"),
+    ({"scenario": {"kind": "risk", "weights": {"maritime": "big"}}},
+     "weights.maritime"),
+    ({"scenario": {"kind": "risk", "normalize_rows": "false"}},
+     "normalize_rows"),
+], ids=["affected-triple", "multiplier-text", "disaster-list", "supply-key",
+        "weight-text", "flag-text"])
+def test_load_scenario_names_the_malformed_field(tmp_path, patch, field):
+    doc = dict(RISK_DOC, **patch)
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        load_scenario(_write_spec(tmp_path, doc))
+
+
+def test_unknown_builtin_network_is_rejected(tmp_path):
+    doc = dict(RISK_DOC, network="builtin:nowhere")
+    with pytest.raises(ValidationError, match="unknown builtin network"):
+        run_scenario(load_scenario(_write_spec(tmp_path, doc)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,25 +295,30 @@ def test_normalize_rows_changes_the_target_but_solves(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_emit_report_writes_expected_files(tmp_path, risk_result):
-    out = tmp_path / "out"
-    emit_report(risk_result, str(out))
-    names = sorted(os.listdir(out))
-    assert "report_summary.txt" in names
-    assert "report_disaster.csv" in names
-    for t in range(risk_result.space.horizon):
-        assert f"report_usage_t{t}.csv" in names
+def test_emit_report_writes_expected_files(tmp_path, risk_result,
+                                          imitation_result):
+    for result in (risk_result, imitation_result):
+        out = tmp_path / result.kind
+        emit_report(result, str(out))
+        names = sorted(os.listdir(out))
+        assert "report_summary.txt" in names
+        # only the risk kind has a disaster table
+        assert ("report_disaster.csv" in names) == (result.kind == "risk")
+        for t in range(result.space.horizon):
+            assert f"report_usage_t{t}.csv" in names
 
 
-def test_emitted_usage_tables_conserve_mass(tmp_path, risk_result):
-    out = tmp_path / "out"
-    emit_report(risk_result, str(out))
-    for t in range(risk_result.space.horizon):
-        rows = (out / f"report_usage_t{t}.csv").read_text().splitlines()[1:]
-        total = sum(float(line.split(",")[2]) for line in rows)
-        # flows below the display threshold are dropped from the table
-        slack = DISPLAY_THRESHOLD * risk_result.space.size
-        assert total == pytest.approx(1.0, abs=min(slack, 0.05))
+def test_emitted_usage_tables_conserve_mass(tmp_path, risk_result,
+                                            imitation_result):
+    for result in (risk_result, imitation_result):
+        out = tmp_path / result.kind
+        emit_report(result, str(out))
+        for t in range(result.space.horizon):
+            rows = (out / f"report_usage_t{t}.csv").read_text().splitlines()[1:]
+            total = sum(float(line.split(",")[2]) for line in rows)
+            # flows below the display threshold are dropped from the table
+            slack = DISPLAY_THRESHOLD * result.space.size
+            assert total == pytest.approx(1.0, abs=min(slack, 0.05))
 
 
 def test_emit_report_is_deterministic(tmp_path, risk_result):

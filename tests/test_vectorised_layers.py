@@ -1,10 +1,10 @@
-"""Array path costs and edge usage against their scalar references.
+"""Array path costs, edge usage and destination sums against their references.
 
-``path_costs`` and ``edge_usage_from_law`` replace per-path loops with array
-code that adds the same floats in the same order, so they must agree with the
-loops exactly, not to a tolerance.  The scenario's cost-optimal plan solves
-the LP on the cheapest path of each endpoint pair; it must reach the full
-path LP's optimum.
+``path_costs``, ``edge_usage_from_law`` and the scenario's per-destination
+sums replace per-path loops or masks with array code that adds the same
+floats in the same order, so they must agree with the references exactly,
+not to a tolerance.  The scenario's cost-optimal plan solves the LP on the
+cheapest path of each endpoint pair; it must reach the full path LP's optimum.
 """
 
 import math
@@ -30,7 +30,7 @@ from iotnet import (
 from iotnet import fixtures
 from iotnet.network import PathSpace, _resolve_step
 from iotnet.oracle import lp_ot
-from iotnet.scenario import cheapest_path_lp
+from iotnet.scenario import Destinations, cheapest_path_lp
 
 from helpers import marginal_gap
 
@@ -193,3 +193,43 @@ def test_cheapest_path_lp_reaches_the_full_path_lp(name):
     pair = space.starts * (space.n + 1) + space.ends
     for k in np.nonzero(plan.probabilities)[0]:
         assert costs[k] == costs[pair == pair[k]].min()
+
+
+def _per_destination_masked(space, law, costs):
+    """The masked per-destination loop that ``Destinations.totals`` replaced."""
+    cost_by_dest, mass_by_dest = {}, {}
+    for end in np.unique(space.ends).tolist():
+        mask = space.ends == end
+        dest_law = law[mask]
+        mass = float(dest_law.sum())
+        if mass <= 0:
+            continue
+        mass_by_dest[end] = mass
+        cost_by_dest[end] = float(dest_law @ costs[mask])
+    return cost_by_dest, mass_by_dest
+
+
+@pytest.mark.parametrize("name", ["synthetic30", "risk30"])
+def test_destination_slices_equal_masked_sums_exactly(name):
+    space, costs, nu0, nuT = _lp_case(name)
+    rng = np.random.default_rng(7)
+    # a disaster-like repricing: some paths cost ten times more
+    repriced = np.where(rng.random(space.size) < 0.3, 10.0 * costs, costs)
+    dense = rng.random(space.size)
+    dense /= dense.sum()
+    # every other destination carries no mass and must be left out
+    ends = np.unique(space.ends)
+    massless = np.isin(space.ends, ends[::2])
+    gapped = np.where(massless, 0.0, dense)
+    laws = {"dense": dense, "gapped": gapped,
+            "sparse": cheapest_path_lp(space, costs, nu0, nuT).probabilities}
+    destinations = Destinations.of(space)
+    assert [node for node, _, _ in destinations.spans] == ends.tolist()
+    for label, law in laws.items():
+        for cost in (costs, repriced):
+            got = destinations.totals(law, cost)
+            want = _per_destination_masked(space, law, cost)
+            for got_map, want_map in zip(got, want):
+                assert list(got_map.items()) == list(want_map.items()), label
+    kept = set(destinations.totals(gapped, costs)[1])
+    assert kept == set(ends[1::2].tolist())
