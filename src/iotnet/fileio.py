@@ -220,7 +220,7 @@ def load_prior(path: str):
         paths = tuple(paths[k] for k in order)
         weights = weights[order]
         try:
-            space = PathSpace(horizon=horizon, n=n, paths=paths)
+            space = PathSpace(horizon=horizon, n=n, array=np.array(paths))
         except ValueError as exc:
             raise ValidationError(f"prior {path}: inconsistent path lengths") from exc
         return PathPrior(path_space=space, weights=weights)
@@ -258,10 +258,11 @@ def plan_to_text(plan) -> str:
     lines.append(f"kl_to_target\t{fmt(plan.objective.kl_to_target)}")
     lines.append(f"total\t{fmt(plan.objective.total)}")
     lines.append("[paths]")
-    for k, p in enumerate(space.paths):
-        prob = float(plan.path_law[k])
-        if prob >= PLAN_PROB_FLOOR:
-            lines.append(f"{format_path(p)}\t{fmt(prob)}\t{fmt(plan.path_costs[k])}")
+    rows = np.nonzero(plan.path_law >= PLAN_PROB_FLOOR)[0]
+    for p, prob, cost in zip(space.array[rows].tolist(),
+                             plan.path_law[rows].tolist(),
+                             plan.path_costs[rows].tolist()):
+        lines.append(f"{format_path(p)}\t{fmt(prob)}\t{fmt(cost)}")
     lines.append("[edge_usage]")
     lines.append("t\tfrom\tto\tmass")
     for (t, i, j) in sorted(plan.edge_usage):

@@ -15,14 +15,14 @@ a length in km.  Costs come in two flavours:
 `enumerate_paths` materialises the finite path space used by every solver in
 the package: all horizon-``T`` node sequences that start in the source support,
 end in the sink support, and use an existing finite-cost edge at every step,
-in lexicographic order.  `path_costs` prices a whole space with array code
-over its ``(N, T+1)`` node matrix; `path_cost` is the scalar reference it
-matches bit for bit.
+in lexicographic order, as the rows of an ``(N, T+1)`` int64 node matrix
+(tuples are made only on demand).  `path_costs` prices a whole space with
+array code over that matrix; `path_cost` is the scalar reference it matches
+bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -66,20 +66,15 @@ class Network:
     edges: tuple[Edge, ...]
     # derived lookup tables, filled in __post_init__
     _by_pair: dict = field(default_factory=dict, repr=False, compare=False)
-    _succ: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         by_pair: dict[tuple[int, int], tuple[Edge, ...]] = {}
-        succ: dict[int, tuple[int, ...]] = {}
         for e in self.edges:
             by_pair.setdefault((e.tail, e.head), [])
             by_pair[(e.tail, e.head)].append(e)
         for k in by_pair:
             by_pair[k] = tuple(by_pair[k])
-        for i in range(1, len(self.nodes) + 1):
-            succ[i] = tuple(sorted({h for (t, h) in by_pair if t == i}))
         object.__setattr__(self, "_by_pair", by_pair)
-        object.__setattr__(self, "_succ", succ)
 
     @property
     def n(self) -> int:
@@ -94,9 +89,6 @@ class Network:
 
     def edges_between(self, tail: int, head: int) -> tuple[Edge, ...]:
         return self._by_pair.get((tail, head), ())
-
-    def successors(self, node_id: int) -> tuple[int, ...]:
-        return self._succ.get(node_id, ())
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         return sorted(self._by_pair)
@@ -390,28 +382,31 @@ def markov_model_from_network(network: Network,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSpace:
     """All feasible horizon-``T`` paths, in lexicographic order.
 
-    ``array`` is the ``(N, T+1)`` integer matrix of node ids; ``starts`` and
-    ``ends`` are its first/last columns (used for endpoint marginalisation).
-    ``index`` maps each path to its position; it is built on first use.
+    ``array`` is the ``(N, T+1)`` int64 matrix of node ids, one path per row;
+    ``starts``/``ends`` are its first/last columns.  ``paths`` (the rows as
+    tuples) and ``index`` (path to row) are built on first use.
     """
 
     horizon: int
     n: int
-    paths: tuple[tuple[int, ...], ...]
-    array: np.ndarray = field(repr=False, compare=False, default=None)
-    starts: np.ndarray = field(repr=False, compare=False, default=None)
-    ends: np.ndarray = field(repr=False, compare=False, default=None)
+    array: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.paths, dtype=np.int64).reshape(len(self.paths),
-                                                             self.horizon + 1)
+        arr = np.asarray(self.array, dtype=np.int64)
+        arr = arr.reshape(len(arr), self.horizon + 1)
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "starts", arr[:, 0].copy())
         object.__setattr__(self, "ends", arr[:, -1].copy())
+
+    @cached_property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.array.T.tolist()))
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
@@ -419,7 +414,7 @@ class PathSpace:
 
     @property
     def size(self) -> int:
-        return len(self.paths)
+        return self.array.shape[0]
 
 
 def path_vector(space: PathSpace, table: Mapping[tuple[int, ...], float],
@@ -446,54 +441,54 @@ def enumerate_paths(network: Network, horizon: int,
                     start_support: Iterable[int],
                     end_support: Iterable[int],
                     model: CostModel) -> PathSpace:
-    """Materialise the feasible path space.
+    """Materialise the feasible path space as its ``(N, T+1)`` node matrix.
 
-    Forward frontier extension pruned by backward reachability; partial paths
-    are kept in lexicographic order throughout, so the result is lexicographic
-    without a sort.  Raises :class:`InfeasibleError` when no path survives.
+    Backward reachability prunes each step to the nodes that still reach the
+    end support; each row then grows by the kept successors of its last node,
+    in sorted order, so the rows come out lexicographic without a sort.
+    Raises :class:`InfeasibleError` when no path survives.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     n = network.n
     starts = sorted({int(s) for s in start_support})
     ends = {int(s) for s in end_support}
-    for s in itertools.chain(starts, ends):
+    for s in [*starts, *ends]:
         if not (1 <= s <= n):
             raise ValidationError(f"support references unknown node {s}")
     if not starts or not ends:
         raise ValidationError("start and end supports must be nonempty")
 
-    feasible = {(i, j) for (i, j) in network.edge_pairs()
-                if step_feasible(model, network, i, j)}
-    preds: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    succs: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for (i, j) in sorted(feasible):
-        preds[j].append(i)
-        succs[i].append(j)
+    tails, heads = np.array([(i, j) for (i, j) in network.edge_pairs()
+                             if step_feasible(model, network, i, j)],
+                            dtype=np.int64).reshape(-1, 2).T  # sorted pairs
+    # reach[t, i]: the end support is reachable from node i in horizon-t steps
+    reach = np.zeros((horizon + 1, n + 1), dtype=bool)
+    reach[horizon, sorted(ends)] = True
+    for t in range(horizon - 1, 0, -1):
+        reach[t, tails[reach[t + 1, heads]]] = True
 
-    # reach[t] = nodes from which the end support is reachable in horizon-t steps
-    reach = [set() for _ in range(horizon + 1)]
-    reach[horizon] = set(ends)
-    for t in range(horizon - 1, -1, -1):
-        reach[t] = {i for j in reach[t + 1] for i in preds[j]}
-
-    frontier: list[tuple[int, ...]] = [(s,) for s in starts if s in reach[0]]
+    # a start that reaches no end keeps no successor and drops out
+    array = np.array(starts, dtype=np.int64)[:, None]
     for t in range(horizon):
-        nxt: list[tuple[int, ...]] = []
-        allowed = reach[t + 1]
-        for partial in frontier:
-            tail = partial[-1]
-            for head in succs[tail]:
-                if head in allowed:
-                    nxt.append(partial + (head,))
-        frontier = nxt
-        if not frontier:
-            break
-    if not frontier:
+        kept = reach[t + 1, heads]
+        succ = heads[kept]
+        # CSR offsets: node i's kept successors are succ[offsets[i]:offsets[i+1]]
+        offsets = np.searchsorted(tails[kept], np.arange(n + 2))
+        lo = offsets[array[:, -1]]
+        count = offsets[array[:, -1] + 1] - lo
+        parent = np.repeat(np.arange(len(array)), count)
+        # grown row r takes its parent's successor number r - (parent's first row)
+        shift = lo - (np.cumsum(count) - count)
+        grown = np.empty((parent.size, t + 2), dtype=np.int64)
+        grown[:, :-1] = array[parent]
+        grown[:, -1] = succ[np.arange(parent.size) + shift[parent]]
+        array = grown
+    if not len(array):
         raise InfeasibleError(
             f"empty path space: no horizon-{horizon} path from {starts} "
             f"to {sorted(ends)} over feasible edges")
-    return PathSpace(horizon=horizon, n=n, paths=tuple(frontier))
+    return PathSpace(horizon=horizon, n=n, array=array)
 
 
 def unreachable_nodes(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -586,7 +581,7 @@ def _ruled_path_costs(model: CostModel, network: Network,
 
 
 def path_costs(space: PathSpace, model: CostModel, network: Network) -> np.ndarray:
-    """Vector of path costs aligned with ``space.paths`` (all finite).
+    """Vector of path costs aligned with the rows of ``space.array`` (all finite).
 
     Array version of :func:`path_cost`, equal to it bit for bit: Markov costs
     gather a per-pair step table and add the steps in path order; ruled costs
@@ -605,7 +600,7 @@ def path_costs(space: PathSpace, model: CostModel, network: Network) -> np.ndarr
     else:
         out = _ruled_path_costs(model, network, arr)
     if not np.all(np.isfinite(out)):
-        bad = [space.paths[k] for k in np.nonzero(~np.isfinite(out))[0][:5]]
+        bad = list(map(tuple, arr[~np.isfinite(out)][:5].tolist()))
         raise ValidationError(f"path space contains infinite-cost paths, e.g. {bad}")
     return out
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -349,12 +349,13 @@ def cheapest_path_lp(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
     returned on the full space.
     """
     pair = space.starts * (space.n + 1) + space.ends
-    order = np.lexsort((costs, pair))  # stable: equal costs keep path order
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = pair[order[1:]] != pair[order[:-1]]
-    keep = np.sort(order[first])
-    sub = PathSpace(horizon=space.horizon, n=space.n,
-                    paths=tuple(space.paths[k] for k in keep.tolist()))
+    best = np.full((space.n + 1) ** 2, math.inf)
+    np.minimum.at(best, pair, costs)
+    cand = np.nonzero(costs == best[pair])[0]
+    # return_index gives each pair's first candidate: the lowest path index
+    _, first = np.unique(pair[cand], return_index=True)
+    keep = np.sort(cand[first])
+    sub = PathSpace(horizon=space.horizon, n=space.n, array=space.array[keep])
     law = np.zeros(space.size)
     law[keep] = lp_ot(sub, costs[keep], nu0, nuT).probabilities
     return DenseCoupling(probabilities=law, objective=float(costs @ law))
@@ -372,7 +373,7 @@ def _q_star(spec: ScenarioSpec, space: PathSpace,
         if fixture is None:
             raise ValidationError("imitation scenario needs q_star (builtin "
                                   "networks can default to the built-in one)")
-        q_table = fixtures.synthetic_q_star(fixture)
+        q_table = fixtures.synthetic_q_star(replace(fixture, horizon=spec.horizon))
     else:
         horizon, q_table = load_path_distribution(
             os.path.join(spec.base_dir, spec.q_star_ref))

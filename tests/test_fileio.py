@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from iotnet import (
 from iotnet import fixtures
 from iotnet.bridge import MarkovPrior, PathPrior
 from iotnet.fileio import (
+    PLAN_PROB_FLOOR,
     atomic_write_text,
     fmt,
     format_path,
     parse_path,
+    plan_to_text,
     vector_from_obj,
 )
 
@@ -202,6 +205,20 @@ def test_plan_text_is_deterministic(tmp_path, tiny):
     write_plan(str(a), plan)
     write_plan(str(b), solve_iot(uniform_problem(tiny, 0.8)))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_plan_paths_section_keeps_rows_at_or_above_the_floor(tiny):
+    plan = solve_iot(uniform_problem(tiny, 0.8))
+    law = plan.path_law.copy()
+    law[:3] = [PLAN_PROB_FLOOR, np.nextafter(PLAN_PROB_FLOOR, 0.0), 0.0]
+    text = plan_to_text(replace(plan, path_law=law))
+    section = text.split("[paths]\n")[1].split("[edge_usage]")[0]
+    # the per-path loop the array rows replaced
+    expected = "".join(
+        f"{format_path(p)}\t{fmt(float(law[k]))}\t{fmt(plan.path_costs[k])}\n"
+        for k, p in enumerate(tiny.space.paths) if float(law[k]) >= PLAN_PROB_FLOOR)
+    assert section == expected
+    assert section.startswith(format_path(tiny.space.paths[0]) + "\t")
 
 
 def test_plan_parse_rejects_garbage():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from iotnet import (
     CostModel,
@@ -224,6 +226,79 @@ def test_enumeration_matches_brute_force(rng):
         expected = brute_paths(net, space.horizon, range(1, net.n + 1),
                                range(1, net.n + 1), model)
         assert list(space.paths) == expected
+
+
+def _assert_enumeration_matches_brute_force(network, horizon, starts, ends,
+                                            model):
+    """Same rows in the same order as product-and-filter, or the same error."""
+    expected = brute_paths(network, horizon, starts, ends, model)
+    if not expected:
+        message = (f"empty path space: no horizon-{horizon} path from "
+                   f"{sorted(set(starts))} to {sorted(set(ends))} over "
+                   f"feasible edges")
+        with pytest.raises(InfeasibleError) as info:
+            enumerate_paths(network, horizon, starts, ends, model)
+        assert str(info.value) == message
+        return
+    space = enumerate_paths(network, horizon, starts, ends, model)
+    assert space.array.dtype == np.int64
+    assert space.array.shape == (len(expected), horizon + 1)
+    assert np.array_equal(space.array, np.array(expected))
+    assert np.array_equal(space.starts, space.array[:, 0])
+    assert np.array_equal(space.ends, space.array[:, -1])
+    assert space.size == len(expected)
+    assert list(space.paths) == expected
+
+
+@st.composite
+def enumeration_cases(draw):
+    """Random small graph (self-loops allowed), model, supports and horizon."""
+    n = draw(st.integers(1, 5))
+    nodes = [(i, float(i), 0.0) for i in range(1, n + 1)]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    edges = [(i, j, EdgeKind.STORAGE if i == j else EdgeKind.LOCAL)
+             for i, j in chosen]
+    network = build_network(nodes, edges)
+    model = CostModel.ruled()
+    if chosen and draw(st.booleans()):
+        # a Markov table may leave some edges unpriced, hence infeasible
+        kept = draw(st.lists(st.sampled_from(chosen), min_size=1, unique=True))
+        model = CostModel.markov({pair: 1.0 for pair in kept})
+    support = st.sets(st.integers(1, n), min_size=1)
+    return (network, draw(st.integers(1, 4)), sorted(draw(support)),
+            sorted(draw(support)), model)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(enumeration_cases())
+def test_enumeration_equals_product_filter(case):
+    _assert_enumeration_matches_brute_force(*case)
+
+
+def _graph(n, pairs):
+    nodes = [(i, float(i), 0.0) for i in range(1, n + 1)]
+    return build_network(nodes, [(i, j, EdgeKind.STORAGE if i == j
+                                  else EdgeKind.LOCAL) for i, j in pairs])
+
+
+@pytest.mark.parametrize("pairs, horizon, starts, ends", [
+    # self-loops: waiting at either end of a chain
+    ([(1, 1), (1, 2), (2, 3), (3, 3)], 3, [1], [3]),
+    # start 3 has no way out, so it reaches no end
+    ([(1, 2), (2, 3)], 2, [1, 3], [3]),
+    # rows through (1, 2) die before the horizon; rows that wait survive
+    ([(1, 1), (1, 2), (2, 3)], 3, [1], [3]),
+    # every row dies mid-horizon
+    ([(1, 2), (2, 3)], 3, [1], [3]),
+    # one step
+    ([(1, 2), (2, 1), (2, 3), (3, 3)], 1, [1, 2, 3], [1, 3]),
+], ids=["self-loops", "start-reaches-no-end", "some-rows-die",
+        "frontier-dies", "horizon-1"])
+def test_enumeration_edge_cases(pairs, horizon, starts, ends):
+    _assert_enumeration_matches_brute_force(_graph(3, pairs), horizon, starts,
+                                            ends, CostModel.ruled())
 
 
 def test_enumeration_respects_endpoint_supports():

@@ -3,13 +3,14 @@
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from iotnet import InfeasibleError, ValidationError
 from iotnet import fixtures
-from iotnet.network import markov_model_from_network
+from iotnet.network import markov_model_from_network, path_vector
 from iotnet.scenario import (
     DISPLAY_THRESHOLD,
     RiskWeights,
@@ -215,6 +216,17 @@ def test_imitation_scenario_accepts_q_star_file(tmp_path):
                                         "q_star": "qstar.json", "beta": 0.1})
     res = run_scenario(load_scenario(_write_spec(tmp_path, doc)), seed=0)
     assert res.reports["target"].total_cost == pytest.approx(616.3176, abs=1e-3)
+
+
+def test_builtin_q_star_follows_the_scenario_horizon(tmp_path):
+    doc = dict(IMITATION_DOC, T=4)
+    res = run_scenario(load_scenario(_write_spec(tmp_path, doc)), seed=0)
+    assert res.space.horizon == 4
+    table = fixtures.synthetic_q_star(replace(fixtures.synthetic30(0), horizon=4))
+    q = path_vector(res.space, table, "q_star")
+    assert np.all(q > 0)
+    assert res.reports["target"].total_cost == pytest.approx(
+        float(q @ res.imitation_plan.path_costs), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ not to a tolerance.  The scenario's cost-optimal plan solves the LP on the
 cheapest path of each endpoint pair; it must reach the full path LP's optimum.
 """
 
+import json
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from iotnet import (
     path_costs,
     reprice,
 )
-from iotnet import fixtures
+from iotnet import fixtures, scenario
 from iotnet.network import PathSpace, _resolve_step
 from iotnet.oracle import lp_ot
 from iotnet.scenario import Destinations, cheapest_path_lp
@@ -136,7 +137,7 @@ def test_path_costs_reject_infinite_cost_paths(mode):
                             [(1, 2, "local"), (2, 2, "storage")])
     model = (CostModel.markov({(1, 2): 1.0}) if mode == "markov"
              else CostModel.ruled())
-    space = PathSpace(horizon=2, n=2, paths=((1, 2, 1), (1, 2, 2)))
+    space = PathSpace(horizon=2, n=2, array=np.array([(1, 2, 1), (1, 2, 2)]))
     assert not math.isfinite(path_cost(model, network, space.paths[0]))
     with pytest.raises(ValidationError, match="infinite-cost"):
         path_costs(space, model, network)
@@ -193,6 +194,50 @@ def test_cheapest_path_lp_reaches_the_full_path_lp(name):
     pair = space.starts * (space.n + 1) + space.ends
     for k in np.nonzero(plan.probabilities)[0]:
         assert costs[k] == costs[pair == pair[k]].min()
+
+
+def _cheapest_per_pair(space, costs):
+    """Row of each (start, end) pair's cheapest path, lowest row on ties."""
+    best = {}
+    for k, (start, end, cost) in enumerate(zip(space.starts.tolist(),
+                                               space.ends.tolist(),
+                                               costs.tolist())):
+        if (start, end) not in best or cost < costs[best[start, end]]:
+            best[start, end] = k
+    return sorted(best.values())
+
+
+@pytest.mark.parametrize("name", ["tiny", "risk30"])
+def test_cheapest_path_lp_breaks_exact_ties_by_lowest_index(name, monkeypatch):
+    space, costs, nu0, nuT = _lp_case(name)
+    # four cost levels, so many pairs have several cheapest paths
+    tied = np.floor(4.0 * costs / costs.max())
+    keep = _cheapest_per_pair(space, tied)
+    pairs = list(zip(space.starts.tolist(), space.ends.tolist()))
+    best = {pairs[k]: tied[k] for k in keep}
+    cheapest = sum(tied[k] == best[pair] for k, pair in enumerate(pairs))
+    assert cheapest > len(keep)  # some pairs have several cheapest paths
+    seen = []
+
+    def recording_lp(sub, sub_costs, *args):
+        seen.append(sub)
+        return lp_ot(sub, sub_costs, *args)
+
+    monkeypatch.setattr(scenario, "lp_ot", recording_lp)
+    plan = cheapest_path_lp(space, tied, nu0, nuT)
+    assert np.array_equal(seen[0].array, space.array[keep])
+    assert set(np.nonzero(plan.probabilities)[0].tolist()) <= set(keep)
+    assert marginal_gap(space, plan.probabilities, nu0, nuT) <= 1e-9
+
+
+def test_risk_scenario_never_builds_path_tuples(tmp_path):
+    spec = tmp_path / "risk.json"
+    spec.write_text(json.dumps({"network": "builtin:risk30", "T": 3,
+                                "alpha": 40.0, "scenario": {"kind": "risk"}}))
+    result = scenario.run_scenario(scenario.load_scenario(str(spec)), seed=0)
+    scenario.emit_report(result, str(tmp_path / "out"))
+    assert "paths" not in result.space.__dict__
+    assert "index" not in result.space.__dict__
 
 
 def _per_destination_masked(space, law, costs):
