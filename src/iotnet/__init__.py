@@ -15,9 +15,9 @@ and ``scenario`` runs end-to-end logistics studies.
 
 from .approx import (MarkovFit, fit_markov, fit_objective_error, fitted_prior,
                      markov_plan_from_fit)
-from .bridge import (BridgeSolution, EndpointCache, MarkovPrior, PathPrior,
-                     markov_path_law, marginalize_prior, path_kl,
-                     path_law_from_endpoint, sinkhorn_markov, sinkhorn_path)
+from .bridge import (BridgeSolution, MarkovPrior, PathPrior, markov_path_law,
+                     marginalize_prior, path_kl, path_law_from_endpoint,
+                     sinkhorn_markov, sinkhorn_path)
 from .errors import (ConvergenceError, InfeasibleError, IOTError,
                      ValidationError)
 from .fileio import (atomic_write_text, load_marginal, load_path_distribution,
@@ -49,7 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BridgeSolution", "ConvergenceError", "CostModel", "DenseCoupling",
-    "DisasterResult", "DisasterSpec", "Edge", "EdgeKind", "EndpointCache",
+    "DisasterResult", "DisasterSpec", "Edge", "EdgeKind",
     "IOTError", "IOTProblem", "ImitationTarget", "InfeasibleError",
     "MarkovFit", "MarkovPrior", "Network", "Node", "ObjectiveTerms",
     "PathPrior", "PathSpace", "PlanReport", "RBPrior", "RiskWeights",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,56 +126,13 @@ class PathPrior:
             raise ValidationError("path prior needs at least one positive weight")
 
 
-class EndpointCache:
-    """Lazy per-endpoint-pair conditional distributions of a path prior.
-
-    The start/end grouping is built on first use, so constructing the cache
-    costs nothing when only the endpoint coupling is needed.
-    """
-
-    def __init__(self, prior: PathPrior):
-        self._prior = prior
-        self._indices: dict[tuple[int, int], np.ndarray] | None = None
-        self._conditionals: dict[tuple[int, int], np.ndarray] = {}
-
-    def _index_map(self) -> dict[tuple[int, int], np.ndarray]:
-        if self._indices is None:
-            space = self._prior.path_space
-            flat = (space.starts - 1) * space.n + (space.ends - 1)
-            order = np.argsort(flat, kind="stable")
-            cuts = np.nonzero(np.diff(flat[order]))[0] + 1
-            self._indices = {
-                (int(space.starts[g[0]]), int(space.ends[g[0]])): g
-                for g in np.split(order, cuts)}
-        return self._indices
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self._index_map())
-
-    def indices(self, start: int, end: int) -> np.ndarray:
-        return self._index_map().get((start, end), np.empty(0, dtype=np.int64))
-
-    def conditional(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """(path indices, conditional probabilities) for one endpoint pair."""
-        key = (start, end)
-        if key not in self._conditionals:
-            ks = self.indices(start, end)
-            mass = self._prior.weights[ks]
-            total = float(mass.sum())
-            if total <= 0:
-                raise InfeasibleError(
-                    f"prior puts no mass on endpoint pair ({start},{end})")
-            self._conditionals[key] = mass / total
-        return self.indices(start, end), self._conditionals[key]
-
-
-def marginalize_prior(prior: PathPrior) -> tuple[np.ndarray, EndpointCache]:
-    """Endpoint marginal matrix of a path prior, plus the conditional cache."""
+def marginalize_prior(prior: PathPrior) -> np.ndarray:
+    """Endpoint marginal matrix of a path prior."""
     space = prior.path_space
     flat = (space.starts - 1) * space.n + (space.ends - 1)
     kernel = np.bincount(flat, weights=prior.weights,
                          minlength=space.n * space.n).reshape(space.n, space.n)
-    return kernel, EndpointCache(prior)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +144,7 @@ def marginalize_prior(prior: PathPrior) -> tuple[np.ndarray, EndpointCache]:
 class BridgeSolution:
     """Converged potentials plus whichever transition representation applies.
 
-    Markov route: ``interior_phi[t]``/``interior_phihat[t]`` hold the interior
-    potentials for t = 0..T and ``transitions[t]`` the per-step matrices of the
+    Markov route: ``transitions[t]`` holds the per-step matrices of the
     solution chain.  Path route: ``endpoint_coupling`` holds the optimal mass
     per (start, end) pair.
     """
@@ -200,8 +156,6 @@ class BridgeSolution:
     iterations: int
     residual: float
     residual_history: np.ndarray
-    interior_phi: list[np.ndarray] = field(default_factory=list)
-    interior_phihat: list[np.ndarray] = field(default_factory=list)
     transitions: list[np.ndarray] | None = None
     endpoint_coupling: np.ndarray | None = None
 
@@ -283,12 +237,12 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
                     horizon: int, *, tol: float = 1e-10,
                     max_iter: int = 100_000,
                     phi0_init: np.ndarray | None = None) -> BridgeSolution:
-    """Bridge a Markov prior: boundary Sinkhorn, then interior propagation.
+    """Bridge a Markov prior: boundary Sinkhorn, then backward propagation.
 
-    Interior potentials: ``phi(t) = M(t) phi(t+1)`` backward from ``phiT`` and
-    ``phihat(t+1) = M(t)^T phihat(t)`` forward from ``phihat0``.  The solution
-    chain's step matrices are the potential-tilted priors; rows whose backward
-    potential vanishes (unreachable states) are left identically zero.
+    Interior potentials: ``phi(t) = M(t) phi(t+1)`` backward from ``phiT``.
+    The solution chain's step matrices are the potential-tilted priors; rows
+    whose backward potential vanishes (unreachable states) are left
+    identically zero.
     """
     nu0 = _check_probability(nu0, "nu0")
     nuT = _check_probability(nuT, "nuT")
@@ -299,29 +253,18 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
     phi0, phiT, phihat0, phihatT, iters, residual, history = _sinkhorn_core(
         kernel, nu0, nuT, tol, max_iter, phi0_init)
 
-    phis = [np.zeros(prior.n) for _ in range(horizon + 1)]
-    phihats = [np.zeros(prior.n) for _ in range(horizon + 1)]
-    phis[horizon] = phiT
+    transitions = [None] * horizon
+    phi = phiT  # phi(t+1) on entry to step t
     for t in range(horizon - 1, -1, -1):
-        phis[t] = prior.step_matrix(t, horizon) @ phis[t + 1]
-    phihats[0] = phihat0
-    for t in range(horizon):
-        phihats[t + 1] = prior.step_matrix(t, horizon).T @ phihats[t]
-
-    transitions = []
-    for t in range(horizon):
         M = prior.step_matrix(t, horizon)
-        tilted = M * phis[t + 1][None, :]
-        rowsum = phis[t]
-        Pi = np.divide(tilted, rowsum[:, None],
-                       out=np.zeros_like(tilted), where=rowsum[:, None] > 0)
-        transitions.append(Pi)
+        rowsum = M @ phi
+        transitions[t] = np.divide(M * phi[None, :], rowsum[:, None],
+                                   out=np.zeros_like(M), where=rowsum[:, None] > 0)
+        phi = rowsum
 
     return BridgeSolution(phi0=phi0, phiT=phiT, phihat0=phihat0, phihatT=phihatT,
                           iterations=iters, residual=residual,
-                          residual_history=history,
-                          interior_phi=phis, interior_phihat=phihats,
-                          transitions=transitions)
+                          residual_history=history, transitions=transitions)
 
 
 def markov_path_law(solution: BridgeSolution, nu0: np.ndarray,
@@ -352,7 +295,7 @@ def sinkhorn_path(prior: PathPrior, nu0: np.ndarray, nuT: np.ndarray, *,
     nuT = _check_probability(nuT, "nuT")
     if nu0.shape[0] != prior.path_space.n or nuT.shape[0] != prior.path_space.n:
         raise ValidationError("marginal length does not match path-space nodes")
-    kernel, _ = marginalize_prior(prior)
+    kernel = marginalize_prior(prior)
     _check_kernel_support(kernel, nu0, nuT)
     phi0, phiT, phihat0, phihatT, iters, residual, history = _sinkhorn_core(
         kernel, nu0, nuT, tol, max_iter, phi0_init)

@@ -32,7 +32,7 @@ from .fileio import (atomic_write_text, fmt, format_path, load_marginal,
                      read_plan, save_path_distribution, write_plan)
 from .imitation import ImitationTarget, IOTProblem, expand_target, solve_iot
 from .network import (CostModel, Network, enumerate_paths, load_network,
-                      markov_model_from_network, path_costs, path_vector)
+                      markov_model_from_network, path_costs, path_vector, row_join)
 from .oracle import dense_ipf, lp_ot
 from .robust import worst_case_certificate
 from .scenario import emit_report, load_scenario, run_scenario
@@ -168,23 +168,19 @@ def _cmd_rbwalk(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chain_support_law(initial: np.ndarray, transitions,
-                       horizon: int) -> dict[tuple[int, ...], float]:
-    """Enumerate the support of a Markov path law (small chains only)."""
-    table = {(int(i) + 1,): float(initial[i])
-             for i in np.nonzero(initial > 0)[0]}
-    for t in range(horizon):
-        mat = transitions[t] if isinstance(transitions, (list, tuple)) else transitions
-        nxt: dict[tuple[int, ...], float] = {}
-        for nodes, prob in table.items():
-            row = mat[nodes[-1] - 1]
-            for j in np.nonzero(row > 0)[0]:
-                nxt[nodes + (int(j) + 1,)] = prob * float(row[j])
-        table = nxt
-        if len(table) > 1_000_000:
+def _chain_support_law(initial: np.ndarray,
+                       transitions: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and probabilities of a Markov path law's support (small chains)."""
+    rows = np.flatnonzero(initial > 0)[:, None]
+    law = initial[rows[:, 0]]
+    for mat in transitions:
+        parent, nxt = np.nonzero((mat > 0)[rows[:, -1]])
+        law = law[parent] * mat[rows[parent, -1], nxt]
+        rows = np.column_stack([rows[parent], nxt])
+        if len(rows) > 1_000_000:
             raise ValidationError("path law support is too large to enumerate; "
                                   "drop --emit-paths")
-    return table
+    return rows + 1, law
 
 
 def _cmd_bridge(args: argparse.Namespace) -> int:
@@ -232,14 +228,14 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
     written = [out]
     if args.emit_paths:
         if isinstance(prior, MarkovPrior):
-            table = _chain_support_law(nu0, solution.transitions, horizon)
+            rows, law = _chain_support_law(nu0, solution.transitions)
         else:
             law = path_law_from_endpoint(solution, prior)
-            table = {p: float(law[k]) for k, p in enumerate(prior.path_space.paths)
-                     if law[k] > 0}
+            rows, law = prior.path_space.array[law > 0], law[law > 0]
         paths_out = out[:-5] + "_paths.json" if out.endswith(".json") \
             else out + "_paths.json"
-        save_path_distribution(paths_out, horizon, table)
+        save_path_distribution(paths_out, horizon,
+                               dict(zip(map(tuple, rows.tolist()), law.tolist())))
         written.append(paths_out)
     print(f"iterations={solution.iterations} residual={fmt(solution.residual)} "
           f"wrote {' '.join(written)}")
@@ -261,11 +257,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     space = enumerate_paths(network, horizon, starts, ends, model)
 
     if args.q_file is not None:
-        q_horizon, table = load_path_distribution(args.q_file)
+        q_horizon, rows, probs = load_path_distribution(args.q_file)
         if q_horizon != horizon:
             raise ValidationError(
                 f"target horizon {q_horizon} != problem horizon {horizon}")
-        target = ImitationTarget.paths(path_vector(space, table, "target"),
+        target = ImitationTarget.paths(path_vector(space, rows, probs, "target"),
                                        blend=args.beta)
     elif args.rq_file is not None:
         initial, matrix = load_step_weights(args.rq_file, network)
@@ -311,9 +307,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 def _cmd_robust_cert(args: argparse.Namespace) -> int:
     _resolve_common(args)
     plan = read_plan(args.plan)
-    paths = sorted(plan["paths"])
-    law = np.array([plan["paths"][p][0] for p in paths])
-    costs = np.array([plan["paths"][p][1] for p in paths])
+    rows, law, costs = plan["paths"]
     total = float(law.sum())
     if not (0.999999 <= total <= 1.000001):
         raise ValidationError(f"plan probabilities sum to {total!r}, expected 1")
@@ -326,24 +320,20 @@ def _cmd_robust_cert(args: argparse.Namespace) -> int:
             raise ValidationError("plan file carries no alpha; pass --alpha")
         alpha = float(meta["alpha"])
 
-    q_horizon, table = load_path_distribution(args.q_file)
-    if paths and q_horizon != len(paths[0]) - 1:
+    q_horizon, q_rows, q_probs = load_path_distribution(args.q_file)
+    if q_horizon != rows.shape[1] - 1:
         raise ValidationError(f"target horizon {q_horizon} does not match the "
                               f"plan's path length")
-    index = {p: k for k, p in enumerate(paths)}
-    unknown = [p for p in table if p not in index]
-    if unknown:
-        raise ValidationError("target puts mass on paths absent from the plan "
-                              f"file, e.g. {unknown[:3]}; re-solve with a plan "
-                              "covering the target's support")
-    q = np.zeros(len(paths))
-    for p, prob in table.items():
-        q[index[p]] = prob
+    # target paths the plan file lacks (the writer drops p < PLAN_PROB_FLOOR)
+    # add nothing to E_P[C] or KL(P || Q), which reads q as given: skip them
+    at = row_join(q_rows, rows)
+    q = np.bincount(at[at >= 0], weights=q_probs[at >= 0], minlength=len(rows))
 
     cert = worst_case_certificate(law, costs, q, alpha, args.epsilon)
     out = _out_path(args, "robust_cert.json")
-    maximizer = {format_path(p): float(cert.maximizer[k])
-                 for k, p in enumerate(paths) if np.isfinite(cert.maximizer[k])}
+    finite = np.isfinite(cert.maximizer)
+    maximizer = dict(zip(map(format_path, rows[finite].tolist()),
+                         cert.maximizer[finite].tolist()))
     _dump_json(out, {
         "alpha": alpha,
         "epsilon": cert.epsilon,

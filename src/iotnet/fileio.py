@@ -3,7 +3,8 @@
 All writers go through :func:`atomic_write_text` (write to a temp file in the
 target directory, then rename), so a crashed run never leaves a partial file.
 All floats are serialised with ``repr``, the shortest round-trip form, which
-keeps outputs byte-identical across runs.
+keeps outputs byte-identical across runs.  Path-keyed files (q-files, path
+priors, plan ``[paths]``) are read into node matrices plus value vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .network import Network
+from .network import Network, PathSpace, row_ranks
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -87,32 +88,63 @@ def load_marginal(path: str, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def load_path_distribution(path: str) -> tuple[int, dict[tuple[int, ...], float]]:
-    """Load a q-file: ``{"horizon": T, "entries": [{"path": [...], "prob": p}]}``."""
+def _repeats(rank: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose rank an earlier row already has."""
+    repeat = np.ones(rank.size, dtype=bool)
+    repeat[np.unique(rank, return_index=True)[1]] = False
+    return repeat
+
+
+def load_path_distribution(path: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """Load a q-file: ``{"horizon": T, "entries": [{"path": [...], "prob": p}]}``.
+
+    Returns ``(horizon, rows, probs)`` in file order.  An invalid file is reported
+    at its first entry that does not parse (ids beyond int64 do not), has the
+    wrong length, a negative prob or an earlier entry's path, in that order.
+    """
     doc = _read_json(path, "path distribution")
     if not isinstance(doc, dict) or "horizon" not in doc or "entries" not in doc:
         raise ValidationError(
             f"path distribution {path}: need keys 'horizon' and 'entries'")
     horizon = int(doc["horizon"])
-    table: dict[tuple[int, ...], float] = {}
-    for ent in doc["entries"]:
-        try:
-            nodes = tuple(int(v) for v in ent["path"])
-            prob = float(ent["prob"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"path distribution {path}: bad entry {ent}") from exc
-        if len(nodes) != horizon + 1:
-            raise ValidationError(
-                f"path distribution {path}: path {nodes} has wrong length for "
-                f"horizon {horizon}")
-        if prob < 0:
-            raise ValidationError(f"path distribution {path}: negative prob on {nodes}")
-        if nodes in table:
-            raise ValidationError(f"path distribution {path}: duplicate path {nodes}")
-        table[nodes] = prob
-    if not table:
-        raise ValidationError(f"path distribution {path}: no entries")
-    return horizon, table
+    where = f"path distribution {path}"
+    entries = doc["entries"]
+    fault = None
+    # numpy converts a valid file faster than the entry loop, which is the
+    # reference for how an entry reads and runs when numpy fails or reads a
+    # path otherwise than int() per node (such as a digit string)
+    try:
+        rows = np.array([ent["path"] for ent in entries], dtype=np.int64)
+        probs = np.array([float(ent["prob"]) for ent in entries])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is None or rows.shape != (len(entries), horizon + 1):
+        rows, probs = [], []
+        for ent in entries:
+            try:
+                nodes = np.array([int(v) for v in ent["path"]], dtype=np.int64)
+                prob = float(ent["prob"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                fault = f"{where}: bad entry {ent}"
+                break
+            if len(nodes) != horizon + 1:
+                fault = (f"{where}: path {tuple(nodes.tolist())} has wrong length "
+                         f"for horizon {horizon}")
+                break
+            rows.append(nodes)
+            probs.append(prob)
+        # max(): no row fits a negative horizon, so there are none to shape
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), max(horizon + 1, 0))
+        probs = np.array(probs, dtype=float)
+    bad = np.flatnonzero((probs < 0) | _repeats(row_ranks(rows)))
+    if bad.size:
+        what = "negative prob on" if probs[bad[0]] < 0 else "duplicate path"
+        raise ValidationError(f"{where}: {what} {tuple(rows[bad[0]].tolist())}")
+    if fault is not None:
+        raise ValidationError(fault)
+    if not len(rows):
+        raise ValidationError(f"{where}: no entries")
+    return horizon, rows, probs
 
 
 def save_path_distribution(path: str, horizon: int,
@@ -185,7 +217,6 @@ def load_prior(path: str):
     ``{"type": "paths", "horizon": T, "n": n, "paths": [[...]], "weights": [...]}``.
     """
     from .bridge import MarkovPrior, PathPrior
-    from .network import PathSpace
 
     doc = _read_json(path, "prior")
     if not isinstance(doc, dict) or "type" not in doc:
@@ -206,24 +237,26 @@ def load_prior(path: str):
     if kind == "paths":
         try:
             horizon = int(doc["horizon"])
-            paths = tuple(tuple(int(v) for v in p) for p in doc["paths"])
+            paths = [[int(v) for v in p] for p in doc["paths"]]
             weights = np.asarray(doc["weights"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            # a length column keeps paths of different lengths apart
+            width = max(map(len, paths), default=0)
+            keyed = np.array([[len(p), *p] + [0] * (width - len(p)) for p in paths],
+                             dtype=np.int64).reshape(len(paths), width + 1)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"prior {path}: bad path prior: {exc}") from exc
         if len(paths) != weights.shape[0]:
             raise ValidationError(
                 f"prior {path}: {len(paths)} paths but {weights.shape[0]} weights")
-        if len(set(paths)) != len(paths):
+        rank = row_ranks(keyed)
+        if _repeats(rank).any():
             raise ValidationError(f"prior {path}: duplicate paths")
         n = int(doc.get("n", max(max(p) for p in paths)))
-        order = sorted(range(len(paths)), key=lambda k: paths[k])
-        paths = tuple(paths[k] for k in order)
-        weights = weights[order]
-        try:
-            space = PathSpace(horizon=horizon, n=n, array=np.array(paths))
-        except ValueError as exc:
-            raise ValidationError(f"prior {path}: inconsistent path lengths") from exc
-        return PathPrior(path_space=space, weights=weights)
+        if np.any(keyed[:, 0] != horizon + 1):
+            raise ValidationError(f"prior {path}: inconsistent path lengths")
+        order = np.argsort(rank)
+        space = PathSpace(horizon=horizon, n=n, array=keyed[order, 1:])
+        return PathPrior(path_space=space, weights=weights[order])
     raise ValidationError(f"prior {path}: unknown type {kind!r}")
 
 
@@ -236,13 +269,6 @@ PLAN_PROB_FLOOR = 1e-12
 
 def format_path(nodes: Sequence[int]) -> str:
     return ">".join(str(int(v)) for v in nodes)
-
-
-def parse_path(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(">"))
-    except ValueError as exc:
-        raise ValidationError(f"bad path string {text!r}") from exc
 
 
 def plan_to_text(plan) -> str:
@@ -277,11 +303,12 @@ def write_plan(path: str, plan) -> None:
 
 
 def parse_plan_text(text: str) -> dict:
-    """Parse a plan file back into meta/objective/paths/edge_usage dicts."""
+    """Parse a plan file into ``meta``/``objective``/``edge_usage`` dicts and
+    ``paths`` as ``(rows, probs, costs)``, rows in lexicographic order, each once."""
     section = None
     meta: dict[str, str] = {}
     objective: dict[str, float] = {}
-    paths: dict[tuple[int, ...], tuple[float, float]] = {}
+    rows, probs, costs = [], [], []
     usage: dict[tuple[int, int, int], float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
@@ -297,7 +324,13 @@ def parse_plan_text(text: str) -> dict:
             elif section == "[objective]":
                 objective[cols[0]] = float(cols[1])
             elif section == "[paths]":
-                paths[parse_path(cols[0])] = (float(cols[1]), float(cols[2]))
+                prob, cost = float(cols[1]), float(cols[2])
+                try:
+                    rows.append(list(map(int, cols[0].split(">"))))
+                except ValueError as exc:
+                    raise ValidationError(f"bad path string {cols[0]!r}") from exc
+                probs.append(prob)
+                costs.append(cost)
             elif section == "[edge_usage]":
                 if cols[0] == "t":
                     continue
@@ -306,9 +339,20 @@ def parse_plan_text(text: str) -> dict:
                 raise ValidationError(f"line {lineno}: outside any known section")
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"plan line {lineno} malformed: {line!r}") from exc
-    if not paths:
+    if not rows:
         raise ValidationError("plan file has no [paths] entries")
-    return {"meta": meta, "objective": objective, "paths": paths,
+    try:
+        rows = np.array(rows, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError("plan [paths] need int64 ids and one length") from exc
+    rank = row_ranks(rows)
+    repeated = np.flatnonzero(_repeats(rank))
+    if repeated.size:
+        raise ValidationError(
+            f"plan file lists path {format_path(rows[repeated[0]])} more than once")
+    order = np.argsort(rank)
+    return {"meta": meta, "objective": objective,
+            "paths": (rows[order], np.array(probs)[order], np.array(costs)[order]),
             "edge_usage": usage}
 
 

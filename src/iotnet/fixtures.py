@@ -369,13 +369,13 @@ def builtin(name: str, seed: int = 0) -> SyntheticFixture:
 
 
 def synthetic_q_star(fx: SyntheticFixture, *, alpha: float = 80.0,
-                     tol: float = 1e-10) -> dict[tuple[int, ...], float]:
+                     tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic stand-in for observed shipper behaviour.
 
     A maximum-entropy transport plan at a mild regularisation level over the
     rule-based costs: genuinely non-Markov (run discounts and switch penalties
     are path-level), strictly positive on the whole feasible path space, and a
-    pure function of the fixture.
+    pure function of the fixture.  Returns its support's rows and probs.
     """
     from .imitation import ImitationTarget, IOTProblem, solve_iot
 
@@ -389,4 +389,4 @@ def synthetic_q_star(fx: SyntheticFixture, *, alpha: float = 80.0,
                          target=ImitationTarget.uniform(space.size))
     plan = solve_iot(problem, tol=tol)
     law = plan.path_law / plan.path_law.sum()
-    return {p: float(law[k]) for k, p in enumerate(space.paths) if law[k] > 0}
+    return space.array[law > 0], law[law > 0]

@@ -18,7 +18,8 @@ end in the sink support, and use an existing finite-cost edge at every step,
 in lexicographic order, as the rows of an ``(N, T+1)`` int64 node matrix
 (tuples are made only on demand).  `path_costs` prices a whole space with
 array code over that matrix; `path_cost` is the scalar reference it matches
-bit for bit.
+bit for bit.  Path-keyed tables such as q-files are node matrices too, aligned
+with a space by `row_join` through the rows' ranks (`row_ranks`).
 """
 
 from __future__ import annotations
@@ -388,7 +389,7 @@ class PathSpace:
 
     ``array`` is the ``(N, T+1)`` int64 matrix of node ids, one path per row;
     ``starts``/``ends`` are its first/last columns.  ``paths`` (the rows as
-    tuples) and ``index`` (path to row) are built on first use.
+    tuples) is built on first use.
     """
 
     horizon: int
@@ -408,29 +409,48 @@ class PathSpace:
     def paths(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.array.T.tolist()))
 
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {p: k for k, p in enumerate(self.paths)}
-
     @property
     def size(self) -> int:
         return self.array.shape[0]
 
 
-def path_vector(space: PathSpace, table: Mapping[tuple[int, ...], float],
-                what: str) -> np.ndarray:
-    """Normalised vector over ``space`` of a path-keyed table.
+def row_ranks(rows: np.ndarray) -> np.ndarray:
+    """Dense lexicographic rank of each row of an integer matrix: each column's
+    ranks are folded into the ranks of the row prefixes, which are ranked
+    again, so no value exceeds ``len(rows)**2`` at any width."""
+    rank = np.zeros(len(rows), dtype=np.int64)
+    for col in np.asarray(rows).T:
+        values, col_rank = np.unique(col, return_inverse=True)
+        _, rank = np.unique(rank * values.size + col_rank, return_inverse=True)
+    return rank
 
-    Raises :class:`ValidationError` when ``table`` names a path outside the
-    space or carries no mass on it; ``what`` names the table in the message.
+
+def row_join(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Row of ``block`` (distinct rows) equal to each row of ``rows``, or -1
+    where there is none; a table of another width matches nothing."""
+    if np.shape(rows)[1:] != np.shape(block)[1:]:
+        return np.full(len(rows), -1)
+    rank = row_ranks(np.concatenate([block, rows]))
+    at = np.full(len(rank), -1, dtype=np.int64)
+    at[rank[:len(block)]] = np.arange(len(block))
+    return at[rank[len(block):]]
+
+
+def path_vector(space: PathSpace, rows: np.ndarray, probs: np.ndarray,
+                what: str) -> np.ndarray:
+    """Normalised vector over ``space`` of a path table (node rows, masses).
+
+    Raises :class:`ValidationError` when a row is a path outside the space or
+    the table carries no mass on it; ``what`` names the table in the message.
     """
-    unknown = [p for p in table if p not in space.index]
-    if unknown:
+    at = row_join(rows, space.array)
+    unknown = np.flatnonzero(at < 0)
+    if unknown.size:
+        examples = list(map(tuple, rows[unknown[:3]].tolist()))
         raise ValidationError(f"{what} puts mass on paths outside the feasible "
-                              f"space, e.g. {unknown[:3]}")
+                              f"space, e.g. {examples}")
     vec = np.zeros(space.size)
-    for p, prob in table.items():
-        vec[space.index[p]] = prob
+    vec[at] = probs
     total = float(vec.sum())
     if total <= 0:
         raise ValidationError(f"{what} carries no mass on the feasible space")

@@ -251,7 +251,7 @@ def load_scenario(path: str) -> ScenarioSpec:
 
 def _resolve(spec: ScenarioSpec, seed: int) -> tuple[Network, CostModel, dict, dict,
                                                      "fixtures.SyntheticFixture | None"]:
-    """Network, ruled model, supply, demand; builtin fixture when applicable."""
+    """Network, ruled model, supply, demand; builtin fixture, set to them."""
     ref = spec.network_ref
     fixture = None
     supply, demand = spec.supply, spec.demand
@@ -260,6 +260,7 @@ def _resolve(spec: ScenarioSpec, seed: int) -> tuple[Network, CostModel, dict, d
         network, ruled = fixture.network, fixture.ruled
         supply = spec.supply or dict(fixture.supply)
         demand = spec.demand or dict(fixture.demand)
+        fixture = replace(fixture, horizon=spec.horizon, supply=supply, demand=demand)
     elif isinstance(ref, dict):
         network, ruled = network_from_dict(ref)
     else:
@@ -373,14 +374,14 @@ def _q_star(spec: ScenarioSpec, space: PathSpace,
         if fixture is None:
             raise ValidationError("imitation scenario needs q_star (builtin "
                                   "networks can default to the built-in one)")
-        q_table = fixtures.synthetic_q_star(replace(fixture, horizon=spec.horizon))
+        rows, probs = fixtures.synthetic_q_star(fixture)
     else:
-        horizon, q_table = load_path_distribution(
+        horizon, rows, probs = load_path_distribution(
             os.path.join(spec.base_dir, spec.q_star_ref))
         if horizon != spec.horizon:
             raise ValidationError(
                 f"q_star horizon {horizon} != scenario horizon {spec.horizon}")
-    return path_vector(space, q_table, "q_star")
+    return path_vector(space, rows, probs, "q_star")
 
 
 def _risk_target(spec: ScenarioSpec, network: Network, model: CostModel,

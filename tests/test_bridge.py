@@ -16,7 +16,6 @@ from iotnet import (
 )
 from iotnet import fixtures
 from iotnet.bridge import (
-    EndpointCache,
     MarkovPrior,
     PathPrior,
     marginalize_prior,
@@ -185,25 +184,11 @@ def test_zero_marginal_mass_endpoints_are_tolerated(tiny):
 
 def test_marginalize_prior_matches_loop(tiny):
     prior = _gibbs_path_prior(tiny)
-    kernel, _ = marginalize_prior(prior)
+    kernel = marginalize_prior(prior)
     ref = np.zeros((3, 3))
     for k, p in enumerate(tiny.space.paths):
         ref[p[0] - 1, p[-1] - 1] += prior.weights[k]
     assert np.max(np.abs(kernel - ref)) < 1e-12
-
-
-def test_endpoint_cache_conditionals(tiny):
-    prior = _gibbs_path_prior(tiny)
-    _, cache = marginalize_prior(prior)
-    w = prior.weights
-    assert len(cache.pairs()) == 9
-    for (i, j) in cache.pairs():
-        mask = (tiny.space.starts == i) & (tiny.space.ends == j)
-        idx, cond = cache.conditional(i, j)
-        assert sorted(idx.tolist()) == np.nonzero(mask)[0].tolist()
-        assert cond.sum() == pytest.approx(1.0, abs=1e-12)
-        ref = w[idx] / w[idx].sum()
-        assert np.max(np.abs(cond - ref)) < 1e-15
 
 
 def test_path_kl_basics():

@@ -26,6 +26,12 @@ def outdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _path_table(doc):
+    """A plan's ``[paths]`` as ``{path: (prob, cost)}``."""
+    rows, probs, costs = doc["paths"]
+    return dict(zip(map(tuple, rows.tolist()), zip(probs.tolist(), costs.tolist())))
+
+
 def _uniform_qfile(path):
     fx = fixtures.tiny_fixture()
     table = {p: 1.0 / fx.space.size for p in fx.space.paths}
@@ -44,7 +50,7 @@ def test_solve_builtin_tiny(outdir, capsys):
     assert "wrote" in out
     doc = read_plan(str(outdir / "plan.txt"))
     assert doc["meta"]["paths"] == "27"
-    total = sum(p for p, _c in doc["paths"].values())
+    total = sum(doc["paths"][1].tolist())
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -69,9 +75,10 @@ def test_solve_with_q_file(outdir, capsys):
     # floating-point rounding in the blend arithmetic
     plan = read_plan(outdir / "p.txt")
     ref = read_plan(outdir / "r.txt")
-    assert set(plan["paths"]) == set(ref["paths"])
-    for path, (prob, cost) in ref["paths"].items():
-        got_prob, got_cost = plan["paths"][path]
+    plan_paths, ref_paths = _path_table(plan), _path_table(ref)
+    assert set(plan_paths) == set(ref_paths)
+    for path, (prob, cost) in ref_paths.items():
+        got_prob, got_cost = plan_paths[path]
         assert abs(got_prob - prob) < 1e-12
         assert abs(got_cost - cost) < 1e-12
     assert abs(plan["objective"]["total"] - ref["objective"]["total"]) < 1e-12
@@ -260,14 +267,41 @@ def test_robust_cert_pipeline(outdir, capsys):
     assert cert["alpha"] == 0.5   # inherited from the plan file
 
 
+def test_robust_cert_ignores_target_paths_the_plan_file_dropped(outdir, capsys):
+    # at this alpha some paths fall below PLAN_PROB_FLOOR and leave the file
+    code, _, _ = run_cli(["solve", "--network", "builtin:tiny",
+                          "--alpha", "0.03", "--out", "plan.txt"], capsys)
+    assert code == 0
+    plan = read_plan(str(outdir / "plan.txt"))
+    assert len(plan["paths"][0]) < fixtures.tiny_fixture().space.size
+    _uniform_qfile(outdir / "q.json")    # the target the plan was solved with
+    code, _, err = run_cli(["robust-cert", "--plan", "plan.txt",
+                            "--q-file", "q.json", "--epsilon", "0.25"], capsys)
+    assert code == 0, err
+    cert = json.loads((outdir / "robust_cert.json").read_text())
+    assert cert["worst_case_cost"] == pytest.approx(
+        plan["objective"]["total"] + 0.25, abs=1e-9)
+    # rows foreign to the plan's network are ignored the same way
+    fx = fixtures.tiny_fixture()
+    table = {p: 1.0 / fx.space.size for p in fx.space.paths}
+    table.update({(9, 9, 9): 0.5, (1, 99, 3): 0.25})
+    save_path_distribution(str(outdir / "q.json"), 2, table)
+    code, _, err = run_cli(["robust-cert", "--plan", "plan.txt",
+                            "--q-file", "q.json", "--epsilon", "0.25"], capsys)
+    assert code == 0, err
+    assert json.loads((outdir / "robust_cert.json").read_text()) == cert
+
+
 def test_robust_cert_unknown_paths_rejected(outdir, capsys):
     code, _, _ = run_cli(["solve", "--network", "builtin:tiny",
                           "--alpha", "0.5", "--out", "plan.txt"], capsys)
     assert code == 0
+    # the target's one path leaves the plan's other paths outside its support
     save_path_distribution(str(outdir / "q.json"), 2, {(1, 2, 3): 1.0})
     code, _, err = run_cli(["robust-cert", "--plan", "plan.txt",
                             "--q-file", "q.json", "--epsilon", "0.1"], capsys)
     assert code == 1
+    assert "outside the target support" in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotnet import (
     ValidationError,
@@ -28,7 +30,7 @@ from iotnet.fileio import (
     atomic_write_text,
     fmt,
     format_path,
-    parse_path,
+    parse_plan_text,
     plan_to_text,
     vector_from_obj,
 )
@@ -56,9 +58,10 @@ def test_atomic_write_creates_parents_and_replaces(tmp_path):
 
 def test_path_string_round_trip():
     p = (4, 12, 12, 7)
-    assert parse_path(format_path(p)) == p
-    with pytest.raises(ValidationError):
-        parse_path("1>x>3")
+    rows = parse_plan_text(f"[paths]\n{format_path(p)}\t1.0\t0.0\n")["paths"][0]
+    assert tuple(rows[0].tolist()) == p
+    with pytest.raises(ValidationError, match="bad path string '1>x>3'"):
+        parse_plan_text("[paths]\n1>x>3\t1.0\t0.0\n")
 
 
 def test_vector_from_obj_accepts_list_and_map():
@@ -91,9 +94,9 @@ def test_path_distribution_round_trip(tmp_path):
     table = {(1, 2, 3): 0.5, (1, 1, 2): 0.25, (2, 3, 3): 0.25}
     f = tmp_path / "q.json"
     save_path_distribution(str(f), 2, table)
-    horizon, loaded = load_path_distribution(str(f))
+    horizon, rows, probs = load_path_distribution(str(f))
     assert horizon == 2
-    assert loaded == table
+    assert dict(zip(map(tuple, rows.tolist()), probs.tolist())) == table
 
 
 def test_path_distribution_validation(tmp_path):
@@ -191,10 +194,11 @@ def test_plan_round_trip(tmp_path, tiny):
     assert float(doc["meta"]["alpha"]) == 0.8
     assert doc["objective"]["total"] == pytest.approx(plan.objective.total,
                                                       abs=1e-15)
-    recovered = sum(prob for prob, _cost in doc["paths"].values())
+    rows, probs, costs = doc["paths"]
+    recovered = sum(probs.tolist())
     assert recovered == pytest.approx(1.0, abs=1e-9)
-    for p, (prob, cost) in doc["paths"].items():
-        k = tiny.space.index[p]
+    for p, prob, cost in zip(map(tuple, rows.tolist()), probs, costs):
+        k = tiny.space.paths.index(p)
         assert prob == pytest.approx(float(plan.path_law[k]), abs=1e-15)
         assert cost == pytest.approx(float(plan.path_costs[k]), abs=1e-15)
 
@@ -224,7 +228,6 @@ def test_plan_paths_section_keeps_rows_at_or_above_the_floor(tiny):
 def test_plan_parse_rejects_garbage():
     with pytest.raises(ValidationError):
         read_plan("/nonexistent/plan.txt")
-    from iotnet.fileio import parse_plan_text
     with pytest.raises(ValidationError):
         parse_plan_text("[paths]\n1>2\tnot_a_number\t1.0\n")
     with pytest.raises(ValidationError):
@@ -246,3 +249,220 @@ def test_network_file_round_trip(tmp_path, synth30):
     ref = synth30["costs"]
     got = path_costs(space, model2, net2)
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# error texts of the path-table readers, against the per-entry loops they
+# replaced (kept here as the reference)
+# ---------------------------------------------------------------------------
+
+
+def _reference_path_distribution(path):
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    horizon = int(doc["horizon"])
+    table = {}
+    for ent in doc["entries"]:
+        try:
+            nodes = tuple(int(v) for v in ent["path"])
+            prob = float(ent["prob"])
+            # the node matrix is int64: a larger id does not parse, where the
+            # loop this mirrors let it through to fail later as an unknown path
+            if not all(-2**63 <= v < 2**63 for v in nodes):
+                raise OverflowError
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"path distribution {path}: bad entry {ent}") from exc
+        if len(nodes) != horizon + 1:
+            raise ValidationError(
+                f"path distribution {path}: path {nodes} has wrong length for "
+                f"horizon {horizon}")
+        if prob < 0:
+            raise ValidationError(f"path distribution {path}: negative prob on {nodes}")
+        if nodes in table:
+            raise ValidationError(f"path distribution {path}: duplicate path {nodes}")
+        table[nodes] = prob
+    if not table:
+        raise ValidationError(f"path distribution {path}: no entries")
+    return horizon, table
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+_Q_ENTRIES = st.one_of(
+    # usable entries over few ids, so that paths repeat
+    st.builds(lambda p, q: {"path": list(p), "prob": q},
+              st.tuples(*[st.integers(1, 2)] * 3), st.sampled_from([0.0, 0.25, 1.0])),
+    st.builds(lambda p: {"path": list(p), "prob": 0.5},
+              st.lists(st.integers(1, 2), min_size=2, max_size=4)),   # lengths
+    st.builds(lambda p: {"path": list(p), "prob": -0.5},
+              st.tuples(*[st.integers(1, 2)] * 3)),                   # negative
+    st.sampled_from([
+        {"path": [1, 2, 3]},                       # no prob
+        {"prob": 0.5},                             # no path
+        {"path": ["x", 1, 2], "prob": 0.5},
+        {"path": [None, 1, 2], "prob": 0.5},
+        {"path": 5, "prob": 0.5},
+        {"path": [[1], [2], [3]], "prob": 0.5},
+        {"path": [1, 2, 3], "prob": None},
+        {"path": [1, 2, 3], "prob": [0.5]},
+        [1, 2, 3],
+        "entry",
+        {"path": "121", "prob": 0.5},              # read digit by digit
+        {"path": [1, 2**63, 2], "prob": 0.5},      # ids beyond int64
+        {"path": [-2**63 - 1, 1, 2], "prob": 0.5},
+        {"path": [1, 2, 1e20], "prob": 0.5},
+        {"path": [2**64, 1], "prob": 0.5},         # ... and the wrong length
+        {"path": [-2**63, 2**63 - 1, 1], "prob": 0.5},   # the int64 extremes
+        {"path": [1, 2, float("inf")], "prob": 0.5},
+        {"path": ["2", 1.0, True], "prob": "0.5"},
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_Q_ENTRIES, max_size=7))
+def test_path_distribution_errors_name_the_same_entry(tmp_path_factory, entries):
+    f = tmp_path_factory.getbasetemp() / "q_errors.json"
+    f.write_text(json.dumps({"horizon": 2, "entries": entries}))
+    want = _outcome(_reference_path_distribution, str(f))
+    got = _outcome(load_path_distribution, str(f))
+    if want[0] == "ok" and got[0] == "ok":
+        horizon, rows, probs = got[1]
+        got = ("ok", (horizon, dict(zip(map(tuple, rows.tolist()), probs.tolist()))))
+        assert list(got[1][1]) == list(want[1][1])          # file order
+    assert got == want
+
+
+def _reference_path_prior(path):
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        horizon = int(doc["horizon"])
+        paths = tuple(tuple(int(v) for v in p) for p in doc["paths"])
+        weights = np.asarray(doc["weights"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"prior {path}: bad path prior: {exc}") from exc
+    if len(paths) != weights.shape[0]:
+        raise ValidationError(
+            f"prior {path}: {len(paths)} paths but {weights.shape[0]} weights")
+    if len(set(paths)) != len(paths):
+        raise ValidationError(f"prior {path}: duplicate paths")
+    order = sorted(range(len(paths)), key=lambda k: paths[k])
+    try:
+        np.array(paths).reshape(len(paths), horizon + 1)
+    except ValueError as exc:
+        raise ValidationError(f"prior {path}: inconsistent path lengths") from exc
+    return tuple(paths[k] for k in order), weights[order].tolist()
+
+
+@pytest.mark.parametrize("paths,weights", [
+    ([[2, 1], [1, 2], [3, 3]], [0.3, 0.7, 0.1]),            # usable
+    ([[1, 2], [2, 1]], [0.3, 0.7, 0.1]),                    # count
+    ([[1, 2], [1, 2]], [0.5, 0.5]),                         # duplicate
+    ([[1, 2], [1, 2, 3]], [0.5, 0.5]),                      # ragged
+    ([[1, 2, 3], [2, 3, 1]], [0.5, 0.5]),                   # wrong width
+    ([["x", 2]], [1.0]),                                    # not an id
+    ([5, [1, 2]], [0.5, 0.5]),                              # not a path
+    ([[1, 2], [1, 2]], [0.5, 0.5, 0.1]),                    # count + duplicate
+    ([[1, 2], [1, 2], [1, 2, 3]], [0.2, 0.3, 0.5]),         # duplicate + ragged
+    ([[1, 2, 3], [1, 2, 3]], [0.5, 0.5]),                   # duplicate + width
+    ([[1, 2, 3], [1, 2], [1, 2]], [0.2, 0.3, 0.5]),         # ragged + duplicate
+    ([[1, 2], [1, 2, 3], ["x"]], [0.2, 0.3, 0.5]),          # ragged + not an id
+])
+def test_path_prior_errors_match_the_reference(tmp_path, paths, weights):
+    f = tmp_path / "prior.json"
+    f.write_text(json.dumps({"type": "paths", "horizon": 1, "n": 3,
+                             "paths": paths, "weights": weights}))
+    want = _outcome(_reference_path_prior, str(f))
+    got = _outcome(load_prior, str(f))
+    if got[0] == "ok":
+        got = ("ok", (got[1].path_space.paths, got[1].weights.tolist()))
+    assert got == want
+
+
+def _reference_parse_path(text):
+    try:
+        return tuple(int(tok) for tok in text.split(">"))
+    except ValueError as exc:
+        raise ValidationError(f"bad path string {text!r}") from exc
+
+
+def _reference_plan_paths(text):
+    section = None
+    paths = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("["):
+            section = line.strip()
+            continue
+        cols = line.split("\t")
+        try:
+            if section == "[meta]":
+                cols[1]
+            elif section == "[objective]":
+                float(cols[1])
+            elif section == "[paths]":
+                paths[_reference_parse_path(cols[0])] = (float(cols[1]), float(cols[2]))
+            elif section == "[edge_usage]":
+                if cols[0] == "t":
+                    continue
+                (int(cols[0]), int(cols[1]), int(cols[2])), float(cols[3])
+            else:
+                raise ValidationError(f"line {lineno}: outside any known section")
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"plan line {lineno} malformed: {line!r}") from exc
+    if not paths:
+        raise ValidationError("plan file has no [paths] entries")
+    return {p: paths[p] for p in sorted(paths)}
+
+
+_PLAN = ("[meta]\nhorizon\t2\n[objective]\ntotal\t1.5\n[paths]\n"
+         "2>1>1\t0.25\t3.0\n1>2>3\t0.75\t1.0\n"
+         "[edge_usage]\nt\tfrom\tto\tmass\n0\t1\t2\t0.75\n")
+
+
+@pytest.mark.parametrize("edits", [
+    [],
+    [("total\t1.5", "total\tx")],                           # objective
+    [("1>2>3\t0.75", "1>2>3")],                             # missing column
+    [("0.25\t3.0", "0.25\tnan?")],                          # bad float
+    [("1>2>3", "1>x>3")],                                   # bad path string
+    [("[meta]\n", "stray\t1\n[meta]\n")],                   # outside a section
+    [("0\t1\t2", "0\t1")],                                  # edge usage
+    [("2>1>1\t0.25\t3.0\n1>2>3\t0.75\t1.0\n", "")],         # no paths
+    [("1>2>3", "1>x>3"), ("0\t1\t2", "0\t1")],              # path, then usage
+    [("total\t1.5", "total\tx"), ("1>2>3", "1>x>3")],       # objective, then path
+    [("1>2>3\t0.75\t1.0", "1>x>3\t0.75")],                  # floats before path
+])
+def test_plan_errors_match_the_reference(edits):
+    text = _PLAN
+    for old, new in edits:
+        text = text.replace(old, new)
+    want = _outcome(_reference_plan_paths, text)
+    got = _outcome(parse_plan_text, text)
+    if got[0] == "ok":
+        rows, probs, costs = got[1]["paths"]
+        got = ("ok", dict(zip(map(tuple, rows.tolist()),
+                              zip(probs.tolist(), costs.tolist()))))
+        assert list(got[1]) == list(want[1])                # lexicographic
+    assert got == want
+
+
+def test_plan_rejects_a_path_listed_twice():
+    text = _PLAN.replace("1>2>3\t0.75\t1.0\n", "1>2>3\t0.5\t1.0\n1>2>3\t0.25\t1.0\n")
+    with pytest.raises(ValidationError, match="lists path 1>2>3 more than once"):
+        parse_plan_text(text)
+
+
+@pytest.mark.parametrize("path", ["1>2", f"1>{2**63}>3"])
+def test_plan_rejects_paths_that_are_no_node_matrix(path):
+    with pytest.raises(ValidationError,
+                       match=r"plan \[paths\] need int64 ids and one length"):
+        parse_plan_text(_PLAN.replace("1>2>3", path))

@@ -25,7 +25,7 @@ from iotnet import (
     strongly_connected,
     unreachable_nodes,
 )
-from iotnet.network import path_vector
+from iotnet.network import path_vector, row_join
 from iotnet import fixtures
 
 from helpers import brute_paths, line_network
@@ -354,17 +354,17 @@ def test_unreachable_nodes_lists_plain_ints():
 # ---------------------------------------------------------------------------
 
 
-def test_path_space_index_is_built_on_first_use():
+def test_path_space_paths_are_built_on_first_use():
     fx = fixtures.tiny_fixture()
     space = enumerate_paths(fx.network, 2, (1, 2, 3), (1, 2, 3), fx.model)
-    assert "index" not in vars(space)
-    assert space.index[space.paths[4]] == 4
-    assert "index" in vars(space)
+    assert "paths" not in vars(space)
+    assert space.paths[4] == tuple(space.array[4].tolist())
+    assert "paths" in vars(space)
 
 
 def test_path_vector_scatters_and_normalises(tiny):
-    table = {tiny.space.paths[3]: 1.0, tiny.space.paths[0]: 3.0}
-    vec = path_vector(tiny.space, table, "q")
+    rows = tiny.space.array[[3, 0]]
+    vec = path_vector(tiny.space, rows, np.array([1.0, 3.0]), "q")
     expected = np.zeros(tiny.space.size)
     expected[[0, 3]] = [0.75, 0.25]
     assert np.array_equal(vec, expected)
@@ -372,9 +372,37 @@ def test_path_vector_scatters_and_normalises(tiny):
 
 def test_path_vector_rejects_foreign_paths_and_empty_tables(tiny):
     with pytest.raises(ValidationError, match="q puts mass on paths outside"):
-        path_vector(tiny.space, {(1, 2, 3, 1): 1.0}, "q")
+        path_vector(tiny.space, np.array([[1, 2, 3, 1]]), np.array([1.0]), "q")
     with pytest.raises(ValidationError, match="q carries no mass"):
-        path_vector(tiny.space, {tiny.space.paths[0]: 0.0}, "q")
+        path_vector(tiny.space, tiny.space.array[:1], np.array([0.0]), "q")
+
+
+# ids up to 2**62: any row with one of them and a second column already
+# overflows a base-(max id + 1) int64 key; small ids make rows collide
+_IDS = st.integers(0, 3) | st.integers(2 ** 40, 2 ** 62)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_join_matches_a_dict_reference(data):
+    width = data.draw(st.integers(1, 5), label="width")
+    row = st.tuples(*[_IDS] * width)
+    block = data.draw(st.lists(row, max_size=10, unique=True), label="block")
+    absent = data.draw(st.lists(row, max_size=6), label="absent")
+    present = data.draw(st.lists(st.sampled_from(block), max_size=6)
+                        if block else st.just([]), label="present")
+    table = data.draw(st.permutations(present + absent), label="table")
+
+    def matrix(rows, w):
+        return np.array(rows, dtype=np.int64).reshape(len(rows), w)
+
+    index = {p: k for k, p in enumerate(block)}
+    got = row_join(matrix(table, width), matrix(block, width))
+    assert got.tolist() == [index.get(p, -1) for p in table]
+    # a table of another width matches nothing
+    wider = [p + (1,) for p in table]
+    assert row_join(matrix(wider, width + 1),
+                    matrix(block, width)).tolist() == [-1] * len(table)
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,8 @@ def test_imitation_scenario_accepts_q_star_file(tmp_path):
     from iotnet.fileio import save_path_distribution
 
     fx = fixtures.synthetic30(0)
-    table = fixtures.synthetic_q_star(fx)
+    rows, probs = fixtures.synthetic_q_star(fx)
+    table = dict(zip(map(tuple, rows.tolist()), probs.tolist()))
     qf = tmp_path / "qstar.json"
     save_path_distribution(str(qf), fx.horizon, table)
     doc = dict(IMITATION_DOC, scenario={"kind": "imitation",
@@ -222,9 +223,26 @@ def test_builtin_q_star_follows_the_scenario_horizon(tmp_path):
     doc = dict(IMITATION_DOC, T=4)
     res = run_scenario(load_scenario(_write_spec(tmp_path, doc)), seed=0)
     assert res.space.horizon == 4
-    table = fixtures.synthetic_q_star(replace(fixtures.synthetic30(0), horizon=4))
-    q = path_vector(res.space, table, "q_star")
+    rows, probs = fixtures.synthetic_q_star(replace(fixtures.synthetic30(0),
+                                                    horizon=4))
+    q = path_vector(res.space, rows, probs, "q_star")
     assert np.all(q > 0)
+    assert res.reports["target"].total_cost == pytest.approx(
+        float(q @ res.imitation_plan.path_costs), rel=1e-12)
+
+
+def test_builtin_q_star_follows_the_scenario_supply_and_demand(tmp_path):
+    from helpers import marginal_gap
+
+    fx = fixtures.synthetic30(0)
+    supply = {1: 979, 8: 490}     # node 24's supply moved to node 1
+    doc = dict(IMITATION_DOC, supply={str(k): v for k, v in supply.items()},
+               demand={str(k): v for k, v in fx.demand.items()})
+    res = run_scenario(load_scenario(_write_spec(tmp_path, doc)), seed=0)
+    rows, probs = fixtures.synthetic_q_star(replace(fx, supply=supply))
+    q = path_vector(res.space, rows, probs, "q_star")
+    nu0, nuT = fixtures.marginals(fx.network.n, supply, fx.demand)
+    assert marginal_gap(res.space, q, nu0, nuT) < 1e-8
     assert res.reports["target"].total_cost == pytest.approx(
         float(q @ res.imitation_plan.path_costs), rel=1e-12)
 
