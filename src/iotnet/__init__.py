@@ -30,11 +30,11 @@ from .imitation import (ImitationTarget, IOTProblem, ObjectiveTerms,
                         plan_from_law, solve_iot)
 from .network import (CostModel, Edge, EdgeKind, Network, Node, PathSpace,
                       build_network, enumerate_paths, load_network,
-                      markov_edge_cost, markov_model_from_network,
-                      network_from_dict, network_to_dict, path_cost,
-                      path_costs, path_vector, reprice, ruled_path_cost,
-                      save_network, strongly_connected, unreachable_nodes,
-                      weight_matrix)
+                      log_weight_matrix, markov_edge_cost,
+                      markov_model_from_network, network_from_dict,
+                      network_to_dict, path_cost, path_costs, path_vector,
+                      reprice, ruled_path_cost, save_network,
+                      strongly_connected, unreachable_nodes)
 from .oracle import DenseCoupling, dense_ipf, lp_ot, objective_eval
 from .robust import (RobustCertificate, RobustEquivalenceReport,
                      robust_equivalence_check, robust_membership,
@@ -61,14 +61,14 @@ __all__ = [
     "fit_markov", "fit_objective_error", "fitted_prior",
     "imitation_prior_markov", "imitation_prior_paths", "load_marginal",
     "load_network", "load_path_distribution", "load_prior", "load_scenario",
-    "load_step_weights", "lp_ot", "marginalize_prior", "markov_edge_cost",
-    "markov_model_from_network", "markov_path_law", "markov_plan_from_fit",
-    "network_from_dict", "network_to_dict",
+    "load_step_weights", "log_weight_matrix", "lp_ot", "marginalize_prior",
+    "markov_edge_cost", "markov_model_from_network", "markov_path_law",
+    "markov_plan_from_fit", "network_from_dict", "network_to_dict",
     "objective_eval", "path_cost", "path_costs", "path_kl",
     "path_law_from_endpoint", "path_vector", "perron", "plan_from_law",
     "rb_path_density", "rb_path_density_gibbs", "rb_walk", "read_plan", "reprice",
     "robust_equivalence_check", "robust_membership", "ruled_path_cost",
     "run_scenario", "save_network", "save_path_distribution", "sinkhorn_markov",
     "sinkhorn_path", "solve_iot", "strongly_connected", "unreachable_nodes",
-    "weight_matrix", "worst_case_certificate", "write_plan",
+    "worst_case_certificate", "write_plan",
 ]

@@ -15,7 +15,6 @@ solution orthogonal to the nullspace (minimum norm).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,11 +45,9 @@ class MarkovFit:
 def fit_markov(prior: PathPrior) -> MarkovFit:
     """Least-squares log-space fit of a Markov chain to a path prior."""
     space = prior.path_space
-    keep = np.nonzero(prior.weights > 0)[0]
-    if keep.size == 0:
-        raise ValidationError("prior has no positive-weight paths to fit")
+    keep = np.nonzero(prior.log_weights > -np.inf)[0]
     arr = space.array[keep]
-    b = np.log(prior.weights[keep])
+    b = prior.log_weights[keep]
 
     start_nodes = sorted({int(v) for v in arr[:, 0]})
     transitions = sorted({(int(arr[r, t]), int(arr[r, t + 1]))
@@ -84,21 +81,20 @@ def fit_markov(prior: PathPrior) -> MarkovFit:
 
 
 def fitted_prior(fit: MarkovFit) -> MarkovPrior:
-    """Exponentiate the fitted scores into a Markov prior.
+    """The fitted scores as a Markov prior with log step weights.
 
-    Unseen starts/transitions get exact zero weight; the initial vector is
-    normalised (global prior scale is gauge).
+    Unseen starts/transitions get zero weight; the initial vector is
+    exponentiated after a shift by its top score and normalised (global
+    prior scale is gauge).
     """
-    init = np.zeros(fit.n)
+    init = np.full(fit.n, -np.inf)
     for v, s in fit.initial_log.items():
-        init[v - 1] = math.exp(s)
-    total = float(init.sum())
-    if total <= 0:
-        raise ValidationError("fitted initial scores carry no mass")
-    mat = np.zeros((fit.n, fit.n))
+        init[v - 1] = s
+    init = np.exp(init - init.max())
+    mat = np.full((fit.n, fit.n), -np.inf)
     for (i, j), s in fit.step_log.items():
-        mat[i - 1, j - 1] = math.exp(s)
-    return MarkovPrior(initial=init / total, matrix=mat)
+        mat[i - 1, j - 1] = s
+    return MarkovPrior(initial=init / init.sum(), log_matrix=mat)
 
 
 def markov_plan_from_fit(fit: MarkovFit, problem: IOTProblem, *,

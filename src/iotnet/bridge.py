@@ -3,28 +3,29 @@
 Given a reference law over horizon-``T`` paths and prescribed start/end
 marginals, the bridge is the closest law (in relative entropy) to the prior
 with those marginals.  Only the endpoint coupling moves: the prior's behaviour
-between fixed endpoints is kept, so the whole problem reduces to a Sinkhorn
-fixed point on an ``n x n`` endpoint kernel.
+between fixed endpoints is kept, so the whole problem reduces to a scaling
+fixed point on an ``n x n`` endpoint kernel, handed over as logs so that
+weights like ``exp(-cost/alpha)`` at small ``alpha`` never exist as floats.
 
-Two prior representations are supported:
+Two prior representations are supported, each holding its weights as logs:
 
-* :class:`MarkovPrior` — initial law plus step matrix/matrices; the kernel is
-  the ordered product of the step matrices, and the solution is returned as
-  per-step transition matrices (a new Markov chain).
+* :class:`MarkovPrior` — initial law plus step matrix/matrices; the solution
+  is returned as per-step transition matrices (a new Markov chain).
 * :class:`PathPrior` — explicit nonnegative weights over an enumerated path
-  space; the kernel is the endpoint marginalisation of the weights, and the
-  solution is an endpoint coupling plus a reweighted path law.
+  space; the solution is an endpoint coupling plus a reweighted path law.
 
-Zero handling is strict: ``0/phi`` with zero target mass is 0 (support
-restriction), while a positive target over an exactly zero denominator raises
-:class:`InfeasibleError` — never a NaN.
+Zero handling is strict: a zero weight is a ``-inf`` log entry; starts and
+ends without marginal mass get ``-inf`` log potentials (support restriction),
+while a ``-inf`` kernel entry between a supported start and a supported end
+raises :class:`InfeasibleError` — never a NaN.  The scaling stops when the L1
+violation of the marginals is at most ``tol``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .network import PathSpace
 
 _SUM_TOL = 1e-9
+_SCALE_MAX = 1e30   # linear scalings above are absorbed into the log potentials
 
 
 def _check_probability(vec: np.ndarray, name: str) -> np.ndarray:
@@ -46,17 +48,44 @@ def _check_probability(vec: np.ndarray, name: str) -> np.ndarray:
     return vec
 
 
+def _log_form(linear, log, what: str) -> np.ndarray:
+    """Weights given linear or as logs, in log form (``-inf`` for a zero)."""
+    if linear is not None:
+        linear = np.asarray(linear, dtype=float)
+        if np.any(linear < 0) or not np.all(np.isfinite(linear)):
+            raise ValidationError(f"{what} must be nonnegative and finite")
+        with np.errstate(divide="ignore"):
+            return np.log(linear)
+    log = np.asarray(log, dtype=float)
+    if np.any(np.isnan(log) | (log == np.inf)):
+        raise ValidationError(f"log {what} must be finite or -inf")
+    return log
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(a)))`` along ``axis``; ``-inf`` where every term is."""
+    top = np.max(a, axis=axis, keepdims=True)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis)
+
+
 @dataclass(frozen=True)
 class MarkovPrior:
-    """Initial law plus step matrix (time-invariant) or matrices (one per step).
+    """Initial law plus step weights: one matrix (time-invariant) or one per step.
 
-    Step matrices are nonnegative and may be unnormalised (any positive scale
-    is absorbed by the bridge); the initial law must sum to 1 within 1e-12.
+    Step weights are nonnegative and may be unnormalised (any positive scale
+    is absorbed by the bridge).  Give them linear (``matrix``/``matrices``)
+    or as one time-invariant ``log_matrix``, whose weights need not fit the
+    float range; the bridge reads only ``log_steps``.  The initial law must
+    sum to 1 within 1e-12.
     """
 
     initial: np.ndarray
     matrix: np.ndarray | None = None
     matrices: tuple[np.ndarray, ...] | None = None
+    log_matrix: np.ndarray | None = None
+    log_steps: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         initial = np.asarray(self.initial, dtype=float)
@@ -66,205 +95,205 @@ class MarkovPrior:
         if abs(float(initial.sum()) - 1.0) > 1e-12:
             raise ValidationError(
                 f"prior initial law sums to {float(initial.sum())!r}, expected 1")
-        if (self.matrix is None) == (self.matrices is None):
-            raise ValidationError("provide exactly one of matrix / matrices")
+        given = (self.matrix, self.matrices, self.log_matrix)
+        if sum(m is not None for m in given) != 1:
+            raise ValidationError("provide exactly one of matrix / matrices / "
+                                  "log_matrix")
         n = initial.shape[0]
-        mats = (self.matrix,) if self.matrix is not None else self.matrices
-        checked = []
-        for M in mats:
-            M = np.asarray(M, dtype=float)
-            if M.shape != (n, n):
-                raise ValidationError(f"step matrix shape {M.shape}, expected {(n, n)}")
-            if np.any(M < 0) or not np.all(np.isfinite(M)):
-                raise ValidationError("step matrices must be nonnegative and finite")
-            checked.append(M)
-        if self.matrix is not None:
-            object.__setattr__(self, "matrix", checked[0])
+        if self.log_matrix is not None:
+            steps = (_log_form(None, self.log_matrix, "step weights"),)
         else:
-            object.__setattr__(self, "matrices", tuple(checked))
+            linear = (self.matrix,) if self.matrix is not None else self.matrices
+            steps = tuple(_log_form(M, None, "step matrices") for M in linear)
+        for L in steps:
+            if L.shape != (n, n):
+                raise ValidationError(f"step matrix shape {L.shape}, expected {(n, n)}")
+        object.__setattr__(self, "log_steps", steps)
 
     @property
     def n(self) -> int:
         return self.initial.shape[0]
 
-    def step_matrix(self, t: int, horizon: int) -> np.ndarray:
+    def log_step(self, t: int, horizon: int) -> np.ndarray:
         if self.matrices is not None:
             if len(self.matrices) != horizon:
                 raise ValidationError(
                     f"time-varying prior has {len(self.matrices)} step matrices "
                     f"but horizon is {horizon}")
-            return self.matrices[t]
-        return self.matrix
-
-    def endpoint_kernel(self, horizon: int) -> np.ndarray:
-        """Ordered product of the step matrices: kernel[i,j] = mass i -> j in T steps."""
-        if horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {horizon}")
-        A = self.step_matrix(0, horizon)
-        for t in range(1, horizon):
-            A = A @ self.step_matrix(t, horizon)
-        return A
+            return self.log_steps[t]
+        return self.log_steps[0]
 
 
 @dataclass(frozen=True)
 class PathPrior:
-    """Explicit nonnegative weights over an enumerated path space."""
+    """Explicit nonnegative weights over an enumerated path space.
+
+    Give them linear (``weights``) or as ``log_weights`` (``-inf`` for a zero
+    weight), which need not fit the float range; the bridge reads only
+    ``log_weights``.
+    """
 
     path_space: PathSpace
-    weights: np.ndarray
+    weights: np.ndarray | None = None
+    log_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.shape != (self.path_space.size,):
+        if (self.weights is None) == (self.log_weights is None):
+            raise ValidationError("provide exactly one of weights / log_weights")
+        logw = _log_form(self.weights, self.log_weights, "path weights")
+        object.__setattr__(self, "log_weights", logw)
+        if logw.shape != (self.path_space.size,):
             raise ValidationError(
-                f"weights shape {w.shape} does not match path space size "
+                f"weights shape {logw.shape} does not match path space size "
                 f"{self.path_space.size}")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValidationError("path weights must be nonnegative and finite")
-        if not np.any(w > 0):
+        if not np.any(logw > -np.inf):
             raise ValidationError("path prior needs at least one positive weight")
 
 
 def marginalize_prior(prior: PathPrior) -> np.ndarray:
-    """Endpoint marginal matrix of a path prior."""
+    """Log endpoint kernel of a path prior: per-pair log-sum-exp of its weights.
+
+    Each endpoint pair is shifted by its own largest log-weight before the
+    sum, so a pair with a path of positive weight gets a finite entry.
+    """
     space = prior.path_space
+    size = space.n * space.n
     flat = (space.starts - 1) * space.n + (space.ends - 1)
-    kernel = np.bincount(flat, weights=prior.weights,
-                         minlength=space.n * space.n).reshape(space.n, space.n)
-    return kernel
+    top = np.full(size, -np.inf)
+    np.maximum.at(top, flat, prior.log_weights)
+    top[top == -np.inf] = 0.0
+    mass = np.bincount(flat, weights=np.exp(prior.log_weights - top[flat]),
+                       minlength=size)
+    with np.errstate(divide="ignore"):
+        return (np.log(mass) + top).reshape(space.n, space.n)
 
 
 # ---------------------------------------------------------------------------
-# Sinkhorn core
+# the scaling core
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class BridgeSolution:
-    """Converged potentials plus whichever transition representation applies.
+    """Log potentials (``-inf`` where one vanishes), coupling and transitions.
 
-    Markov route: ``transitions[t]`` holds the per-step matrices of the
-    solution chain.  Path route: ``endpoint_coupling`` holds the optimal mass
-    per (start, end) pair.
+    The coupling is ``exp(log_phihat0_i + log_kernel_ij + log_phiT_j)``;
+    ``residual`` is its final L1 marginal violation.  ``transitions[t]``
+    (Markov route only) holds the per-step matrices of the solution chain.
     """
 
-    phi0: np.ndarray
-    phiT: np.ndarray
-    phihat0: np.ndarray
-    phihatT: np.ndarray
+    log_phi0: np.ndarray
+    log_phiT: np.ndarray
+    log_phihat0: np.ndarray
+    log_phihatT: np.ndarray
     iterations: int
     residual: float
-    residual_history: np.ndarray
+    endpoint_coupling: np.ndarray
     transitions: list[np.ndarray] | None = None
-    endpoint_coupling: np.ndarray | None = None
 
 
-def _check_kernel_support(kernel: np.ndarray, nu0: np.ndarray,
-                          nuT: np.ndarray) -> None:
-    """Pairwise positivity of the kernel over the marginal supports."""
-    rows = np.nonzero(nu0 > 0)[0]
-    cols = np.nonzero(nuT > 0)[0]
-    block = kernel[np.ix_(rows, cols)]
-    if np.any(block == 0):
-        r, c = np.nonzero(block == 0)
-        pair = (int(rows[r[0]]) + 1, int(cols[c[0]]) + 1)
-        raise InfeasibleError(
-            f"prior kernel entry for endpoint pair {pair} is identically zero "
-            f"while both marginals are positive there; the bridge does not exist")
+def _sinkhorn_core(log_kernel: np.ndarray, nu0: np.ndarray, nuT: np.ndarray,
+                   tol: float, max_iter: int) -> BridgeSolution:
+    """Log-domain scaling on the supported block of a log endpoint kernel.
 
-
-def _sinkhorn_core(kernel: np.ndarray, nu0: np.ndarray, nuT: np.ndarray,
-                   tol: float, max_iter: int,
-                   phi0_init: np.ndarray | None) -> tuple:
-    """Alternating boundary updates on the endpoint kernel.
-
-    Fixed point: ``phi0 = kernel @ phiT``, ``phihatT = kernel.T @ phihat0``,
-    ``phi0*phihat0 = nu0``, ``phiT*phihatT = nuT``.  Stops when the sup-norm
-    change of ``phi0`` drops to ``tol``.
+    On supported starts ``x`` supported ends, the coupling is
+    ``u_i exp(f_i + log_kernel_ij + g_j) v_j``: log potentials ``f``/``g``
+    absorbed into the kernel ``K``, times linear scalings ``u``/``v``.  A
+    scaling above 1e30 (``inf`` where a kernel sum underflowed) is absorbed by
+    an exact log-sum-exp update of its side (Schmitzer 2019, stabilised
+    scaling); as ``K <= 1`` after each, no scaling gets far below 1e-30.
+    Each sweep fixes the end marginal, then stops once the L1 violation of
+    the start marginal is at most ``tol``.  The gauge has ``max log_phiT = 0``.
     """
     if not (tol > 0):
         raise ValidationError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    n = kernel.shape[0]
-    if phi0_init is None:
-        phi0 = np.ones(n, dtype=float)
-    else:
-        phi0 = np.asarray(phi0_init, dtype=float).copy()
-        if phi0.shape != (n,) or np.any(phi0 <= 0):
-            raise ValidationError("phi0_init must be a strictly positive n-vector")
-
-    sup0 = nu0 > 0
-    supT = nuT > 0
-    history: list[float] = []
-    iterations = 0
-    residual = math.inf
-    kernel_t = np.ascontiguousarray(kernel.T)
-    # On-support potentials stay strictly positive throughout: the pairwise
-    # positivity precheck gives kernel[i,j] > 0 on supp(nu0) x supp(nuT), so
-    # each update is a positive combination of positive terms.  Off-support
-    # entries are pinned to exact zero by the masked divisions.
-    for iterations in range(1, int(max_iter) + 1):
-        phihat0 = np.divide(nu0, phi0, out=np.zeros(n), where=sup0)
-        phihatT = kernel_t @ phihat0
-        phiT = np.divide(nuT, phihatT, out=np.zeros(n), where=supT)
-        phi0_new = kernel @ phiT
-        residual = float(np.max(np.abs(phi0_new - phi0)))
-        history.append(residual)
-        phi0 = phi0_new
-        if residual <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"Sinkhorn did not reach residual {tol} in {max_iter} iterations "
-            f"(final residual {residual:.3e})", residual=residual, history=history)
-
-    # one consistency pass so the returned quadruple satisfies the boundary
-    # system at the converged phi0
-    phihat0 = np.divide(nu0, phi0, out=np.zeros(n), where=sup0)
-    phihatT = kernel_t @ phihat0
-    phiT = np.divide(nuT, phihatT, out=np.zeros(n), where=supT)
-    if (not np.all(np.isfinite(phi0)) or np.any(phihatT[supT] <= 0)
-            or np.any(phi0[sup0] <= 0)):
+    rows = np.flatnonzero(nu0 > 0)
+    cols = np.flatnonzero(nuT > 0)
+    block = log_kernel[np.ix_(rows, cols)]
+    if np.any(block == -np.inf):
+        r, c = np.nonzero(block == -np.inf)
+        pair = (int(rows[r[0]]) + 1, int(cols[c[0]]) + 1)
         raise InfeasibleError(
-            "Sinkhorn potentials left the positive cone (underflow or "
-            "infeasible marginals for this prior support)")
-    return phi0, phiT, phihat0, phihatT, iterations, residual, np.asarray(history)
+            f"prior kernel entry for endpoint pair {pair} is identically zero "
+            f"while both marginals are positive there; the bridge does not exist")
+    a, b = nu0[rows], nuT[cols]
+    f = np.log(a) - _logsumexp(block, axis=1)
+    g = np.zeros(cols.size)
+    K = np.exp(block + f[:, None])
+    u = np.ones(rows.size)
+    with np.errstate(all="ignore"):   # an inf scaling is absorbed below
+        for iterations in range(1, int(max_iter) + 1):
+            v = b / (u @ K)
+            if not v.max() < _SCALE_MAX:
+                f += np.log(u)
+                g = np.log(b) - _logsumexp(block + f[:, None], axis=0)
+                K = np.exp(block + f[:, None] + g)
+                u, v = np.ones(rows.size), np.ones(cols.size)
+            mass = K @ v
+            u_next = a / mass
+            residual = float(np.abs(u - u_next) @ mass)   # = sum |u * mass - a|
+            if residual <= tol:
+                break
+            u = u_next
+            if not u.max() < _SCALE_MAX:
+                g += np.log(v)
+                f = np.log(a) - _logsumexp(block + g, axis=1)
+                K = np.exp(block + f[:, None] + g)
+                u, v = np.ones(rows.size), np.ones(cols.size)
+        else:
+            raise ConvergenceError(
+                f"Sinkhorn did not reach an L1 marginal violation of {tol} in "
+                f"{max_iter} iterations (final violation {residual:.3e})",
+                residual=residual)
+    f, g = f + np.log(u), g + np.log(v)
+    shift = g.max()
+    log_phihat0, log_phiT = np.full_like(nu0, -np.inf), np.full_like(nuT, -np.inf)
+    log_phihat0[rows], log_phiT[cols] = f + shift, g - shift
+    coupling = np.zeros_like(log_kernel)
+    coupling[np.ix_(rows, cols)] = u[:, None] * K * v
+    return BridgeSolution(
+        log_phi0=_logsumexp(log_kernel[:, cols] + log_phiT[cols], axis=1),
+        log_phiT=log_phiT, log_phihat0=log_phihat0,
+        log_phihatT=_logsumexp(log_kernel[rows] + log_phihat0[rows, None], axis=0),
+        iterations=iterations, residual=residual, endpoint_coupling=coupling)
 
 
 def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
                     horizon: int, *, tol: float = 1e-10,
-                    max_iter: int = 100_000,
-                    phi0_init: np.ndarray | None = None) -> BridgeSolution:
-    """Bridge a Markov prior: boundary Sinkhorn, then backward propagation.
+                    max_iter: int = 100_000) -> BridgeSolution:
+    """Bridge a Markov prior: scale its log kernel, then propagate backward.
 
-    Interior potentials: ``phi(t) = M(t) phi(t+1)`` backward from ``phiT``.
-    The solution chain's step matrices are the potential-tilted priors; rows
-    whose backward potential vanishes (unreachable states) are left
-    identically zero.
+    The log kernel is the log-sum-exp product of the log step matrices.
+    Backward log potentials ``log phi(t) = logsumexp_j(log M(t) + log
+    phi(t+1))`` from ``log phiT`` tilt each step into the solution chain's
+    transition matrix; rows whose backward potential vanishes (unreachable
+    states) are left identically zero.
     """
     nu0 = _check_probability(nu0, "nu0")
     nuT = _check_probability(nuT, "nuT")
     if nu0.shape[0] != prior.n or nuT.shape[0] != prior.n:
         raise ValidationError("marginal length does not match prior dimension")
-    kernel = prior.endpoint_kernel(horizon)
-    _check_kernel_support(kernel, nu0, nuT)
-    phi0, phiT, phihat0, phihatT, iters, residual, history = _sinkhorn_core(
-        kernel, nu0, nuT, tol, max_iter, phi0_init)
-
+    if horizon < 1:
+        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    log_kernel = prior.log_step(0, horizon)
+    slab = max(1, 2**20 // log_kernel.size)   # rows per slab of n^3 sum terms
+    for t in range(1, horizon):
+        step = prior.log_step(t, horizon)
+        log_kernel = np.concatenate([
+            _logsumexp(log_kernel[i:i + slab, :, None] + step, axis=1)
+            for i in range(0, prior.n, slab)])
+    solution = _sinkhorn_core(log_kernel, nu0, nuT, tol, max_iter)
     transitions = [None] * horizon
-    phi = phiT  # phi(t+1) on entry to step t
+    log_phi = solution.log_phiT  # log phi(t+1) on entry to step t
     for t in range(horizon - 1, -1, -1):
-        M = prior.step_matrix(t, horizon)
-        rowsum = M @ phi
-        transitions[t] = np.divide(M * phi[None, :], rowsum[:, None],
-                                   out=np.zeros_like(M), where=rowsum[:, None] > 0)
-        phi = rowsum
-
-    return BridgeSolution(phi0=phi0, phiT=phiT, phihat0=phihat0, phihatT=phihatT,
-                          iterations=iters, residual=residual,
-                          residual_history=history, transitions=transitions)
+        tilted = prior.log_step(t, horizon) + log_phi
+        log_phi = _logsumexp(tilted, axis=1)
+        transitions[t] = np.exp(tilted - np.where(log_phi > -np.inf, log_phi,
+                                                  0.0)[:, None])
+    solution.transitions = transitions
+    return solution
 
 
 def markov_path_law(solution: BridgeSolution, nu0: np.ndarray,
@@ -282,38 +311,25 @@ def markov_path_law(solution: BridgeSolution, nu0: np.ndarray,
 
 
 def sinkhorn_path(prior: PathPrior, nu0: np.ndarray, nuT: np.ndarray, *,
-                  tol: float = 1e-10, max_iter: int = 100_000,
-                  phi0_init: np.ndarray | None = None) -> BridgeSolution:
-    """Bridge an explicit path prior through its endpoint marginalisation.
+                  tol: float = 1e-10, max_iter: int = 100_000) -> BridgeSolution:
+    """Bridge an explicit path prior through its log endpoint kernel.
 
-    The kernel is the ``n x n`` endpoint mass matrix; the converged coupling is
-    ``outer(phihat0, phiT)`` times the kernel, and the full path law (see
-    :func:`path_law_from_endpoint`) reweights each path by its endpoints'
-    potentials, leaving the prior's conditional behaviour untouched.
+    The full path law (see :func:`path_law_from_endpoint`) reweights each
+    path by its endpoints' potentials, leaving the prior's conditional
+    behaviour untouched.
     """
     nu0 = _check_probability(nu0, "nu0")
     nuT = _check_probability(nuT, "nuT")
     if nu0.shape[0] != prior.path_space.n or nuT.shape[0] != prior.path_space.n:
         raise ValidationError("marginal length does not match path-space nodes")
-    kernel = marginalize_prior(prior)
-    _check_kernel_support(kernel, nu0, nuT)
-    phi0, phiT, phihat0, phihatT, iters, residual, history = _sinkhorn_core(
-        kernel, nu0, nuT, tol, max_iter, phi0_init)
-    coupling = phihat0[:, None] * kernel * phiT[None, :]
-    return BridgeSolution(phi0=phi0, phiT=phiT, phihat0=phihat0, phihatT=phihatT,
-                          iterations=iters, residual=residual,
-                          residual_history=history,
-                          endpoint_coupling=coupling)
+    return _sinkhorn_core(marginalize_prior(prior), nu0, nuT, tol, max_iter)
 
 
 def path_law_from_endpoint(solution: BridgeSolution, prior: PathPrior) -> np.ndarray:
-    """Full path law of a path-route bridge: weights * phihat0[x0] * phiT[xT]."""
-    if solution.endpoint_coupling is None:
-        raise ValidationError("solution does not carry an endpoint coupling")
+    """Full path law of a path-route bridge: ``exp(log w + log phihat0[x0] + log phiT[xT])``."""
     space = prior.path_space
-    return (prior.weights
-            * solution.phihat0[space.starts - 1]
-            * solution.phiT[space.ends - 1])
+    return np.exp(prior.log_weights + solution.log_phihat0[space.starts - 1]
+                  + solution.log_phiT[space.ends - 1])
 
 
 def path_kl(p: np.ndarray, weights: np.ndarray) -> float:

@@ -199,8 +199,6 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
         nuT = load_marginal(args.nuT, n)
         solution = sinkhorn_markov(prior, nu0, nuT, horizon,
                                    tol=args.tol, max_iter=args.max_iter)
-        kernel = prior.endpoint_kernel(horizon)
-        coupling = solution.phihat0[:, None] * kernel * solution.phiT[None, :]
     else:
         space = prior.path_space
         n, horizon = space.n, space.horizon
@@ -211,7 +209,6 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
         nuT = load_marginal(args.nuT, n)
         solution = sinkhorn_path(prior, nu0, nuT, tol=args.tol,
                                  max_iter=args.max_iter)
-        coupling = solution.endpoint_coupling
 
     out = _out_path(args, "bridge.json")
     _dump_json(out, {
@@ -219,11 +216,11 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
         "n": n,
         "iterations": solution.iterations,
         "residual": solution.residual,
-        "phi0": solution.phi0.tolist(),
-        "phiT": solution.phiT.tolist(),
-        "phihat0": solution.phihat0.tolist(),
-        "phihatT": solution.phihatT.tolist(),
-        "endpoint_coupling": coupling.tolist(),
+        "phi0": np.exp(solution.log_phi0).tolist(),
+        "phiT": np.exp(solution.log_phiT).tolist(),
+        "phihat0": np.exp(solution.log_phihat0).tolist(),
+        "phihatT": np.exp(solution.log_phihatT).tolist(),
+        "endpoint_coupling": solution.endpoint_coupling.tolist(),
     })
     written = [out]
     if args.emit_paths:
@@ -294,7 +291,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     _dump_json(out, {
         "type": "markov",
         "initial": chain.initial.tolist(),
-        "matrix": chain.matrix.tolist(),
+        "matrix": np.exp(chain.log_steps[0]).tolist(),
         "fit_residual": fit.residual,
         "gauge_component": fit.gauge_component,
         "horizon": fit.horizon,

@@ -24,12 +24,9 @@ class InfeasibleError(IOTError):
 class ConvergenceError(IOTError):
     """An iterative solver exhausted its iteration budget.
 
-    Carries the final residual and the residual history so callers can report
-    how close the run got.
+    Carries the final residual so callers can report how close the run got.
     """
 
-    def __init__(self, message: str, residual: float | None = None,
-                 history: list[float] | None = None):
+    def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.history = list(history) if history is not None else []

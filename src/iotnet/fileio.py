@@ -268,7 +268,7 @@ PLAN_PROB_FLOOR = 1e-12
 
 
 def format_path(nodes: Sequence[int]) -> str:
-    return ">".join(str(int(v)) for v in nodes)
+    return ">".join(map(str, nodes))
 
 
 def plan_to_text(plan) -> str:

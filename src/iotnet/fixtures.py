@@ -223,11 +223,11 @@ def _build_30(seed: int, *, cut: bool) -> SyntheticFixture:
         return float(np.linalg.norm(pos[i - 1] - pos[j - 1]))
 
     edges: list[tuple] = []
-    pair_set: set[tuple[int, int]] = set()
+    succ: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
 
     def add(i: int, j: int, kind: EdgeKind) -> None:
         edges.append((i, j, kind, dist(i, j) if i != j else 0.0))
-        pair_set.add((i, j))
+        succ[i].add(j)
 
     for i in range(1, n + 1):
         add(i, i, EdgeKind.STORAGE)
@@ -241,7 +241,7 @@ def _build_30(seed: int, *, cut: bool) -> SyntheticFixture:
         add(a, b, EdgeKind.HIGHWAY)
         add(b, a, EdgeKind.HIGHWAY)
     for a, b in zip(order, order[2:]):
-        if (a, b) not in pair_set:
+        if b not in succ[a]:
             add(a, b, EdgeKind.HIGHWAY)
             add(b, a, EdgeKind.HIGHWAY)
 
@@ -251,7 +251,7 @@ def _build_30(seed: int, *, cut: bool) -> SyntheticFixture:
             if cut_node is not None and (cut_node in (i, j)
                                          or {i, j} == {gateway_in, gateway_out}):
                 continue
-            if (i, j) in pair_set or dist(i, j) >= LOCAL_RADIUS_KM:
+            if j in succ[i] or dist(i, j) >= LOCAL_RADIUS_KM:
                 continue
             if rng.random() < 0.5:
                 add(i, j, EdgeKind.LOCAL)
@@ -260,7 +260,7 @@ def _build_30(seed: int, *, cut: bool) -> SyntheticFixture:
     # maritime lanes between ports that have no land link
     for p in PORTS:
         for q in PORTS:
-            if p != q and (p, q) not in pair_set:
+            if p != q and q not in succ[p]:
                 add(p, q, EdgeKind.MARITIME)
 
     if cut_node is not None:
@@ -273,8 +273,8 @@ def _build_30(seed: int, *, cut: bool) -> SyntheticFixture:
         while frontier:
             nxt = []
             for i in frontier:
-                for (a, b) in pair_set:
-                    if a == i and b not in out:
+                for b in succ[i]:
+                    if b not in out:
                         out[b] = out[i] + 1
                         nxt.append(b)
             frontier = nxt
@@ -302,7 +302,7 @@ def _build_30(seed: int, *, cut: bool) -> SyntheticFixture:
                         if hops[m] <= budget - 1 and m != goal and m != cut_node]
                 hub = min(near, key=lambda m: (dist(m, goal), m))
                 add(hub, goal, EdgeKind.HIGHWAY)
-                if (goal, hub) not in pair_set:
+                if hub not in succ[goal]:
                     add(goal, hub, EdgeKind.HIGHWAY)
                 repaired = True
                 break

@@ -6,22 +6,22 @@ to imitate.  Both terms fold into a single Schrodinger bridge against a tilted
 prior, which is how :func:`solve_iot` computes the optimum:
 
 * Markov route (per-edge costs, Markov target, no blending): bridge the
-  Markov prior whose step matrix is the Hadamard product of the Gibbs edge
-  weights ``exp(-c(i,j)/alpha)`` and the target's step weights, so a path's
-  prior weight is ``exp(-C(x)/alpha) * Q(x)`` up to its start factor, which
+  Markov prior whose log step matrix is the Gibbs edge log-weights
+  ``-c(i,j)/alpha`` plus the log of the target's step weights, so a path's
+  prior log-weight is ``-C(x)/alpha + log Q(x)`` up to its start term, which
   the bridge absorbs.  No path enumeration in the solve itself, and no
   strong-connectivity requirement: the bridge exists whenever the ``T``-step
   kernel links every supported start to every supported end.
 * Path route (everything else, including rule-based non-additive costs and
-  blended targets): build explicit path weights ``exp(-C(x)/alpha) * Q(x)``
-  (log-shifted before exponentiation; a global prior scale is gauge) and
-  bridge the explicit prior through its endpoint marginalisation.
+  blended targets): build explicit path log-weights ``-C(x)/alpha + log
+  Q(x)`` and bridge the explicit prior through its log endpoint kernel.
 
-Optional endpoint scale vectors on the path weights are pure gauge: they
-rescale the prior by start/end factors that the bridge's potentials absorb,
-so the plan is unchanged (tested).  Blending replaces the target by
-``(1-beta) Q + beta * uniform``; a blended Markov target is no longer Markov,
-so any ``beta > 0`` forces the path route.
+Both routes stay in the log domain up to the scaling itself, so no
+``exp(-C/alpha)`` can underflow however small ``alpha`` is.  Start and end
+factors on the prior are gauge: the bridge's potentials absorb them, so the
+plan is unchanged (tested).  Blending replaces the target by ``(1-beta) Q +
+beta * uniform``; a blended Markov target is no longer Markov, so any
+``beta > 0`` forces the path route.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .bridge import (BridgeSolution, MarkovPrior, PathPrior, markov_path_law,
                      path_kl, path_law_from_endpoint, sinkhorn_markov,
                      sinkhorn_path)
 from .errors import InfeasibleError, ValidationError
-from .network import (MARKOV, CostModel, Network, PathSpace, path_costs,
-                      weight_matrix)
+from .network import (MARKOV, CostModel, Network, PathSpace,
+                      log_weight_matrix, path_costs)
 
 __all__ = [
     "ImitationTarget", "IOTProblem", "ObjectiveTerms", "TransportPlan",
@@ -211,37 +211,32 @@ def imitation_prior_markov(model: CostModel, alpha: float,
                            target: ImitationTarget) -> MarkovPrior:
     """Markov prior of the tilted problem: Gibbs weights (x) target, step by step.
 
-    The step matrix is the entrywise product of ``exp(-cost/alpha)`` on the
-    edges and the target's step weights; a cost-table pair outside the
-    target's nodes is a :class:`ValidationError`.  The initial law is the
-    target's (uniform when it has none), normalised: the bridge never reads
-    it, but a target whose initial law carries no mass is infeasible.
+    The log step matrix is ``-cost/alpha`` on the edges plus the log of the
+    target's step weights; a cost-table pair outside the target's nodes is a
+    :class:`ValidationError`.  The initial law is the target's (uniform when
+    it has none), normalised: the bridge never reads it, but a target whose
+    initial law carries no mass is infeasible.
     """
     if not target.is_markov:
         raise ValidationError("markov prior construction needs a Markov target")
     if target.blend != 0.0:
         raise ValidationError("blended targets are not Markov; use the path route")
     n = target.matrix.shape[0]
-    step = weight_matrix(model, alpha, n) * target.matrix
+    with np.errstate(divide="ignore"):
+        step = log_weight_matrix(model, alpha, n) + np.log(target.matrix)
     init = target.initial if target.initial is not None else np.ones(n)
     total = float(init.sum())
     if total <= 0:
         raise InfeasibleError("target initial law carries no mass")
-    return MarkovPrior(initial=init / total, matrix=step)
+    return MarkovPrior(initial=init / total, log_matrix=step)
 
 
 def imitation_prior_paths(space: PathSpace, costs: np.ndarray, q: np.ndarray,
-                          alpha: float, *,
-                          start_scale: np.ndarray | None = None,
-                          end_scale: np.ndarray | None = None) -> PathPrior:
-    """Explicit tilted prior: ``scaleterms * exp(-C(x)/alpha) * q(x)``.
+                          alpha: float) -> PathPrior:
+    """Explicit tilted prior with log-weights ``-C(x)/alpha + log q(x)``.
 
-    ``costs`` and ``q`` are aligned with the space.  Built in log space and
-    shifted by the max before exponentiation, so only cost *spreads* (not
-    absolute values) need to fit the float range; the shift is a global prior
-    scale, which is gauge.  ``start_scale`` and ``end_scale`` default to ones
-    and are themselves gauge (any strictly positive choice yields the same
-    bridge).
+    ``costs`` and ``q`` are aligned with the space; a path without target
+    mass gets ``-inf``.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (space.size,) or np.shape(costs) != (space.size,):
@@ -250,17 +245,9 @@ def imitation_prior_paths(space: PathSpace, costs: np.ndarray, q: np.ndarray,
         raise ValidationError("q must be nonnegative")
     with np.errstate(divide="ignore"):
         logw = np.where(q > 0, -costs / alpha + np.log(np.where(q > 0, q, 1.0)), -np.inf)
-    for scale, col in ((start_scale, space.starts), (end_scale, space.ends)):
-        if scale is not None:
-            scale = np.asarray(scale, dtype=float)
-            if scale.shape != (space.n,) or np.any(scale <= 0):
-                raise ValidationError("scale vectors must be strictly positive "
-                                      "length-n vectors")
-            logw = logw + np.log(scale)[col - 1]
-    top = float(np.max(logw))
-    if not math.isfinite(top):
+    if not np.any(logw > -np.inf):
         raise InfeasibleError("target q puts no mass on any feasible path")
-    return PathPrior(path_space=space, weights=np.exp(logw - top))
+    return PathPrior(path_space=space, log_weights=logw)
 
 
 def edge_usage_from_law(space: PathSpace, law: np.ndarray,

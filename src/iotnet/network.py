@@ -226,22 +226,22 @@ def markov_edge_cost(model: CostModel, tail: int, head: int) -> float:
     return c * model.edge_multipliers.get((tail, head), 1.0)
 
 
-def weight_matrix(model: CostModel, alpha: float, n: int) -> np.ndarray:
-    """Gibbs edge weights ``exp(-cost/alpha)``; exact zero off the edge set.
+def log_weight_matrix(model: CostModel, alpha: float, n: int) -> np.ndarray:
+    """Gibbs edge log-weights ``-cost/alpha``; ``-inf`` off the edge set.
 
     Row/column ``i-1`` is node ``i``; a cost-table pair outside ``1..n``
     raises :class:`ValidationError`.
     """
     if model.mode != MARKOV:
-        raise ValidationError("weight_matrix requires a markov-mode CostModel")
+        raise ValidationError("log_weight_matrix requires a markov-mode CostModel")
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValidationError(f"alpha must be positive and finite, got {alpha}")
-    B = np.zeros((n, n), dtype=float)
+    B = np.full((n, n), -np.inf)
     for (i, j), cost in model.edge_costs.items():
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValidationError(f"cost table pair ({i},{j}) outside 1..{n}")
         mult = model.edge_multipliers.get((i, j), 1.0)
-        B[i - 1, j - 1] = math.exp(-(cost * mult) / alpha)
+        B[i - 1, j - 1] = -(cost * mult) / alpha
     return B
 
 

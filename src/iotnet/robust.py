@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .bridge import path_kl
 from .errors import InfeasibleError, ValidationError
 from .imitation import IOTProblem, solve_iot
 from .oracle import dense_ipf
@@ -112,10 +113,11 @@ def worst_case_certificate(plan_law: np.ndarray, costs: np.ndarray,
 
     pos = p > 0
     nominal = float(p @ costs)
-    kl = float(np.sum(p[pos] * np.log(p[pos] / q[pos])))
+    kl = path_kl(p, q)
     worst = nominal + alpha * kl + epsilon
     maximizer = np.full(p.shape, -math.inf)
-    maximizer[pos] = costs[pos] - alpha * np.log(q[pos] / p[pos]) + epsilon
+    # log q - log p, not log(q/p): q/p overflows for subnormal p
+    maximizer[pos] = costs[pos] - alpha * (np.log(q[pos]) - np.log(p[pos])) + epsilon
     return RobustCertificate(epsilon=epsilon, nominal_cost=nominal, kl_term=kl,
                              worst_case_cost=worst, maximizer=maximizer)
 

@@ -4,7 +4,7 @@ This module serves ``iot rbwalk`` and the entropic-reduction acceptance test,
 which uses the walk as an independent reference.  No solve uses it: the
 walk is a diagonal rescaling of the Gibbs weights (see :func:`rb_walk`) that
 the bridge potentials cancel, so :func:`iotnet.imitation.solve_iot` bridges
-the Gibbs weights :func:`~iotnet.network.weight_matrix` directly.
+the Gibbs log-weights :func:`~iotnet.network.log_weight_matrix` directly.
 
 The construction: put Gibbs weights ``exp(-cost/alpha)`` on existing edges,
 take the Perron root and left/right Perron vectors of that nonnegative matrix,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .network import CostModel, unreachable_nodes, weight_matrix
+from .network import CostModel, log_weight_matrix, unreachable_nodes
 
 _SHIFT_FRACTION = 0.1
 
@@ -114,7 +114,7 @@ def build_rb_prior(model: CostModel, alpha: float, n: int, *,
     The walk needs an irreducible weight matrix, so the support of the Gibbs
     weights must be strongly connected.
     """
-    B = weight_matrix(model, alpha, n)
+    B = np.exp(log_weight_matrix(model, alpha, n))
     missing = unreachable_nodes(n, (np.argwhere(B > 0) + 1).tolist())
     if missing:
         raise ValidationError(

@@ -116,6 +116,21 @@ def test_solve_exit_2_on_iteration_budget(outdir, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("network,extra", [
+    ("builtin:synthetic30", ["--cost", "ruled"]),
+    ("builtin:risk30", ["--cost", "markov"]),
+    ("builtin:risk30", ["--cost", "markov", "--rq-file", "rq.json"]),  # Markov route
+])
+def test_solve_at_small_alpha(outdir, capsys, network, extra):
+    """exp(-C/alpha) underflows at alpha 1; the log-domain bridge solves."""
+    (outdir / "rq.json").write_text(json.dumps({"default": 1.0}))
+    code, out, err = run_cli(["solve", "--network", network, "--alpha", "1",
+                              "--horizon", "3"] + extra, capsys)
+    assert code == 0, err
+    doc = read_plan(str(outdir / "plan.txt"))
+    assert sum(doc["paths"][1].tolist()) == pytest.approx(1.0, abs=1e-6)
+
+
 def test_solve_unknown_builtin(outdir, capsys):
     code, _, err = run_cli(["solve", "--network", "builtin:nope",
                             "--alpha", "0.5"], capsys)

@@ -7,6 +7,8 @@ strongly connected graph: it must match the path route wherever the bridge
 exists, including on acyclic networks and with zero-mass marginal entries.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -22,7 +24,10 @@ from iotnet import (
     ValidationError,
     build_network,
     build_rb_prior,
+    dense_ipf,
     enumerate_paths,
+    expand_target,
+    path_costs,
     solve_iot,
     strongly_connected,
 )
@@ -106,6 +111,34 @@ def test_markov_route_matches_path_route_without_strong_connectivity(problem):
     assert tv(markov.path_law, path.path_law) < 1e-8
     assert marginal_gap(problem.path_space, markov.path_law,
                         problem.nu0, problem.nuT) < 1e-8
+
+
+@st.composite
+def small_alpha_problems(draw):
+    """``markov_problems`` with ``alpha`` from 1e-2 to 1 times the cost spread.
+
+    At the low end ``exp(-C/alpha)`` spans about ``e^-100`` over the paths,
+    which still fits a float after a global shift, so dense IPF can serve as
+    the reference.
+    """
+    problem = draw(markov_problems())
+    costs = path_costs(problem.path_space, problem.cost_model, problem.network)
+    spread = max(float(costs.max() - costs.min()), 0.5)
+    return dataclasses.replace(
+        problem, alpha=spread * 10.0 ** draw(st.floats(-2.0, 0.0)))
+
+
+@PROPERTY
+@given(small_alpha_problems())
+def test_routes_and_dense_ipf_agree_down_to_small_alpha(problem):
+    markov, path = _both_routes(problem)
+    space = problem.path_space
+    logw = (-path_costs(space, problem.cost_model, problem.network) / problem.alpha
+            + np.log(expand_target(problem.target, space)))
+    ipf = dense_ipf(space, np.exp(logw - logw.max()), problem.nu0, problem.nuT,
+                    tol=1e-13).probabilities
+    assert tv(markov.path_law, path.path_law) < 1e-8
+    assert tv(markov.path_law, ipf) < 1e-8
 
 
 def _acyclic_problem():

@@ -15,8 +15,8 @@ from iotnet import (
     imitation_prior_paths,
     objective_eval,
     path_costs,
+    log_weight_matrix,
     solve_iot,
-    weight_matrix,
 )
 from iotnet import fixtures
 from iotnet.bridge import markov_path_law, sinkhorn_markov
@@ -98,7 +98,8 @@ def test_expand_target_rejects_misaligned_paths(tiny):
 def test_markov_tilt_is_entrywise_product(tiny):
     mat = np.full((3, 3), 1.0 / 3.0)
     prior = imitation_prior_markov(tiny.model, 0.5, ImitationTarget.markov(mat))
-    assert np.allclose(prior.matrix, weight_matrix(tiny.model, 0.5, 3) / 3.0,
+    assert np.allclose(np.exp(prior.log_steps[0]),
+                       np.exp(log_weight_matrix(tiny.model, 0.5, 3)) / 3.0,
                        atol=1e-15)
 
 
@@ -111,16 +112,16 @@ def test_markov_tilt_rejects_blended_targets(tiny):
 
 def test_endpoint_scales_are_gauge(tiny):
     """Rescaling the tilted prior by start/end factors cannot move the bridge."""
-    from iotnet.bridge import path_law_from_endpoint, sinkhorn_path
+    from iotnet.bridge import PathPrior, path_law_from_endpoint, sinkhorn_path
 
-    costs = path_costs(tiny.space, tiny.model, tiny.network)
-    q = np.full(tiny.space.size, 1.0 / tiny.space.size)
+    space = tiny.space
+    costs = path_costs(space, tiny.model, tiny.network)
+    q = np.full(space.size, 1.0 / space.size)
     rng = np.random.default_rng(4)
-    plain = imitation_prior_paths(tiny.space, costs, q, 0.7)
-    scaled = imitation_prior_paths(
-        tiny.space, costs, q, 0.7,
-        start_scale=rng.uniform(0.5, 2.0, size=3),
-        end_scale=rng.uniform(0.5, 2.0, size=3))
+    plain = imitation_prior_paths(space, costs, q, 0.7)
+    start_log, end_log = rng.uniform(-300.0, 300.0, size=(2, 3))
+    scaled = PathPrior(path_space=space, log_weights=plain.log_weights
+                       + start_log[space.starts - 1] + end_log[space.ends - 1])
     laws = []
     for prior in (plain, scaled):
         sol = sinkhorn_path(prior, tiny.nu0, tiny.nuT, tol=1e-13)

@@ -8,6 +8,7 @@ from iotnet import (
     ValidationError,
     expand_target,
     path_costs,
+    path_kl,
     robust_equivalence_check,
     robust_membership,
     solve_iot,
@@ -107,6 +108,16 @@ def test_sampled_members_never_beat_the_certificate(tiny):
         else:
             rejected += 1
     assert rejected > 0, "perturbation band too narrow to exercise rejection"
+
+
+def test_certificate_survives_subnormal_plan_mass():
+    """``p/q`` underflows and ``q/p`` overflows for a subnormal ``p``."""
+    p, q = np.array([5e-320, 1.0]), np.array([1e6, 1.0])
+    cert = worst_case_certificate(p, np.zeros(2), q, 1.0, 0.0)
+    assert cert.kl_term == path_kl(p, q)
+    assert np.isfinite(cert.worst_case_cost)
+    assert cert.maximizer[0] == pytest.approx(np.log(5e-320) - np.log(1e6),
+                                              rel=1e-12)
 
 
 def test_certificate_requires_support_containment(tiny):

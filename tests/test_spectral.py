@@ -15,7 +15,7 @@ from iotnet import (
     rb_walk,
 )
 from iotnet import fixtures
-from iotnet.spectral import weight_matrix
+from iotnet.spectral import log_weight_matrix
 
 
 def _random_irreducible(rng, n):
@@ -88,7 +88,7 @@ def test_perron_reports_nonconvergence(rng):
 
 def test_weight_matrix_is_gibbs_on_edges():
     fx = fixtures.tiny_fixture()
-    B = weight_matrix(fx.model, 0.5, 3)
+    B = np.exp(log_weight_matrix(fx.model, 0.5, 3))
     for (i, j), c in fx.model.edge_costs.items():
         assert B[i - 1, j - 1] == pytest.approx(np.exp(-c / 0.5), rel=1e-15)
 
@@ -109,7 +109,7 @@ def test_walk_rows_are_stochastic():
 
 def test_walk_tilt_formula():
     net, model = fixtures.four_node_fixture()
-    B = weight_matrix(model, 0.7, net.n)
+    B = np.exp(log_weight_matrix(model, 0.7, net.n))
     lam, u, v = perron(B)
     R = rb_walk(B, lam, v)
     assert np.allclose(R, B * v[None, :] / (lam * v[:, None]), atol=0)
