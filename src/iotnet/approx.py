@@ -28,15 +28,17 @@ from .imitation import IOTProblem, TransportPlan, plan_from_law, solve_iot
 class MarkovFit:
     """Fitted log-scores and fit diagnostics.
 
-    ``residual`` is the squared log-space misfit.  ``relative_objective_error``
-    is filled by :func:`fit_objective_error` after re-solving with the fitted
-    chain (``None`` until then).
+    ``initial_log`` (``(n,)``) and ``step_log`` (``(n, n)``) are the start and
+    step scores by ``node - 1``, ``-inf`` where no positive-weight path starts
+    or steps.  ``residual`` is the squared log-space misfit.
+    ``relative_objective_error`` is filled by :func:`fit_objective_error`
+    after re-solving with the fitted chain (``None`` until then).
     """
 
     n: int
     horizon: int
-    initial_log: dict[int, float]
-    step_log: dict[tuple[int, int], float]
+    initial_log: np.ndarray
+    step_log: np.ndarray
     residual: float
     relative_objective_error: float | None = None
     gauge_component: float = field(default=0.0, repr=False)
@@ -49,19 +51,14 @@ def fit_markov(prior: PathPrior) -> MarkovFit:
     arr = space.array[keep]
     b = prior.log_weights[keep]
 
-    start_nodes = sorted({int(v) for v in arr[:, 0]})
-    transitions = sorted({(int(arr[r, t]), int(arr[r, t + 1]))
-                          for r in range(arr.shape[0])
-                          for t in range(space.horizon)})
-    col_of_start = {v: k for k, v in enumerate(start_nodes)}
-    col_of_step = {pair: len(start_nodes) + k for k, pair in enumerate(transitions)}
-    ncol = len(start_nodes) + len(transitions)
-
-    A = np.zeros((arr.shape[0], ncol))
-    for r in range(arr.shape[0]):
-        A[r, col_of_start[int(arr[r, 0])]] = 1.0
-        for t in range(space.horizon):
-            A[r, col_of_step[(int(arr[r, t]), int(arr[r, t + 1]))]] += 1.0
+    n, m = space.n, arr.shape[0]
+    # a virtual node 0 before every path makes its start a step 0 -> x0; step
+    # i -> j is keyed i * (n + 1) + j, so the sorted keys are the start
+    # columns, then the step columns in (i, j) order
+    prev = np.column_stack([np.zeros(m, dtype=np.int64), arr[:, :-1]])
+    cols, col = np.unique((prev * (n + 1) + arr).ravel(), return_inverse=True)
+    A = np.zeros((m, cols.size))
+    np.add.at(A, (np.arange(m)[:, None], col.reshape(m, space.horizon + 1)), 1.0)
 
     # normal equations with pseudoinverse: (A^T A)^+ A^T b is the minimum-norm
     # least-squares solution, killing the constant-shift gauge
@@ -69,14 +66,14 @@ def fit_markov(prior: PathPrior) -> MarkovFit:
     theta = np.linalg.pinv(gram) @ (A.T @ b)
     residual = float(np.sum((A @ theta - b) ** 2))
 
-    gauge = np.concatenate([np.full(len(start_nodes), -float(space.horizon)),
-                            np.ones(len(transitions))])
+    gauge = np.where(cols <= n, -float(space.horizon), 1.0)
     gauge_component = float(theta @ gauge) / float(gauge @ gauge)
 
-    initial_log = {v: float(theta[col_of_start[v]]) for v in start_nodes}
-    step_log = {pair: float(theta[col_of_step[pair]]) for pair in transitions}
-    return MarkovFit(n=space.n, horizon=space.horizon, initial_log=initial_log,
-                     step_log=step_log, residual=residual,
+    scores = np.full((n + 1) ** 2, -np.inf)
+    scores[cols] = theta
+    scores = scores.reshape(n + 1, n + 1)
+    return MarkovFit(n=n, horizon=space.horizon, initial_log=scores[0, 1:].copy(),
+                     step_log=scores[1:, 1:].copy(), residual=residual,
                      gauge_component=gauge_component)
 
 
@@ -87,14 +84,8 @@ def fitted_prior(fit: MarkovFit) -> MarkovPrior:
     exponentiated after a shift by its top score and normalised (global
     prior scale is gauge).
     """
-    init = np.full(fit.n, -np.inf)
-    for v, s in fit.initial_log.items():
-        init[v - 1] = s
-    init = np.exp(init - init.max())
-    mat = np.full((fit.n, fit.n), -np.inf)
-    for (i, j), s in fit.step_log.items():
-        mat[i - 1, j - 1] = s
-    return MarkovPrior(initial=init / init.sum(), log_matrix=mat)
+    init = np.exp(fit.initial_log - fit.initial_log.max())
+    return MarkovPrior(initial=init / init.sum(), log_matrix=fit.step_log)
 
 
 def markov_plan_from_fit(fit: MarkovFit, problem: IOTProblem, *,

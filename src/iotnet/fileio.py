@@ -13,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +51,21 @@ def _read_json(path: str, what: str) -> object:
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
+def parse_field(what: str, convert: Callable, value: object) -> Any:
+    """``convert(value)``; a value it cannot convert is an error naming ``what``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is malformed: {exc}") from exc
+
+
+def whole_number(value: object) -> int:
+    """``int(value)``, refusing a fractional number instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # probability vectors over nodes
 # ---------------------------------------------------------------------------
@@ -62,13 +77,13 @@ def vector_from_obj(obj: object, n: int, what: str) -> np.ndarray:
     if isinstance(obj, list):
         if len(obj) != n:
             raise ValidationError(f"{what}: expected {n} entries, got {len(obj)}")
-        out[:] = [float(v) for v in obj]
+        out[:] = [parse_field(f"{what}: mass", float, v) for v in obj]
     elif isinstance(obj, dict):
         for key, val in obj.items():
-            idx = int(key)
+            idx = parse_field(f"{what}: node id", int, key)
             if not (1 <= idx <= n):
                 raise ValidationError(f"{what}: unknown node id {idx}")
-            out[idx - 1] = float(val)
+            out[idx - 1] = parse_field(f"{what}: mass", float, val)
     else:
         raise ValidationError(f"{what}: expected a JSON array or object")
     if np.any(out < 0):
@@ -106,8 +121,8 @@ def load_path_distribution(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     if not isinstance(doc, dict) or "horizon" not in doc or "entries" not in doc:
         raise ValidationError(
             f"path distribution {path}: need keys 'horizon' and 'entries'")
-    horizon = int(doc["horizon"])
     where = f"path distribution {path}"
+    horizon = parse_field(f"{where}: horizon", whole_number, doc["horizon"])
     entries = doc["entries"]
     fault = None
     # numpy converts a valid file faster than the entry loop, which is the
@@ -174,12 +189,14 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
     if isinstance(doc, dict) and "initial" in doc:
         initial = vector_from_obj(doc["initial"], n, f"step weights {path} initial")
     if isinstance(doc, dict) and "matrix" in doc:
-        mat = np.asarray(doc["matrix"], dtype=float)
+        mat = parse_field(f"step weights {path}: matrix",
+                          lambda rows: np.asarray(rows, dtype=float), doc["matrix"])
         if mat.shape != (n, n):
             raise ValidationError(
                 f"step weights {path}: matrix shape {mat.shape}, expected {(n, n)}")
     elif isinstance(doc, dict) and ("entries" in doc or "default" in doc):
-        default = float(doc.get("default", 1.0))
+        default = parse_field(f"step weights {path}: default", float,
+                              doc.get("default", 1.0))
         mat = np.zeros((n, n), dtype=float)
         for (i, j) in network.edge_pairs():
             mat[i - 1, j - 1] = default
@@ -236,8 +253,9 @@ def load_prior(path: str):
         raise ValidationError(f"prior {path}: markov prior needs 'matrix' or 'matrices'")
     if kind == "paths":
         try:
-            horizon = int(doc["horizon"])
+            horizon = whole_number(doc["horizon"])
             paths = [[int(v) for v in p] for p in doc["paths"]]
+            n = whole_number(doc["n"]) if "n" in doc else max(map(max, paths))
             weights = np.asarray(doc["weights"], dtype=float)
             # a length column keeps paths of different lengths apart
             width = max(map(len, paths), default=0)
@@ -251,9 +269,12 @@ def load_prior(path: str):
         rank = row_ranks(keyed)
         if _repeats(rank).any():
             raise ValidationError(f"prior {path}: duplicate paths")
-        n = int(doc.get("n", max(max(p) for p in paths)))
         if np.any(keyed[:, 0] != horizon + 1):
             raise ValidationError(f"prior {path}: inconsistent path lengths")
+        outside = np.flatnonzero(((keyed < 1) | (keyed > n))[:, 1:].any(axis=1))
+        if outside.size:
+            raise ValidationError(f"prior {path}: path {format_path(paths[outside[0]])}"
+                                  f" has a node id outside 1..{n}")
         order = np.argsort(rank)
         space = PathSpace(horizon=horizon, n=n, array=keyed[order, 1:])
         return PathPrior(path_space=space, weights=weights[order])
@@ -291,10 +312,11 @@ def plan_to_text(plan) -> str:
         lines.append(f"{format_path(p)}\t{fmt(prob)}\t{fmt(cost)}")
     lines.append("[edge_usage]")
     lines.append("t\tfrom\tto\tmass")
-    for (t, i, j) in sorted(plan.edge_usage):
-        mass = plan.edge_usage[(t, i, j)]
-        if mass >= PLAN_PROB_FLOOR:
-            lines.append(f"{t}\t{i}\t{j}\t{fmt(mass)}")
+    usage = plan.edge_usage
+    steps, tails, heads = np.nonzero(usage >= PLAN_PROB_FLOOR)
+    for t, i, j, mass in zip(steps.tolist(), (tails + 1).tolist(),
+                             (heads + 1).tolist(), usage[steps, tails, heads].tolist()):
+        lines.append(f"{t}\t{i}\t{j}\t{fmt(mass)}")
     return "\n".join(lines) + "\n"
 
 

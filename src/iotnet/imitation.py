@@ -27,7 +27,7 @@ beta * uniform``; a blended Markov target is no longer Markov, so any
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,9 +151,11 @@ class ObjectiveTerms:
 class TransportPlan:
     """Solved plan: path law, objective decomposition, and edge usage.
 
-    ``transition_matrices`` is populated on the Markov route only.
-    ``edge_usage`` maps ``(t, i, j)`` to the mass moved along edge ``(i,j)``
-    at step ``t``; each step's masses sum to 1.
+    ``path_law``, ``path_costs`` and ``target_probs`` are ``(N,)`` arrays
+    aligned with ``path_space``.  ``edge_usage`` is the ``(T, n, n)`` array
+    whose entry ``[t, i - 1, j - 1]`` is the mass moved along edge ``(i, j)``
+    at step ``t``; each step's masses sum to 1.  ``transition_matrices`` (``T``
+    arrays of shape ``(n, n)``) is populated on the Markov route only.
     """
 
     path_space: PathSpace
@@ -162,9 +164,8 @@ class TransportPlan:
     target_probs: np.ndarray
     alpha: float
     objective: ObjectiveTerms
-    edge_usage: dict[tuple[int, int, int], float]
+    edge_usage: np.ndarray
     transition_matrices: list[np.ndarray] | None = None
-    bridge: BridgeSolution | None = field(default=None, repr=False, compare=False)
 
 
 def blend_distribution(q: np.ndarray, beta: float) -> np.ndarray:
@@ -250,29 +251,19 @@ def imitation_prior_paths(space: PathSpace, costs: np.ndarray, q: np.ndarray,
     return PathPrior(path_space=space, log_weights=logw)
 
 
-def edge_usage_from_law(space: PathSpace, law: np.ndarray,
-                        floor: float = 0.0) -> dict[tuple[int, int, int], float]:
-    """Aggregate a path law into per-step edge masses ``(t, i, j) -> mass``.
+def edge_usage_from_law(space: PathSpace, law: np.ndarray) -> np.ndarray:
+    """Aggregate a path law into the ``(T, n, n)`` per-step edge masses.
 
-    Paths with mass above ``floor`` count.  Keys come out in sorted order.
-    One weighted ``bincount`` over the flat index ``(t, i, j)`` adds the
-    masses of each key in path order, as a loop over paths would.
+    Entry ``[t, i - 1, j - 1]`` is the mass of the paths stepping ``i -> j``
+    at step ``t``.  One weighted ``bincount`` per step adds those masses in
+    path order, as a loop over paths would.
     """
     law = np.asarray(law, dtype=float)
-    keep = law > floor
-    arr = space.array[keep]
-    side = space.n + 1
-    steps = np.arange(space.horizon)
-    flat = ((steps * side + arr[:, :-1]) * side + arr[:, 1:]).T.ravel()
-    weights = np.tile(law[keep], space.horizon)
-    size = space.horizon * side * side
-    counts = np.bincount(flat, minlength=size)
-    masses = np.bincount(flat, weights=weights, minlength=size)
-    usage: dict[tuple[int, int, int], float] = {}
-    for key in np.nonzero(counts)[0].tolist():
-        rest, j = divmod(key, side)
-        t, i = divmod(rest, side)
-        usage[(t, i, j)] = float(masses[key])
+    arr, n = space.array, space.n
+    usage = np.empty((space.horizon, n, n))
+    for t in range(space.horizon):
+        flat = arr[:, t] * n + arr[:, t + 1] - (n + 1)  # (i - 1) * n + (j - 1)
+        usage[t] = np.bincount(flat, weights=law, minlength=n * n).reshape(n, n)
     return usage
 
 
@@ -301,7 +292,7 @@ def plan_from_law(problem: IOTProblem, law: np.ndarray,
                          target_probs=q, alpha=problem.alpha,
                          objective=evaluate_objective_terms(law, costs, q, problem.alpha),
                          edge_usage=edge_usage_from_law(space, law),
-                         transition_matrices=solution.transitions, bridge=solution)
+                         transition_matrices=solution.transitions)
 
 
 def solve_iot(problem: IOTProblem, *, force_path: bool = False,

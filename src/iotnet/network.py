@@ -656,32 +656,30 @@ def network_from_dict(doc: dict) -> tuple[Network, CostModel]:
                       str(nd.get("label", ""))) for nd in doc["nodes"]]
         edges = [(int(e["from"]), int(e["to"]), str(e["kind"]),
                   e.get("length_km")) for e in doc["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        rules = {k: float(v) for k, v in doc.get("cost_rules", {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network document: {exc}") from exc
     try:
         network = build_network(nodes, edges)
     except ValueError as exc:  # unknown EdgeKind value
         raise ValidationError(str(exc)) from exc
-    rules = doc.get("cost_rules", {})
     allowed = {"highway_discount_2", "highway_discount_3plus", "switch_penalty_km",
                "storage_cost_km", "maritime_multiplier"}
     unknown = set(rules) - allowed
     if unknown:
         raise ValidationError(f"unknown cost_rules keys: {sorted(unknown)}")
-    model = CostModel.ruled(**{k: float(v) for k, v in rules.items()})
+    model = CostModel.ruled(**rules)
     return network, model
 
 
 def load_network(path: str) -> tuple[Network, CostModel]:
     """Load a network JSON file; returns the network and its ruled cost model."""
+    from .fileio import _read_json
+    doc = _read_json(path, "network")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read network file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"network file {path} is not valid JSON: {exc}") from exc
-    return network_from_dict(doc)
+        return network_from_dict(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"network file {path}: {exc}") from exc
 
 
 def save_network(network: Network, path: str,

@@ -34,7 +34,7 @@ import numpy as np
 from . import fixtures
 from .errors import ValidationError
 from .fileio import (_read_json, atomic_write_text, fmt, load_path_distribution,
-                     load_step_weights)
+                     load_step_weights, parse_field, whole_number)
 from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
 from .network import (CostModel, EdgeKind, Network, PathSpace, _resolve_step,
                       enumerate_paths, load_network, markov_model_from_network,
@@ -77,12 +77,13 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class PlanReport:
-    """Display-ready view of one plan on one cost model."""
+    """Display-ready view of one plan on one cost model; the per-destination
+    cost and mass are ``(n,)`` arrays indexed by ``node - 1``."""
 
     label: str
     total_cost: float
-    per_destination_cost: dict[int, float]
-    per_destination_mass: dict[int, float]
+    per_destination_cost: np.ndarray
+    per_destination_mass: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,7 @@ class ScenarioResult:
 
 
 def _field(what: str, convert: Callable, value: object) -> Any:
-    """``convert(value)``; a value it cannot convert is an error naming ``what``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"scenario field {what} is malformed: {exc}") from exc
+    return parse_field(f"scenario field {what}", convert, value)
 
 
 def _pairs(value: object) -> tuple[tuple[int, int], ...]:
@@ -176,12 +173,13 @@ def load_scenario(path: str) -> ScenarioSpec:
         raise ValidationError(f"scenario {path}: expected a JSON object")
     try:
         network_ref = doc["network"]
-        horizon = int(doc["T"])
+        horizon = doc["T"]
         alpha = float(doc["alpha"])
         block = doc["scenario"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"scenario {path}: need network/T/alpha/scenario: {exc}") from exc
+    horizon = _field("T", whole_number, horizon)
     if not isinstance(block, dict) or "kind" not in block:
         raise ValidationError(f"scenario {path}: 'scenario' needs a 'kind'")
     kind = str(block["kind"]).lower()
@@ -306,6 +304,7 @@ class Destinations:
     in the same order as a sum over the mask ``space.ends == node``.
     """
 
+    n: int
     order: np.ndarray
     spans: tuple[tuple[int, int, int], ...]  # (node, lo, hi): order[lo:hi]
 
@@ -314,19 +313,16 @@ class Destinations:
         order = np.argsort(space.ends, kind="stable")
         nodes, lo = np.unique(space.ends[order], return_index=True)
         hi = [*lo[1:].tolist(), order.size]
-        return cls(order, tuple(zip(nodes.tolist(), lo.tolist(), hi)))
+        return cls(space.n, order, tuple(zip(nodes.tolist(), lo.tolist(), hi)))
 
     def totals(self, law: np.ndarray, costs: np.ndarray
-               ) -> tuple[dict[int, float], dict[int, float]]:
-        """Cost and mass of ``law`` per destination, skipping massless ones."""
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Cost and mass of ``law`` per destination, as ``(n,)`` arrays."""
         law, costs = law[self.order], costs[self.order]
-        cost_by_dest: dict[int, float] = {}
-        mass_by_dest: dict[int, float] = {}
+        cost_by_dest, mass_by_dest = np.zeros(self.n), np.zeros(self.n)
         for node, lo, hi in self.spans:
-            mass = float(law[lo:hi].sum())
-            if mass > 0:
-                mass_by_dest[node] = mass
-                cost_by_dest[node] = float(law[lo:hi] @ costs[lo:hi])
+            mass_by_dest[node - 1] = law[lo:hi].sum()
+            cost_by_dest[node - 1] = law[lo:hi] @ costs[lo:hi]
         return cost_by_dest, mass_by_dest
 
 
@@ -461,11 +457,10 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
         # in field order: imitation before/after, then optimal before/after
         plans = (reports["imitation"], after["imitation"], reports["optimal"],
                  after["optimal"])
-        total = float(sum(supply.values()))
-        rows = tuple(DisasterRow(node, demand[node] / total,
-                                 *(p.per_destination_cost.get(node, 0.0)
+        rows = tuple(DisasterRow(node, float(nuT[node - 1]),
+                                 *(float(p.per_destination_cost[node - 1])
                                    for p in plans))
-                     for node in sorted(demand))
+                     for node in (np.flatnonzero(nuT) + 1).tolist())
         disaster = DisasterResult(event.multiplier, event.edges, rows,
                                   *(p.total_cost for p in plans))
     return ScenarioResult(kind=spec.kind, alpha=spec.alpha, beta=spec.beta,
@@ -478,24 +473,23 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 
-def emit_report(result: ScenarioResult, out_dir: str,
-                threshold: float = DISPLAY_THRESHOLD) -> list[str]:
+def emit_report(result: ScenarioResult, out_dir: str) -> list[str]:
     """Write report files; returns the paths written.
 
     ``report_usage_t{t}.csv`` — the imitation plan's edge usage per step,
-    flows below ``threshold`` hidden.  ``report_summary.txt`` — costs and
+    flows below ``DISPLAY_THRESHOLD`` hidden.  ``report_summary.txt`` — costs and
     objective decomposition for every plan.  ``report_disaster.csv`` — per
     destination before/after re-pricing (risk scenarios).
     """
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     plan = result.imitation_plan
-    usage = plan.edge_usage
-    for t in range(result.space.horizon):
+    for t, usage in enumerate(plan.edge_usage):
         lines = ["from,to,mass"]
-        for (step, i, j), mass in usage.items():
-            if step == t and mass >= threshold:
-                lines.append(f"{i},{j},{fmt(mass)}")
+        tails, heads = np.nonzero(usage >= DISPLAY_THRESHOLD)
+        for i, j, mass in zip((tails + 1).tolist(), (heads + 1).tolist(),
+                              usage[tails, heads].tolist()):
+            lines.append(f"{i},{j},{fmt(mass)}")
         path = os.path.join(out_dir, f"report_usage_t{t}.csv")
         atomic_write_text(path, "\n".join(lines) + "\n")
         written.append(path)

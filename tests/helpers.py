@@ -30,6 +30,19 @@ def marginal_gap(space, law, nu0, nuT) -> float:
     return max(float(np.abs(start - nu0).max()), float(np.abs(end - nuT).max()))
 
 
+def usage_dict_loop(space, law):
+    """Reference edge usage: the per-path loop into a sorted ``(t, i, j) -> mass``
+    dict, counting paths with positive mass."""
+    usage = {}
+    arr = space.array
+    for t in range(space.horizon):
+        for i, j, mass in zip(arr[:, t], arr[:, t + 1], law):
+            if mass > 0:
+                key = (t, int(i), int(j))
+                usage[key] = usage.get(key, 0.0) + float(mass)
+    return dict(sorted(usage.items()))
+
+
 def brute_paths(network, horizon, starts, ends, model):
     """Reference path enumeration by plain product-and-filter iteration."""
     nodes = range(1, network.n + 1)

@@ -96,6 +96,58 @@ def test_gauge_shifted_priors_fit_to_one_plan(rng):
               markov_path_law(solB, d["nu0"], space)) < 1e-10
 
 
+def _dict_era_fit(prior):
+    """The per-path double loop and column dicts that ``fit_markov`` replaced,
+    returning the scores as node-keyed dicts."""
+    space = prior.path_space
+    keep = np.nonzero(prior.log_weights > -np.inf)[0]
+    arr = space.array[keep]
+    b = prior.log_weights[keep]
+    start_nodes = sorted({int(v) for v in arr[:, 0]})
+    transitions = sorted({(int(arr[r, t]), int(arr[r, t + 1]))
+                          for r in range(arr.shape[0])
+                          for t in range(space.horizon)})
+    col_of_start = {v: k for k, v in enumerate(start_nodes)}
+    col_of_step = {pair: len(start_nodes) + k for k, pair in enumerate(transitions)}
+    A = np.zeros((arr.shape[0], len(start_nodes) + len(transitions)))
+    for r in range(arr.shape[0]):
+        A[r, col_of_start[int(arr[r, 0])]] = 1.0
+        for t in range(space.horizon):
+            A[r, col_of_step[(int(arr[r, t]), int(arr[r, t + 1]))]] += 1.0
+    theta = np.linalg.pinv(A.T @ A) @ (A.T @ b)
+    residual = float(np.sum((A @ theta - b) ** 2))
+    gauge = np.concatenate([np.full(len(start_nodes), -float(space.horizon)),
+                            np.ones(len(transitions))])
+    gauge_component = float(theta @ gauge) / float(gauge @ gauge)
+    initial = {v: float(theta[col_of_start[v]]) for v in start_nodes}
+    steps = {pair: float(theta[col_of_step[pair]]) for pair in transitions}
+    return initial, steps, residual, gauge_component
+
+
+def test_fit_equals_the_dict_era_loop_exactly(rng, synth30):
+    priors = [_ruled_prior(synth30)]
+    for _ in range(4):
+        d = fixtures.random_markov_problem(rng)
+        w = _chain_weights(d["space"], d["target_initial"], d["target_matrix"])
+        w *= rng.random(w.size)
+        w[rng.random(w.size) < 0.3] = 0.0   # unseen starts and steps
+        if w.any():
+            priors.append(PathPrior(path_space=d["space"], weights=w))
+    for prior in priors:
+        fit = fit_markov(prior)
+        initial, steps, residual, gauge_component = _dict_era_fit(prior)
+        n = prior.path_space.n
+        want_initial, want_steps = np.full(n, -np.inf), np.full((n, n), -np.inf)
+        for v, score in initial.items():
+            want_initial[v - 1] = score
+        for (i, j), score in steps.items():
+            want_steps[i - 1, j - 1] = score
+        assert np.array_equal(fit.initial_log, want_initial)
+        assert np.array_equal(fit.step_log, want_steps)
+        assert fit.residual == residual
+        assert fit.gauge_component == gauge_component
+
+
 def test_fit_rejects_empty_support(tiny):
     with pytest.raises(ValidationError):
         PathPrior(path_space=tiny.space, weights=np.zeros(tiny.space.size))

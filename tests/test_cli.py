@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from iotnet import fixtures, load_prior, read_plan, save_path_distribution
+from iotnet import (fixtures, load_prior, read_plan, save_network,
+                    save_path_distribution)
 from iotnet.cli import main
 
 
@@ -360,3 +361,59 @@ def test_oracle_check_small_fixtures(outdir, capsys, fixture):
 def test_oracle_check_unknown_fixture(outdir, capsys):
     code, _, err = run_cli(["oracle", "check", "--fixture", "bogus"], capsys)
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+# ---------------------------------------------------------------------------
+
+
+def _network_file(path, cost_rules):
+    network, ruled = fixtures.four_node_fixture()
+    save_network(network, str(path), ruled=ruled)
+    doc = json.loads(path.read_text())
+    doc["cost_rules"] = cost_rules
+    path.write_text(json.dumps(doc))
+
+
+_TINY = ["solve", "--network", "builtin:tiny", "--alpha", "0.5"]
+
+
+@pytest.mark.parametrize("name, doc, argv", [
+    ("q.json", {"horizon": "x", "entries": []}, _TINY + ["--q-file", "q.json"]),
+    ("m.json", ["a", 0.5, 0.5], _TINY + ["--nu0", "m.json"]),
+    ("m.json", {"x": 1.0}, _TINY + ["--nu0", "m.json"]),
+    ("rq.json", {"default": "heavy"}, _TINY + ["--rq-file", "rq.json"]),
+    ("rq.json", {"matrix": [["a", 1, 1], [1, 1, 1], [1, 1, 1]]},
+     _TINY + ["--rq-file", "rq.json"]),
+    ("p.json", {"type": "paths", "horizon": 1, "n": "z", "paths": [[1, 2]],
+                "weights": [1.0]}, ["approx", "--prior", "p.json"]),
+    ("net.json", {"switch_penalty_km": "big"},
+     ["solve", "--network", "net.json", "--alpha", "1", "--horizon", "2"]),
+], ids=["q-horizon", "marginal-entry", "marginal-key", "rq-default",
+        "rq-matrix-entry", "prior-n", "network-cost-rule"])
+def test_malformed_files_are_refused_with_an_error_naming_them(outdir, capsys,
+                                                               name, doc, argv):
+    if name == "net.json":
+        _network_file(outdir / name, doc)
+    else:
+        (outdir / name).write_text(json.dumps(doc))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("error:") and name in last
+
+
+@pytest.mark.parametrize("command", ["bridge", "approx"])
+@pytest.mark.parametrize("path", [[1, 3], [0, 1]], ids=["above-n", "zero"])
+def test_path_prior_ids_outside_the_nodes_are_refused(outdir, capsys, command, path):
+    doc = {"type": "paths", "horizon": 1, "n": 2, "paths": [[1, 2], path],
+           "weights": [0.5, 0.5]}
+    (outdir / "p.json").write_text(json.dumps(doc))
+    (outdir / "m.json").write_text(json.dumps([0.5, 0.5]))
+    argv = ["approx", "--prior", "p.json"] if command == "approx" else [
+        "bridge", "--prior", "p.json", "--nu0", "m.json", "--nuT", "m.json"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "outside 1..2" in err.strip().splitlines()[-1]

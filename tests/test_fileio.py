@@ -35,7 +35,7 @@ from iotnet.fileio import (
     vector_from_obj,
 )
 
-from helpers import uniform_problem
+from helpers import uniform_problem, usage_dict_loop
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +109,11 @@ def test_path_distribution_validation(tmp_path):
         {"path": [1, 2], "prob": 0.5}, {"path": [1, 2], "prob": 0.5}]}))
     with pytest.raises(ValidationError):
         load_path_distribution(str(f))
+    # a fractional horizon is refused, not truncated to fit the paths
+    f.write_text(json.dumps({"horizon": 1.5,
+                             "entries": [{"path": [1, 2], "prob": 1.0}]}))
+    with pytest.raises(ValidationError, match="1.5 is not a whole number"):
+        load_path_distribution(str(f))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +183,10 @@ def test_prior_file_validation(tmp_path):
                              "paths": [[1, 2], [1, 2]], "weights": [1.0, 1.0]}))
     with pytest.raises(ValidationError):
         load_prior(str(f))
+    f.write_text(json.dumps({"type": "paths", "horizon": 1.5, "n": 2,
+                             "paths": [[1, 2]], "weights": [1.0]}))
+    with pytest.raises(ValidationError, match="1.5 is not a whole number"):
+        load_prior(str(f))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +232,17 @@ def test_plan_paths_section_keeps_rows_at_or_above_the_floor(tiny):
         for k, p in enumerate(tiny.space.paths) if float(law[k]) >= PLAN_PROB_FLOOR)
     assert section == expected
     assert section.startswith(format_path(tiny.space.paths[0]) + "\t")
+
+
+@pytest.mark.parametrize("alpha", [0.8, 0.01])
+def test_plan_edge_usage_section_equals_the_dict_era_writer(tiny, alpha):
+    plan = solve_iot(uniform_problem(tiny, alpha))
+    usage = usage_dict_loop(tiny.space, plan.path_law)
+    lines = ["[edge_usage]", "t\tfrom\tto\tmass"]
+    lines += [f"{t}\t{i}\t{j}\t{fmt(mass)}" for (t, i, j), mass in usage.items()
+              if mass >= PLAN_PROB_FLOOR]
+    text = plan_to_text(plan)
+    assert text[text.index("[edge_usage]\n"):] == "\n".join(lines) + "\n"
 
 
 def test_plan_parse_rejects_garbage():

@@ -225,13 +225,12 @@ def test_alpha_monotonicity_of_cost_term(tiny):
 def test_edge_usage_accounts_every_step(tiny):
     plan = solve_iot(uniform_problem(tiny, 0.8))
     for t in range(tiny.space.horizon):
-        step_mass = sum(m for (tt, _i, _j), m in plan.edge_usage.items()
-                        if tt == t)
+        step_mass = plan.edge_usage[t].sum()
         assert step_mass == pytest.approx(1.0, abs=1e-9)
     # spot-check one entry against the path law
     arr = tiny.space.array
     mask = (arr[:, 0] == 1) & (arr[:, 1] == 2)
-    assert plan.edge_usage.get((0, 1, 2), 0.0) == pytest.approx(
+    assert plan.edge_usage[0, 0, 1] == pytest.approx(
         float(plan.path_law[mask].sum()), abs=1e-12)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from iotnet import InfeasibleError, ValidationError
 from iotnet import fixtures
+from iotnet.fileio import fmt
 from iotnet.network import markov_model_from_network, path_vector
 from iotnet.scenario import (
     DISPLAY_THRESHOLD,
@@ -19,6 +20,8 @@ from iotnet.scenario import (
     load_scenario,
     run_scenario,
 )
+
+from helpers import usage_dict_loop
 
 
 def _write_spec(tmp_path, doc, name="scenario.json"):
@@ -123,8 +126,9 @@ def test_load_scenario_reads_disaster_block(tmp_path):
      "weights.maritime"),
     ({"scenario": {"kind": "risk", "normalize_rows": "false"}},
      "normalize_rows"),
+    ({"T": 3.5}, "field T is malformed: 3.5 is not a whole number"),
 ], ids=["affected-triple", "multiplier-text", "disaster-list", "supply-key",
-        "weight-text", "flag-text"])
+        "weight-text", "flag-text", "fractional-T"])
 def test_load_scenario_names_the_malformed_field(tmp_path, patch, field):
     doc = dict(RISK_DOC, **patch)
     with pytest.raises(ValidationError, match=re.escape(field)):
@@ -180,9 +184,9 @@ def test_imitation_scenario_cost_ordering(imitation_result):
 
 def test_report_totals_decompose_by_destination(imitation_result):
     for rep in imitation_result.reports.values():
-        assert sum(rep.per_destination_cost.values()) == pytest.approx(
+        assert rep.per_destination_cost.sum() == pytest.approx(
             rep.total_cost, abs=1e-9)
-        assert sum(rep.per_destination_mass.values()) == pytest.approx(
+        assert rep.per_destination_mass.sum() == pytest.approx(
             1.0, abs=1e-9)
 
 
@@ -349,6 +353,20 @@ def test_emitted_usage_tables_conserve_mass(tmp_path, risk_result,
             # flows below the display threshold are dropped from the table
             slack = DISPLAY_THRESHOLD * result.space.size
             assert total == pytest.approx(1.0, abs=min(slack, 0.05))
+
+
+def test_usage_tables_equal_the_dict_era_writer(tmp_path, risk_result,
+                                               imitation_result):
+    for result in (risk_result, imitation_result):
+        out = tmp_path / result.kind
+        emit_report(result, str(out))
+        usage = usage_dict_loop(result.space, result.imitation_plan.path_law)
+        for t in range(result.space.horizon):
+            lines = ["from,to,mass"] + [
+                f"{i},{j},{fmt(mass)}" for (step, i, j), mass in usage.items()
+                if step == t and mass >= DISPLAY_THRESHOLD]
+            text = (out / f"report_usage_t{t}.csv").read_text()
+            assert text == "\n".join(lines) + "\n"
 
 
 def test_emit_report_is_deterministic(tmp_path, risk_result):

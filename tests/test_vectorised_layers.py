@@ -33,7 +33,7 @@ from iotnet.network import PathSpace, _resolve_step
 from iotnet.oracle import lp_ot
 from iotnet.scenario import Destinations, cheapest_path_lp
 
-from helpers import marginal_gap
+from helpers import marginal_gap, usage_dict_loop
 
 ROAD_KINDS = (EdgeKind.HIGHWAY, EdgeKind.MARITIME, EdgeKind.LOCAL)
 PROPERTY = settings(max_examples=60, deadline=None,
@@ -143,18 +143,6 @@ def test_path_costs_reject_infinite_cost_paths(mode):
         path_costs(space, model, network)
 
 
-def _usage_loop(space, law, floor):
-    """The per-path dictionary loop that ``edge_usage_from_law`` replaced."""
-    usage = {}
-    arr = space.array
-    for t in range(space.horizon):
-        for i, j, mass in zip(arr[:, t], arr[:, t + 1], law):
-            if mass > floor:
-                key = (t, int(i), int(j))
-                usage[key] = usage.get(key, 0.0) + float(mass)
-    return dict(sorted(usage.items()))
-
-
 @PROPERTY
 @given(priced_spaces(), st.integers(0, 2**32 - 1))
 def test_edge_usage_equals_dict_loop_exactly(case, seed):
@@ -164,10 +152,10 @@ def test_edge_usage_equals_dict_loop_exactly(case, seed):
     rng = np.random.default_rng(seed)
     law = rng.random(space.size)
     law[rng.random(space.size) < 0.3] = 0.0
-    # a negative floor keeps zero-mass paths, whose keys must still appear
-    for floor in (0.0, float(np.median(law)), -1.0):
-        got = edge_usage_from_law(space, law, floor)
-        assert list(got.items()) == list(_usage_loop(space, law, floor).items())
+    want = np.zeros((space.horizon, space.n, space.n))
+    for (t, i, j), mass in usage_dict_loop(space, law).items():
+        want[t, i - 1, j - 1] = mass
+    assert np.array_equal(edge_usage_from_law(space, law), want)
 
 
 def _lp_case(name):
@@ -241,16 +229,17 @@ def test_risk_scenario_never_builds_path_tuples(tmp_path):
 
 
 def _per_destination_masked(space, law, costs):
-    """The masked per-destination loop that ``Destinations.totals`` replaced."""
-    cost_by_dest, mass_by_dest = {}, {}
+    """The masked per-destination loop that ``Destinations.totals`` replaced,
+    its node-keyed dicts written into ``(n,)`` arrays."""
+    cost_by_dest, mass_by_dest = np.zeros(space.n), np.zeros(space.n)
     for end in np.unique(space.ends).tolist():
         mask = space.ends == end
         dest_law = law[mask]
         mass = float(dest_law.sum())
         if mass <= 0:
             continue
-        mass_by_dest[end] = mass
-        cost_by_dest[end] = float(dest_law @ costs[mask])
+        mass_by_dest[end - 1] = mass
+        cost_by_dest[end - 1] = float(dest_law @ costs[mask])
     return cost_by_dest, mass_by_dest
 
 
@@ -274,7 +263,7 @@ def test_destination_slices_equal_masked_sums_exactly(name):
         for cost in (costs, repriced):
             got = destinations.totals(law, cost)
             want = _per_destination_masked(space, law, cost)
-            for got_map, want_map in zip(got, want):
-                assert list(got_map.items()) == list(want_map.items()), label
-    kept = set(destinations.totals(gapped, costs)[1])
+            for got_arr, want_arr in zip(got, want):
+                assert np.array_equal(got_arr, want_arr), label
+    kept = set((np.flatnonzero(destinations.totals(gapped, costs)[1]) + 1).tolist())
     assert kept == set(ends[1::2].tolist())
