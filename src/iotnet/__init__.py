@@ -5,7 +5,8 @@ The package solves endpoint-constrained path-distribution problems of the form
 bridge: tilt the target by the path costs, then match the endpoint marginals
 with Sinkhorn scaling.  Markov structure is exploited when it exists (the
 Gibbs edge weights times the target's step weights are bridged as a Markov
-prior), and explicit path enumeration handles rule-based, non-additive costs
+prior, and the plan is read off the solution chain without paths), and
+explicit path enumeration handles rule-based, non-additive costs
 (both in ``imitation``).  ``spectral`` builds the maximum-entropy-rate walk
 for ``iot rbwalk``; no solve needs it.  ``approx`` fits the best Markov chain to
 a non-Markov solution, ``robust`` certifies worst-case costs over an entropic

@@ -21,7 +21,8 @@ import numpy as np
 
 from .bridge import MarkovPrior, PathPrior, markov_path_law, sinkhorn_markov
 from .errors import ValidationError
-from .imitation import IOTProblem, TransportPlan, plan_from_law, solve_iot
+from .imitation import (IOTProblem, TransportPlan, plan_from_law, problem_space,
+                        solve_iot)
 
 
 @dataclass
@@ -44,6 +45,22 @@ class MarkovFit:
     gauge_component: float = field(default=0.0, repr=False)
 
 
+def normal_equations(col: np.ndarray, b: np.ndarray,
+                     size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``A.T @ A`` and ``A.T @ b`` of the design matrix ``A`` whose row ``p``
+    counts the columns listed in ``col[p]``, without forming ``A``.
+
+    ``(A.T @ A)[r, c]`` counts the pairs of positions of one row holding
+    ``r`` and ``c``, so it is a ``bincount`` over those pairs (integers, so
+    exact); ``(A.T @ b)[c]`` adds ``b[p]`` once per position holding ``c``.
+    """
+    pairs = (col[:, :, None] * size + col[:, None, :]).ravel()
+    gram = np.bincount(pairs, minlength=size * size).reshape(size, size)
+    rhs = np.bincount(col.ravel(), weights=np.repeat(b, col.shape[1]),
+                      minlength=size)
+    return gram.astype(float), rhs
+
+
 def fit_markov(prior: PathPrior) -> MarkovFit:
     """Least-squares log-space fit of a Markov chain to a path prior."""
     space = prior.path_space
@@ -57,14 +74,13 @@ def fit_markov(prior: PathPrior) -> MarkovFit:
     # columns, then the step columns in (i, j) order
     prev = np.column_stack([np.zeros(m, dtype=np.int64), arr[:, :-1]])
     cols, col = np.unique((prev * (n + 1) + arr).ravel(), return_inverse=True)
-    A = np.zeros((m, cols.size))
-    np.add.at(A, (np.arange(m)[:, None], col.reshape(m, space.horizon + 1)), 1.0)
+    col = col.reshape(m, space.horizon + 1)
 
     # normal equations with pseudoinverse: (A^T A)^+ A^T b is the minimum-norm
     # least-squares solution, killing the constant-shift gauge
-    gram = A.T @ A
-    theta = np.linalg.pinv(gram) @ (A.T @ b)
-    residual = float(np.sum((A @ theta - b) ** 2))
+    gram, rhs = normal_equations(col, b, cols.size)
+    theta = np.linalg.pinv(gram) @ rhs
+    residual = float(np.sum((theta[col].sum(axis=1) - b) ** 2))
 
     gauge = np.where(cols <= n, -float(space.horizon), 1.0)
     gauge_component = float(theta @ gauge) / float(gauge @ gauge)
@@ -97,7 +113,7 @@ def markov_plan_from_fit(fit: MarkovFit, problem: IOTProblem, *,
     so the result is directly comparable with the exact plan (and never beats
     it: the fitted plan is feasible but generally suboptimal).
     """
-    space = problem.path_space
+    space = problem_space(problem)
     if fit.horizon != space.horizon or fit.n != space.n:
         raise ValidationError("fit dimensions do not match the problem")
     prior = fitted_prior(fit)

@@ -352,7 +352,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     written = emit_report(result, args.out_dir)
     opt = result.reports["optimal"].total_cost
     imi = result.reports["imitation"].total_cost
-    line = (f"kind={result.kind} paths={result.space.size} "
+    line = (f"kind={result.kind} paths={result.paths} "
             f"optimal_cost={fmt(opt)} imitation_cost={fmt(imi)}")
     if result.disaster is not None:
         line += (f" imitation_after={fmt(result.disaster.imitation_total_after)}"

@@ -114,8 +114,9 @@ def load_path_distribution(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     """Load a q-file: ``{"horizon": T, "entries": [{"path": [...], "prob": p}]}``.
 
     Returns ``(horizon, rows, probs)`` in file order.  An invalid file is reported
-    at its first entry that does not parse (ids beyond int64 do not), has the
-    wrong length, a negative prob or an earlier entry's path, in that order.
+    at its first entry that does not parse (fractional ids and ids beyond int64
+    do not), has the wrong length, a negative prob or an earlier entry's path,
+    in that order.
     """
     doc = _read_json(path, "path distribution")
     if not isinstance(doc, dict) or "horizon" not in doc or "entries" not in doc:
@@ -127,17 +128,20 @@ def load_path_distribution(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     fault = None
     # numpy converts a valid file faster than the entry loop, which is the
     # reference for how an entry reads and runs when numpy fails or reads a
-    # path otherwise than int() per node (such as a digit string)
+    # path otherwise than whole_number() per node: any id that is not an
+    # integer (a float, a digit string) leaves numpy an array of another kind
     try:
-        rows = np.array([ent["path"] for ent in entries], dtype=np.int64)
+        rows = np.array([ent["path"] for ent in entries])
         probs = np.array([float(ent["prob"]) for ent in entries])
     except (KeyError, TypeError, ValueError, OverflowError):
         rows = None
-    if rows is None or rows.shape != (len(entries), horizon + 1):
+    if (rows is None or rows.dtype != np.int64
+            or rows.shape != (len(entries), horizon + 1)):
         rows, probs = [], []
         for ent in entries:
             try:
-                nodes = np.array([int(v) for v in ent["path"]], dtype=np.int64)
+                nodes = np.array([whole_number(v) for v in ent["path"]],
+                                 dtype=np.int64)
                 prob = float(ent["prob"])
             except (KeyError, TypeError, ValueError, OverflowError):
                 fault = f"{where}: bad entry {ent}"
@@ -254,7 +258,7 @@ def load_prior(path: str):
     if kind == "paths":
         try:
             horizon = whole_number(doc["horizon"])
-            paths = [[int(v) for v in p] for p in doc["paths"]]
+            paths = [[whole_number(v) for v in p] for p in doc["paths"]]
             n = whole_number(doc["n"]) if "n" in doc else max(map(max, paths))
             weights = np.asarray(doc["weights"], dtype=float)
             # a length column keeps paths of different lengths apart

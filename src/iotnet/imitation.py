@@ -9,9 +9,11 @@ prior, which is how :func:`solve_iot` computes the optimum:
   Markov prior whose log step matrix is the Gibbs edge log-weights
   ``-c(i,j)/alpha`` plus the log of the target's step weights, so a path's
   prior log-weight is ``-C(x)/alpha + log Q(x)`` up to its start term, which
-  the bridge absorbs.  No path enumeration in the solve itself, and no
-  strong-connectivity requirement: the bridge exists whenever the ``T``-step
-  kernel links every supported start to every supported end.
+  the bridge absorbs.  No strong-connectivity requirement: the bridge exists
+  whenever the ``T``-step kernel links every supported start to every
+  supported end.  No path enumeration either: the plan is the solution chain,
+  whose edge usage and objective are ``n x n`` contractions
+  (:func:`chain_plan`); its path arrays are built only when read.
 * Path route (everything else, including rule-based non-additive costs and
   blended targets): build explicit path log-weights ``-C(x)/alpha + log
   Q(x)`` and bridge the explicit prior through its log endpoint kernel.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,14 +38,15 @@ from .bridge import (BridgeSolution, MarkovPrior, PathPrior, markov_path_law,
                      path_kl, path_law_from_endpoint, sinkhorn_markov,
                      sinkhorn_path)
 from .errors import InfeasibleError, ValidationError
-from .network import (MARKOV, CostModel, Network, PathSpace,
-                      log_weight_matrix, path_costs)
+from .network import (MARKOV, CostModel, Network, PathSpace, cost_matrix,
+                      enumerate_paths, log_weight_matrix, path_costs)
 
 __all__ = [
     "ImitationTarget", "IOTProblem", "ObjectiveTerms", "TransportPlan",
-    "blend_distribution", "expand_target", "imitation_prior_markov",
-    "imitation_prior_paths", "plan_from_law", "solve_iot",
-    "edge_usage_from_law", "evaluate_objective_terms",
+    "blend_distribution", "chain_plan", "expand_target",
+    "imitation_prior_markov", "imitation_prior_paths", "plan_from_law",
+    "problem_space", "solve_iot", "edge_usage_from_law",
+    "evaluate_objective_terms",
 ]
 
 
@@ -120,24 +124,51 @@ class ImitationTarget:
         return self.matrix is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IOTProblem:
+    """One imitation-regularized transport problem.
+
+    ``path_space`` may be left out on the Markov route, which solves without
+    paths: give ``horizon`` instead, and the space of horizon-step paths
+    from ``nu0``'s support to ``nuT``'s is enumerated only when a plan's path
+    arrays are read (:func:`problem_space`).
+    """
+
     network: Network
     cost_model: CostModel
-    path_space: PathSpace
     nu0: np.ndarray
     nuT: np.ndarray
     alpha: float
     target: ImitationTarget
+    path_space: PathSpace | None = None
+    horizon: int | None = None
 
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
+        space = self.path_space
+        if space is None and self.horizon is None:
+            raise ValidationError("give a path_space or a horizon")
+        if space is not None:
+            if self.horizon not in (None, space.horizon):
+                raise ValidationError(f"horizon {self.horizon} != path space "
+                                      f"horizon {space.horizon}")
+            object.__setattr__(self, "horizon", space.horizon)
+        n = self.network.n if space is None else space.n
         for name in ("nu0", "nuT"):
             vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (self.path_space.n,):
-                raise ValidationError(f"{name} must have length {self.path_space.n}")
+            if vec.shape != (n,):
+                raise ValidationError(f"{name} must have length {n}")
             object.__setattr__(self, name, vec)
+
+
+def problem_space(problem: IOTProblem) -> PathSpace:
+    """The problem's path space: the given one, or the enumerated one."""
+    if problem.path_space is not None:
+        return problem.path_space
+    return enumerate_paths(problem.network, problem.horizon,
+                           np.flatnonzero(problem.nu0) + 1,
+                           np.flatnonzero(problem.nuT) + 1, problem.cost_model)
 
 
 @dataclass(frozen=True)
@@ -147,25 +178,49 @@ class ObjectiveTerms:
     total: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """Solved plan: path law, objective decomposition, and edge usage.
+    """Solved plan: objective decomposition, edge usage, and the path arrays.
 
-    ``path_law``, ``path_costs`` and ``target_probs`` are ``(N,)`` arrays
-    aligned with ``path_space``.  ``edge_usage`` is the ``(T, n, n)`` array
-    whose entry ``[t, i - 1, j - 1]`` is the mass moved along edge ``(i, j)``
-    at step ``t``; each step's masses sum to 1.  ``transition_matrices`` (``T``
-    arrays of shape ``(n, n)``) is populated on the Markov route only.
+    ``edge_usage`` is the ``(T, n, n)`` array whose entry ``[t, i - 1, j - 1]``
+    is the mass moved along edge ``(i, j)`` at step ``t``; each step's masses
+    sum to 1.  ``path_law``, ``path_costs`` and ``target_probs`` are ``(N,)``
+    arrays aligned with ``path_space``.  The path route computes them while
+    solving; on the Markov route, which solves without paths, each is built
+    on first access (the space by :func:`problem_space`, the law from the
+    solution chain).  ``transition_matrices`` (``T`` arrays of shape
+    ``(n, n)``) is populated on the Markov route only.
     """
 
-    path_space: PathSpace
-    path_law: np.ndarray
-    path_costs: np.ndarray
-    target_probs: np.ndarray
-    alpha: float
+    problem: IOTProblem
+    bridge: BridgeSolution
     objective: ObjectiveTerms
     edge_usage: np.ndarray
-    transition_matrices: list[np.ndarray] | None = None
+
+    @property
+    def alpha(self) -> float:
+        return self.problem.alpha
+
+    @property
+    def transition_matrices(self) -> list[np.ndarray] | None:
+        return self.bridge.transitions
+
+    @cached_property
+    def path_space(self) -> PathSpace:
+        return problem_space(self.problem)
+
+    @cached_property
+    def path_law(self) -> np.ndarray:
+        return markov_path_law(self.bridge, self.problem.nu0, self.path_space)
+
+    @cached_property
+    def path_costs(self) -> np.ndarray:
+        return path_costs(self.path_space, self.problem.cost_model,
+                          self.problem.network)
+
+    @cached_property
+    def target_probs(self) -> np.ndarray:
+        return expand_target(self.problem.target, self.path_space)
 
 
 def blend_distribution(q: np.ndarray, beta: float) -> np.ndarray:
@@ -174,6 +229,16 @@ def blend_distribution(q: np.ndarray, beta: float) -> np.ndarray:
     if not (0.0 <= beta <= 1.0):
         raise ValidationError(f"beta must be in [0,1], got {beta}")
     return (1.0 - beta) * q + beta / q.shape[0]
+
+
+def _target_initial(target: ImitationTarget, n: int) -> np.ndarray:
+    """A Markov target's initial weights (uniform when it has none), after
+    checking that its matrix is over the problem's ``n`` nodes."""
+    size = target.matrix.shape[0]
+    if size != n:
+        raise ValidationError(f"target matrix is {size}x{size} but the path "
+                              f"space has {n} nodes")
+    return target.initial if target.initial is not None else np.full(n, 1.0 / n)
 
 
 def expand_target(target: ImitationTarget, space: PathSpace) -> np.ndarray:
@@ -185,14 +250,7 @@ def expand_target(target: ImitationTarget, space: PathSpace) -> np.ndarray:
     space's paths.
     """
     if target.is_markov:
-        mat = target.matrix
-        if mat.shape[0] != space.n:
-            raise ValidationError(
-                f"target matrix is {mat.shape[0]}x{mat.shape[0]} but the path "
-                f"space has {space.n} nodes")
-        init = target.initial
-        if init is None:
-            init = np.full(space.n, 1.0 / space.n)
+        mat, init = target.matrix, _target_initial(target, space.n)
         arr = space.array - 1
         q = init[arr[:, 0]].copy()
         for t in range(space.horizon):
@@ -278,21 +336,55 @@ def evaluate_objective_terms(law: np.ndarray, costs: np.ndarray, q: np.ndarray,
 def plan_from_law(problem: IOTProblem, law: np.ndarray,
                   solution: BridgeSolution, *, costs: np.ndarray | None = None,
                   q: np.ndarray | None = None) -> TransportPlan:
-    """Assemble the plan of a solved bridge, priced under ``problem``.
+    """Assemble the plan of a path law, priced under ``problem``.
 
     ``costs`` and ``q`` are the problem's path costs and expanded target,
     computed here unless the caller already has them.
     """
-    space = problem.path_space
+    space = problem_space(problem)
     if costs is None:
         costs = path_costs(space, problem.cost_model, problem.network)
     if q is None:
         q = expand_target(problem.target, space)
-    return TransportPlan(path_space=space, path_law=law, path_costs=costs,
-                         target_probs=q, alpha=problem.alpha,
-                         objective=evaluate_objective_terms(law, costs, q, problem.alpha),
-                         edge_usage=edge_usage_from_law(space, law),
-                         transition_matrices=solution.transitions)
+    plan = TransportPlan(
+        problem=problem, bridge=solution,
+        objective=evaluate_objective_terms(law, costs, q, problem.alpha),
+        edge_usage=edge_usage_from_law(space, law))
+    # the path arrays are known: fill the lazy fields
+    plan.__dict__.update(path_space=space, path_law=law, path_costs=costs,
+                         target_probs=q)
+    return plan
+
+
+def chain_plan(problem: IOTProblem, solution: BridgeSolution) -> TransportPlan:
+    """Assemble the plan of a Markov-route bridge from its chain, without paths.
+
+    Edge usage is a forward pass: ``usage[t] = mu_t[:, None] * Pi_t`` and
+    ``mu_{t+1} = usage[t].sum(0)`` from ``mu_0 = nu0``.  The chain's path law
+    is ``nu0(x0) / phi0(x0) * exp(-C(x)/alpha) * Q(x) / init(x0) * phiT(xT)``,
+    so its divergence from the target needs only the bridge potentials:
+    ``KL = sum nu0 (log nu0 - log phi0 - log init) + sum mT log phiT -
+    E[C]/alpha``, with ``mT`` the chain's end law; the target's step weights
+    cancel.
+    """
+    nu0, n = problem.nu0, problem.nu0.shape[0]
+    init = _target_initial(problem.target, n)
+    usage = np.empty((problem.horizon, n, n))
+    mu = nu0
+    for t, Pi in enumerate(solution.transitions):
+        usage[t] = mu[:, None] * Pi
+        mu = usage[t].sum(axis=0)
+    cost = cost_matrix(problem.cost_model, n)
+    # the chain never steps off the cost table, where the cost is inf
+    expected = float(np.sum(usage * np.where(np.isfinite(cost), cost, 0.0)))
+    start, end = nu0 > 0, mu > 0
+    kl = float(nu0[start] @ (np.log(nu0[start]) - solution.log_phi0[start]
+                             - np.log(init[start]))
+               + mu[end] @ solution.log_phiT[end] - expected / problem.alpha)
+    objective = ObjectiveTerms(expected_cost=expected, kl_to_target=kl,
+                               total=expected + problem.alpha * kl)
+    return TransportPlan(problem=problem, bridge=solution, objective=objective,
+                         edge_usage=usage)
 
 
 def solve_iot(problem: IOTProblem, *, force_path: bool = False,
@@ -302,17 +394,15 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
     Route selection: the Markov route runs when the cost model is Markov, the
     target is Markov-form, and there is no blending; ``force_path`` overrides
     it for cross-validation.  Both routes produce the same plan on their
-    common domain (tested to 1e-8 total variation).
+    common domain (tested to 1e-8 total variation).  The Markov route
+    enumerates no path: its plan is a chain (:func:`chain_plan`).
     """
-    space = problem.path_space
-    q = expand_target(problem.target, space)
-    costs = path_costs(space, problem.cost_model, problem.network)
-
     markov_route = (problem.cost_model.mode == MARKOV
                     and problem.target.is_markov
                     and problem.target.blend == 0.0
                     and not force_path)
     if markov_route:
+        _target_initial(problem.target, problem.nu0.shape[0])   # checks its size
         prior = imitation_prior_markov(problem.cost_model, problem.alpha,
                                        problem.target)
         # the bridge never reads the initial law, so check its support here:
@@ -322,12 +412,14 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
             raise InfeasibleError(
                 f"target initial law puts no mass on start node "
                 f"{int(blocked[0]) + 1}, where nu0 is positive")
-        solution = sinkhorn_markov(prior, problem.nu0, problem.nuT, space.horizon,
-                                   tol=tol, max_iter=max_iter)
-        law = markov_path_law(solution, problem.nu0, space)
-    else:
-        prior = imitation_prior_paths(space, costs, q, problem.alpha)
-        solution = sinkhorn_path(prior, problem.nu0, problem.nuT,
-                                 tol=tol, max_iter=max_iter)
-        law = path_law_from_endpoint(solution, prior)
+        solution = sinkhorn_markov(prior, problem.nu0, problem.nuT,
+                                   problem.horizon, tol=tol, max_iter=max_iter)
+        return chain_plan(problem, solution)
+    space = problem_space(problem)
+    q = expand_target(problem.target, space)
+    costs = path_costs(space, problem.cost_model, problem.network)
+    prior = imitation_prior_paths(space, costs, q, problem.alpha)
+    solution = sinkhorn_path(prior, problem.nu0, problem.nuT,
+                             tol=tol, max_iter=max_iter)
+    law = path_law_from_endpoint(solution, prior)
     return plan_from_law(problem, law, solution, costs=costs, q=q)

@@ -226,23 +226,31 @@ def markov_edge_cost(model: CostModel, tail: int, head: int) -> float:
     return c * model.edge_multipliers.get((tail, head), 1.0)
 
 
-def log_weight_matrix(model: CostModel, alpha: float, n: int) -> np.ndarray:
-    """Gibbs edge log-weights ``-cost/alpha``; ``-inf`` off the edge set.
+def cost_matrix(model: CostModel, n: int) -> np.ndarray:
+    """Per-step costs of a Markov model as an ``(n, n)`` array; ``inf`` off the
+    cost table.
 
-    Row/column ``i-1`` is node ``i``; a cost-table pair outside ``1..n``
-    raises :class:`ValidationError`.
+    Row/column ``i-1`` is node ``i``; entries are :func:`markov_edge_cost`,
+    and a cost-table pair outside ``1..n`` raises :class:`ValidationError`.
     """
+    if model.mode != MARKOV:
+        raise ValidationError("cost_matrix requires a markov-mode CostModel")
+    C = np.full((n, n), math.inf)
+    for (i, j) in model.edge_costs:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValidationError(f"cost table pair ({i},{j}) outside 1..{n}")
+        C[i - 1, j - 1] = markov_edge_cost(model, i, j)
+    return C
+
+
+def log_weight_matrix(model: CostModel, alpha: float, n: int) -> np.ndarray:
+    """Gibbs edge log-weights ``-cost/alpha`` of :func:`cost_matrix`; ``-inf``
+    off the edge set."""
     if model.mode != MARKOV:
         raise ValidationError("log_weight_matrix requires a markov-mode CostModel")
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValidationError(f"alpha must be positive and finite, got {alpha}")
-    B = np.full((n, n), -np.inf)
-    for (i, j), cost in model.edge_costs.items():
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValidationError(f"cost table pair ({i},{j}) outside 1..{n}")
-        mult = model.edge_multipliers.get((i, j), 1.0)
-        B[i - 1, j - 1] = -(cost * mult) / alpha
-    return B
+    return -cost_matrix(model, n) / alpha
 
 
 def _kind_order(kind: EdgeKind) -> str:
@@ -505,10 +513,35 @@ def enumerate_paths(network: Network, horizon: int,
         grown[:, -1] = succ[np.arange(parent.size) + shift[parent]]
         array = grown
     if not len(array):
-        raise InfeasibleError(
-            f"empty path space: no horizon-{horizon} path from {starts} "
-            f"to {sorted(ends)} over feasible edges")
+        raise no_paths_error(horizon, starts, ends)
     return PathSpace(horizon=horizon, n=n, array=array)
+
+
+def no_paths_error(horizon: int, starts: Iterable[int],
+                   ends: Iterable[int]) -> InfeasibleError:
+    return InfeasibleError(
+        f"empty path space: no horizon-{horizon} path from {sorted(starts)} "
+        f"to {sorted(ends)} over feasible edges")
+
+
+def count_paths(steps: np.ndarray, horizon: int, starts: Iterable[int],
+                ends: Iterable[int]) -> int:
+    """Number of horizon-step walks from ``starts`` to ``ends`` over the
+    ``True`` entries of the ``(n, n)`` step mask ``steps`` (node ``i`` is row
+    ``i-1``): the size :func:`enumerate_paths` would reach over those steps,
+    counted forward in Python ints, which cannot overflow."""
+    succ = [np.flatnonzero(row).tolist() for row in steps]
+    count = [0] * len(succ)
+    for s in set(starts):
+        count[s - 1] = 1
+    for _ in range(horizon):
+        step = [0] * len(succ)
+        for i, walks in enumerate(count):
+            if walks:
+                for j in succ[i]:
+                    step[j] += walks
+        count = step
+    return sum(count[e - 1] for e in set(ends))
 
 
 def unreachable_nodes(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -600,23 +633,28 @@ def _ruled_path_costs(model: CostModel, network: Network,
     return total
 
 
+def row_costs(cost: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Markov cost of each row of a node matrix: its steps' entries of the
+    ``(n, n)`` step-cost array ``cost`` added left to right, as
+    :func:`path_cost` adds them."""
+    index = np.asarray(rows) - 1
+    out = np.zeros(len(index))
+    for t in range(index.shape[1] - 1):
+        out += cost[index[:, t], index[:, t + 1]]
+    return out
+
+
 def path_costs(space: PathSpace, model: CostModel, network: Network) -> np.ndarray:
     """Vector of path costs aligned with the rows of ``space.array`` (all finite).
 
     Array version of :func:`path_cost`, equal to it bit for bit: Markov costs
-    gather a per-pair step table and add the steps in path order; ruled costs
-    run :func:`ruled_path_cost`'s run-length rules over all paths at once.
+    add the steps of :func:`cost_matrix` in path order (:func:`row_costs`);
+    ruled costs run :func:`ruled_path_cost`'s run-length rules over all paths
+    at once.
     """
     arr = space.array
     if model.mode == MARKOV:
-        n = space.n
-        table = np.full((n + 1, n + 1), math.inf)  # absent pairs cost inf
-        for (i, j) in model.edge_costs:
-            if 1 <= i <= n and 1 <= j <= n:
-                table[i, j] = markov_edge_cost(model, i, j)
-        out = np.zeros(space.size)
-        for t in range(space.horizon):
-            out += table[arr[:, t], arr[:, t + 1]]
+        out = row_costs(cost_matrix(model, space.n), arr)
     else:
         out = _ruled_path_costs(model, network, arr)
     if not np.all(np.isfinite(out)):

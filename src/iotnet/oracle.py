@@ -12,7 +12,8 @@ tautology.
   cycling), handling the redundant marginal constraint via artificial-variable
   cleanup.  It is the verification oracle for the path LP; the scenario
   engine calls it only on the cheapest-path subspace (one path per endpoint
-  pair, see :func:`iotnet.scenario.cheapest_path_lp`).
+  pair, see :func:`iotnet.scenario.cheapest_path_lp` and
+  :func:`iotnet.scenario.cheapest_rows`).
 * :func:`objective_eval` recomputes cost / divergence / total by direct
   summation.
 """

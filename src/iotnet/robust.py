@@ -137,7 +137,7 @@ def robust_equivalence_check(problem: IOTProblem, epsilon: float, *,
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     plan = solve_iot(problem, tol=tol, max_iter=max_iter)
-    space = problem.path_space
+    space = plan.path_space
     costs = plan.path_costs
     q = plan.target_probs
     cert_opt = worst_case_certificate(plan.path_law, costs, q, problem.alpha,
@@ -159,7 +159,7 @@ def robust_equivalence_check(problem: IOTProblem, epsilon: float, *,
     passed = max_violation <= 1e-9 * max(1.0, abs(cert_opt.worst_case_cost))
     note = (f"worst-case optimum sits {offset!r} above the imitation objective "
             f"(closed form: exactly epsilon = {epsilon!r}; horizon-scaled "
-            f"epsilon would be {problem.path_space.horizon * epsilon!r})")
+            f"epsilon would be {problem.horizon * epsilon!r})")
     return RobustEquivalenceReport(passed=passed,
                                    iot_objective=plan.objective.total,
                                    worst_case_optimal=cert_opt.worst_case_cost,

@@ -17,9 +17,23 @@ builtins come with supplies, demands, and — for the risk variant — the
 affected edge set, all overridable in the file.
 
 The cost-optimal plan is the path LP solved by the :func:`~iotnet.oracle.lp_ot`
-oracle on the cheapest path of each (start, end) pair, scattered back to the
-full space (:func:`cheapest_path_lp`).  The reduction is exact: moving a pair's
-mass onto its cheapest path keeps both marginals and never raises the cost.
+oracle on the cheapest path of each (start, end) pair.  The reduction is
+exact: moving a pair's mass onto its cheapest path keeps both marginals and
+never raises the cost.
+
+Where the numbers come from:
+
+* The imitation kind's costs are not additive over steps, so it enumerates
+  the path space and every number is a sum over paths: per-destination sums
+  over :class:`Destinations`, the LP on :func:`cheapest_path_lp`'s rows.
+* The risk kind enumerates no path.  Its plan is a Markov chain, so edge
+  usage and the KL come from the solve (:func:`~iotnet.imitation.chain_plan`),
+  per-destination cost and mass before and after the disaster from one
+  backward pass per cost model (:func:`chain_totals`), the LP's rows from a
+  min-plus pass (:func:`cheapest_rows`, the same rows in the same order as
+  the enumerated LP) and the path count from an integer walk count.  The
+  space is enumerated only if a caller reads ``ScenarioResult.space`` or the
+  plan's path arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -37,8 +52,10 @@ from .fileio import (_read_json, atomic_write_text, fmt, load_path_distribution,
                      load_step_weights, parse_field, whole_number)
 from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
 from .network import (CostModel, EdgeKind, Network, PathSpace, _resolve_step,
-                      enumerate_paths, load_network, markov_model_from_network,
-                      network_from_dict, path_costs, path_vector, reprice)
+                      cost_matrix, count_paths, enumerate_paths, load_network,
+                      markov_model_from_network, network_from_dict,
+                      no_paths_error, path_costs, path_vector, reprice,
+                      row_costs)
 from .oracle import DenseCoupling, lp_ot
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
@@ -117,14 +134,22 @@ class DisasterResult:
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """A solved scenario; ``paths`` is the size of its path space, which the
+    risk kind counts without enumerating it."""
+
     kind: str
     alpha: float
     beta: float
-    space: PathSpace
+    paths: int
     imitation_plan: TransportPlan
     reports: dict[str, PlanReport]
     lp_objective: float
     disaster: DisasterResult | None = None
+
+    @property
+    def space(self) -> PathSpace:
+        """The path space, enumerated on first access for the risk kind."""
+        return self.imitation_plan.path_space
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +360,25 @@ def plan_report(label: str, destinations: Destinations, law: np.ndarray,
                       per_destination_mass=mass_by_dest)
 
 
+def chain_totals(transitions: list[np.ndarray], nu0: np.ndarray,
+                 cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cost and mass per destination of the chain ``nu0``, ``Pi_0..Pi_{T-1}``
+    on the ``(n, n)`` step costs ``cost``, as ``(n,)`` arrays.
+
+    One backward pass with one column per end node, from ``E_T = I`` and
+    ``G_T = 0``: ``E_t = Pi_t E_{t+1}`` is the probability of ending at each
+    node and ``G_t = Pi_t G_{t+1} + (Pi_t o C) E_{t+1}`` the expected cost
+    paid on the way there; the totals are ``nu0 @ G_0`` and ``nu0 @ E_0``.
+    """
+    # the chain never steps off the cost table, where the cost is inf
+    cost = np.where(np.isfinite(cost), cost, 0.0)
+    ends, paid = np.eye(nu0.shape[0]), np.zeros((nu0.shape[0],) * 2)
+    for Pi in reversed(transitions):
+        paid = Pi @ paid + (Pi * cost) @ ends
+        ends = Pi @ ends
+    return nu0 @ paid, nu0 @ ends
+
+
 def cheapest_path_lp(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
                      nuT: np.ndarray) -> DenseCoupling:
     """Cost-optimal plan: :func:`lp_ot` on the cheapest path of each endpoint pair.
@@ -356,6 +400,72 @@ def cheapest_path_lp(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
     law = np.zeros(space.size)
     law[keep] = lp_ot(sub, costs[keep], nu0, nuT).probabilities
     return DenseCoupling(probabilities=law, objective=float(costs @ law))
+
+
+def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Min-plus product ``out[i, j] = min_k a[i, k] + b[k, j]``."""
+    out = np.full((a.shape[0], b.shape[1]), math.inf)
+    for k in range(a.shape[1]):
+        np.minimum(out, a[:, [k]] + b[k], out=out)
+    return out
+
+
+def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,
+                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows :func:`cheapest_path_lp` keeps, found without enumeration.
+
+    ``cost`` is the ``(n, n)`` step-cost array (``inf`` off the feasible
+    steps).  For each (start, end) pair joined by a horizon-step path, this
+    returns the lexicographically first path whose cost, added left to
+    right, is the smallest, and that cost: the lowest-index cheapest path of
+    the enumerated space.  Rows come in lexicographic order.
+
+    A forward min-plus pass gives each pair's smallest cost exactly, since
+    rounding is monotone: the cheapest left-to-right sum extends a cheapest
+    prefix.  A depth-first walk over successors in ascending order then
+    finds the first path reaching it, pruned where the prefix plus the
+    cheapest cost-to-go (a backward min-plus pass, summed in another order)
+    exceeds it by more than a relative 1e-12.
+    """
+    n = cost.shape[0]
+    # to_go[t][j, e]: cheapest cost from node j to end e in horizon - t steps
+    to_go = [np.where(np.eye(n, dtype=bool), 0.0, math.inf)]
+    for _ in range(horizon):
+        to_go.insert(0, _min_plus(cost, to_go[0]))
+    # best[k, e]: smallest left-to-right cost from starts[k] to e
+    best = np.full((len(starts), n), math.inf)
+    best[np.arange(len(starts)), starts - 1] = 0.0
+    for _ in range(horizon):
+        best = _min_plus(best, cost)
+
+    succ = [np.flatnonzero(np.isfinite(row)).tolist() for row in cost]
+    step, to_go = cost.tolist(), [m.tolist() for m in to_go]
+
+    def first(path: list[int], prefix: float, end: int, target: float,
+              bound: float) -> list[int] | None:
+        t, i = len(path) - 1, path[-1]
+        if t == horizon:
+            return path if prefix == target else None
+        for j in succ[i]:
+            total = prefix + step[i][j]
+            if total + to_go[t + 1][j][end] <= bound:
+                found = first(path + [j], total, end, target, bound)
+                if found is not None:
+                    return found
+        return None
+
+    rows, costs = [], []
+    for k, s in enumerate(starts.tolist()):
+        for e in ends.tolist():
+            target = float(best[k, e - 1])
+            if target < math.inf:
+                path = first([s - 1], 0.0, e - 1, target,
+                             target + 1e-12 * abs(target))
+                rows.append(path)
+                costs.append(target)
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), horizon + 1) + 1
+    order = np.lexsort(rows.T[::-1])
+    return rows[order], np.array(costs)[order]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +521,54 @@ def _disaster_spec(spec: ScenarioSpec,
     return DisasterSpec(edges=edges, multiplier=given.multiplier) if edges else None
 
 
+Pricer = Callable[[str, CostModel], PlanReport]
+
+
+def _price_paths(plan: TransportPlan, nu0: np.ndarray, nuT: np.ndarray,
+                 target: np.ndarray) -> tuple[float, Pricer]:
+    """LP value and report maker of a plan over an enumerated space: every
+    number is a sum over the space's paths."""
+    space, costs = plan.path_space, plan.path_costs
+    lp = cheapest_path_lp(space, costs, nu0, nuT)
+    destinations = Destinations.of(space)
+    laws = {"target": target, "optimal": lp.probabilities,
+            "imitation": plan.path_law}
+
+    def report(label: str, model: CostModel) -> PlanReport:
+        if model is not plan.problem.cost_model:
+            return plan_report(label, destinations, laws[label],
+                               path_costs(space, model, plan.problem.network))
+        return plan_report(label, destinations, laws[label], costs)
+
+    return lp.objective, report
+
+
+def _price_chain(plan: TransportPlan, nu0: np.ndarray, nuT: np.ndarray,
+                 cost: np.ndarray) -> tuple[float, Pricer]:
+    """LP value and report maker of a Markov-route plan with step costs
+    ``cost``, without paths: the imitation plan is priced by
+    :func:`chain_totals` and the LP runs on :func:`cheapest_rows`."""
+    horizon, n = plan.problem.horizon, nu0.shape[0]
+    rows, costs = cheapest_rows(cost, horizon, np.flatnonzero(nu0) + 1,
+                                np.flatnonzero(nuT) + 1)
+    lp = lp_ot(PathSpace(horizon=horizon, n=n, array=rows), costs, nu0, nuT)
+
+    def report(label: str, model: CostModel) -> PlanReport:
+        step = cost_matrix(model, n)
+        if label == "imitation":
+            by_dest, mass = chain_totals(plan.transition_matrices, nu0, step)
+        else:
+            law, ends = lp.probabilities, rows[:, -1] - 1
+            by_dest = np.bincount(ends, weights=law * row_costs(step, rows),
+                                  minlength=n)
+            mass = np.bincount(ends, weights=law, minlength=n)
+        return PlanReport(label=label, total_cost=float(by_dest.sum()),
+                          per_destination_cost=by_dest,
+                          per_destination_mass=mass)
+
+    return lp.objective, report
+
+
 def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
                  max_iter: int = 100_000) -> ScenarioResult:
     """Solve ``spec``'s imitation plan and report it beside the LP optimum.
@@ -418,42 +576,46 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
     The imitation kind prices paths with the rule-based model and imitates
     ``q_star`` blended by ``beta``; the risk kind prices them per edge,
     imitates the risk step weights, and re-prices both plans under the
-    disaster.
+    disaster.  The risk kind enumerates no path: its plan is a chain
+    (:func:`_price_chain`); the imitation kind sums over its path space.
     """
     network, ruled, supply, demand, fixture = _resolve(spec, seed)
     nu0, nuT = fixtures.marginals(network.n, supply, demand)
-    risk = spec.kind == "risk"
-    model = markov_model_from_network(network, ruled) if risk else ruled
-    space = enumerate_paths(network, spec.horizon, sorted(supply), sorted(demand),
-                            model)
     affected = spec.affected
     if affected is None:
         affected = fixture.affected if fixture is not None else ()
+    risk = spec.kind == "risk"
     if risk:
-        target = _risk_target(spec, network, model, affected)
+        model = markov_model_from_network(network, ruled)
+        cost = cost_matrix(model, network.n)
+        paths = count_paths(np.isfinite(cost), spec.horizon, supply, demand)
+        if not paths:
+            raise no_paths_error(spec.horizon, supply, demand)
+        problem = IOTProblem(network=network, cost_model=model, nu0=nu0,
+                             nuT=nuT, alpha=spec.alpha,
+                             target=_risk_target(spec, network, model, affected),
+                             horizon=spec.horizon)
+        price, labels = partial(_price_chain, cost=cost), ("optimal", "imitation")
     else:
-        q_star = _q_star(spec, space, fixture)
-        target = ImitationTarget.paths(q_star, blend=spec.beta)
-
-    problem = IOTProblem(network=network, cost_model=model, path_space=space,
-                         nu0=nu0, nuT=nuT, alpha=spec.alpha, target=target)
+        model = ruled
+        space = enumerate_paths(network, spec.horizon, sorted(supply),
+                                sorted(demand), model)
+        paths, q_star = space.size, _q_star(spec, space, fixture)
+        problem = IOTProblem(network=network, cost_model=model, nu0=nu0,
+                             nuT=nuT, alpha=spec.alpha,
+                             target=ImitationTarget.paths(q_star, blend=spec.beta),
+                             path_space=space)
+        price = partial(_price_paths, target=q_star)
+        labels = ("target", "optimal", "imitation")
     plan = solve_iot(problem, tol=tol, max_iter=max_iter)
-    costs = plan.path_costs
-    lp = cheapest_path_lp(space, costs, nu0, nuT)
-    destinations = Destinations.of(space)
-    laws = {"optimal": lp.probabilities, "imitation": plan.path_law}
-    if not risk:
-        laws = {"target": q_star, **laws}
-    reports = {label: plan_report(label, destinations, law, costs)
-               for label, law in laws.items()}
+    lp_objective, report = price(plan, nu0, nuT)
+    reports = {label: report(label, model) for label in labels}
 
     disaster = None
     event = _disaster_spec(spec, fixture, affected) if risk else None
     if event is not None:
-        costs_after = path_costs(
-            space, reprice(model, event.edges, event.multiplier), network)
-        after = {label: plan_report(label, destinations, laws[label], costs_after)
-                 for label in ("imitation", "optimal")}
+        repriced = reprice(model, event.edges, event.multiplier)
+        after = {label: report(label, repriced) for label in ("imitation", "optimal")}
         # in field order: imitation before/after, then optimal before/after
         plans = (reports["imitation"], after["imitation"], reports["optimal"],
                  after["optimal"])
@@ -464,8 +626,8 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
         disaster = DisasterResult(event.multiplier, event.edges, rows,
                                   *(p.total_cost for p in plans))
     return ScenarioResult(kind=spec.kind, alpha=spec.alpha, beta=spec.beta,
-                          space=space, imitation_plan=plan, reports=reports,
-                          lp_objective=lp.objective, disaster=disaster)
+                          paths=paths, imitation_plan=plan, reports=reports,
+                          lp_objective=lp_objective, disaster=disaster)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +657,7 @@ def emit_report(result: ScenarioResult, out_dir: str) -> list[str]:
         written.append(path)
 
     lines = [f"scenario\t{result.kind}"]
-    lines.append(f"paths\t{result.space.size}")
+    lines.append(f"paths\t{result.paths}")
     lines.append(f"alpha\t{fmt(result.alpha)}")
     if result.kind == "imitation":
         lines.append(f"beta\t{fmt(result.beta)}")

@@ -17,6 +17,7 @@ from iotnet.approx import (
     fit_objective_error,
     fitted_prior,
     markov_plan_from_fit,
+    normal_equations,
 )
 from iotnet.bridge import (
     MarkovPrior,
@@ -124,7 +125,10 @@ def _dict_era_fit(prior):
     return initial, steps, residual, gauge_component
 
 
-def test_fit_equals_the_dict_era_loop_exactly(rng, synth30):
+def test_fit_matches_the_dict_era_loop(rng, synth30):
+    # the right-hand side A.T @ b is a bincount now, which adds the same terms
+    # in another order than the matrix product: scores agree to 1e-9, and the
+    # unseen starts and steps (-inf) exactly
     priors = [_ruled_prior(synth30)]
     for _ in range(4):
         d = fixtures.random_markov_problem(rng)
@@ -142,10 +146,31 @@ def test_fit_equals_the_dict_era_loop_exactly(rng, synth30):
             want_initial[v - 1] = score
         for (i, j), score in steps.items():
             want_steps[i - 1, j - 1] = score
-        assert np.array_equal(fit.initial_log, want_initial)
-        assert np.array_equal(fit.step_log, want_steps)
-        assert fit.residual == residual
-        assert fit.gauge_component == gauge_component
+        for got, want in ((fit.initial_log, want_initial),
+                          (fit.step_log, want_steps)):
+            seen = want > -np.inf
+            assert np.array_equal(got > -np.inf, seen)
+            assert np.abs(got[seen] - want[seen]).max() <= 1e-9
+        assert fit.residual == pytest.approx(residual, rel=1e-9, abs=1e-9)
+        assert fit.gauge_component == pytest.approx(gauge_component, abs=1e-9)
+
+
+def test_normal_equations_equal_the_dense_design_matrix(tiny, rng):
+    # tiny has self-loops, so a path such as 1 > 1 > 1 takes one step twice
+    # and its design row holds a count of 2, not a 0/1 entry
+    space = tiny.space
+    prev = np.column_stack([np.zeros(space.size, dtype=np.int64),
+                            space.array[:, :-1]])
+    cols, col = np.unique((prev * (space.n + 1) + space.array).ravel(),
+                          return_inverse=True)
+    col = col.reshape(space.size, space.horizon + 1)
+    A = np.zeros((space.size, cols.size))
+    np.add.at(A, (np.arange(space.size)[:, None], col), 1.0)
+    assert A.max() == 2.0
+    b = rng.normal(size=space.size)
+    gram, rhs = normal_equations(col, b, cols.size)
+    assert np.array_equal(gram, A.T @ A)
+    assert np.abs(rhs - A.T @ b).max() <= 1e-12
 
 
 def test_fit_rejects_empty_support(tiny):

@@ -1,0 +1,232 @@
+"""The Markov-route plan is a chain: every number read off it without paths
+matches the same number summed over the enumerated path law.
+
+Covers the plan's edge usage and objective (:func:`iotnet.imitation.chain_plan`),
+the per-destination contraction and the cheapest-path rows of the risk
+scenario (:func:`iotnet.scenario.chain_totals`,
+:func:`iotnet.scenario.cheapest_rows`), the path count
+(:func:`iotnet.network.count_paths`), and an ``iot scenario`` run that may not
+enumerate a single path.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import iotnet
+from iotnet import (
+    CostModel,
+    EdgeKind,
+    ImitationTarget,
+    InfeasibleError,
+    IOTProblem,
+    build_network,
+    edge_usage_from_law,
+    enumerate_paths,
+    expand_target,
+    path_costs,
+    path_kl,
+    solve_iot,
+)
+from iotnet import fixtures
+from iotnet.cli import main
+from iotnet.network import PathSpace, cost_matrix, count_paths, row_join
+from iotnet.oracle import lp_ot
+from iotnet.scenario import (Destinations, chain_totals, cheapest_path_lp,
+                             cheapest_rows, load_scenario, run_scenario)
+
+
+@st.composite
+def chain_problems(draw):
+    """Small Markov problems solved without a path space.
+
+    Edges are drawn at random (only ``i < j`` for an acyclic network), with
+    integer costs so that equal-cost paths, and so LP ties, are common.  The
+    end support is drawn among the nodes every drawn start reaches in exactly
+    ``horizon`` steps, and marginal masses from ``{0} | [0.2, 1]`` on it.
+    """
+    n = draw(st.integers(2, 5))
+    acyclic = draw(st.booleans())
+    horizon = draw(st.integers(1, max(1, n - 1) if acyclic else 4))
+    pairs = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+             if (i < j or (not acyclic and i >= j)) and draw(st.booleans())}
+    assume(pairs)
+    costs = {pair: float(draw(st.integers(0, 3))) for pair in sorted(pairs)}
+    edges = [(i, j, EdgeKind.STORAGE if i == j else EdgeKind.LOCAL, 1.0)
+             for (i, j) in sorted(pairs)]
+    network = build_network([(i, float(i), 0.0) for i in range(1, n + 1)], edges)
+
+    step = np.zeros((n, n), dtype=int)
+    for (i, j) in pairs:
+        step[i - 1, j - 1] = 1
+    reach = np.linalg.matrix_power(step, horizon) > 0
+    starts = [i for i in range(n) if reach[i].any() and draw(st.booleans())]
+    assume(starts)
+    ends = np.flatnonzero(reach[starts].all(axis=0))
+    assume(ends.size)
+    ends = [e for e in ends.tolist() if draw(st.booleans())] or [int(ends[0])]
+    mass = st.just(0.0) | st.floats(0.2, 1.0)
+
+    def law(support):
+        vec = np.zeros(n)
+        vec[support] = [draw(mass) for _ in support]
+        if vec.sum() == 0:
+            vec[support[0]] = 1.0
+        return vec / vec.sum()
+
+    matrix = np.zeros((n, n))
+    for (i, j) in pairs:
+        matrix[i - 1, j - 1] = draw(st.floats(0.2, 2.0))
+    initial = draw(st.none() | st.lists(st.floats(0.2, 1.0), min_size=n,
+                                        max_size=n).map(np.array))
+    target = ImitationTarget.markov(matrix, initial, stochastic=False)
+    return IOTProblem(network=network, cost_model=CostModel.markov(costs),
+                      nu0=law(starts), nuT=law(ends),
+                      alpha=draw(st.floats(0.5, 3.0)), target=target,
+                      horizon=horizon)
+
+
+def _lowest_index_cheapest(space, costs):
+    """The rows ``cheapest_path_lp`` keeps: per endpoint pair, the lowest
+    index among the paths of smallest cost."""
+    keep = {}
+    for k, (s, e, c) in enumerate(zip(space.starts.tolist(), space.ends.tolist(),
+                                      costs.tolist())):
+        if (s, e) not in keep or c < costs[keep[(s, e)]]:
+            keep[(s, e)] = k
+    return np.sort(list(keep.values()))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(chain_problems())
+def test_chain_contractions_match_the_enumerated_path_law(problem):
+    try:
+        plan = solve_iot(problem, tol=1e-12)
+    except InfeasibleError:
+        assume(False)
+    assert plan.transition_matrices is not None   # the Markov route ran
+    starts = np.flatnonzero(problem.nu0) + 1
+    ends = np.flatnonzero(problem.nuT) + 1
+    space = enumerate_paths(problem.network, problem.horizon, starts, ends,
+                            problem.cost_model)
+    law = plan.path_law
+    costs = path_costs(space, problem.cost_model, problem.network)
+    cost = cost_matrix(problem.cost_model, problem.network.n)
+
+    assert plan.path_space.size == space.size
+    assert count_paths(np.isfinite(cost), problem.horizon, starts, ends) == space.size
+    assert np.abs(plan.edge_usage - edge_usage_from_law(space, law)).max() <= 1e-12
+
+    obj = plan.objective
+    assert obj.expected_cost == pytest.approx(float(law @ costs), rel=1e-12, abs=1e-12)
+    kl = path_kl(law, expand_target(problem.target, space))
+    assert obj.kl_to_target == pytest.approx(kl, abs=1e-10)
+    assert obj.total == obj.expected_cost + problem.alpha * obj.kl_to_target
+
+    by_dest, mass = chain_totals(plan.transition_matrices, problem.nu0, cost)
+    want_cost, want_mass = Destinations.of(space).totals(law, costs)
+    assert np.abs(by_dest - want_cost).max() <= 1e-12 * max(1.0, want_cost.max())
+    assert np.abs(mass - want_mass).max() <= 1e-12
+
+    rows, row_cost = cheapest_rows(cost, problem.horizon, starts, ends)
+    keep = _lowest_index_cheapest(space, costs)
+    assert np.array_equal(rows, space.array[keep])
+    assert np.array_equal(row_cost, costs[keep])
+    # the same LP on the same columns in the same order: the same vertex
+    full = cheapest_path_lp(space, costs, problem.nu0, problem.nuT)
+    sub = lp_ot(PathSpace(horizon=problem.horizon, n=space.n, array=rows),
+                row_cost, problem.nu0, problem.nuT)
+    scattered = np.zeros(space.size)
+    scattered[row_join(rows, space.array)] = sub.probabilities
+    assert np.array_equal(scattered, full.probabilities)
+
+
+def test_cheapest_rows_break_ties_lexicographically():
+    # two cheapest paths 1 > 2 > 4 and 1 > 3 > 4 (cost 2), one dearer 1 > 4 > 4
+    cost = np.full((4, 4), math.inf)
+    cost[0, 1] = cost[0, 2] = cost[1, 3] = cost[2, 3] = 1.0
+    cost[0, 3], cost[3, 3] = 1.5, 1.0
+    rows, costs = cheapest_rows(cost, 2, np.array([1]), np.array([4]))
+    assert rows.tolist() == [[1, 2, 4]] and costs.tolist() == [2.0]
+    # 1 + (1 + 2**-52) rounds to 2.0: still a tie, as the path sums see it
+    cost[1, 3] = np.nextafter(1.0, 2.0)
+    rows, _ = cheapest_rows(cost, 2, np.array([1]), np.array([4]))
+    assert rows.tolist() == [[1, 2, 4]]
+    cost[1, 3] = np.nextafter(cost[1, 3], 2.0)   # now 1 > 3 > 4 is cheaper
+    rows, _ = cheapest_rows(cost, 2, np.array([1]), np.array([4]))
+    assert rows.tolist() == [[1, 3, 4]]
+
+
+def test_count_paths_does_not_overflow():
+    steps = np.ones((3, 3), dtype=bool)
+    assert count_paths(steps, 64, [1], [1, 2, 3]) == 3 ** 64
+
+
+# ---------------------------------------------------------------------------
+# the risk scenario without enumeration
+# ---------------------------------------------------------------------------
+
+_PATH_LAYERS = (("network", "enumerate_paths"), ("network", "path_costs"),
+                ("imitation", "expand_target"), ("bridge", "markov_path_law"))
+
+
+@pytest.fixture()
+def no_path_layers(monkeypatch):
+    """Make every per-path layer raise, wherever a module imported it."""
+    modules = [m for name, m in vars(iotnet).items()
+               if isinstance(m, type(iotnet))] + [iotnet]
+    for module_name, fn_name in _PATH_LAYERS:
+        fn = getattr(getattr(iotnet, module_name), fn_name)
+
+        def refuse(*args, _name=fn_name, **kwargs):
+            raise AssertionError(f"{_name} called")
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+def _risk_spec(tmp_path, horizon):
+    spec = tmp_path / f"risk{horizon}.json"
+    spec.write_text(json.dumps({"network": "builtin:risk30", "T": horizon,
+                                "alpha": 40.0, "scenario": {"kind": "risk"}}))
+    return str(spec)
+
+
+def test_long_horizon_risk_scenario_enumerates_no_path(tmp_path, no_path_layers,
+                                                       capsys):
+    spec = _risk_spec(tmp_path, 16)
+    out = tmp_path / "out"
+    assert main(["scenario", "--spec", spec, "--out-dir", str(out)]) == 0
+    assert "paths=" in capsys.readouterr().out
+    result = run_scenario(load_scenario(spec), seed=0)
+
+    fx = fixtures.risk30(0)
+    nu0, nuT = fx.marginals()
+    usage = result.imitation_plan.edge_usage
+    assert usage.shape == (16, fx.network.n, fx.network.n)
+    assert np.abs(usage[0].sum(axis=1) - nu0).max() <= 1e-9
+    assert np.abs(usage[-1].sum(axis=0) - nuT).max() <= 1e-9
+    assert np.abs(usage.sum(axis=(1, 2)) - 1.0).max() <= 1e-9
+    obj = result.imitation_plan.objective
+    assert obj.total == obj.expected_cost + 40.0 * obj.kl_to_target
+    assert result.reports["imitation"].total_cost == pytest.approx(
+        obj.expected_cost, rel=1e-12)
+    assert result.lp_objective <= obj.expected_cost
+    assert result.paths == 17_822_564_850_467_019
+    for row in result.disaster.rows:
+        assert row.imitation_after >= row.imitation_before
+        assert row.optimal_after >= row.optimal_before
+    summary = (out / "report_summary.txt").read_text()
+    assert f"paths\t{result.paths}\n" in summary
+
+
+def test_risk30_t5_path_count(tmp_path, no_path_layers):
+    result = run_scenario(load_scenario(_risk_spec(tmp_path, 5)), seed=0)
+    assert result.paths == 244_897

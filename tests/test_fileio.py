@@ -2,7 +2,6 @@
 
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from iotnet import (
     load_prior,
     load_step_weights,
     path_costs,
+    plan_from_law,
     read_plan,
     save_network,
     save_path_distribution,
@@ -114,6 +114,23 @@ def test_path_distribution_validation(tmp_path):
                              "entries": [{"path": [1, 2], "prob": 1.0}]}))
     with pytest.raises(ValidationError, match="1.5 is not a whole number"):
         load_path_distribution(str(f))
+    # so is a fractional node id, as that entry's fault, in file order
+    entries = [{"path": [1, 2], "prob": 0.5}, {"path": [1.5, 2], "prob": 0.5},
+               {"path": [1, 2], "prob": 0.5}]
+    f.write_text(json.dumps({"horizon": 1, "entries": entries}))
+    with pytest.raises(ValidationError) as err:
+        load_path_distribution(str(f))
+    assert str(err.value) == f"path distribution {f}: bad entry {entries[1]}"
+    entries[2:] = []
+    entries.insert(1, {"path": [1, 2], "prob": 0.5})     # an earlier duplicate
+    f.write_text(json.dumps({"horizon": 1, "entries": entries}))
+    with pytest.raises(ValidationError, match=r"duplicate path \(1, 2\)"):
+        load_path_distribution(str(f))
+    # an integral float stays accepted
+    f.write_text(json.dumps({"horizon": 1, "entries": [
+        {"path": [1.0, 2], "prob": 1.0}]}))
+    horizon, rows, probs = load_path_distribution(str(f))
+    assert rows.tolist() == [[1, 2]] and rows.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +204,15 @@ def test_prior_file_validation(tmp_path):
                              "paths": [[1, 2]], "weights": [1.0]}))
     with pytest.raises(ValidationError, match="1.5 is not a whole number"):
         load_prior(str(f))
+    # so is a fractional node id, which used to load truncated
+    f.write_text(json.dumps({"type": "paths", "horizon": 1, "n": 2,
+                             "paths": [[1.7, 2]], "weights": [1.0]}))
+    with pytest.raises(ValidationError) as err:
+        load_prior(str(f))
+    assert str(err.value) == f"prior {f}: bad path prior: 1.7 is not a whole number"
+    f.write_text(json.dumps({"type": "paths", "horizon": 1, "n": 2,
+                             "paths": [[1.0, 2.0]], "weights": [1.0]}))
+    assert load_prior(str(f)).path_space.paths == ((1, 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +250,7 @@ def test_plan_paths_section_keeps_rows_at_or_above_the_floor(tiny):
     plan = solve_iot(uniform_problem(tiny, 0.8))
     law = plan.path_law.copy()
     law[:3] = [PLAN_PROB_FLOOR, np.nextafter(PLAN_PROB_FLOOR, 0.0), 0.0]
-    text = plan_to_text(replace(plan, path_law=law))
+    text = plan_to_text(plan_from_law(plan.problem, law, plan.bridge))
     section = text.split("[paths]\n")[1].split("[edge_usage]")[0]
     # the per-path loop the array rows replaced
     expected = "".join(
@@ -277,6 +303,13 @@ def test_network_file_round_trip(tmp_path, synth30):
 # ---------------------------------------------------------------------------
 
 
+def _reference_id(v):
+    """``int(v)``, refusing a fractional float instead of truncating it."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{v!r} is not a whole number")
+    return int(v)
+
+
 def _reference_path_distribution(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -284,7 +317,7 @@ def _reference_path_distribution(path):
     table = {}
     for ent in doc["entries"]:
         try:
-            nodes = tuple(int(v) for v in ent["path"])
+            nodes = tuple(_reference_id(v) for v in ent["path"])
             prob = float(ent["prob"])
             # the node matrix is int64: a larger id does not parse, where the
             # loop this mirrors let it through to fail later as an unknown path
@@ -340,6 +373,8 @@ _Q_ENTRIES = st.one_of(
         {"path": [-2**63, 2**63 - 1, 1], "prob": 0.5},   # the int64 extremes
         {"path": [1, 2, float("inf")], "prob": 0.5},
         {"path": ["2", 1.0, True], "prob": "0.5"},
+        {"path": [1, 1.5, 2], "prob": 0.5},        # a fractional id
+        {"path": [2.0, 1.0, 2.0], "prob": 0.5},    # integral floats read
     ]),
 )
 
@@ -363,7 +398,7 @@ def _reference_path_prior(path):
         doc = json.load(fh)
     try:
         horizon = int(doc["horizon"])
-        paths = tuple(tuple(int(v) for v in p) for p in doc["paths"])
+        paths = tuple(tuple(_reference_id(v) for v in p) for p in doc["paths"])
         weights = np.asarray(doc["weights"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"prior {path}: bad path prior: {exc}") from exc
@@ -393,6 +428,8 @@ def _reference_path_prior(path):
     ([[1, 2, 3], [1, 2, 3]], [0.5, 0.5]),                   # duplicate + width
     ([[1, 2, 3], [1, 2], [1, 2]], [0.2, 0.3, 0.5]),         # ragged + duplicate
     ([[1, 2], [1, 2, 3], ["x"]], [0.2, 0.3, 0.5]),          # ragged + not an id
+    ([[1, 2.5], [2, 1]], [0.5, 0.5]),                       # fractional id
+    ([[1.0, 2.0], [2, 1]], [0.5, 0.5]),                     # integral floats
 ])
 def test_path_prior_errors_match_the_reference(tmp_path, paths, weights):
     f = tmp_path / "prior.json"

@@ -366,7 +366,16 @@ def test_usage_tables_equal_the_dict_era_writer(tmp_path, risk_result,
                 f"{i},{j},{fmt(mass)}" for (step, i, j), mass in usage.items()
                 if step == t and mass >= DISPLAY_THRESHOLD]
             text = (out / f"report_usage_t{t}.csv").read_text()
-            assert text == "\n".join(lines) + "\n"
+            if result.kind == "imitation":
+                assert text == "\n".join(lines) + "\n"
+                continue
+            # the risk plan's usage is a chain contraction, which adds the
+            # same masses in another order: the same rows, masses to 1e-12
+            got = [line.rsplit(",", 1) for line in text.splitlines()]
+            want = [line.rsplit(",", 1) for line in lines]
+            assert [g[0] for g in got] == [w[0] for w in want]
+            assert all(abs(float(g[1]) - float(w[1])) <= 1e-12
+                       for g, w in zip(got[1:], want[1:]))
 
 
 def test_emit_report_is_deterministic(tmp_path, risk_result):
