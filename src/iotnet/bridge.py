@@ -62,7 +62,7 @@ def _log_form(linear, log, what: str) -> np.ndarray:
     return log
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """``log(sum(exp(a)))`` along ``axis``; ``-inf`` where every term is."""
     top = np.max(a, axis=axis, keepdims=True)
     top[top == -np.inf] = 0.0
@@ -219,7 +219,7 @@ def _sinkhorn_core(log_kernel: np.ndarray, nu0: np.ndarray, nuT: np.ndarray,
             f"prior kernel entry for endpoint pair {pair} is identically zero "
             f"while both marginals are positive there; the bridge does not exist")
     a, b = nu0[rows], nuT[cols]
-    f = np.log(a) - _logsumexp(block, axis=1)
+    f = np.log(a) - logsumexp(block, axis=1)
     g = np.zeros(cols.size)
     K = np.exp(block + f[:, None])
     u = np.ones(rows.size)
@@ -228,7 +228,7 @@ def _sinkhorn_core(log_kernel: np.ndarray, nu0: np.ndarray, nuT: np.ndarray,
             v = b / (u @ K)
             if not v.max() < _SCALE_MAX:
                 f += np.log(u)
-                g = np.log(b) - _logsumexp(block + f[:, None], axis=0)
+                g = np.log(b) - logsumexp(block + f[:, None], axis=0)
                 K = np.exp(block + f[:, None] + g)
                 u, v = np.ones(rows.size), np.ones(cols.size)
             mass = K @ v
@@ -239,7 +239,7 @@ def _sinkhorn_core(log_kernel: np.ndarray, nu0: np.ndarray, nuT: np.ndarray,
             u = u_next
             if not u.max() < _SCALE_MAX:
                 g += np.log(v)
-                f = np.log(a) - _logsumexp(block + g, axis=1)
+                f = np.log(a) - logsumexp(block + g, axis=1)
                 K = np.exp(block + f[:, None] + g)
                 u, v = np.ones(rows.size), np.ones(cols.size)
         else:
@@ -254,9 +254,9 @@ def _sinkhorn_core(log_kernel: np.ndarray, nu0: np.ndarray, nuT: np.ndarray,
     coupling = np.zeros_like(log_kernel)
     coupling[np.ix_(rows, cols)] = u[:, None] * K * v
     return BridgeSolution(
-        log_phi0=_logsumexp(log_kernel[:, cols] + log_phiT[cols], axis=1),
+        log_phi0=logsumexp(log_kernel[:, cols] + log_phiT[cols], axis=1),
         log_phiT=log_phiT, log_phihat0=log_phihat0,
-        log_phihatT=_logsumexp(log_kernel[rows] + log_phihat0[rows, None], axis=0),
+        log_phihatT=logsumexp(log_kernel[rows] + log_phihat0[rows, None], axis=0),
         iterations=iterations, residual=residual, endpoint_coupling=coupling)
 
 
@@ -282,14 +282,14 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
     for t in range(1, horizon):
         step = prior.log_step(t, horizon)
         log_kernel = np.concatenate([
-            _logsumexp(log_kernel[i:i + slab, :, None] + step, axis=1)
+            logsumexp(log_kernel[i:i + slab, :, None] + step, axis=1)
             for i in range(0, prior.n, slab)])
     solution = _sinkhorn_core(log_kernel, nu0, nuT, tol, max_iter)
     transitions = [None] * horizon
     log_phi = solution.log_phiT  # log phi(t+1) on entry to step t
     for t in range(horizon - 1, -1, -1):
         tilted = prior.log_step(t, horizon) + log_phi
-        log_phi = _logsumexp(tilted, axis=1)
+        log_phi = logsumexp(tilted, axis=1)
         transitions[t] = np.exp(tilted - np.where(log_phi > -np.inf, log_phi,
                                                   0.0)[:, None])
     solution.transitions = transitions

@@ -15,6 +15,7 @@ floats in shortest round-trip form, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -430,7 +431,15 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``iot`` parser, built once per process.
+
+    Parsing leaves it unchanged (the shared flags default to SUPPRESS and
+    are resolved on each call's namespace), so every ``main`` call reuses it.
+    Each subcommand names its handler, which ``main`` looks up at call time,
+    so a handler replaced on this module after the first call still runs.
+    """
     common = _common_flags()
     parser = _Parser(prog="iot", parents=[common],
                      description="Imitation-regularized optimal transport on "
@@ -445,7 +454,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, required=True,
                    help="inverse tilt strength (temperature)")
     p.add_argument("--out", help="output file (default rbwalk.json)")
-    p.set_defaults(func=_cmd_rbwalk)
+    p.set_defaults(handler="_cmd_rbwalk")
 
     p = sub.add_parser("bridge", parents=[common],
                        help="solve the Schrodinger system for a prior")
@@ -457,7 +466,7 @@ def build_parser() -> _Parser:
     p.add_argument("--emit-paths", action="store_true", dest="emit_paths",
                    help="also write the full path law")
     p.add_argument("--out", help="output file (default bridge.json)")
-    p.set_defaults(func=_cmd_bridge)
+    p.set_defaults(handler="_cmd_bridge")
 
     p = sub.add_parser("solve", parents=[common],
                        help="solve an imitation-regularized transport problem")
@@ -481,13 +490,13 @@ def build_parser() -> _Parser:
     p.add_argument("--cost", choices=("auto", "ruled", "markov"), default="auto",
                    help="cost model: rule-based or per-edge table")
     p.add_argument("--out", help="plan file (default plan.txt)")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(handler="_cmd_solve")
 
     p = sub.add_parser("approx", parents=[common],
                        help="fit the best Markov chain to a path prior")
     p.add_argument("--prior", required=True, help="path-form prior JSON file")
     p.add_argument("--out", help="output file (default approx.json)")
-    p.set_defaults(func=_cmd_approx)
+    p.set_defaults(handler="_cmd_approx")
 
     p = sub.add_parser("robust-cert", parents=[common],
                        help="worst-case cost certificate for a saved plan")
@@ -499,12 +508,12 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, required=True,
                    help="ball radius")
     p.add_argument("--out", help="output file (default robust_cert.json)")
-    p.set_defaults(func=_cmd_robust_cert)
+    p.set_defaults(handler="_cmd_robust_cert")
 
     p = sub.add_parser("scenario", parents=[common],
                        help="run a logistics scenario file and emit reports")
     p.add_argument("--spec", required=True, help="scenario JSON file")
-    p.set_defaults(func=_cmd_scenario)
+    p.set_defaults(handler="_cmd_scenario")
 
     p = sub.add_parser("oracle", parents=[common],
                        help="brute-force self-verification")
@@ -516,16 +525,15 @@ def build_parser() -> _Parser:
                     choices=("tiny", "four", "synthetic30", "risk30"))
     pc.add_argument("--alpha", type=float,
                     help="regularization strength (default per fixture)")
-    pc.set_defaults(func=_cmd_oracle_check)
+    pc.set_defaults(handler="_cmd_oracle_check")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (ValidationError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -198,12 +198,27 @@ def _integer_split(weights: np.ndarray, total: int) -> list[int]:
     return base.tolist()
 
 
+def distance_table(pos: np.ndarray) -> list[list[float]]:
+    """``table[a][b]`` is ``float(np.linalg.norm(pos[a] - pos[b]))``, bit for bit.
+
+    Each entry is the square root of one 1x2 by 2x1 matmul, which takes the
+    same dot product as ``norm`` of a 2-vector (a plain ``(d * d).sum(-1)``
+    rounds some entries differently).
+    """
+    d = (pos[:, None, :] - pos[None, :, :])[..., None, :]
+    return np.sqrt(d @ np.swapaxes(d, -1, -2))[..., 0, 0].tolist()
+
+
 def _build_30(seed: int, *, cut: bool) -> SyntheticFixture:
     rng = np.random.default_rng(seed)
     n = 30
     xs = rng.uniform(0.0, BOX_KM[0], n)
     ys = rng.uniform(0.0, BOX_KM[1], n)
     pos = np.stack([xs, ys], axis=1)
+    km = distance_table(pos)
+
+    def dist(i: int, j: int) -> float:
+        return km[i - 1][j - 1]
 
     cut_node = gateway_in = gateway_out = None
     if cut:
@@ -215,12 +230,8 @@ def _build_30(seed: int, *, cut: bool) -> SyntheticFixture:
                        key=lambda i: float(np.linalg.norm(pos[i - 1] - center)))
         others = [i for i in range(1, n + 1)
                   if i != cut_node and i not in SUPPLY_NODES]
-        by_dist = sorted(others, key=lambda i: (
-            float(np.linalg.norm(pos[i - 1] - pos[cut_node - 1])), i))
+        by_dist = sorted(others, key=lambda i: (dist(i, cut_node), i))
         gateway_in, gateway_out = by_dist[0], by_dist[1]
-
-    def dist(i: int, j: int) -> float:
-        return float(np.linalg.norm(pos[i - 1] - pos[j - 1]))
 
     edges: list[tuple] = []
     succ: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}

@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .bridge import path_kl
+from .bridge import logsumexp, path_kl
 from .errors import InfeasibleError, ValidationError
 from .imitation import IOTProblem, solve_iot
 from .oracle import dense_ipf
@@ -85,8 +84,18 @@ def robust_membership(c_tilde: np.ndarray, costs: np.ndarray, q: np.ndarray,
     diff = c_tilde[on_support] - costs[on_support]
     if np.any(np.isnan(diff)) or np.any(diff == math.inf):
         raise ValidationError("c_tilde must be finite above (or -inf) on supp(q)")
-    lhs = alpha * float(logsumexp(diff / alpha, b=q[on_support]))
+    lhs = _log_moment(diff, q[on_support], alpha)
     return lhs <= epsilon + _MEMBERSHIP_SLACK * max(1.0, abs(epsilon))
+
+
+def _log_moment(diff: np.ndarray, q: np.ndarray, alpha: float) -> float:
+    """``alpha * log sum_x q(x) exp(diff(x)/alpha)`` for ``q > 0``, no overflow.
+
+    The weights enter as ``log q`` beside the exponents, so the max shift of
+    the log-sum-exp also covers subnormal ``q``; ``-inf`` where every
+    ``diff`` is.
+    """
+    return alpha * float(logsumexp(diff / alpha + np.log(q), axis=0))
 
 
 def worst_case_certificate(plan_law: np.ndarray, costs: np.ndarray,

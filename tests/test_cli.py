@@ -2,11 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from iotnet import (fixtures, load_prior, read_plan, save_network,
+from iotnet import (cli, fixtures, load_prior, read_plan, save_network,
                     save_path_distribution)
 from iotnet.cli import main
 
@@ -417,3 +419,56 @@ def test_path_prior_ids_outside_the_nodes_are_refused(outdir, capsys, command, p
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert "outside 1..2" in err.strip().splitlines()[-1]
+
+
+# ---------------------------------------------------------------------------
+# process-level costs: one parser, no scipy
+# ---------------------------------------------------------------------------
+
+
+def test_main_reuses_one_parser_without_leaking_flags(outdir, capsys,
+                                                      monkeypatch):
+    """Flags given to one call leave the next call's defaults alone."""
+    solve = ["solve", "--network", "builtin:synthetic30", "--horizon", "3",
+             "--alpha", "20"]
+    first = ["--seed", "3", *solve, "--tol", "1e-6", "--out", "first.txt"]
+    second = [*solve, "--out", "second.txt"]
+
+    def both_calls():
+        runs = [run_cli(first, capsys), run_cli(second, capsys)]
+        return runs, [(outdir / name).read_text()
+                       for name in ("first.txt", "second.txt")]
+
+    reused = both_calls()
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = both_calls()
+    assert reused == fresh
+    assert [code for code, _, _ in reused[0]] == [0, 0]
+    assert reused[1][0] != reused[1][1]   # the seed and tol took effect
+
+
+def test_a_handler_replaced_after_the_first_call_runs(outdir, capsys,
+                                                      monkeypatch):
+    """The one parser names its handlers, so wrappers installed later apply."""
+    argv = ["solve", "--network", "builtin:tiny", "--alpha", "0.5"]
+    assert run_cli(argv, capsys)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_solve",
+                        lambda args: seen.append(args.command) or 0)
+    assert run_cli(argv, capsys)[0] == 0
+    assert seen == ["solve"]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, iotnet, iotnet.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "[]"

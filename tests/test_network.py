@@ -429,6 +429,18 @@ def test_thirty_node_fixture_is_deterministic():
     assert a.supply == b.supply and a.demand == b.demand
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_distance_table_is_the_per_pair_norm(seed):
+    """The fixtures' edge lengths keep the floats of a per-pair ``norm``."""
+    rng = np.random.default_rng(seed)
+    pos = np.stack([rng.uniform(0.0, fixtures.BOX_KM[0], 30),
+                    rng.uniform(0.0, fixtures.BOX_KM[1], 30)], axis=1)
+    assert fixtures.distance_table(pos) == [
+        [float(np.linalg.norm(pos[a] - pos[b])) for b in range(30)]
+        for a in range(30)]
+
+
 def test_risk_fixture_declares_cut_town():
     fx = fixtures.risk30(0)
     assert fx.cut_node is not None

@@ -1,7 +1,14 @@
 """Worst-case certificates over the soft cost-uncertainty ball."""
 
+import decimal
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from iotnet import (
     InfeasibleError,
@@ -14,6 +21,7 @@ from iotnet import (
     solve_iot,
     worst_case_certificate,
 )
+from iotnet.robust import _log_moment
 
 from helpers import uniform_problem
 
@@ -59,6 +67,79 @@ def test_membership_permits_spikes_only_on_light_paths(tiny):
     light[0] = 1e-12
     light /= light.sum()
     assert robust_membership(spike, costs, light, ALPHA, EPS)
+
+
+def _scipy_lhs(c_tilde, costs, q, alpha):
+    """The ball's left-hand side by scipy's weighted log-sum-exp."""
+    on = q > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        return alpha * float(scipy_logsumexp((c_tilde[on] - costs[on]) / alpha,
+                                             b=q[on]))
+
+
+_SUBNORMAL = st.floats(5e-324, 2.2e-308, exclude_max=True)
+_Q_ENTRY = st.one_of(st.just(0.0), _SUBNORMAL, st.floats(1e-300, 1.0))
+_SHIFT = st.one_of(st.just(-math.inf), st.floats(-1e3, 1e3))
+
+
+def _decimal_lhs(diff, q, alpha):
+    """The same sum in 60-digit decimal arithmetic, from the exact floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        total = sum(Decimal(w) * (Decimal(d) / Decimal(alpha)).exp()
+                    for d, w in zip(diff.tolist(), q.tolist()) if d != -math.inf)
+        return -math.inf if total == 0 else float(Decimal(alpha) * total.ln())
+
+
+def _agree(ours, ref, scale):
+    return (ours == ref == -math.inf
+            or math.isclose(ours, ref, rel_tol=1e-12, abs_tol=1e-12 * scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), _SHIFT, _Q_ENTRY),
+                min_size=1, max_size=8),
+       st.floats(1e-2, 1e3))
+@example(entries=[(0.0, 0.0, 5e-324), (0.0, 1.0, 5e-324)], alpha=1.0)
+def test_log_moment_matches_scipy(entries, alpha):
+    """Costs, ``-inf`` shifts, zero and subnormal ``q``, alpha over 1e-2..1e3.
+
+    Agreement is relative to 1e-12, with a floor of 1e-12 times
+    ``max(alpha, largest finite |shift|)``: the exponents ``shift/alpha`` are
+    rounded at that scale, so a left-hand side that cancels to about 0 has no
+    relative digits left.  scipy's ``b=`` form multiplies each weight by
+    ``exp(a - max a)``, which rounds away the digits of a subnormal weight
+    (``q = [5e-324, 5e-324]``, shifts 0 and 1 at alpha 1 gives -743.44
+    against -743.13), so it is the reference while every weight is normal;
+    the decimal sum is the reference for every draw.
+    """
+    costs, shift, q = (np.array(col) for col in zip(*entries))
+    if not np.any(q > 0):
+        q[0] = 1.0
+    c_tilde = costs + shift
+    on = q > 0
+    diff = c_tilde[on] - costs[on]
+    ours = _log_moment(diff, q[on], alpha)
+    scale = max(alpha, float(np.max(np.abs(diff[np.isfinite(diff)]),
+                                    initial=0.0)))
+    assert _agree(ours, _decimal_lhs(diff, q[on], alpha), scale)
+    if np.all(q[on] >= np.finfo(float).tiny):
+        assert _agree(ours, _scipy_lhs(c_tilde, costs, q, alpha), scale)
+
+
+def test_membership_agrees_with_scipy_on_the_boundary_cases(tiny):
+    _, costs, q = _setup(tiny)
+    spike = costs.copy()
+    spike[0] += 5.0
+    light = q.copy()
+    light[0] = 1e-12
+    light /= light.sum()
+    cases = [(costs, q), (costs + EPS, q), (costs + EPS + 1e-6, q),
+             (costs - 100.0, q), (spike, q), (spike, light)]
+    for c_tilde, weights in cases:
+        expected = (_scipy_lhs(c_tilde, costs, weights, ALPHA)
+                    <= EPS + 1e-9 * max(1.0, EPS))
+        assert robust_membership(c_tilde, costs, weights, ALPHA, EPS) == expected
 
 
 def test_membership_validates_inputs(tiny):
