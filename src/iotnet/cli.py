@@ -28,9 +28,9 @@ from .approx import fit_markov, fitted_prior
 from .bridge import (MarkovPrior, path_law_from_endpoint, sinkhorn_markov,
                      sinkhorn_path)
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .fileio import (atomic_write_text, fmt, format_path, load_marginal,
-                     load_path_distribution, load_prior, load_step_weights,
-                     read_plan, save_path_distribution, write_plan)
+from .fileio import (atomic_write_text, fmt, load_marginal, load_path_distribution,
+                     load_prior, load_step_weights, path_strings, read_plan,
+                     save_path_distribution, write_plan)
 from .imitation import ImitationTarget, IOTProblem, expand_target, solve_iot
 from .network import (CostModel, Network, enumerate_paths, load_network,
                       markov_model_from_network, path_costs, path_vector, row_join)
@@ -330,16 +330,22 @@ def _cmd_robust_cert(args: argparse.Namespace) -> int:
     cert = worst_case_certificate(law, costs, q, alpha, args.epsilon)
     out = _out_path(args, "robust_cert.json")
     finite = np.isfinite(cert.maximizer)
-    maximizer = dict(zip(map(format_path, rows[finite].tolist()),
-                         cert.maximizer[finite].tolist()))
-    _dump_json(out, {
+    maximizer = dict(zip(path_strings(rows[finite]), cert.maximizer[finite].tolist()))
+    text = json.dumps({
         "alpha": alpha,
         "epsilon": cert.epsilon,
         "nominal_cost": cert.nominal_cost,
         "kl_term": cert.kl_term,
         "worst_case_cost": cert.worst_case_cost,
-        "maximizer": maximizer,
-    })
+        "maximizer": None,
+    }, indent=2, sort_keys=True)
+    # the indented encoder is pure Python; the C one lays the flat map out
+    # the same way when its item separator carries the newline and indent
+    entries = json.dumps(maximizer, sort_keys=True, separators=(",\n    ", ": "))
+    if maximizer:
+        entries = "{\n    " + entries[1:-1] + "\n  }"
+    atomic_write_text(out, text.replace('"maximizer": null', '"maximizer": ' + entries, 1)
+                      + "\n")
     print(f"nominal_cost={fmt(cert.nominal_cost)} "
           f"worst_case_cost={fmt(cert.worst_case_cost)} wrote {out}")
     return 0

@@ -5,14 +5,24 @@ target directory, then rename), so a crashed run never leaves a partial file.
 All floats are serialised with ``repr``, the shortest round-trip form, which
 keeps outputs byte-identical across runs.  Path-keyed files (q-files, path
 priors, plan ``[paths]``) are read into node matrices plus value vectors.
+
+Plans are written a column at a time: path strings from one string per node
+id, floats through ``repr`` over ``tolist()``, one ``"\n".join`` at the end.
+Text in the writer's layout is read back the same way, with one split and one
+conversion per column of ``[paths]`` and ``[edge_usage]`` once every line has
+the writer's cell count; any other text goes to the line-by-line reader,
+which names the first bad line.  JSON files are decoded with the cyclic
+garbage collector paused, since the fresh document holds no garbage.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import tempfile
+from itertools import repeat
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -42,6 +52,10 @@ def fmt(x: float) -> str:
 
 
 def _read_json(path: str, what: str) -> object:
+    # the decoded document is a tree of fresh dicts and lists, none of them
+    # garbage, so a collection during the decode could free nothing
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -49,6 +63,9 @@ def _read_json(path: str, what: str) -> object:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def parse_field(what: str, convert: Callable, value: object) -> Any:
@@ -189,6 +206,9 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
     """
     doc = _read_json(path, "step weights")
     n = network.n
+    pairs = np.array(network.edge_pairs(), dtype=np.int64).reshape(-1, 2) - 1
+    edge = np.zeros((n, n), dtype=bool)
+    edge[pairs[:, 0], pairs[:, 1]] = True
     initial = None
     if isinstance(doc, dict) and "initial" in doc:
         initial = vector_from_obj(doc["initial"], n, f"step weights {path} initial")
@@ -201,9 +221,7 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
     elif isinstance(doc, dict) and ("entries" in doc or "default" in doc):
         default = parse_field(f"step weights {path}: default", float,
                               doc.get("default", 1.0))
-        mat = np.zeros((n, n), dtype=float)
-        for (i, j) in network.edge_pairs():
-            mat[i - 1, j - 1] = default
+        mat = np.where(edge, default, 0.0)
         for ent in doc.get("entries", []):
             try:
                 i, j, w = int(ent[0]), int(ent[1]), float(ent[2])
@@ -217,8 +235,8 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
         raise ValidationError(f"step weights {path}: need 'matrix' or 'entries'")
     if np.any(mat < 0):
         raise ValidationError(f"step weights {path}: negative weight")
-    off = [(i + 1, j + 1) for i, j in zip(*np.nonzero(mat))
-           if not network.has_edge(i + 1, j + 1)]
+    tails, heads = np.nonzero((mat != 0) & ~edge)
+    off = list(zip(tails + 1, heads + 1))
     if off:
         raise ValidationError(
             f"step weights {path}: positive weight off the edge set, e.g. {off[:5]}")
@@ -296,6 +314,16 @@ def format_path(nodes: Sequence[int]) -> str:
     return ">".join(map(str, nodes))
 
 
+def path_strings(rows: np.ndarray) -> list[str]:
+    """:func:`format_path` of each row of a node matrix, built a column at a
+    time from one string per distinct node id."""
+    ids, index = np.unique(rows, return_inverse=True)
+    names = list(map(str, ids.tolist()))
+    columns = [[names[k] for k in col]
+               for col in index.reshape(np.shape(rows)).T.tolist()]
+    return list(map(">".join, zip(*columns)))
+
+
 def plan_to_text(plan) -> str:
     """Serialise a TransportPlan to the sectioned plan format."""
     space = plan.path_space
@@ -309,18 +337,17 @@ def plan_to_text(plan) -> str:
     lines.append(f"kl_to_target\t{fmt(plan.objective.kl_to_target)}")
     lines.append(f"total\t{fmt(plan.objective.total)}")
     lines.append("[paths]")
-    rows = np.nonzero(plan.path_law >= PLAN_PROB_FLOOR)[0]
-    for p, prob, cost in zip(space.array[rows].tolist(),
-                             plan.path_law[rows].tolist(),
-                             plan.path_costs[rows].tolist()):
-        lines.append(f"{format_path(p)}\t{fmt(prob)}\t{fmt(cost)}")
+    kept = np.flatnonzero(plan.path_law >= PLAN_PROB_FLOOR)
+    lines += map("\t".join, zip(path_strings(space.array[kept]),
+                                map(repr, plan.path_law[kept].tolist()),
+                                map(repr, plan.path_costs[kept].tolist())))
     lines.append("[edge_usage]")
     lines.append("t\tfrom\tto\tmass")
     usage = plan.edge_usage
     steps, tails, heads = np.nonzero(usage >= PLAN_PROB_FLOOR)
-    for t, i, j, mass in zip(steps.tolist(), (tails + 1).tolist(),
-                             (heads + 1).tolist(), usage[steps, tails, heads].tolist()):
-        lines.append(f"{t}\t{i}\t{j}\t{fmt(mass)}")
+    lines += map("\t".join, zip(map(str, steps.tolist()), map(str, (tails + 1).tolist()),
+                                map(str, (heads + 1).tolist()),
+                                map(repr, usage[steps, tails, heads].tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -328,9 +355,9 @@ def write_plan(path: str, plan) -> None:
     atomic_write_text(path, plan_to_text(plan))
 
 
-def parse_plan_text(text: str) -> dict:
-    """Parse a plan file into ``meta``/``objective``/``edge_usage`` dicts and
-    ``paths`` as ``(rows, probs, costs)``, rows in lexicographic order, each once."""
+def _plan_lines(text: str) -> tuple:
+    """Read plan text one line at a time: the reader for any layout, which
+    names the first line it cannot read."""
     section = None
     meta: dict[str, str] = {}
     objective: dict[str, float] = {}
@@ -365,10 +392,57 @@ def parse_plan_text(text: str) -> dict:
                 raise ValidationError(f"line {lineno}: outside any known section")
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"plan line {lineno} malformed: {line!r}") from exc
-    if not rows:
+    return meta, objective, rows, probs, costs, usage
+
+
+# str.splitlines() ends a line at these ASCII characters as well as at "\n"
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+
+def _counts_are(cells: list[str], sep: str, count: int) -> bool:
+    return list(map(str.count, cells, repeat(sep))) == [count] * len(cells)
+
+
+def _plan_columns(text: str) -> tuple | None:
+    """What :func:`_plan_lines` reads from text in :func:`plan_to_text`'s
+    layout, with one split and one conversion per column of ``[paths]`` and
+    ``[edge_usage]``; None for text in any other layout or with a cell the
+    conversion refuses, which the line reader then reports."""
+    head, _, rest = text.partition("\n[paths]\n")
+    body, found, tail = rest.partition("\n[edge_usage]\nt\tfrom\tto\tmass\n")
+    if (not found or (tail and tail[-1] != "\n") or not rest.isascii()
+            or any(c in rest for c in _LINE_BREAKS)):
+        return None
+    if not (_counts_are(body.split("\n"), "\t", 2)
+            and _counts_are(tail.split("\n")[:-1], "\t", 3)):
+        return None
+    cells = body.replace("\n", "\t").split("\t")
+    paths = cells[0::3]
+    if not _counts_are(paths, ">", paths[0].count(">")):
+        return None
+    usage_cells = tail.replace("\n", "\t").split("\t")[:-1]
+    try:
+        rows = np.array(list(map(int, ">".join(paths).split(">"))),
+                        dtype=np.int64).reshape(len(paths), -1)
+        probs, costs = list(map(float, cells[1::3])), list(map(float, cells[2::3]))
+        usage = dict(zip(zip(*(map(int, usage_cells[k::4]) for k in range(3))),
+                         map(float, usage_cells[3::4])))
+    except (ValueError, OverflowError):
+        return None
+    meta, objective, head_rows, _, _, head_usage = _plan_lines(head)
+    if head_rows or head_usage:
+        return None
+    return meta, objective, rows, probs, costs, usage
+
+
+def parse_plan_text(text: str) -> dict:
+    """Parse a plan file into ``meta``/``objective``/``edge_usage`` dicts and
+    ``paths`` as ``(rows, probs, costs)``, rows in lexicographic order, each once."""
+    meta, objective, rows, probs, costs, usage = _plan_columns(text) or _plan_lines(text)
+    if not len(rows):
         raise ValidationError("plan file has no [paths] entries")
     try:
-        rows = np.array(rows, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise ValidationError("plan [paths] need int64 ids and one length") from exc
     rank = row_ranks(rows)

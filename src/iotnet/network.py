@@ -18,8 +18,10 @@ end in the sink support, and use an existing finite-cost edge at every step,
 in lexicographic order, as the rows of an ``(N, T+1)`` int64 node matrix
 (tuples are made only on demand).  `path_costs` prices a whole space with
 array code over that matrix; `path_cost` is the scalar reference it matches
-bit for bit.  Path-keyed tables such as q-files are node matrices too, aligned
-with a space by `row_join` through the rows' ranks (`row_ranks`).
+bit for bit.  Path-keyed tables such as q-files are node matrices too.  Each
+row packs into one int64 key, its columns in mixed radix over their id ranges,
+so keys sort as the rows do: `row_ranks` ranks the keys with one sort, and
+`row_join` aligns a table with a space by a binary search over them.
 """
 
 from __future__ import annotations
@@ -422,26 +424,59 @@ class PathSpace:
         return self.array.shape[0]
 
 
+_KEY_LIMIT = 2 ** 63
+
+
+def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of ``values`` and the number of distinct values."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return inverse, distinct.size
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row of an integer matrix, ordered as the rows are
+    lexicographically: each column is packed in mixed radix over its id range.
+
+    When the next column would take the key past 63 bits, the packed prefix
+    is replaced by its dense ranks; a column whose id range is too wide even
+    then is replaced by its own dense ranks.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    key = np.zeros(len(rows), dtype=np.int64)
+    span = 1        # every key is below span; span < 2**63 keeps it int64
+    if not len(rows):
+        return key
+    for col in rows.T:
+        low = int(col.min())
+        width = int(col.max()) - low + 1
+        if span * width >= _KEY_LIMIT:
+            key, span = _dense(key)
+        if span * width >= _KEY_LIMIT:
+            col, width = _dense(col)
+            low = 0
+        key = key * width + (col - low)
+        span *= width
+    return key
+
+
 def row_ranks(rows: np.ndarray) -> np.ndarray:
-    """Dense lexicographic rank of each row of an integer matrix: each column's
-    ranks are folded into the ranks of the row prefixes, which are ranked
-    again, so no value exceeds ``len(rows)**2`` at any width."""
-    rank = np.zeros(len(rows), dtype=np.int64)
-    for col in np.asarray(rows).T:
-        values, col_rank = np.unique(col, return_inverse=True)
-        _, rank = np.unique(rank * values.size + col_rank, return_inverse=True)
-    return rank
+    """Dense lexicographic rank of each row of an integer matrix."""
+    return _dense(_row_keys(rows))[0]
 
 
 def row_join(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Row of ``block`` (distinct rows) equal to each row of ``rows``, or -1
-    where there is none; a table of another width matches nothing."""
-    if np.shape(rows)[1:] != np.shape(block)[1:]:
+    where there is none; a table of another width matches nothing.  Both
+    tables are packed into one set of keys and each row of ``rows`` is looked
+    up by binary search among the sorted keys of ``block``."""
+    if np.shape(rows)[1:] != np.shape(block)[1:] or not len(block):
         return np.full(len(rows), -1)
-    rank = row_ranks(np.concatenate([block, rows]))
-    at = np.full(len(rank), -1, dtype=np.int64)
-    at[rank[:len(block)]] = np.arange(len(block))
-    return at[rank[len(block):]]
+    key = _row_keys(np.concatenate([block, rows]))
+    known, wanted = key[:len(block)], key[len(block):]
+    order = np.argsort(known)
+    at = order[np.minimum(np.searchsorted(known, wanted, sorter=order),
+                          len(block) - 1)]
+    return np.where(known[at] == wanted, at, -1)
 
 
 def path_vector(space: PathSpace, rows: np.ndarray, probs: np.ndarray,

@@ -310,6 +310,25 @@ def test_robust_cert_ignores_target_paths_the_plan_file_dropped(outdir, capsys):
     assert json.loads((outdir / "robust_cert.json").read_text()) == cert
 
 
+@pytest.mark.parametrize("paths,entries", [
+    ("1>2\t0.25\t1.5\n12>1\t0.75\t2.0\n", 2),
+    ("1>2\t1.0\tinf\n", 0),       # an infinite cost leaves the maximizer empty
+])
+def test_robust_cert_file_is_the_indented_dump_of_its_content(outdir, capsys,
+                                                              paths, entries):
+    """The maximizer map is encoded apart from the rest of the certificate and
+    spliced in; the file keeps the layout of one indented, key-sorted dump."""
+    (outdir / "plan.txt").write_text(f"[meta]\nhorizon\t1\nalpha\t1.0\n[paths]\n{paths}")
+    save_path_distribution(str(outdir / "q.json"), 1, {(1, 2): 0.5, (12, 1): 0.5})
+    code, _, err = run_cli(["robust-cert", "--plan", "plan.txt",
+                            "--q-file", "q.json", "--epsilon", "0.1"], capsys)
+    assert code == 0, err
+    text = (outdir / "robust_cert.json").read_text()
+    cert = json.loads(text)
+    assert len(cert["maximizer"]) == entries
+    assert text == json.dumps(cert, indent=2, sort_keys=True) + "\n"
+
+
 def test_robust_cert_unknown_paths_rejected(outdir, capsys):
     code, _, _ = run_cli(["solve", "--network", "builtin:tiny",
                           "--alpha", "0.5", "--out", "plan.txt"], capsys)

@@ -1,5 +1,7 @@
 """Round trips and validation for every on-disk format."""
 
+import dataclasses
+import gc
 import json
 import os
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotnet import (
+    ImitationTarget,
     ValidationError,
     load_marginal,
     load_network,
@@ -27,10 +30,14 @@ from iotnet import fixtures
 from iotnet.bridge import MarkovPrior, PathPrior
 from iotnet.fileio import (
     PLAN_PROB_FLOOR,
+    _plan_columns,
+    _plan_lines,
+    _read_json,
     atomic_write_text,
     fmt,
     format_path,
     parse_plan_text,
+    path_strings,
     plan_to_text,
     vector_from_obj,
 )
@@ -83,6 +90,24 @@ def test_load_marginal(tmp_path):
     f.write_text(json.dumps({"1": 0.5, "3": 0.5}))
     v = load_marginal(str(f), 3)
     assert np.allclose(v, [0.5, 0.0, 0.5], atol=1e-15)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, collecting):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"a": [1, 2]}')
+    bad.write_text('{"a": [1, 2')
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        assert _read_json(str(good), "test") == {"a": [1, 2]}
+        assert gc.isenabled() is collecting
+        for path in (bad, tmp_path / "missing.json"):
+            with pytest.raises(ValidationError):
+                _read_json(str(path), "test")
+            assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +179,76 @@ def test_step_weights_sparse_form(tmp_path, tiny):
     assert initial is None
     assert mat[0, 1] == 100.0
     assert mat[1, 0] == 1.0
+
+
+def _reference_step_weights(path, network):
+    """The per-pair loader the edge mask replaced: a default filled edge by
+    edge and a ``has_edge`` call per nonzero weight."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    n = network.n
+    if "matrix" in doc:
+        mat = np.asarray(doc["matrix"], dtype=float)
+    else:
+        mat = np.zeros((n, n), dtype=float)
+        for (i, j) in network.edge_pairs():
+            mat[i - 1, j - 1] = float(doc.get("default", 1.0))
+        for ent in doc.get("entries", []):
+            try:
+                i, j, w = int(ent[0]), int(ent[1]), float(ent[2])
+            except (TypeError, ValueError, IndexError) as exc:
+                raise ValidationError(f"step weights {path}: bad entry {ent}") from exc
+            if not network.has_edge(i, j):
+                raise ValidationError(
+                    f"step weights {path}: entry ({i},{j}) is not a network edge")
+            mat[i - 1, j - 1] = w
+    if np.any(mat < 0):
+        raise ValidationError(f"step weights {path}: negative weight")
+    off = [(i + 1, j + 1) for i, j in zip(*np.nonzero(mat))
+           if not network.has_edge(i + 1, j + 1)]
+    if off:
+        raise ValidationError(
+            f"step weights {path}: positive weight off the edge set, e.g. {off[:5]}")
+    return mat
+
+
+def _with_negative(matrix, at):
+    if at is not None:
+        matrix[at // 4][at % 4] = -1.0
+    return {"matrix": matrix}
+
+
+_WEIGHT = st.sampled_from([0.0, 0.0, 0.5, 2.0, -1.0, float("nan")])
+_STEP_DOCS = st.one_of(
+    st.builds(_with_negative,
+              st.lists(st.lists(st.sampled_from([0.0, 0.0, 0.5, 2.0, float("nan")]),
+                                min_size=4, max_size=4), min_size=4, max_size=4),
+              st.none() | st.integers(0, 15)),
+    st.builds(lambda d, e: {"default": d, "entries": e},
+              st.sampled_from([0.0, 1.0, 3.5]),
+              st.lists(st.one_of(
+                  st.tuples(st.integers(0, 5), st.integers(0, 5),
+                            _WEIGHT).map(list),
+                  st.sampled_from([[1], ["x", 2, 1.0], [1, 2, None]])),
+                  max_size=5)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STEP_DOCS)
+def test_step_weight_checks_match_the_per_pair_loop(tmp_path_factory, doc):
+    net, _ = fixtures.four_node_fixture()
+    f = tmp_path_factory.getbasetemp() / "rq_reference.json"
+    f.write_text(json.dumps(doc))
+    want = _outcome(_reference_step_weights, str(f), net)
+    got = _outcome(load_step_weights, str(f), net)
+    if got[0] == "ok":
+        got = ("ok", got[1][1])
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert np.array_equal(got[1], want[1], equal_nan=True)
+    else:
+        assert got[1] == want[1]
 
 
 def test_step_weights_reject_off_edge_mass(tmp_path):
@@ -523,3 +618,114 @@ def test_plan_rejects_paths_that_are_no_node_matrix(path):
     with pytest.raises(ValidationError,
                        match=r"plan \[paths\] need int64 ids and one length"):
         parse_plan_text(_PLAN.replace("1>2>3", path))
+
+
+def _both_readers(text):
+    """Outcomes of the column reader and of the line reader on ``text``, or
+    None when the column reader passes the text on."""
+    def outcome(reader):
+        got = _outcome(reader, text)
+        if got[0] == "ok":
+            meta, objective, rows, probs, costs, usage = got[1]
+            got = ("ok", (meta, objective, np.asarray(rows).tolist(),
+                          probs, costs, usage))
+        return got
+
+    columns = _outcome(_plan_columns, text)
+    if columns == ("ok", None):
+        return None
+    return outcome(_plan_columns), outcome(_plan_lines)
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(0.01, 50.0), beta=st.sampled_from([0.0, 0.5]))
+def test_written_plans_read_by_columns_equal_the_reference(tiny, alpha, beta):
+    problem = uniform_problem(tiny, alpha)
+    if beta:
+        law = np.arange(1.0, tiny.space.size + 1.0)
+        problem = dataclasses.replace(problem, target=ImitationTarget.paths(
+            law / law.sum(), blend=beta))
+    text = plan_to_text(solve_iot(problem))
+    columns, lines = _both_readers(text)
+    assert columns == lines
+    want = _reference_plan_paths(text)
+    rows, probs, costs = parse_plan_text(text)["paths"]
+    got = dict(zip(map(tuple, rows.tolist()), zip(probs.tolist(), costs.tolist())))
+    assert list(got.items()) == list(want.items())
+
+
+_HEADERS = ("[meta]", "[objective]", "[paths]", "[edge_usage]", "t\tfrom\tto\tmass")
+
+
+@st.composite
+def _corrupt_plans(draw):
+    """``_PLAN`` with one line corrupted the way hand edits corrupt lines."""
+    lines = _PLAN.split("\n")[:-1]
+    k = draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[k]
+    cells = line.split("\t")
+    kind = draw(st.sampled_from(["drop", "extra", ">>", "hop", "crlf", "break",
+                                 "blank", "header", "lone"]), label="kind")
+    if kind == "drop":
+        del cells[draw(st.integers(0, len(cells) - 1))]
+        lines[k] = "\t".join(cells)
+    elif kind == "extra":
+        cells.insert(draw(st.integers(0, len(cells))),
+                     draw(st.sampled_from(["", "1", "0.5", "x", "1>2>3"])))
+        lines[k] = "\t".join(cells)
+    elif kind == ">>":
+        at = draw(st.integers(0, len(line)))
+        lines[k] = line[:at] + ">>" + line[at:]
+    elif kind == "hop":                         # a longer path in one line
+        cells[0] += "".join(f">{v}" for v in draw(st.lists(st.integers(1, 9),
+                                                            min_size=1, max_size=2)))
+        lines[k] = "\t".join(cells)
+    elif kind == "crlf":
+        lines[k] = line + "\r"
+    elif kind == "break":                       # where str.splitlines() breaks
+        at = draw(st.integers(0, len(line)))
+        lines[k] = (line[:at] + draw(st.sampled_from(["\r", "\x0b", "\x1c", "\x85",
+                                                      "\u2028"])) + line[at:])
+    elif kind == "blank":
+        lines.insert(k, draw(st.sampled_from(["", " ", "\t\t", "\x0c"])))
+    elif kind == "header":
+        lines.insert(k, draw(st.sampled_from(_HEADERS)))
+    else:
+        lines.remove("t\tfrom\tto\tmass")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_plan_table(text):
+    """``_reference_plan_paths``, then the one-length check of a node matrix."""
+    paths = _reference_plan_paths(text)
+    if len(set(map(len, paths))) > 1:
+        raise ValidationError("plan [paths] need int64 ids and one length")
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupt_plans())
+def test_corrupt_plans_fail_as_the_reference_loop_does(text):
+    want = _outcome(_reference_plan_table, text)
+    got = _outcome(parse_plan_text, text)
+    if got[0] == "ok":
+        rows, probs, costs = got[1]["paths"]
+        got = ("ok", dict(zip(map(tuple, rows.tolist()),
+                              zip(probs.tolist(), costs.tolist()))))
+    assert got == want
+    both = _both_readers(text)
+    if both is not None:                       # read by columns
+        assert both[0] == both[1]
+
+
+def test_paths_above_the_writers_section_are_read_too():
+    text = _PLAN.replace("[objective]\n", "[paths] \n9>9>9\t0.5\t2.0\n[objective]\n")
+    rows, probs, costs = parse_plan_text(text)["paths"]
+    assert rows.tolist() == [[1, 2, 3], [2, 1, 1], [9, 9, 9]]
+    assert probs.tolist() == [0.75, 0.25, 0.5]
+
+
+def test_path_strings_equal_format_path():
+    rows = np.array([[1, 20, 3], [-4, 2 ** 62, 0], [1, 20, 3]], dtype=np.int64)
+    assert path_strings(rows) == [format_path(r) for r in rows.tolist()]
+    assert path_strings(rows[:0]) == []

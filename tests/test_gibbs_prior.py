@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import iotnet.spectral
 from iotnet import (
+    ConvergenceError,
     CostModel,
     EdgeKind,
     ImitationTarget,
@@ -189,3 +190,33 @@ def test_target_initial_law_must_cover_the_starts(tiny, initial):
     for force_path in (False, True):
         with pytest.raises(InfeasibleError):
             solve_iot(problem, force_path=force_path)
+
+
+def _nearly_a_permutation():
+    """Four nodes whose supported endpoint block at T=1 is the log kernel
+    ``[[-100, -100], [-100, -200]]`` at alpha 0.01: its optimal coupling is
+    nearly a permutation, where the rate of plain sweeps collapses."""
+    costs = {(1, 2): 1.0, (1, 3): 1.0, (1, 4): 1.0, (3, 2): 1.0, (3, 4): 2.0,
+             (4, 2): 1.0}
+    network = _network(4, set(costs), costs)
+    model = CostModel.markov(costs)
+    weights = np.zeros((4, 4))
+    weights[tuple(np.array(sorted(costs)).T - 1)] = 1.0
+    space = enumerate_paths(network, 1, [1, 3], [2, 4], model)
+    return IOTProblem(network=network, cost_model=model, path_space=space,
+                      nu0=np.array([0.5, 0.0, 0.5, 0.0]),
+                      nuT=np.array([0.0, 0.5, 0.0, 0.5]), alpha=0.01,
+                      target=ImitationTarget.markov(weights, stochastic=False))
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="sweeps alone stall on a nearly permutation coupling")
+@pytest.mark.parametrize("force_path", [False, True], ids=["markov", "path"])
+def test_a_nearly_permutation_coupling_solves_on_both_routes(force_path):
+    """Pinned as a known failure: each route raises after 100,000 sweeps.
+    The pin flips once the scaling core converges here."""
+    problem = _nearly_a_permutation()
+    assert problem.path_space.size == 4
+    plan = solve_iot(problem, force_path=force_path, tol=1e-12)
+    assert marginal_gap(problem.path_space, plan.path_law,
+                        problem.nu0, problem.nuT) < 1e-12

@@ -25,7 +25,7 @@ from iotnet import (
     strongly_connected,
     unreachable_nodes,
 )
-from iotnet.network import path_vector, row_join
+from iotnet.network import path_vector, row_join, row_ranks
 from iotnet import fixtures
 
 from helpers import brute_paths, line_network
@@ -377,32 +377,55 @@ def test_path_vector_rejects_foreign_paths_and_empty_tables(tiny):
         path_vector(tiny.space, tiny.space.array[:1], np.array([0.0]), "q")
 
 
-# ids up to 2**62: any row with one of them and a second column already
-# overflows a base-(max id + 1) int64 key; small ids make rows collide
-_IDS = st.integers(0, 3) | st.integers(2 ** 40, 2 ** 62)
+# Id sets for the packed row keys, one per table: few ids make rows collide;
+# ids up to 1000 over up to 12 columns pass 63 bits part way through a row,
+# so the packed prefix is re-ranked there; the full int64 range and its
+# extremes give columns whose id range is too wide to pack at all
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+_EXTREMES = st.sampled_from([-2 ** 63, -2 ** 63 + 1, -1, 0, 1, 2 ** 62,
+                             2 ** 63 - 2, 2 ** 63 - 1])
+_ID_SETS = st.sampled_from([st.integers(0, 3), st.integers(0, 1000), _INT64,
+                            _EXTREMES, st.integers(0, 3) | _EXTREMES | _INT64])
 
 
-@settings(max_examples=200, deadline=None)
+def _matrix(rows, width):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def _row_strategy(data):
+    width = data.draw(st.integers(0, 12), label="width")
+    ids = data.draw(_ID_SETS, label="ids")
+    return width, st.tuples(*[ids] * width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_ranks_match_sorted_tuples(data):
+    width, row = _row_strategy(data)
+    rows = data.draw(st.lists(row, max_size=12), label="rows")
+    distinct = sorted(set(rows))
+    got = row_ranks(_matrix(rows, width))
+    assert got.dtype == np.int64
+    assert got.tolist() == [distinct.index(r) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_row_join_matches_a_dict_reference(data):
-    width = data.draw(st.integers(1, 5), label="width")
-    row = st.tuples(*[_IDS] * width)
+    width, row = _row_strategy(data)
     block = data.draw(st.lists(row, max_size=10, unique=True), label="block")
     absent = data.draw(st.lists(row, max_size=6), label="absent")
     present = data.draw(st.lists(st.sampled_from(block), max_size=6)
                         if block else st.just([]), label="present")
     table = data.draw(st.permutations(present + absent), label="table")
 
-    def matrix(rows, w):
-        return np.array(rows, dtype=np.int64).reshape(len(rows), w)
-
     index = {p: k for k, p in enumerate(block)}
-    got = row_join(matrix(table, width), matrix(block, width))
+    got = row_join(_matrix(table, width), _matrix(block, width))
     assert got.tolist() == [index.get(p, -1) for p in table]
     # a table of another width matches nothing
     wider = [p + (1,) for p in table]
-    assert row_join(matrix(wider, width + 1),
-                    matrix(block, width)).tolist() == [-1] * len(table)
+    assert row_join(_matrix(wider, width + 1),
+                    _matrix(block, width)).tolist() == [-1] * len(table)
 
 
 # ---------------------------------------------------------------------------
