@@ -236,7 +236,7 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
     if np.any(mat < 0):
         raise ValidationError(f"step weights {path}: negative weight")
     tails, heads = np.nonzero((mat != 0) & ~edge)
-    off = list(zip(tails + 1, heads + 1))
+    off = list(zip((tails + 1).tolist(), (heads + 1).tolist()))
     if off:
         raise ValidationError(
             f"step weights {path}: positive weight off the edge set, e.g. {off[:5]}")

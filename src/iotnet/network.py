@@ -349,8 +349,9 @@ def reprice(model: CostModel, edges: Iterable[tuple[int, int]],
     Factors compose multiplicatively with any existing multipliers.  Markov
     tables are scaled directly.
     """
-    if multiplier < 0:
-        raise ValidationError(f"multiplier must be nonnegative, got {multiplier}")
+    if not 0 <= multiplier < math.inf:
+        raise ValidationError(
+            f"multiplier must be nonnegative and finite, got {multiplier}")
     pairs = [(int(i), int(j)) for i, j in edges]
     if model.mode == MARKOV:
         table = dict(model.edge_costs)

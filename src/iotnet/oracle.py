@@ -11,8 +11,8 @@ tautology.
   with a two-phase primal simplex under Bland's rule (guaranteed finite, no
   cycling), handling the redundant marginal constraint via artificial-variable
   cleanup.  It is the verification oracle for the path LP; the scenario
-  engine calls it only on the cheapest-path subspace (one path per endpoint
-  pair, see :func:`iotnet.scenario.cheapest_path_lp` and
+  engine calls it once per scenario, on the cheapest path of each endpoint
+  pair (see :func:`iotnet.scenario.cheapest_paths` and
   :func:`iotnet.scenario.cheapest_rows`).
 * :func:`objective_eval` recomputes cost / divergence / total by direct
   summation.

@@ -23,17 +23,23 @@ never raises the cost.
 
 Where the numbers come from:
 
-* The imitation kind's costs are not additive over steps, so it enumerates
-  the path space and every number is a sum over paths: per-destination sums
-  over :class:`Destinations`, the LP on :func:`cheapest_path_lp`'s rows.
-* The risk kind enumerates no path.  Its plan is a Markov chain, so edge
-  usage and the KL come from the solve (:func:`~iotnet.imitation.chain_plan`),
-  per-destination cost and mass before and after the disaster from one
-  backward pass per cost model (:func:`chain_totals`), the LP's rows from a
-  min-plus pass (:func:`cheapest_rows`, the same rows in the same order as
-  the enumerated LP) and the path count from an integer walk count.  The
-  space is enumerated only if a caller reads ``ScenarioResult.space`` or the
-  plan's path arrays.
+* One LP per scenario, on the cheapest rows.  The imitation kind's costs
+  are not additive over steps, so it enumerates the path space and picks
+  them from it (:func:`cheapest_paths`, the lowest path index on ties); the
+  risk kind finds the same rows, in the same order, by a min-plus pass
+  (:func:`cheapest_rows`).
+* Every plan is a node table (one path per row, with its mass and cost) or
+  a chain.  Node tables, the LP plan of either kind and the imitation
+  kind's target and imitation plan, go through :func:`plan_report`:
+  per-destination sums by ``np.bincount``, and the total is their sum.
+* The risk kind enumerates no path.  Its imitation plan is a Markov chain,
+  so edge usage and the KL come from the solve
+  (:func:`~iotnet.imitation.chain_plan`), per-destination cost and mass
+  from one backward pass per cost model (:func:`chain_totals`), and the
+  path count from an integer walk count.  The disaster reprices the LP's
+  rows by their steps (:func:`~iotnet.network.row_costs`).  The space is
+  enumerated only if a caller reads ``ScenarioResult.space`` or the plan's
+  path arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -54,9 +59,8 @@ from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
 from .network import (CostModel, EdgeKind, Network, PathSpace, _resolve_step,
                       cost_matrix, count_paths, enumerate_paths, load_network,
                       markov_model_from_network, network_from_dict,
-                      no_paths_error, path_costs, path_vector, reprice,
-                      row_costs)
-from .oracle import DenseCoupling, lp_ot
+                      no_paths_error, path_vector, reprice, row_costs)
+from .oracle import lp_ot
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
 
@@ -172,6 +176,8 @@ def _mass_map(obj: object, what: str) -> dict[int, float]:
     for key, val in obj.items():
         node = _field(what, int, key)
         mass = _field(what, float, val)
+        if not math.isfinite(mass):
+            raise ValidationError(f"{what}: non-finite mass {mass!r} at node {node}")
         if mass < 0:
             raise ValidationError(f"{what}: negative mass at node {node}")
         if mass > 0:
@@ -320,44 +326,16 @@ def build_risk_matrix(network: Network, model: CostModel,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Destinations:
-    """The paths of a space grouped by end node, made once per scenario run.
-
-    ``order`` is a stable argsort of ``space.ends``: each destination's paths
-    are one slice of it, in space order, so a slice sum adds the same floats
-    in the same order as a sum over the mask ``space.ends == node``.
-    """
-
-    n: int
-    order: np.ndarray
-    spans: tuple[tuple[int, int, int], ...]  # (node, lo, hi): order[lo:hi]
-
-    @classmethod
-    def of(cls, space: PathSpace) -> Destinations:
-        order = np.argsort(space.ends, kind="stable")
-        nodes, lo = np.unique(space.ends[order], return_index=True)
-        hi = [*lo[1:].tolist(), order.size]
-        return cls(space.n, order, tuple(zip(nodes.tolist(), lo.tolist(), hi)))
-
-    def totals(self, law: np.ndarray, costs: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Cost and mass of ``law`` per destination, as ``(n,)`` arrays."""
-        law, costs = law[self.order], costs[self.order]
-        cost_by_dest, mass_by_dest = np.zeros(self.n), np.zeros(self.n)
-        for node, lo, hi in self.spans:
-            mass_by_dest[node - 1] = law[lo:hi].sum()
-            cost_by_dest[node - 1] = law[lo:hi] @ costs[lo:hi]
-        return cost_by_dest, mass_by_dest
-
-
-def plan_report(label: str, destinations: Destinations, law: np.ndarray,
-                costs: np.ndarray) -> PlanReport:
-    """Total and per-destination cost of ``law`` on ``costs``."""
-    cost_by_dest, mass_by_dest = destinations.totals(law, costs)
-    return PlanReport(label=label, total_cost=float(law @ costs),
-                      per_destination_cost=cost_by_dest,
-                      per_destination_mass=mass_by_dest)
+def plan_report(label: str, rows: np.ndarray, law: np.ndarray, costs: np.ndarray,
+                n: int) -> PlanReport:
+    """Cost and mass per destination of the node table ``rows`` (one path per
+    row) carrying ``law`` at ``costs``; the total is the destinations' sum."""
+    ends = rows[:, -1] - 1
+    by_dest = np.bincount(ends, weights=law * costs, minlength=n)
+    return PlanReport(label=label, total_cost=float(by_dest.sum()),
+                      per_destination_cost=by_dest,
+                      per_destination_mass=np.bincount(ends, weights=law,
+                                                       minlength=n))
 
 
 def chain_totals(transitions: list[np.ndarray], nu0: np.ndarray,
@@ -379,15 +357,12 @@ def chain_totals(transitions: list[np.ndarray], nu0: np.ndarray,
     return nu0 @ paid, nu0 @ ends
 
 
-def cheapest_path_lp(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
-                     nuT: np.ndarray) -> DenseCoupling:
-    """Cost-optimal plan: :func:`lp_ot` on the cheapest path of each endpoint pair.
+def cheapest_paths(space: PathSpace, costs: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The cheapest path of each endpoint pair of ``space`` and its cost.
 
-    Exact, because moving a (start, end) pair's mass onto its cheapest path
-    keeps both marginals and cannot raise the cost, so the path LP has an
-    optimum on those paths alone: an ``n x n`` transport problem.  Ties go to
-    the lowest path index, the column Bland's rule tries first.  The plan is
-    returned on the full space.
+    Ties go to the lowest path index, the column Bland's rule tries first.
+    Rows come in space (lexicographic) order.
     """
     pair = space.starts * (space.n + 1) + space.ends
     best = np.full((space.n + 1) ** 2, math.inf)
@@ -396,10 +371,7 @@ def cheapest_path_lp(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
     # return_index gives each pair's first candidate: the lowest path index
     _, first = np.unique(pair[cand], return_index=True)
     keep = np.sort(cand[first])
-    sub = PathSpace(horizon=space.horizon, n=space.n, array=space.array[keep])
-    law = np.zeros(space.size)
-    law[keep] = lp_ot(sub, costs[keep], nu0, nuT).probabilities
-    return DenseCoupling(probabilities=law, objective=float(costs @ law))
+    return space.array[keep], costs[keep]
 
 
 def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -412,7 +384,7 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,
                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows :func:`cheapest_path_lp` keeps, found without enumeration.
+    """The rows :func:`cheapest_paths` keeps, found without enumeration.
 
     ``cost`` is the ``(n, n)`` step-cost array (``inf`` off the feasible
     steps).  For each (start, end) pair joined by a horizon-step path, this
@@ -521,54 +493,6 @@ def _disaster_spec(spec: ScenarioSpec,
     return DisasterSpec(edges=edges, multiplier=given.multiplier) if edges else None
 
 
-Pricer = Callable[[str, CostModel], PlanReport]
-
-
-def _price_paths(plan: TransportPlan, nu0: np.ndarray, nuT: np.ndarray,
-                 target: np.ndarray) -> tuple[float, Pricer]:
-    """LP value and report maker of a plan over an enumerated space: every
-    number is a sum over the space's paths."""
-    space, costs = plan.path_space, plan.path_costs
-    lp = cheapest_path_lp(space, costs, nu0, nuT)
-    destinations = Destinations.of(space)
-    laws = {"target": target, "optimal": lp.probabilities,
-            "imitation": plan.path_law}
-
-    def report(label: str, model: CostModel) -> PlanReport:
-        if model is not plan.problem.cost_model:
-            return plan_report(label, destinations, laws[label],
-                               path_costs(space, model, plan.problem.network))
-        return plan_report(label, destinations, laws[label], costs)
-
-    return lp.objective, report
-
-
-def _price_chain(plan: TransportPlan, nu0: np.ndarray, nuT: np.ndarray,
-                 cost: np.ndarray) -> tuple[float, Pricer]:
-    """LP value and report maker of a Markov-route plan with step costs
-    ``cost``, without paths: the imitation plan is priced by
-    :func:`chain_totals` and the LP runs on :func:`cheapest_rows`."""
-    horizon, n = plan.problem.horizon, nu0.shape[0]
-    rows, costs = cheapest_rows(cost, horizon, np.flatnonzero(nu0) + 1,
-                                np.flatnonzero(nuT) + 1)
-    lp = lp_ot(PathSpace(horizon=horizon, n=n, array=rows), costs, nu0, nuT)
-
-    def report(label: str, model: CostModel) -> PlanReport:
-        step = cost_matrix(model, n)
-        if label == "imitation":
-            by_dest, mass = chain_totals(plan.transition_matrices, nu0, step)
-        else:
-            law, ends = lp.probabilities, rows[:, -1] - 1
-            by_dest = np.bincount(ends, weights=law * row_costs(step, rows),
-                                  minlength=n)
-            mass = np.bincount(ends, weights=law, minlength=n)
-        return PlanReport(label=label, total_cost=float(by_dest.sum()),
-                          per_destination_cost=by_dest,
-                          per_destination_mass=mass)
-
-    return lp.objective, report
-
-
 def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
                  max_iter: int = 100_000) -> ScenarioResult:
     """Solve ``spec``'s imitation plan and report it beside the LP optimum.
@@ -576,18 +500,19 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
     The imitation kind prices paths with the rule-based model and imitates
     ``q_star`` blended by ``beta``; the risk kind prices them per edge,
     imitates the risk step weights, and re-prices both plans under the
-    disaster.  The risk kind enumerates no path: its plan is a chain
-    (:func:`_price_chain`); the imitation kind sums over its path space.
+    disaster.  The risk kind enumerates no path: its imitation plan is a
+    chain; every other plan is a node table.
     """
     network, ruled, supply, demand, fixture = _resolve(spec, seed)
-    nu0, nuT = fixtures.marginals(network.n, supply, demand)
+    n = network.n
+    nu0, nuT = fixtures.marginals(n, supply, demand)
     affected = spec.affected
     if affected is None:
         affected = fixture.affected if fixture is not None else ()
     risk = spec.kind == "risk"
     if risk:
         model = markov_model_from_network(network, ruled)
-        cost = cost_matrix(model, network.n)
+        cost = cost_matrix(model, n)
         paths = count_paths(np.isfinite(cost), spec.horizon, supply, demand)
         if not paths:
             raise no_paths_error(spec.horizon, supply, demand)
@@ -595,7 +520,6 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
                              nuT=nuT, alpha=spec.alpha,
                              target=_risk_target(spec, network, model, affected),
                              horizon=spec.horizon)
-        price, labels = partial(_price_chain, cost=cost), ("optimal", "imitation")
     else:
         model = ruled
         space = enumerate_paths(network, spec.horizon, sorted(supply),
@@ -605,29 +529,41 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
                              nuT=nuT, alpha=spec.alpha,
                              target=ImitationTarget.paths(q_star, blend=spec.beta),
                              path_space=space)
-        price = partial(_price_paths, target=q_star)
-        labels = ("target", "optimal", "imitation")
     plan = solve_iot(problem, tol=tol, max_iter=max_iter)
-    lp_objective, report = price(plan, nu0, nuT)
-    reports = {label: report(label, model) for label in labels}
+
+    def chain_report(step: np.ndarray) -> PlanReport:
+        by_dest, mass = chain_totals(plan.transition_matrices, nu0, step)
+        return PlanReport("imitation", float(by_dest.sum()), by_dest, mass)
+
+    if risk:
+        rows, costs = cheapest_rows(cost, spec.horizon, np.flatnonzero(nu0) + 1,
+                                    np.flatnonzero(nuT) + 1)
+        reports = {"imitation": chain_report(cost)}
+    else:
+        rows, costs = cheapest_paths(space, plan.path_costs)
+        reports = {label: plan_report(label, space.array, law, plan.path_costs, n)
+                   for label, law in (("target", q_star),
+                                      ("imitation", plan.path_law))}
+    lp = lp_ot(PathSpace(horizon=spec.horizon, n=n, array=rows), costs, nu0, nuT)
+    reports["optimal"] = plan_report("optimal", rows, lp.probabilities, costs, n)
 
     disaster = None
     event = _disaster_spec(spec, fixture, affected) if risk else None
     if event is not None:
-        repriced = reprice(model, event.edges, event.multiplier)
-        after = {label: report(label, repriced) for label in ("imitation", "optimal")}
+        step = cost_matrix(reprice(model, event.edges, event.multiplier), n)
         # in field order: imitation before/after, then optimal before/after
-        plans = (reports["imitation"], after["imitation"], reports["optimal"],
-                 after["optimal"])
-        rows = tuple(DisasterRow(node, float(nuT[node - 1]),
-                                 *(float(p.per_destination_cost[node - 1])
-                                   for p in plans))
-                     for node in (np.flatnonzero(nuT) + 1).tolist())
-        disaster = DisasterResult(event.multiplier, event.edges, rows,
+        plans = (reports["imitation"], chain_report(step), reports["optimal"],
+                 plan_report("optimal", rows, lp.probabilities,
+                             row_costs(step, rows), n))
+        per_node = tuple(DisasterRow(node, float(nuT[node - 1]),
+                                     *(float(p.per_destination_cost[node - 1])
+                                       for p in plans))
+                         for node in (np.flatnonzero(nuT) + 1).tolist())
+        disaster = DisasterResult(event.multiplier, event.edges, per_node,
                                   *(p.total_cost for p in plans))
     return ScenarioResult(kind=spec.kind, alpha=spec.alpha, beta=spec.beta,
                           paths=paths, imitation_plan=plan, reports=reports,
-                          lp_objective=lp_objective, disaster=disaster)
+                          lp_objective=lp.objective, disaster=disaster)
 
 
 # ---------------------------------------------------------------------------

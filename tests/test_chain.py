@@ -34,10 +34,9 @@ from iotnet import (
 )
 from iotnet import fixtures
 from iotnet.cli import main
-from iotnet.network import PathSpace, cost_matrix, count_paths, row_join
-from iotnet.oracle import lp_ot
-from iotnet.scenario import (Destinations, chain_totals, cheapest_path_lp,
-                             cheapest_rows, load_scenario, run_scenario)
+from iotnet.network import cost_matrix, count_paths
+from iotnet.scenario import (chain_totals, cheapest_paths, cheapest_rows,
+                             load_scenario, plan_report, run_scenario)
 
 
 @st.composite
@@ -91,7 +90,7 @@ def chain_problems(draw):
 
 
 def _lowest_index_cheapest(space, costs):
-    """The rows ``cheapest_path_lp`` keeps: per endpoint pair, the lowest
+    """The rows ``cheapest_paths`` keeps: per endpoint pair, the lowest
     index among the paths of smallest cost."""
     keep = {}
     for k, (s, e, c) in enumerate(zip(space.starts.tolist(), space.ends.tolist(),
@@ -129,7 +128,8 @@ def test_chain_contractions_match_the_enumerated_path_law(problem):
     assert obj.total == obj.expected_cost + problem.alpha * obj.kl_to_target
 
     by_dest, mass = chain_totals(plan.transition_matrices, problem.nu0, cost)
-    want_cost, want_mass = Destinations.of(space).totals(law, costs)
+    want = plan_report("imitation", space.array, law, costs, space.n)
+    want_cost, want_mass = want.per_destination_cost, want.per_destination_mass
     assert np.abs(by_dest - want_cost).max() <= 1e-12 * max(1.0, want_cost.max())
     assert np.abs(mass - want_mass).max() <= 1e-12
 
@@ -137,13 +137,10 @@ def test_chain_contractions_match_the_enumerated_path_law(problem):
     keep = _lowest_index_cheapest(space, costs)
     assert np.array_equal(rows, space.array[keep])
     assert np.array_equal(row_cost, costs[keep])
-    # the same LP on the same columns in the same order: the same vertex
-    full = cheapest_path_lp(space, costs, problem.nu0, problem.nuT)
-    sub = lp_ot(PathSpace(horizon=problem.horizon, n=space.n, array=rows),
-                row_cost, problem.nu0, problem.nuT)
-    scattered = np.zeros(space.size)
-    scattered[row_join(rows, space.array)] = sub.probabilities
-    assert np.array_equal(scattered, full.probabilities)
+    # both kinds hand the one LP the same rows at the same costs
+    path_rows, path_row_cost = cheapest_paths(space, costs)
+    assert np.array_equal(path_rows, rows)
+    assert np.array_equal(path_row_cost, row_cost)
 
 
 def test_cheapest_rows_break_ties_lexicographically():

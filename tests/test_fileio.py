@@ -204,7 +204,7 @@ def _reference_step_weights(path, network):
             mat[i - 1, j - 1] = w
     if np.any(mat < 0):
         raise ValidationError(f"step weights {path}: negative weight")
-    off = [(i + 1, j + 1) for i, j in zip(*np.nonzero(mat))
+    off = [(i + 1, j + 1) for i, j in np.argwhere(mat).tolist()
            if not network.has_edge(i + 1, j + 1)]
     if off:
         raise ValidationError(
@@ -258,7 +258,7 @@ def test_step_weights_reject_off_edge_mass(tmp_path):
     with pytest.raises(ValidationError):
         load_step_weights(str(f), net)         # (2,1) is not an edge there
     f.write_text(json.dumps({"matrix": np.ones((4, 4)).tolist()}))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"e\.g\. \[\(1, 4\), "):
         load_step_weights(str(f), net)
 
 

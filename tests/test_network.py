@@ -214,6 +214,14 @@ def test_reprice_rejects_negative_multiplier():
         reprice(model, [(1, 2)], -1.0)
 
 
+@pytest.mark.parametrize("multiplier", [math.nan, math.inf])
+def test_reprice_rejects_non_finite_multiplier(multiplier):
+    # a nan or inf step cost would be read as off the cost table, so free
+    model = CostModel.markov({(1, 2): 3.0})
+    with pytest.raises(ValidationError, match="nonnegative and finite"):
+        reprice(model, [(1, 2)], multiplier)
+
+
 # ---------------------------------------------------------------------------
 # path enumeration
 # ---------------------------------------------------------------------------

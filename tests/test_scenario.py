@@ -1,6 +1,7 @@
 """Scenario engine: spec files, both scenario kinds, and report emission."""
 
 import json
+import math
 import os
 import re
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 
 from iotnet import InfeasibleError, ValidationError
 from iotnet import fixtures
+from iotnet.cli import main
 from iotnet.fileio import fmt
 from iotnet.network import markov_model_from_network, path_vector
 from iotnet.scenario import (
@@ -133,6 +135,20 @@ def test_load_scenario_names_the_malformed_field(tmp_path, patch, field):
     doc = dict(RISK_DOC, **patch)
     with pytest.raises(ValidationError, match=re.escape(field)):
         load_scenario(_write_spec(tmp_path, doc))
+
+
+@pytest.mark.parametrize("field", ["supply", "demand"])
+@pytest.mark.parametrize("mass", [float("nan"), float("inf")])
+def test_scenario_refuses_a_non_finite_mass(tmp_path, capsys, field, mass):
+    # without the bad entry, supply and demand balance and the scenario solves
+    doc = dict(RISK_DOC, supply={"8": 1.0}, demand={"3": 1.0})
+    doc[field] = dict(doc[field], **{"1": mass})
+    spec = _write_spec(tmp_path, doc)
+    assert ("NaN" if math.isnan(mass) else "Infinity") in open(spec).read()
+    assert main(["scenario", "--spec", spec, "--out-dir",
+                 str(tmp_path / "out")]) == 1
+    assert f"{field}: non-finite mass {mass!r} at node 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_builtin_network_is_rejected(tmp_path):

@@ -1,9 +1,10 @@
 """Array path costs, edge usage and destination sums against their references.
 
-``path_costs``, ``edge_usage_from_law`` and the scenario's per-destination
-sums replace per-path loops or masks with array code that adds the same
-floats in the same order, so they must agree with the references exactly,
-not to a tolerance.  The scenario's cost-optimal plan solves the LP on the
+``path_costs`` and ``edge_usage_from_law`` replace per-path loops with array
+code that adds the same floats in the same order, so they must agree with the
+references exactly, not to a tolerance.  The scenario's per-destination sums
+(``plan_report``) add in bincount order and agree with the masked loop to a
+relative 1e-12.  The scenario's cost-optimal plan solves the LP on the
 cheapest path of each endpoint pair; it must reach the full path LP's optimum.
 """
 
@@ -29,9 +30,9 @@ from iotnet import (
     reprice,
 )
 from iotnet import fixtures, scenario
-from iotnet.network import PathSpace, _resolve_step
+from iotnet.network import PathSpace, _resolve_step, row_join
 from iotnet.oracle import lp_ot
-from iotnet.scenario import Destinations, cheapest_path_lp
+from iotnet.scenario import cheapest_paths
 
 from helpers import marginal_gap, usage_dict_loop
 
@@ -172,15 +173,28 @@ def _lp_case(name):
     return (space, path_costs(space, model, fx.network)) + fx.marginals()
 
 
+def _cheapest_path_lp(space, costs, nu0, nuT):
+    """The scenario's cost-optimal plan: the LP on ``cheapest_paths``' rows,
+    its law scattered back onto ``space``."""
+    rows, row_cost = cheapest_paths(space, costs)
+    on_rows = row_join(rows, space.array)
+    assert np.array_equal(row_cost, costs[on_rows])
+    sub = lp_ot(PathSpace(horizon=space.horizon, n=space.n, array=rows),
+                row_cost, nu0, nuT)
+    law = np.zeros(space.size)
+    law[on_rows] = sub.probabilities
+    return rows, sub.objective, law
+
+
 @pytest.mark.parametrize("name", ["tiny", "synthetic30", "risk30"])
 def test_cheapest_path_lp_reaches_the_full_path_lp(name):
     space, costs, nu0, nuT = _lp_case(name)
-    plan = cheapest_path_lp(space, costs, nu0, nuT)
-    assert plan.objective == pytest.approx(lp_ot(space, costs, nu0, nuT).objective,
-                                           abs=1e-9)
-    assert marginal_gap(space, plan.probabilities, nu0, nuT) <= 1e-9
+    _, objective, law = _cheapest_path_lp(space, costs, nu0, nuT)
+    assert objective == pytest.approx(lp_ot(space, costs, nu0, nuT).objective,
+                                      abs=1e-9)
+    assert marginal_gap(space, law, nu0, nuT) <= 1e-9
     pair = space.starts * (space.n + 1) + space.ends
-    for k in np.nonzero(plan.probabilities)[0]:
+    for k in np.nonzero(law)[0]:
         assert costs[k] == costs[pair == pair[k]].min()
 
 
@@ -196,7 +210,7 @@ def _cheapest_per_pair(space, costs):
 
 
 @pytest.mark.parametrize("name", ["tiny", "risk30"])
-def test_cheapest_path_lp_breaks_exact_ties_by_lowest_index(name, monkeypatch):
+def test_cheapest_path_lp_breaks_exact_ties_by_lowest_index(name):
     space, costs, nu0, nuT = _lp_case(name)
     # four cost levels, so many pairs have several cheapest paths
     tied = np.floor(4.0 * costs / costs.max())
@@ -205,17 +219,35 @@ def test_cheapest_path_lp_breaks_exact_ties_by_lowest_index(name, monkeypatch):
     best = {pairs[k]: tied[k] for k in keep}
     cheapest = sum(tied[k] == best[pair] for k, pair in enumerate(pairs))
     assert cheapest > len(keep)  # some pairs have several cheapest paths
+    rows, _, law = _cheapest_path_lp(space, tied, nu0, nuT)
+    assert np.array_equal(rows, space.array[keep])
+    assert set(np.nonzero(law)[0].tolist()) <= set(keep)
+    assert marginal_gap(space, law, nu0, nuT) <= 1e-9
+
+
+@pytest.mark.parametrize("name,kind", [("synthetic30", "imitation"),
+                                       ("risk30", "risk")])
+def test_run_scenario_solves_one_lp_on_the_cheapest_rows(name, kind, tmp_path,
+                                                         monkeypatch):
+    space, costs, nu0, nuT = _lp_case(name)
     seen = []
 
     def recording_lp(sub, sub_costs, *args):
-        seen.append(sub)
+        seen.append((sub, sub_costs))
         return lp_ot(sub, sub_costs, *args)
 
     monkeypatch.setattr(scenario, "lp_ot", recording_lp)
-    plan = cheapest_path_lp(space, tied, nu0, nuT)
-    assert np.array_equal(seen[0].array, space.array[keep])
-    assert set(np.nonzero(plan.probabilities)[0].tolist()) <= set(keep)
-    assert marginal_gap(space, plan.probabilities, nu0, nuT) <= 1e-9
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"network": f"builtin:{name}", "T": 3,
+                                "alpha": 40.0, "scenario": {"kind": kind}}))
+    result = scenario.run_scenario(scenario.load_scenario(str(spec)), seed=0)
+    assert len(seen) == 1
+    rows, row_cost = cheapest_paths(space, costs)
+    assert np.array_equal(seen[0][0].array, rows)
+    assert np.array_equal(seen[0][1], row_cost)
+    optimal = result.reports["optimal"]
+    assert optimal.total_cost == pytest.approx(result.lp_objective, rel=1e-12)
+    assert np.abs(optimal.per_destination_mass - nuT).max() <= 1e-9
 
 
 def test_risk_scenario_never_builds_path_tuples(tmp_path):
@@ -229,8 +261,8 @@ def test_risk_scenario_never_builds_path_tuples(tmp_path):
 
 
 def _per_destination_masked(space, law, costs):
-    """The masked per-destination loop that ``Destinations.totals`` replaced,
-    its node-keyed dicts written into ``(n,)`` arrays."""
+    """The masked per-destination loop that ``plan_report``'s bincounts
+    replace, its node-keyed dicts written into ``(n,)`` arrays."""
     cost_by_dest, mass_by_dest = np.zeros(space.n), np.zeros(space.n)
     for end in np.unique(space.ends).tolist():
         mask = space.ends == end
@@ -244,26 +276,35 @@ def _per_destination_masked(space, law, costs):
 
 
 @pytest.mark.parametrize("name", ["synthetic30", "risk30"])
-def test_destination_slices_equal_masked_sums_exactly(name):
+def test_plan_report_matches_masked_sums(name):
     space, costs, nu0, nuT = _lp_case(name)
     rng = np.random.default_rng(7)
     # a disaster-like repricing: some paths cost ten times more
     repriced = np.where(rng.random(space.size) < 0.3, 10.0 * costs, costs)
     dense = rng.random(space.size)
     dense /= dense.sum()
-    # every other destination carries no mass and must be left out
+    # every other destination carries no mass and must report none
     ends = np.unique(space.ends)
     massless = np.isin(space.ends, ends[::2])
     gapped = np.where(massless, 0.0, dense)
-    laws = {"dense": dense, "gapped": gapped,
-            "sparse": cheapest_path_lp(space, costs, nu0, nuT).probabilities}
-    destinations = Destinations.of(space)
-    assert [node for node, _, _ in destinations.spans] == ends.tolist()
-    for label, law in laws.items():
+    rows, _, sparse = _cheapest_path_lp(space, costs, nu0, nuT)
+    on_rows = row_join(rows, space.array)
+    for label, law in {"dense": dense, "gapped": gapped, "sparse": sparse}.items():
         for cost in (costs, repriced):
-            got = destinations.totals(law, cost)
-            want = _per_destination_masked(space, law, cost)
-            for got_arr, want_arr in zip(got, want):
-                assert np.array_equal(got_arr, want_arr), label
-    kept = set((np.flatnonzero(destinations.totals(gapped, costs)[1]) + 1).tolist())
+            want_cost, want_mass = _per_destination_masked(space, law, cost)
+            tables = [(space.array, law, cost)]
+            if label == "sparse":   # the LP plan as the scenario holds it
+                tables.append((rows, law[on_rows], cost[on_rows]))
+            for table in tables:
+                got = scenario.plan_report(label, *table, space.n)
+                np.testing.assert_allclose(got.per_destination_cost, want_cost,
+                                           rtol=1e-12, atol=0, err_msg=label)
+                np.testing.assert_allclose(got.per_destination_mass, want_mass,
+                                           rtol=1e-12, atol=0, err_msg=label)
+                assert got.total_cost == float(got.per_destination_cost.sum())
+                assert got.total_cost == pytest.approx(float(law @ cost),
+                                                       rel=1e-12)
+    report = scenario.plan_report("gapped", space.array, gapped, costs, space.n)
+    kept = set((np.flatnonzero(report.per_destination_mass) + 1).tolist())
     assert kept == set(ends[1::2].tolist())
+    assert not report.per_destination_cost[ends[::2] - 1].any()
