@@ -9,8 +9,10 @@ weights like ``exp(-cost/alpha)`` at small ``alpha`` never exist as floats.
 
 Two prior representations are supported, each holding its weights as logs:
 
-* :class:`MarkovPrior` — initial law plus step matrix/matrices; the solution
-  is returned as per-step transition matrices (a new Markov chain).
+* :class:`MarkovPrior` — initial law plus step matrix/matrices; its endpoint
+  kernel is the product of the step matrices, taken in log form by a shifted
+  matmul (:func:`log_matmul`), and the solution is returned as per-step
+  transition matrices (a new Markov chain).
 * :class:`PathPrior` — explicit nonnegative weights over an enumerated path
   space; the solution is an endpoint coupling plus a reweighted path law.
 
@@ -68,6 +70,36 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     top[top == -np.inf] = 0.0
     with np.errstate(divide="ignore"):
         return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis)
+
+
+_SUM_FLOOR = 1e-280   # shifted sums below are recomputed exactly in log space
+_SLAB_TERMS = 2**20  # sum terms per slab of an exact recomputation
+
+
+def log_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``log(exp(A) @ exp(B))`` for log matrices (``-inf`` for a zero).
+
+    A shifted matmul: ``log(exp(A - a) @ exp(B - b)) + a + b`` with ``a`` the
+    row maxima of ``A`` and ``b`` the column maxima of ``B``, so every factor
+    is at most 1.  An entry whose shifted sum is below 1e-280 (its largest
+    terms underflowed or went subnormal, or it has none) is recomputed as an
+    exact log-sum-exp over its own terms, in slabs of at most 2^20 terms;
+    ``-inf`` is where no term is finite.
+    """
+    a = np.max(A, axis=1, keepdims=True)
+    b = np.max(B, axis=0, keepdims=True)
+    a[a == -np.inf] = 0.0
+    b[b == -np.inf] = 0.0
+    total = np.exp(A - a) @ np.exp(B - b)
+    low = total < _SUM_FLOOR
+    with np.errstate(divide="ignore"):
+        out = np.log(total) + a + b
+    rows, cols = np.nonzero(low)
+    slab = max(1, _SLAB_TERMS // A.shape[1])
+    for k in range(0, rows.size, slab):
+        r, c = rows[k:k + slab], cols[k:k + slab]
+        out[r, c] = logsumexp(A[r] + B[:, c].T, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -265,7 +297,8 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
                     max_iter: int = 100_000) -> BridgeSolution:
     """Bridge a Markov prior: scale its log kernel, then propagate backward.
 
-    The log kernel is the log-sum-exp product of the log step matrices.
+    The log kernel is the product of the step matrices, one shifted matmul
+    per step (:func:`log_matmul`), exact where a shifted sum underflows.
     Backward log potentials ``log phi(t) = logsumexp_j(log M(t) + log
     phi(t+1))`` from ``log phiT`` tilt each step into the solution chain's
     transition matrix; rows whose backward potential vanishes (unreachable
@@ -278,12 +311,8 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     log_kernel = prior.log_step(0, horizon)
-    slab = max(1, 2**20 // log_kernel.size)   # rows per slab of n^3 sum terms
     for t in range(1, horizon):
-        step = prior.log_step(t, horizon)
-        log_kernel = np.concatenate([
-            logsumexp(log_kernel[i:i + slab, :, None] + step, axis=1)
-            for i in range(0, prior.n, slab)])
+        log_kernel = log_matmul(log_kernel, prior.log_step(t, horizon))
     solution = _sinkhorn_core(log_kernel, nu0, nuT, tol, max_iter)
     transitions = [None] * horizon
     log_phi = solution.log_phiT  # log phi(t+1) on entry to step t

@@ -12,7 +12,8 @@ Text in the writer's layout is read back the same way, with one split and one
 conversion per column of ``[paths]`` and ``[edge_usage]`` once every line has
 the writer's cell count; any other text goes to the line-by-line reader,
 which names the first bad line.  JSON files are decoded with the cyclic
-garbage collector paused, since the fresh document holds no garbage.
+garbage collector paused, since the fresh document holds no garbage; a
+q-file keeps it paused until its document is converted and freed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import json
 import math
 import os
 import tempfile
-from itertools import repeat
+from contextlib import contextmanager
+from itertools import chain, repeat
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -51,26 +53,38 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_json(path: str, what: str) -> object:
-    # the decoded document is a tree of fresh dicts and lists, none of them
-    # garbage, so a collection during the decode could free nothing
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector; restore its state on every exit."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
+        yield
     finally:
         if collecting:
             gc.enable()
 
 
+def _read_json(path: str, what: str) -> object:
+    # the decoded document is a tree of fresh dicts and lists, none of them
+    # garbage, so a collection during the decode could free nothing
+    with _collector_paused():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except OSError as exc:
+            raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
 def parse_field(what: str, convert: Callable, value: object) -> Any:
-    """``convert(value)``; a value it cannot convert is an error naming ``what``."""
+    """``convert(value)``; a value it cannot convert, or a boolean (which
+    Python would read as 0 or 1), is an error naming ``what``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError(f"{value!r} is not a number")
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} is malformed: {exc}") from exc
@@ -135,6 +149,13 @@ def load_path_distribution(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     do not), has the wrong length, a negative prob or an earlier entry's path,
     in that order.
     """
+    # the document and the lists built from it are fresh containers, freed
+    # when _path_table returns: a collection before then could free nothing
+    with _collector_paused():
+        return _path_table(path)
+
+
+def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     doc = _read_json(path, "path distribution")
     if not isinstance(doc, dict) or "horizon" not in doc or "entries" not in doc:
         raise ValidationError(
@@ -143,17 +164,20 @@ def load_path_distribution(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     horizon = parse_field(f"{where}: horizon", whole_number, doc["horizon"])
     entries = doc["entries"]
     fault = None
-    # numpy converts a valid file faster than the entry loop, which is the
-    # reference for how an entry reads and runs when numpy fails or reads a
-    # path otherwise than whole_number() per node: any id that is not an
-    # integer (a float, a digit string) leaves numpy an array of another kind
+    # one flat conversion reads a valid file faster than the entry loop, which
+    # is the reference for how an entry reads and runs unless every id is an
+    # int (not a bool, float or digit string) and every path has T+1 of them
     try:
-        rows = np.array([ent["path"] for ent in entries])
+        paths = [ent["path"] for ent in entries]
+        ids = list(chain.from_iterable(paths))
         probs = np.array([float(ent["prob"]) for ent in entries])
+        rows = None
+        if (set(map(type, ids)) <= {int}
+                and list(map(len, paths)).count(horizon + 1) == len(paths)):
+            rows = np.fromiter(ids, np.int64, len(ids)).reshape(len(paths), -1)
     except (KeyError, TypeError, ValueError, OverflowError):
         rows = None
-    if (rows is None or rows.dtype != np.int64
-            or rows.shape != (len(entries), horizon + 1)):
+    if rows is None:
         rows, probs = [], []
         for ent in entries:
             try:

@@ -2,13 +2,19 @@
 problems for property tests, and the seeded 30-node logistics network used by
 the scenario engine and the verification suite.
 
-Every generator is a pure function of its seed; the same seed always yields
-byte-identical structures (numpy Generator streams are versioned and stable).
+Every generator is a pure function of its arguments; the same seed always
+yields byte-identical structures (numpy Generator streams are versioned and
+stable).  So :func:`builtin` builds each ``(name, seed)`` fixture once per
+process and hands every caller that one object: a 30-node fixture is
+immutable, its supply and demand read-only mappings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -146,7 +152,8 @@ def random_markov_problem(rng: np.random.Generator, *, n: int | None = None,
 
 @dataclass(frozen=True)
 class SyntheticFixture:
-    """Seeded 30-node network with supplies, ports, and integer demands.
+    """Seeded 30-node network with supplies, ports, and integer demands
+    (read-only ``node -> mass`` mappings).
 
     Risk variants add a cut town (``cut_node``) wired through a single inbound
     gateway road and a single outbound road, plus the ``affected`` edge set of
@@ -157,8 +164,8 @@ class SyntheticFixture:
     network: Network
     ruled: CostModel
     ports: tuple[int, ...]
-    supply: dict[int, int]
-    demand: dict[int, int]
+    supply: Mapping[int, int]
+    demand: Mapping[int, int]
     horizon: int = HORIZON_DEFAULT
     cut_node: int | None = None
     gateway_in: int | None = None
@@ -174,8 +181,8 @@ class SyntheticFixture:
         return marginals(self.network.n, self.supply, self.demand)
 
 
-def marginals(n: int, supply: dict[int, float],
-              demand: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+def marginals(n: int, supply: Mapping[int, float],
+              demand: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
     """Start/end laws over nodes ``1..n``: masses divided by the total supply."""
     total = float(sum(supply.values()))
     nu0 = np.zeros(n)
@@ -328,8 +335,9 @@ def _build_30(seed: int, *, cut: bool) -> SyntheticFixture:
 
     demand_nodes = [i for i in range(1, n + 1) if i not in SUPPLY_NODES]
     demand_weights = rng.uniform(0.5, 1.5, size=len(demand_nodes))
-    demand = dict(zip(demand_nodes, _integer_split(demand_weights, Q_TOTAL)))
-    supply = dict(zip(SUPPLY_NODES, SUPPLY_SPLIT))
+    demand = MappingProxyType(dict(zip(demand_nodes,
+                                       _integer_split(demand_weights, Q_TOTAL))))
+    supply = MappingProxyType(dict(zip(SUPPLY_NODES, SUPPLY_SPLIT)))
 
     affected: tuple[tuple[int, int], ...] = ()
     if cut_node is not None:
@@ -369,8 +377,10 @@ def risk30(seed: int = 0) -> SyntheticFixture:
     return _build_30(seed, cut=True)
 
 
+@cache
 def builtin(name: str, seed: int = 0) -> SyntheticFixture:
-    """The seeded 30-node fixture behind ``builtin:<name>``."""
+    """The seeded 30-node fixture behind ``builtin:<name>``, built once per
+    ``(name, seed)`` in a process."""
     if name == "synthetic30":
         return synthetic30(seed)
     if name == "risk30":

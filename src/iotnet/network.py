@@ -179,6 +179,9 @@ class CostModel:
     storage_cost_km: float = 10.0
     maritime_multiplier: float = 4.0
     edge_multipliers: Mapping[tuple[int, int], float] = field(default_factory=dict)
+    # cost_matrix's tables by node count, built on first use
+    _cost_tables: dict = field(init=False, default_factory=dict, repr=False,
+                               compare=False)
 
     @classmethod
     def markov(cls, edge_costs: Mapping[tuple[int, int], float]) -> "CostModel":
@@ -229,19 +232,33 @@ def markov_edge_cost(model: CostModel, tail: int, head: int) -> float:
 
 
 def cost_matrix(model: CostModel, n: int) -> np.ndarray:
-    """Per-step costs of a Markov model as an ``(n, n)`` array; ``inf`` off the
-    cost table.
+    """Per-step costs of a Markov model as a read-only ``(n, n)`` array;
+    ``inf`` off the cost table.
 
     Row/column ``i-1`` is node ``i``; entries are :func:`markov_edge_cost`,
     and a cost-table pair outside ``1..n`` raises :class:`ValidationError`.
+    The table is scattered from the cost table's arrays once per model and
+    ``n``, and kept on the model.
     """
     if model.mode != MARKOV:
         raise ValidationError("cost_matrix requires a markov-mode CostModel")
+    C = model._cost_tables.get(n)
+    if C is not None:
+        return C
+    table = model.edge_costs
+    pairs = np.array(list(table), dtype=np.int64).reshape(len(table), 2)
+    outside = np.flatnonzero(((pairs < 1) | (pairs > n)).any(axis=1))
+    if outside.size:
+        i, j = pairs[outside[0]].tolist()
+        raise ValidationError(f"cost table pair ({i},{j}) outside 1..{n}")
+    costs = np.fromiter(table.values(), float, len(table))
+    if model.edge_multipliers:
+        costs *= np.fromiter((model.edge_multipliers.get(p, 1.0) for p in table),
+                             float, len(table))
     C = np.full((n, n), math.inf)
-    for (i, j) in model.edge_costs:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValidationError(f"cost table pair ({i},{j}) outside 1..{n}")
-        C[i - 1, j - 1] = markov_edge_cost(model, i, j)
+    C[pairs[:, 0] - 1, pairs[:, 1] - 1] = costs
+    C.flags.writeable = False
+    model._cost_tables[n] = C
     return C
 
 

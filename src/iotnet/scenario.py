@@ -205,12 +205,13 @@ def load_scenario(path: str) -> ScenarioSpec:
     try:
         network_ref = doc["network"]
         horizon = doc["T"]
-        alpha = float(doc["alpha"])
+        alpha = doc["alpha"]
         block = doc["scenario"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValidationError(
             f"scenario {path}: need network/T/alpha/scenario: {exc}") from exc
     horizon = _field("T", whole_number, horizon)
+    alpha = _field("alpha", float, alpha)
     if not isinstance(block, dict) or "kind" not in block:
         raise ValidationError(f"scenario {path}: 'scenario' needs a 'kind'")
     kind = str(block["kind"]).lower()
@@ -375,11 +376,11 @@ def cheapest_paths(space: PathSpace, costs: np.ndarray
 
 
 def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus product ``out[i, j] = min_k a[i, k] + b[k, j]``."""
-    out = np.full((a.shape[0], b.shape[1]), math.inf)
-    for k in range(a.shape[1]):
-        np.minimum(out, a[:, [k]] + b[k], out=out)
-    return out
+    """Min-plus product ``out[i, j] = min_k a[i, k] + b[k, j]``, broadcast in
+    slabs of rows of at most 2^20 sum terms."""
+    slab = max(1, 2**20 // b.size)
+    return np.concatenate([np.min(a[i:i + slab, :, None] + b, axis=1)
+                           for i in range(0, a.shape[0], slab)])
 
 
 def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,

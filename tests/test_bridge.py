@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iotnet import (
     ImitationTarget,
@@ -18,6 +20,8 @@ from iotnet import fixtures
 from iotnet.bridge import (
     MarkovPrior,
     PathPrior,
+    log_matmul,
+    logsumexp,
     marginalize_prior,
     markov_path_law,
     path_law_from_endpoint,
@@ -212,3 +216,37 @@ def test_path_kl_survives_subnormal_mass():
     kl = path_kl(np.array([5e-320, 1.0]), np.array([1e6, 1.0]))
     assert np.isfinite(kl)
     assert kl == pytest.approx(0.0, abs=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# the shifted log product of the Markov kernel
+# ---------------------------------------------------------------------------
+
+_LOG_ENTRIES = st.floats(-3000.0, 0.0) | st.just(-np.inf)
+
+
+@st.composite
+def log_factors(draw):
+    """Log matrices ``A`` (m x k) and ``B`` (k x p), shapes 1..8, with entries
+    in [-3000, 0] or ``-inf``: wide enough that shifted sums underflow."""
+    m, k, p = (draw(st.integers(1, 8)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(_LOG_ENTRIES, min_size=rows * cols,
+                                      max_size=rows * cols))).reshape(rows, cols)
+
+    return matrix(m, k), matrix(k, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_factors())
+# partly underflowed: both terms are exp(-740), subnormal, whose sum keeps
+# only a few bits unless it is recomputed in log space
+@example((np.array([[0.0, -740.0]]), np.array([[-740.0], [0.0]])))
+def test_log_matmul_matches_the_exact_log_sum_exp(factors):
+    A, B = factors
+    exact = logsumexp(A[:, :, None] + B[None], axis=1)
+    got = log_matmul(A, B)
+    assert np.array_equal(got == -np.inf, exact == -np.inf)
+    finite = exact > -np.inf
+    np.testing.assert_allclose(got[finite], exact[finite], rtol=1e-12, atol=1e-12)

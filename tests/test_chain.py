@@ -35,8 +35,9 @@ from iotnet import (
 from iotnet import fixtures
 from iotnet.cli import main
 from iotnet.network import cost_matrix, count_paths
-from iotnet.scenario import (chain_totals, cheapest_paths, cheapest_rows,
-                             load_scenario, plan_report, run_scenario)
+from iotnet.scenario import (_min_plus, chain_totals, cheapest_paths,
+                             cheapest_rows, load_scenario, plan_report,
+                             run_scenario)
 
 
 @st.composite
@@ -157,6 +158,34 @@ def test_cheapest_rows_break_ties_lexicographically():
     cost[1, 3] = np.nextafter(cost[1, 3], 2.0)   # now 1 > 3 > 4 is cheaper
     rows, _ = cheapest_rows(cost, 2, np.array([1]), np.array([4]))
     assert rows.tolist() == [[1, 3, 4]]
+
+
+def _min_plus_by_columns(a, b):
+    """The column loop the slabbed min-plus product replaced (reference)."""
+    out = np.full((a.shape[0], b.shape[1]), math.inf)
+    for k in range(a.shape[1]):
+        np.minimum(out, a[:, [k]] + b[k], out=out)
+    return out
+
+
+# (7, 300, 500) has 150,000 sum terms per row, so 6 rows per 2^20-term slab:
+# slabs of 6 rows and 1
+@pytest.mark.parametrize("shape", [(1, 1, 1), (4, 1, 3), (3, 5, 2), (30, 30, 30),
+                                   (7, 300, 500)])
+def test_min_plus_equals_the_column_loop(shape):
+    m, k, p = shape
+    rng = np.random.default_rng(m * k * p)
+    # few distinct integer costs, so that ties are common
+    a = rng.integers(0, 6, (m, k)).astype(float)
+    b = rng.uniform(0.0, 5.0, (k, p)).round(1)
+    a[rng.random((m, k)) < 0.4] = math.inf
+    b[rng.random((k, p)) < 0.4] = math.inf
+    a[-1] = math.inf          # a row and a column without a finite entry
+    b[:, 0] = math.inf
+    got = _min_plus(a, b)
+    assert got.shape == (m, p)
+    assert np.array_equal(got, _min_plus_by_columns(a, b))
+    assert np.all(got[-1] == math.inf) and np.all(got[:, 0] == math.inf)
 
 
 def test_count_paths_does_not_overflow():

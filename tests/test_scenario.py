@@ -151,10 +151,55 @@ def test_scenario_refuses_a_non_finite_mass(tmp_path, capsys, field, mass):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("patch, field", [
+    ({"supply": {"8": True}, "demand": {"3": 1.0}}, "supply"),
+    ({"supply": {"8": 1.0}, "demand": {"3": True}}, "demand"),
+    ({"T": True}, "T"),
+    ({"alpha": True}, "alpha"),
+], ids=["supply", "demand", "T", "alpha"])
+def test_scenario_refuses_a_boolean_number(tmp_path, capsys, patch, field):
+    # float(True) and int(True) would read the boolean as 1
+    spec = _write_spec(tmp_path, dict(RISK_DOC, **patch))
+    assert main(["scenario", "--spec", spec, "--out-dir",
+                 str(tmp_path / "out")]) == 1
+    assert (f"scenario field {field} is malformed: True is not a number"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_builtin_network_is_rejected(tmp_path):
     doc = dict(RISK_DOC, network="builtin:nowhere")
     with pytest.raises(ValidationError, match="unknown builtin network"):
         run_scenario(load_scenario(_write_spec(tmp_path, doc)))
+
+
+@pytest.mark.parametrize("name", ["synthetic30", "risk30"])
+def test_builtin_fixture_is_built_once_and_read_only(name):
+    fx = fixtures.builtin(name, 1)
+    assert fixtures.builtin(name, 1) is fx
+    assert fx == getattr(fixtures, name)(1)
+    for masses in (fx.supply, fx.demand):
+        node = next(iter(masses))
+        with pytest.raises(TypeError):
+            masses[node] = 0
+        with pytest.raises(TypeError):
+            del masses[node]
+
+
+def test_scenario_runs_in_one_process_write_the_same_files(tmp_path):
+    """A run that overrides the builtin's supply and demand leaves nothing
+    behind in the fixture for the next run."""
+    spec = _write_spec(tmp_path, RISK_DOC)
+    other = _write_spec(tmp_path, dict(RISK_DOC, supply={"8": 2.0},
+                                       demand={"3": 1.0, "4": 1.0}),
+                        name="other.json")
+    outs = [tmp_path / "first", tmp_path / "other", tmp_path / "again"]
+    for path, out in zip([spec, other, spec], outs):
+        assert main(["scenario", "--spec", path, "--out-dir", str(out)]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[2]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
