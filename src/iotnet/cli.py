@@ -32,7 +32,7 @@ from .fileio import (atomic_write_text, fmt, load_marginal, load_path_distributi
                      load_prior, load_step_weights, path_strings, read_plan,
                      save_path_distribution, write_plan)
 from .imitation import ImitationTarget, IOTProblem, expand_target, solve_iot
-from .network import (CostModel, Network, enumerate_paths, load_network,
+from .network import (RULED, CostModel, Network, enumerate_paths, load_network,
                       markov_model_from_network, path_costs, path_vector, row_join)
 from .oracle import dense_ipf, lp_ot
 from .robust import worst_case_certificate
@@ -98,41 +98,39 @@ def _dump_json(path: str, doc: dict) -> None:
 @dataclass
 class _NetworkBundle:
     network: Network
-    ruled: CostModel | None
-    markov: CostModel
+    model: CostModel    # the network's own: ruled, or Markov for ``tiny``
     nu0: np.ndarray | None = None
     nuT: np.ndarray | None = None
     horizon: int | None = None
 
 
 def _load_network_ref(ref: str, seed: int) -> _NetworkBundle:
-    """A network plus cost models from a file path or a ``builtin:`` name."""
+    """A network and its cost model from a file path or a ``builtin:`` name."""
     if ref.startswith("builtin:"):
         name = ref.split(":", 1)[1]
         if name == "tiny":
             fx = fixtures.tiny_fixture()
-            return _NetworkBundle(network=fx.network, ruled=None, markov=fx.model,
+            return _NetworkBundle(network=fx.network, model=fx.model,
                                   nu0=fx.nu0, nuT=fx.nuT,
                                   horizon=fx.space.horizon)
         fx = fixtures.builtin(name, seed)
         nu0, nuT = fx.marginals()
-        return _NetworkBundle(network=fx.network, ruled=fx.ruled,
-                              markov=markov_model_from_network(fx.network, fx.ruled),
+        return _NetworkBundle(network=fx.network, model=fx.ruled,
                               nu0=nu0, nuT=nuT, horizon=fx.horizon)
     network, ruled = load_network(ref)
-    return _NetworkBundle(network=network, ruled=ruled,
-                          markov=markov_model_from_network(network, ruled))
+    return _NetworkBundle(network=network, model=ruled)
 
 
 def _pick_model(bundle: _NetworkBundle, choice: str) -> CostModel:
-    if choice == "markov":
-        return bundle.markov
-    if choice == "ruled":
-        if bundle.ruled is None:
-            raise ValidationError("this network has no rule-based cost model; "
-                                  "use --cost markov")
-        return bundle.ruled
-    return bundle.ruled if bundle.ruled is not None else bundle.markov
+    """The ``--cost`` model; a Markov one is derived from the ruled one here,
+    only when asked for."""
+    ruled = bundle.model.mode == RULED
+    if choice == "markov" and ruled:
+        return markov_model_from_network(bundle.network, bundle.model)
+    if choice == "ruled" and not ruled:
+        raise ValidationError("this network has no rule-based cost model; "
+                              "use --cost markov")
+    return bundle.model
 
 
 def _marginal(args_value: str | None, fallback: np.ndarray | None, n: int,
@@ -152,7 +150,7 @@ def _marginal(args_value: str | None, fallback: np.ndarray | None, n: int,
 def _cmd_rbwalk(args: argparse.Namespace) -> int:
     _resolve_common(args, tol_default=1e-12)
     bundle = _load_network_ref(args.network, args.seed)
-    prior = build_rb_prior(bundle.markov, args.alpha, bundle.network.n,
+    prior = build_rb_prior(_pick_model(bundle, "markov"), args.alpha, bundle.network.n,
                            tol=args.tol, max_iter=args.max_iter)
     out = _out_path(args, "rbwalk.json")
     _dump_json(out, {

@@ -226,13 +226,12 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
     Dense form: ``{"matrix": [[...]] [, "initial": [...]]}``.
     Sparse form: ``{"default": w0, "entries": [[i, j, w], ...]}`` where the
     default applies to every existing network edge not listed; pairs without a
-    network edge always get weight 0.
+    network edge always get weight 0.  Weights must be finite and
+    nonnegative, and an entry's node ids whole numbers.
     """
     doc = _read_json(path, "step weights")
     n = network.n
-    pairs = np.array(network.edge_pairs(), dtype=np.int64).reshape(-1, 2) - 1
-    edge = np.zeros((n, n), dtype=bool)
-    edge[pairs[:, 0], pairs[:, 1]] = True
+    edge = network.edge_mask
     initial = None
     if isinstance(doc, dict) and "initial" in doc:
         initial = vector_from_obj(doc["initial"], n, f"step weights {path} initial")
@@ -248,15 +247,22 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
         mat = np.where(edge, default, 0.0)
         for ent in doc.get("entries", []):
             try:
-                i, j, w = int(ent[0]), int(ent[1]), float(ent[2])
-            except (TypeError, ValueError, IndexError) as exc:
+                if bool in (type(ent[0]), type(ent[1]), type(ent[2])):
+                    raise TypeError("a boolean is not a number")
+                i, j, w = whole_number(ent[0]), whole_number(ent[1]), float(ent[2])
+            except (LookupError, TypeError, ValueError) as exc:
                 raise ValidationError(f"step weights {path}: bad entry {ent}") from exc
-            if not network.has_edge(i, j):
+            if not (1 <= i <= n and 1 <= j <= n and edge[i - 1, j - 1]):
                 raise ValidationError(
                     f"step weights {path}: entry ({i},{j}) is not a network edge")
             mat[i - 1, j - 1] = w
     else:
         raise ValidationError(f"step weights {path}: need 'matrix' or 'entries'")
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ValidationError(f"step weights {path}: non-finite weight "
+                              f"{mat[i, j]} at ({i + 1},{j + 1})")
     if np.any(mat < 0):
         raise ValidationError(f"step weights {path}: negative weight")
     tails, heads = np.nonzero((mat != 0) & ~edge)

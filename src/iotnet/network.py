@@ -12,6 +12,13 @@ a length in km.  Costs come in two flavours:
   discount, and every switch between kinds adds a fixed penalty.  This makes
   the path cost genuinely non-additive over steps.
 
+A node pair may be joined by parallel edges of several kinds; a step uses
+the cheapest.  `edge_table` makes that choice for every pair at once, as
+``(n, n)`` arrays of winning kinds and contributions, and the Markov table,
+the ruled path costs and the risk weights all read it.  The scalar
+`_resolve_step` and `_edge_contribution` (under `path_cost`) are the
+references it matches bit for bit.
+
 `enumerate_paths` materialises the finite path space used by every solver in
 the package: all horizon-``T`` node sequences that start in the source support,
 end in the sink support, and use an existing finite-cost edge at every step,
@@ -45,6 +52,10 @@ class EdgeKind(Enum):
     STORAGE = "storage"
 
 
+# in name order, so an equal-cost tie between parallel edges goes to the lower index
+EDGE_KINDS = tuple(sorted(EdgeKind, key=lambda kind: kind.value))
+
+
 @dataclass(frozen=True)
 class Node:
     id: int
@@ -67,17 +78,13 @@ class Network:
 
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
-    # derived lookup tables, filled in __post_init__
-    _by_pair: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        by_pair: dict[tuple[int, int], tuple[Edge, ...]] = {}
+    @cached_property
+    def _by_pair(self) -> dict[tuple[int, int], tuple[Edge, ...]]:
+        by_pair: dict[tuple[int, int], list[Edge]] = {}
         for e in self.edges:
-            by_pair.setdefault((e.tail, e.head), [])
-            by_pair[(e.tail, e.head)].append(e)
-        for k in by_pair:
-            by_pair[k] = tuple(by_pair[k])
-        object.__setattr__(self, "_by_pair", by_pair)
+            by_pair.setdefault((e.tail, e.head), []).append(e)
+        return {pair: tuple(group) for pair, group in by_pair.items()}
 
     @property
     def n(self) -> int:
@@ -96,9 +103,48 @@ class Network:
     def edge_pairs(self) -> list[tuple[int, int]]:
         return sorted(self._by_pair)
 
+    @cached_property
+    def _edge_columns(self) -> tuple[np.ndarray, ...]:
+        """Read-only: the sorted distinct ``(m, 2)`` edge pairs, then per edge
+        its pair's row, its kind's index in :data:`EDGE_KINDS` and its length."""
+        ends = np.array([(e.tail, e.head) for e in self.edges],
+                        dtype=np.int64).reshape(-1, 2)
+        pairs, row = np.unique(ends, axis=0, return_inverse=True)
+        kind = [EDGE_KINDS.index(e.kind) for e in self.edges]
+        length = [e.length_km for e in self.edges]
+        columns = (pairs, row.reshape(-1), np.array(kind, dtype=np.int64),
+                   np.array(length, dtype=float))
+        for col in columns:
+            col.flags.writeable = False
+        return columns
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The sorted distinct ``(tail, head)`` edge pairs, ``(m, 2)`` int64."""
+        return self._edge_columns[0]
+
+    @cached_property
+    def edge_mask(self) -> np.ndarray:
+        """Read-only ``(n, n)`` mask of the edge pairs; node ``i`` is row ``i-1``."""
+        mask = pair_matrix(self.n, self.pairs, True, False)
+        mask.flags.writeable = False
+        return mask
+
 
 def euclidean_km(a: Node, b: Node) -> float:
     return math.hypot(a.x_km - b.x_km, a.y_km - b.y_km)
+
+
+def pair_matrix(n: int, pairs: Sequence[Sequence[int]] | np.ndarray, values,
+                fill) -> np.ndarray:
+    """``(n, n)`` array of ``values`` at the ``(tail, head)`` ``pairs`` inside
+    ``1..n`` (node ``i`` is row ``i-1``), ``fill`` elsewhere."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    values = np.broadcast_to(np.asarray(values), len(pairs))
+    inside = ((pairs >= 1) & (pairs <= n)).all(axis=1)
+    out = np.full((n, n), fill, dtype=values.dtype)
+    out[pairs[inside, 0] - 1, pairs[inside, 1] - 1] = values[inside]
+    return out
 
 
 def build_network(nodes: Sequence[Node | tuple],
@@ -110,9 +156,9 @@ def build_network(nodes: Sequence[Node | tuple],
     ``(tail, head, kind[, length_km])`` tuples.  A missing length defaults to
     the Euclidean distance between the endpoints (0 for self-loops).
 
-    Raises :class:`ValidationError` for non-dense ids, dangling endpoints,
-    duplicate (tail, head, kind) triples, negative lengths, or non-storage
-    self-loops.
+    Raises :class:`ValidationError` for non-dense ids, non-finite positions,
+    dangling endpoints, duplicate (tail, head, kind) triples, negative or
+    non-finite lengths, or non-storage self-loops.
     """
     node_objs = []
     for spec in nodes:
@@ -122,6 +168,10 @@ def build_network(nodes: Sequence[Node | tuple],
     if sorted(ids) != list(range(1, n + 1)):
         raise ValidationError(f"node ids must be exactly 1..{n}, got {sorted(ids)}")
     node_objs.sort(key=lambda nd: nd.id)
+    for nd in node_objs:
+        if not (math.isfinite(nd.x_km) and math.isfinite(nd.y_km)):
+            raise ValidationError(f"node {nd.id} has non-finite position "
+                                  f"({nd.x_km}, {nd.y_km})")
 
     edge_objs: list[Edge] = []
     seen: set[tuple[int, int, EdgeKind]] = set()
@@ -142,8 +192,9 @@ def build_network(nodes: Sequence[Node | tuple],
         if e.tail == e.head and e.kind is not EdgeKind.STORAGE:
             raise ValidationError(
                 f"self-loop at node {e.tail} must be storage, got {e.kind.value}")
-        if e.length_km < 0:
-            raise ValidationError(f"edge ({e.tail},{e.head}) has negative length")
+        if not 0 <= e.length_km < math.inf:
+            raise ValidationError(f"edge ({e.tail},{e.head}) {e.kind.value} has length "
+                                  f"{e.length_km}, not finite and nonnegative")
         key = (e.tail, e.head, e.kind)
         if key in seen:
             raise ValidationError(f"duplicate edge {key}")
@@ -159,16 +210,19 @@ def build_network(nodes: Sequence[Node | tuple],
 
 MARKOV = "markov"
 RULED = "ruled"
+# the ruled model's parameters, named as in a network file's cost_rules
+RULE_FIELDS = ("highway_discount_2", "highway_discount_3plus",
+               "switch_penalty_km", "storage_cost_km", "maritime_multiplier")
 
 
 @dataclass(frozen=True)
 class CostModel:
     """Path-cost model; build via :meth:`markov` or :meth:`ruled`.
 
-    ``edge_multipliers`` holds per-edge re-pricing factors (e.g. a disaster
-    multiplying affected-edge costs); in ruled mode they scale the kind-adjusted
-    per-edge contribution before run discounts, and the switch penalty is never
-    scaled.
+    ``edge_multipliers`` holds the ruled mode's per-edge re-pricing factors
+    (e.g. a disaster multiplying affected-edge costs): they scale the
+    kind-adjusted per-edge contribution before run discounts, and the switch
+    penalty is never scaled.  :func:`reprice` scales a Markov table itself.
     """
 
     mode: str
@@ -211,8 +265,9 @@ class CostModel:
         for name, val in [("switch_penalty_km", switch_penalty_km),
                           ("storage_cost_km", storage_cost_km),
                           ("maritime_multiplier", maritime_multiplier)]:
-            if val < 0:
-                raise ValidationError(f"{name} must be nonnegative, got {val}")
+            if not 0 <= val < math.inf:
+                raise ValidationError(
+                    f"{name} must be nonnegative and finite, got {val}")
         return cls(mode=RULED,
                    highway_discount_2=highway_discount_2,
                    highway_discount_3plus=highway_discount_3plus,
@@ -225,10 +280,7 @@ def markov_edge_cost(model: CostModel, tail: int, head: int) -> float:
     """Per-step cost in Markov mode; ``math.inf`` for an absent pair."""
     if model.mode != MARKOV:
         raise ValidationError("markov_edge_cost requires a markov-mode CostModel")
-    c = model.edge_costs.get((tail, head))
-    if c is None:
-        return math.inf
-    return c * model.edge_multipliers.get((tail, head), 1.0)
+    return model.edge_costs.get((tail, head), math.inf)
 
 
 def cost_matrix(model: CostModel, n: int) -> np.ndarray:
@@ -251,12 +303,8 @@ def cost_matrix(model: CostModel, n: int) -> np.ndarray:
     if outside.size:
         i, j = pairs[outside[0]].tolist()
         raise ValidationError(f"cost table pair ({i},{j}) outside 1..{n}")
-    costs = np.fromiter(table.values(), float, len(table))
-    if model.edge_multipliers:
-        costs *= np.fromiter((model.edge_multipliers.get(p, 1.0) for p in table),
-                             float, len(table))
-    C = np.full((n, n), math.inf)
-    C[pairs[:, 0] - 1, pairs[:, 1] - 1] = costs
+    C = pair_matrix(n, pairs, np.fromiter(table.values(), float, len(table)),
+                    math.inf)
     C.flags.writeable = False
     model._cost_tables[n] = C
     return C
@@ -337,6 +385,29 @@ def ruled_path_cost(model: CostModel, network: Network, path: Sequence[int]) -> 
     return total
 
 
+def edge_table(network: Network, model: CostModel) -> tuple[np.ndarray, np.ndarray]:
+    """The edge each node pair uses under ``model``, as two ``(n, n)`` arrays
+    (node ``i`` is row ``i-1``): its kind's index in :data:`EDGE_KINDS` (-1
+    off the edge set) and its contribution (0 there).  It decides as
+    :func:`_resolve_step` and :func:`_edge_contribution` do, bit for bit:
+    the cheapest re-priced contribution wins, ties going to the kind name.
+    """
+    pairs, row, kind, length = network._edge_columns
+    base = np.where(kind == EDGE_KINDS.index(EdgeKind.MARITIME),
+                    model.maritime_multiplier * length,
+                    np.where(kind == EDGE_KINDS.index(EdgeKind.STORAGE),
+                             model.storage_cost_km, length))
+    mults = model.edge_multipliers
+    factor = pair_matrix(network.n, list(mults),
+                         np.fromiter(mults.values(), float, len(mults)), 1.0)
+    contrib = base * factor[pairs[row, 0] - 1, pairs[row, 1] - 1]
+    # edges by pair, cheapest first, ties by kind: each pair's first one wins
+    order = np.lexsort((kind, contrib, row))
+    first = order[np.searchsorted(row[order], np.arange(len(pairs)))]
+    return (pair_matrix(network.n, pairs, kind[first], -1),
+            pair_matrix(network.n, pairs, contrib[first], 0.0))
+
+
 def path_cost(model: CostModel, network: Network, path: Sequence[int]) -> float:
     """Cost of a path under either model; ``math.inf`` if any step is absent."""
     if model.mode == MARKOV:
@@ -348,15 +419,6 @@ def path_cost(model: CostModel, network: Network, path: Sequence[int]) -> float:
         if not network.has_edge(a, b):
             return math.inf
     return ruled_path_cost(model, network, path)
-
-
-def step_feasible(model: CostModel, network: Network, tail: int, head: int) -> bool:
-    """True when one step is usable: edge present and finite per-step cost."""
-    if not network.has_edge(tail, head):
-        return False
-    if model.mode == MARKOV:
-        return (tail, head) in model.edge_costs
-    return True
 
 
 def reprice(model: CostModel, edges: Iterable[tuple[int, int]],
@@ -386,24 +448,16 @@ def markov_model_from_network(network: Network,
                               ruled: CostModel | None = None) -> CostModel:
     """Derive a per-edge (Markov) cost table from network geometry.
 
-    Each pair costs its kind-adjusted contribution (maritime legs multiplied,
-    storage loops at the flat fee, roads at length); parallel kinds resolve to
-    the cheapest.  Run discounts and switch penalties are path-level rules and
-    do not enter the table.
+    Each edge pair costs its :func:`edge_table` contribution.  Run discounts
+    and switch penalties are path-level rules and do not enter the table;
+    the ruled model's fields are copied onto the Markov model.
     """
     if ruled is None:
         ruled = CostModel.ruled()
-    table: dict[tuple[int, int], float] = {}
-    for (i, j) in network.edge_pairs():
-        edge = _resolve_step(ruled, network, i, j)
-        table[(i, j)] = _edge_contribution(ruled, edge)
-    model = CostModel.markov(table)
-    return replace(model,
-                   highway_discount_2=ruled.highway_discount_2,
-                   highway_discount_3plus=ruled.highway_discount_3plus,
-                   switch_penalty_km=ruled.switch_penalty_km,
-                   storage_cost_km=ruled.storage_cost_km,
-                   maritime_multiplier=ruled.maritime_multiplier)
+    costs = edge_table(network, ruled)[1][network.edge_mask]  # in pair order
+    model = CostModel.markov(dict(zip(map(tuple, network.pairs.tolist()),
+                                      costs.tolist())))
+    return replace(model, **{name: getattr(ruled, name) for name in RULE_FIELDS})
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +594,10 @@ def enumerate_paths(network: Network, horizon: int,
     if not starts or not ends:
         raise ValidationError("start and end supports must be nonempty")
 
-    tails, heads = np.array([(i, j) for (i, j) in network.edge_pairs()
-                             if step_feasible(model, network, i, j)],
-                            dtype=np.int64).reshape(-1, 2).T  # sorted pairs
+    steps = network.edge_mask
+    if model.mode == MARKOV:  # a Markov step also needs a cost-table entry
+        steps = steps & pair_matrix(n, list(model.edge_costs), True, False)
+    tails, heads = np.argwhere(steps).T + 1  # the sorted edge pairs kept
     # reach[t, i]: the end support is reachable from node i in horizon-t steps
     reach = np.zeros((horizon + 1, n + 1), dtype=bool)
     reach[horizon, sorted(ends)] = True
@@ -597,35 +652,27 @@ def count_paths(steps: np.ndarray, horizon: int, starts: Iterable[int],
     return sum(count[e - 1] for e in set(ends))
 
 
-def unreachable_nodes(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+def unreachable_nodes(n: int, pairs: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
     """Nodes of ``1..n`` that node 1 does not reach, or that do not reach it.
 
     ``pairs`` are the directed ``(tail, head)`` steps of the support; the
     support is strongly connected exactly when the list is empty.
     """
-    succ: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    pred: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for (i, j) in pairs:
-        succ[i].append(j)
-        pred[j].append(i)
+    step = pair_matrix(n, pairs, True, False)
 
-    def reached(adj: dict[int, list[int]]) -> set[int]:
-        seen = {1}
-        stack = [1]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
+    def reached(adj: np.ndarray) -> np.ndarray:
+        seen = frontier = np.arange(n) == 0
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
         return seen
 
-    both = reached(succ) & reached(pred)
-    return [i for i in range(1, n + 1) if i not in both]
+    return (np.flatnonzero(~(reached(step) & reached(step.T))) + 1).tolist()
 
 
 def strongly_connected(network: Network) -> bool:
     """True when every node reaches every other along directed edges."""
-    return not unreachable_nodes(network.n, network.edge_pairs())
+    return not unreachable_nodes(network.n, network.pairs)
 
 
 def _ruled_path_costs(model: CostModel, network: Network,
@@ -642,14 +689,11 @@ def _ruled_path_costs(model: CostModel, network: Network,
     if arr.shape[1] < 2:
         raise ValidationError("a path needs at least one step")
     n = network.n
-    kinds = list(EdgeKind)
+    # indexed by node id; row and column 0, no node, are off the edge set
     kind = np.full((n + 1, n + 1), -1, dtype=np.int64)
     contrib = np.zeros((n + 1, n + 1))
-    for (i, j) in network.edge_pairs():
-        edge = _resolve_step(model, network, i, j)
-        kind[i, j] = kinds.index(edge.kind)
-        contrib[i, j] = _edge_contribution(model, edge)
-    highway = kinds.index(EdgeKind.HIGHWAY)
+    kind[1:, 1:], contrib[1:, 1:] = edge_table(network, model)
+    highway = EDGE_KINDS.index(EdgeKind.HIGHWAY)
     # kept share of a run's total by run length 0, 1, 2, >=3 (x * 1.0 == x)
     keep = np.array([1.0, 1.0, 1.0 - model.highway_discount_2,
                      1.0 - model.highway_discount_3plus])
@@ -731,22 +775,19 @@ def network_to_dict(network: Network, ruled: CostModel | None = None) -> dict:
                   for e in network.edges],
     }
     if ruled is not None:
-        doc["cost_rules"] = {
-            "highway_discount_2": ruled.highway_discount_2,
-            "highway_discount_3plus": ruled.highway_discount_3plus,
-            "switch_penalty_km": ruled.switch_penalty_km,
-            "storage_cost_km": ruled.storage_cost_km,
-            "maritime_multiplier": ruled.maritime_multiplier,
-        }
+        doc["cost_rules"] = {name: getattr(ruled, name) for name in RULE_FIELDS}
     return doc
 
 
 def network_from_dict(doc: dict) -> tuple[Network, CostModel]:
+    from .fileio import parse_field, whole_number
     try:
-        nodes = [Node(int(nd["id"]), float(nd["x_km"]), float(nd["y_km"]),
-                      str(nd.get("label", ""))) for nd in doc["nodes"]]
-        edges = [(int(e["from"]), int(e["to"]), str(e["kind"]),
-                  e.get("length_km")) for e in doc["edges"]]
+        nodes = [Node(parse_field(f"nodes[{k}].id", whole_number, nd["id"]),
+                      float(nd["x_km"]), float(nd["y_km"]), str(nd.get("label", "")))
+                 for k, nd in enumerate(doc["nodes"])]
+        edges = [(*(parse_field(f"edges[{k}].{end}", whole_number, e[end])
+                    for end in ("from", "to")), str(e["kind"]), e.get("length_km"))
+                 for k, e in enumerate(doc["edges"])]
         rules = {k: float(v) for k, v in doc.get("cost_rules", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network document: {exc}") from exc
@@ -754,9 +795,7 @@ def network_from_dict(doc: dict) -> tuple[Network, CostModel]:
         network = build_network(nodes, edges)
     except ValueError as exc:  # unknown EdgeKind value
         raise ValidationError(str(exc)) from exc
-    allowed = {"highway_discount_2", "highway_discount_3plus", "switch_penalty_km",
-               "storage_cost_km", "maritime_multiplier"}
-    unknown = set(rules) - allowed
+    unknown = set(rules) - set(RULE_FIELDS)
     if unknown:
         raise ValidationError(f"unknown cost_rules keys: {sorted(unknown)}")
     model = CostModel.ruled(**rules)

@@ -40,6 +40,9 @@ Where the numbers come from:
   rows by their steps (:func:`~iotnet.network.row_costs`).  The space is
   enumerated only if a caller reads ``ScenarioResult.space`` or the plan's
   path arrays.
+* The risk kind's Markov costs and step weights (:func:`build_risk_matrix`,
+  an ``np.where`` over kinds and affected pairs) both read the network's
+  edge table (:func:`~iotnet.network.edge_table`).
 """
 
 from __future__ import annotations
@@ -56,10 +59,11 @@ from .errors import ValidationError
 from .fileio import (_read_json, atomic_write_text, fmt, load_path_distribution,
                      load_step_weights, parse_field, whole_number)
 from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
-from .network import (CostModel, EdgeKind, Network, PathSpace, _resolve_step,
-                      cost_matrix, count_paths, enumerate_paths, load_network,
-                      markov_model_from_network, network_from_dict,
-                      no_paths_error, path_vector, reprice, row_costs)
+from .network import (EDGE_KINDS, CostModel, EdgeKind, Network, PathSpace,
+                      cost_matrix, count_paths, edge_table, enumerate_paths,
+                      load_network, markov_model_from_network,
+                      network_from_dict, no_paths_error, pair_matrix,
+                      path_vector, reprice, row_costs)
 from .oracle import lp_ot
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
@@ -308,18 +312,14 @@ def _resolve(spec: ScenarioSpec, seed: int) -> tuple[Network, CostModel, dict, d
 def build_risk_matrix(network: Network, model: CostModel,
                       affected: tuple[tuple[int, int], ...],
                       weights: RiskWeights) -> np.ndarray:
-    """Step weights over existing pairs: affected / maritime / regular."""
-    n = network.n
-    aff = set(affected)
-    out = np.zeros((n, n))
-    for (i, j) in network.edge_pairs():
-        if (i, j) in aff:
-            w = weights.affected
-        else:
-            kind = _resolve_step(model, network, i, j).kind
-            w = weights.maritime if kind is EdgeKind.MARITIME else weights.regular
-        out[i - 1, j - 1] = w
-    return out
+    """Step weights over existing pairs: affected / maritime / regular, a
+    pair's kind read from the edge table under ``model``."""
+    kind, _ = edge_table(network, model)
+    hit = pair_matrix(network.n, affected, True, False)
+    return np.where(kind < 0, 0.0, np.where(
+        hit, weights.affected,
+        np.where(kind == EDGE_KINDS.index(EdgeKind.MARITIME), weights.maritime,
+                 weights.regular)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from iotnet import (cli, fixtures, load_prior, read_plan, save_network,
-                    save_path_distribution)
+from iotnet import (cli, fixtures, load_prior, markov_model_from_network,
+                    read_plan, save_network, save_path_distribution)
 from iotnet.cli import main
 
 
@@ -132,6 +132,25 @@ def test_solve_at_small_alpha(outdir, capsys, network, extra):
     assert code == 0, err
     doc = read_plan(str(outdir / "plan.txt"))
     assert sum(doc["paths"][1].tolist()) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("cost, derived", [("ruled", 0), ("auto", 0),
+                                           ("markov", 1)])
+def test_solve_derives_the_markov_model_only_when_it_prices(outdir, capsys,
+                                                            monkeypatch, cost,
+                                                            derived):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return markov_model_from_network(*args)
+
+    monkeypatch.setattr(cli, "markov_model_from_network", counting)
+    code, _, err = run_cli(["solve", "--network", "builtin:synthetic30",
+                            "--cost", cost, "--horizon", "3", "--alpha", "40"],
+                           capsys)
+    assert code == 0, err
+    assert len(calls) == derived
 
 
 def test_solve_unknown_builtin(outdir, capsys):

@@ -3,7 +3,9 @@
 import dataclasses
 import gc
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -183,7 +185,8 @@ def test_step_weights_sparse_form(tmp_path, tiny):
 
 def _reference_step_weights(path, network):
     """The per-pair loader the edge mask replaced: a default filled edge by
-    edge and a ``has_edge`` call per nonzero weight."""
+    edge and a ``has_edge`` call per nonzero weight.  Entry ids must be
+    whole numbers and every weight finite."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     n = network.n
@@ -195,6 +198,11 @@ def _reference_step_weights(path, network):
             mat[i - 1, j - 1] = float(doc.get("default", 1.0))
         for ent in doc.get("entries", []):
             try:
+                if any(isinstance(v, bool) for v in ent[:3]):
+                    raise TypeError("a boolean is not a number")
+                if any(isinstance(v, float) and not v.is_integer()
+                       for v in ent[:2]):
+                    raise ValueError("a node id must be a whole number")
                 i, j, w = int(ent[0]), int(ent[1]), float(ent[2])
             except (TypeError, ValueError, IndexError) as exc:
                 raise ValidationError(f"step weights {path}: bad entry {ent}") from exc
@@ -202,6 +210,10 @@ def _reference_step_weights(path, network):
                 raise ValidationError(
                     f"step weights {path}: entry ({i},{j}) is not a network edge")
             mat[i - 1, j - 1] = w
+    for i, j in np.ndindex(mat.shape):
+        if not math.isfinite(mat[i, j]):
+            raise ValidationError(f"step weights {path}: non-finite weight "
+                                  f"{mat[i, j]} at ({i + 1},{j + 1})")
     if np.any(mat < 0):
         raise ValidationError(f"step weights {path}: negative weight")
     off = [(i + 1, j + 1) for i, j in np.argwhere(mat).tolist()
@@ -229,7 +241,9 @@ _STEP_DOCS = st.one_of(
               st.lists(st.one_of(
                   st.tuples(st.integers(0, 5), st.integers(0, 5),
                             _WEIGHT).map(list),
-                  st.sampled_from([[1], ["x", 2, 1.0], [1, 2, None]])),
+                  st.sampled_from([[1], ["x", 2, 1.0], [1, 2, None],
+                                   [1.5, 2, 1.0], [1, 2.0, 1.0], [True, 2, 1.0],
+                                   [1, 2, False]])),
                   max_size=5)),
 )
 
@@ -390,6 +404,83 @@ def test_network_file_round_trip(tmp_path, synth30):
     ref = synth30["costs"]
     got = path_costs(space, model2, net2)
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def _two_node_doc():
+    return {"nodes": [{"id": 1, "x_km": 0.0, "y_km": 0.0},
+                      {"id": 2, "x_km": 3.0, "y_km": 4.0}],
+            "edges": [{"from": 1, "to": 2, "kind": "local", "length_km": 5.0},
+                      {"from": 1, "to": 2, "kind": "highway", "length_km": 6.0},
+                      {"from": 2, "to": 1, "kind": "local"}]}
+
+
+@pytest.mark.parametrize("where, key, value, match", [
+    ("edges", "length_km", math.nan, r"edge \(1,2\) highway has length nan, not"),
+    ("edges", "length_km", math.inf, r"edge \(1,2\) highway has length inf, not"),
+    ("nodes", "x_km", math.nan, r"node 2 has non-finite position"),
+    ("nodes", "y_km", -math.inf, r"node 2 has non-finite position"),
+])
+def test_network_file_rejects_non_finite_geometry(tmp_path, where, key, value,
+                                                  match):
+    doc = _two_node_doc()
+    doc[where][1][key] = value
+    f = tmp_path / "net.json"
+    f.write_text(json.dumps(doc))          # writes the NaN / Infinity tokens
+    name = re.escape(str(f))
+    with pytest.raises(ValidationError, match=f"network file {name}: {match}"):
+        load_network(str(f))
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("edges", "from", 1.9), ("edges", "from", True), ("edges", "to", 2.5),
+    ("nodes", "id", 2.5), ("nodes", "id", False),
+])
+def test_network_file_rejects_node_ids_that_are_no_whole_numbers(
+        tmp_path, where, key, value):
+    doc = _two_node_doc()
+    doc[where][1][key] = value
+    f = tmp_path / "net.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=rf"{where}\[1\]\.{key} is malformed"):
+        load_network(str(f))
+    doc[where][1][key] = float(_two_node_doc()[where][1][key])
+    f.write_text(json.dumps(doc))          # an integral float is still an id
+    assert load_network(str(f))[0].n == 2
+
+
+@pytest.mark.parametrize("rule", ["maritime_multiplier", "storage_cost_km",
+                                  "switch_penalty_km"])
+def test_network_file_rejects_non_finite_cost_rules(tmp_path, rule):
+    doc = dict(_two_node_doc(), cost_rules={rule: math.inf})
+    f = tmp_path / "net.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"{rule} must be nonnegative "
+                                              "and finite"):
+        load_network(str(f))
+
+
+@pytest.mark.parametrize("entry", [[1.7, 2, 3.0], [1, True, 3.0], [1, 2, True]])
+def test_step_weight_entries_refuse_ids_and_weights_that_are_no_numbers(
+        tmp_path, entry):
+    net, _ = fixtures.four_node_fixture()
+    f = tmp_path / "rq.json"
+    f.write_text(json.dumps({"default": 1.0, "entries": [entry]}))
+    with pytest.raises(ValidationError, match=f"{re.escape(str(f))}: bad entry"):
+        load_step_weights(str(f), net)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"default": math.nan}, "nan at (1,1)"),
+    ({"default": 1.0, "entries": [[1, 2, math.inf]]}, "inf at (1,2)"),
+    ({"matrix": [[0.0, 0.0, -math.inf, 0.0]] + [[0.0] * 4] * 3}, "-inf at (1,3)"),
+])
+def test_step_weights_refuse_non_finite_weights(tmp_path, doc, message):
+    net, _ = fixtures.four_node_fixture()
+    f = tmp_path / "rq.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        load_step_weights(str(f), net)
+    assert str(err.value) == f"step weights {f}: non-finite weight {message}"
 
 
 # ---------------------------------------------------------------------------

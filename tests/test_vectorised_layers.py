@@ -1,4 +1,9 @@
-"""Array path costs, edge usage and destination sums against their references.
+"""Array path costs, edge usage, the edge table and destination sums against
+their references.
+
+``edge_table`` makes each pair's parallel-edge choice for a whole network at
+once; it, the Markov table and the risk weights built from it must equal the
+per-pair loops over ``_resolve_step`` they replaced, kept here, bit for bit.
 
 ``path_costs`` and ``edge_usage_from_law`` replace per-path loops with array
 code that adds the same floats in the same order, so they must agree with the
@@ -30,9 +35,10 @@ from iotnet import (
     reprice,
 )
 from iotnet import fixtures, scenario
-from iotnet.network import PathSpace, _resolve_step, row_join
+from iotnet.network import (EDGE_KINDS, PathSpace, _edge_contribution,
+                            _resolve_step, edge_table, row_join)
 from iotnet.oracle import lp_ot
-from iotnet.scenario import cheapest_paths
+from iotnet.scenario import RiskWeights, build_risk_matrix, cheapest_paths
 
 from helpers import marginal_gap, usage_dict_loop
 
@@ -42,10 +48,10 @@ PROPERTY = settings(max_examples=60, deadline=None,
 
 
 @st.composite
-def ruled_networks(draw):
+def ruled_networks(draw, length=st.floats(0.0, 100.0, allow_nan=False),
+                   multiplier=st.floats(0.0, 10.0)):
     """Small multigraph with parallel road kinds, storage loops, ruled model."""
     n = draw(st.integers(2, 4))
-    length = st.floats(0.0, 100.0, allow_nan=False)
     nodes = [(i, draw(length), draw(length)) for i in range(1, n + 1)]
     edges = []
     for i in range(1, n + 1):
@@ -65,7 +71,7 @@ def ruled_networks(draw):
                             highway_discount_3plus=draw(unit),
                             switch_penalty_km=draw(length),
                             storage_cost_km=draw(length),
-                            maritime_multiplier=draw(st.floats(0.0, 10.0)))
+                            maritime_multiplier=draw(multiplier))
     return network, model
 
 
@@ -98,6 +104,81 @@ def test_path_costs_equal_scalar_loop_exactly(case):
         return
     expected = np.array([path_cost(model, network, p) for p in space.paths])
     assert np.array_equal(path_costs(space, model, network), expected)
+
+
+# few distinct lengths and multipliers, so parallel kinds often cost the same
+_TIED_LENGTH = st.sampled_from([0.0, 10.0, 40.0]) | st.floats(0.0, 100.0)
+_TIED_MULTIPLIER = st.sampled_from([0.0, 0.25, 1.0, 4.0]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def tied_networks(draw):
+    """(network, ruled model, affected pairs): parallel kinds with frequent
+    equal contributions, possibly re-priced, affected pairs partly off the
+    edge set or outside ``1..n``."""
+    network, model = draw(ruled_networks(_TIED_LENGTH, _TIED_MULTIPLIER))
+    n = network.n
+    pairs = network.edge_pairs() + [(2, 1), (1, n), (0, 1), (n + 1, n)]
+    for _ in range(draw(st.integers(0, 2))):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+        model = reprice(model, chosen, draw(_TIED_MULTIPLIER))
+    affected = tuple(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    return network, model, affected
+
+
+def _reference_markov_table(network, ruled):
+    """The per-pair loop ``markov_model_from_network`` ran before the edge
+    table."""
+    table = {}
+    for (i, j) in network.edge_pairs():
+        table[(i, j)] = _edge_contribution(ruled, _resolve_step(ruled, network, i, j))
+    return table
+
+
+def _reference_risk_matrix(network, model, affected, weights):
+    """The per-pair loop ``build_risk_matrix`` ran before the edge table."""
+    n = network.n
+    aff = set(affected)
+    out = np.zeros((n, n))
+    for (i, j) in network.edge_pairs():
+        if (i, j) in aff:
+            w = weights.affected
+        else:
+            kind = _resolve_step(model, network, i, j).kind
+            w = weights.maritime if kind is EdgeKind.MARITIME else weights.regular
+        out[i - 1, j - 1] = w
+    return out
+
+
+@PROPERTY
+@given(tied_networks())
+def test_edge_table_equals_the_scalar_choice_on_every_pair(case):
+    network, model, _ = case
+    kind, contrib = edge_table(network, model)
+    assert network.pairs.tolist() == [list(p) for p in network.edge_pairs()]
+    for i, j in np.ndindex(kind.shape):
+        if network.has_edge(i + 1, j + 1):
+            edge = _resolve_step(model, network, i + 1, j + 1)
+            assert EDGE_KINDS[kind[i, j]] is edge.kind
+            assert contrib[i, j] == _edge_contribution(model, edge)
+        else:
+            assert (kind[i, j], contrib[i, j]) == (-1, 0.0)
+
+
+@PROPERTY
+@given(tied_networks(), st.sampled_from([RiskWeights(),
+                                         RiskWeights(0.5, 2.0, 0.0)]))
+def test_markov_table_and_risk_weights_equal_their_per_pair_loops(case, weights):
+    network, ruled, affected = case
+    markov = markov_model_from_network(network, ruled)
+    assert list(markov.edge_costs.items()) == list(
+        _reference_markov_table(network, ruled).items())
+    assert (markov.maritime_multiplier, markov.storage_cost_km) == (
+        ruled.maritime_multiplier, ruled.storage_cost_km)
+    for model in (ruled, markov):
+        want = _reference_risk_matrix(network, model, affected, weights)
+        got = build_risk_matrix(network, model, affected, weights)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _highway_runs(model, network, space):
