@@ -29,8 +29,8 @@ from .bridge import (MarkovPrior, path_law_from_endpoint, sinkhorn_markov,
                      sinkhorn_path)
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .fileio import (atomic_write_text, fmt, load_marginal, load_path_distribution,
-                     load_prior, load_step_weights, path_strings, read_plan,
-                     save_path_distribution, write_plan)
+                     load_prior, load_step_weights, number, parse_field,
+                     path_strings, read_plan, save_path_distribution, write_plan)
 from .imitation import ImitationTarget, IOTProblem, expand_target, solve_iot
 from .network import (RULED, CostModel, Network, enumerate_paths, load_network,
                       markov_model_from_network, path_costs, path_vector, row_join)
@@ -185,29 +185,23 @@ def _chain_support_law(initial: np.ndarray,
 def _cmd_bridge(args: argparse.Namespace) -> int:
     _resolve_common(args)
     prior = load_prior(args.prior)
-    if isinstance(prior, MarkovPrior):
-        n = prior.initial.shape[0]
-        horizon = args.horizon
+    markov = isinstance(prior, MarkovPrior)
+    if markov:
+        n, horizon = prior.initial.shape[0], args.horizon
         if horizon is None:
-            if prior.matrices is not None:
-                horizon = len(prior.matrices)
-            else:
+            if prior.matrices is None:
                 raise ValidationError(
                     "--horizon is required for a markov prior with one matrix")
-        nu0 = load_marginal(args.nu0, n)
-        nuT = load_marginal(args.nuT, n)
-        solution = sinkhorn_markov(prior, nu0, nuT, horizon,
-                                   tol=args.tol, max_iter=args.max_iter)
+            horizon = len(prior.matrices)
     else:
-        space = prior.path_space
-        n, horizon = space.n, space.horizon
+        n, horizon = prior.path_space.n, prior.path_space.horizon
         if args.horizon is not None and args.horizon != horizon:
             raise ValidationError(
                 f"--horizon {args.horizon} != prior horizon {horizon}")
-        nu0 = load_marginal(args.nu0, n)
-        nuT = load_marginal(args.nuT, n)
-        solution = sinkhorn_path(prior, nu0, nuT, tol=args.tol,
-                                 max_iter=args.max_iter)
+    nu0, nuT = load_marginal(args.nu0, n), load_marginal(args.nuT, n)
+    tuning = {"tol": args.tol, "max_iter": args.max_iter}
+    solution = (sinkhorn_markov(prior, nu0, nuT, horizon, **tuning) if markov
+                else sinkhorn_path(prior, nu0, nuT, **tuning))
 
     out = _out_path(args, "bridge.json")
     _dump_json(out, {
@@ -223,7 +217,7 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
     })
     written = [out]
     if args.emit_paths:
-        if isinstance(prior, MarkovPrior):
+        if markov:
             rows, law = _chain_support_law(nu0, solution.transitions)
         else:
             law = path_law_from_endpoint(solution, prior)
@@ -261,8 +255,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                                        blend=args.beta)
     elif args.rq_file is not None:
         initial, matrix = load_step_weights(args.rq_file, network)
-        target = ImitationTarget.markov(matrix, initial, blend=args.beta,
-                                        stochastic=False)
+        target = ImitationTarget.markov(matrix, initial, blend=args.beta)
     else:
         target = ImitationTarget.uniform(space.size)
 
@@ -314,7 +307,7 @@ def _cmd_robust_cert(args: argparse.Namespace) -> int:
         meta = plan["meta"]
         if "alpha" not in meta:
             raise ValidationError("plan file carries no alpha; pass --alpha")
-        alpha = float(meta["alpha"])
+        alpha = parse_field(f"plan {args.plan}: alpha", number, meta["alpha"])
 
     q_horizon, q_rows, q_probs = load_path_distribution(args.q_file)
     if q_horizon != rows.shape[1] - 1:

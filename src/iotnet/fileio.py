@@ -6,6 +6,10 @@ All floats are serialised with ``repr``, the shortest round-trip form, which
 keeps outputs byte-identical across runs.  Path-keyed files (q-files, path
 priors, plan ``[paths]``) are read into node matrices plus value vectors.
 
+Every JSON reader, here and in ``network`` and ``scenario``, reads its numbers
+through :func:`number`, :func:`whole_number` and :func:`numbers`, which own the
+rule of the README's *File formats*; :func:`parse_field` names a refused field.
+
 Plans are written a column at a time: path strings from one string per node
 id, floats through ``repr`` over ``tolist()``, one ``"\n".join`` at the end.
 Text in the writer's layout is read back the same way, with one split and one
@@ -80,21 +84,39 @@ def _read_json(path: str, what: str) -> object:
 
 
 def parse_field(what: str, convert: Callable, value: object) -> Any:
-    """``convert(value)``; a value it cannot convert, or a boolean (which
-    Python would read as 0 or 1), is an error naming ``what``."""
+    """``convert(value)``; a value the converter refuses is an error naming ``what``."""
     try:
-        if isinstance(value, bool):
-            raise TypeError(f"{value!r} is not a number")
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} is malformed: {exc}") from exc
 
 
+def number(value: object) -> float:
+    """``float(value)``, refusing a boolean, which Python would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def whole_number(value: object) -> int:
-    """``int(value)``, refusing a fractional number instead of truncating it."""
+    """``int(value)``, refusing a boolean and a fractional number (not truncating it)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
+
+
+def numbers(value: object) -> np.ndarray:
+    """The float array of a nested JSON list, refusing a cell :func:`number` refuses."""
+    array = np.array(value, dtype=float)   # numpy refuses a ragged nesting
+    cells = [value]
+    for _ in range(array.ndim):
+        cells = list(chain.from_iterable(cells))
+    odd = set(map(type, cells)) & {bool, type(None)}
+    if odd:
+        number(next(v for v in cells if type(v) in odd))
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +130,13 @@ def vector_from_obj(obj: object, n: int, what: str) -> np.ndarray:
     if isinstance(obj, list):
         if len(obj) != n:
             raise ValidationError(f"{what}: expected {n} entries, got {len(obj)}")
-        out[:] = [parse_field(f"{what}: mass", float, v) for v in obj]
+        out[:] = [parse_field(f"{what}: mass", number, v) for v in obj]
     elif isinstance(obj, dict):
         for key, val in obj.items():
-            idx = parse_field(f"{what}: node id", int, key)
+            idx = parse_field(f"{what}: node id", whole_number, key)
             if not (1 <= idx <= n):
                 raise ValidationError(f"{what}: unknown node id {idx}")
-            out[idx - 1] = parse_field(f"{what}: mass", float, val)
+            out[idx - 1] = parse_field(f"{what}: mass", number, val)
     else:
         raise ValidationError(f"{what}: expected a JSON array or object")
     if np.any(out < 0):
@@ -145,9 +167,8 @@ def load_path_distribution(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     """Load a q-file: ``{"horizon": T, "entries": [{"path": [...], "prob": p}]}``.
 
     Returns ``(horizon, rows, probs)`` in file order.  An invalid file is reported
-    at its first entry that does not parse (fractional ids and ids beyond int64
-    do not), has the wrong length, a negative prob or an earlier entry's path,
-    in that order.
+    at its first entry that does not parse (ids beyond int64 do not), has the
+    wrong length, a negative prob or an earlier entry's path, in that order.
     """
     # the document and the lists built from it are fresh containers, freed
     # when _path_table returns: a collection before then could free nothing
@@ -165,15 +186,16 @@ def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     entries = doc["entries"]
     fault = None
     # one flat conversion reads a valid file faster than the entry loop, which
-    # is the reference for how an entry reads and runs unless every id is an
-    # int (not a bool, float or digit string) and every path has T+1 of them
+    # is the reference for how an entry reads and runs unless every id is an int,
+    # every prob an int or float (no bool or string) and every path T+1 long
     try:
         paths = [ent["path"] for ent in entries]
         ids = list(chain.from_iterable(paths))
-        probs = np.array([float(ent["prob"]) for ent in entries])
+        probs = [ent["prob"] for ent in entries]
         rows = None
-        if (set(map(type, ids)) <= {int}
+        if (set(map(type, ids)) <= {int} and set(map(type, probs)) <= {float, int}
                 and list(map(len, paths)).count(horizon + 1) == len(paths)):
+            probs = np.array(probs, dtype=float)
             rows = np.fromiter(ids, np.int64, len(ids)).reshape(len(paths), -1)
     except (KeyError, TypeError, ValueError, OverflowError):
         rows = None
@@ -183,7 +205,7 @@ def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
             try:
                 nodes = np.array([whole_number(v) for v in ent["path"]],
                                  dtype=np.int64)
-                prob = float(ent["prob"])
+                prob = number(ent["prob"])
             except (KeyError, TypeError, ValueError, OverflowError):
                 fault = f"{where}: bad entry {ent}"
                 break
@@ -226,31 +248,25 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
     Dense form: ``{"matrix": [[...]] [, "initial": [...]]}``.
     Sparse form: ``{"default": w0, "entries": [[i, j, w], ...]}`` where the
     default applies to every existing network edge not listed; pairs without a
-    network edge always get weight 0.  Weights must be finite and
-    nonnegative, and an entry's node ids whole numbers.
+    network edge always get weight 0.  Weights must be finite and nonnegative.
     """
     doc = _read_json(path, "step weights")
-    n = network.n
-    edge = network.edge_mask
-    initial = None
+    n, edge, initial = network.n, network.edge_mask, None
     if isinstance(doc, dict) and "initial" in doc:
         initial = vector_from_obj(doc["initial"], n, f"step weights {path} initial")
     if isinstance(doc, dict) and "matrix" in doc:
-        mat = parse_field(f"step weights {path}: matrix",
-                          lambda rows: np.asarray(rows, dtype=float), doc["matrix"])
+        mat = parse_field(f"step weights {path}: matrix", numbers, doc["matrix"])
         if mat.shape != (n, n):
             raise ValidationError(
                 f"step weights {path}: matrix shape {mat.shape}, expected {(n, n)}")
     elif isinstance(doc, dict) and ("entries" in doc or "default" in doc):
-        default = parse_field(f"step weights {path}: default", float,
+        default = parse_field(f"step weights {path}: default", number,
                               doc.get("default", 1.0))
         mat = np.where(edge, default, 0.0)
         for ent in doc.get("entries", []):
             try:
-                if bool in (type(ent[0]), type(ent[1]), type(ent[2])):
-                    raise TypeError("a boolean is not a number")
-                i, j, w = whole_number(ent[0]), whole_number(ent[1]), float(ent[2])
-            except (LookupError, TypeError, ValueError) as exc:
+                i, j, w = whole_number(ent[0]), whole_number(ent[1]), number(ent[2])
+            except (LookupError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"step weights {path}: bad entry {ent}") from exc
             if not (1 <= i <= n and 1 <= j <= n and edge[i - 1, j - 1]):
                 raise ValidationError(
@@ -292,32 +308,31 @@ def load_prior(path: str):
         raise ValidationError(f"prior {path}: need a 'type' key")
     kind = doc["type"]
     if kind == "markov":
-        try:
-            initial = np.asarray(doc["initial"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"prior {path}: bad 'initial': {exc}") from exc
+        if "initial" not in doc:
+            raise ValidationError(f"prior {path}: markov prior needs 'initial'")
+        initial = parse_field(f"prior {path}: initial", numbers, doc["initial"])
         if "matrix" in doc:
-            return MarkovPrior(initial=initial,
-                               matrix=np.asarray(doc["matrix"], dtype=float))
+            return MarkovPrior(initial=initial, matrix=parse_field(
+                f"prior {path}: matrix", numbers, doc["matrix"]))
         if "matrices" in doc:
-            mats = tuple(np.asarray(m, dtype=float) for m in doc["matrices"])
-            return MarkovPrior(initial=initial, matrices=mats)
+            return MarkovPrior(initial=initial, matrices=parse_field(
+                f"prior {path}: matrices", lambda v: tuple(numbers(v)), doc["matrices"]))
         raise ValidationError(f"prior {path}: markov prior needs 'matrix' or 'matrices'")
     if kind == "paths":
         try:
             horizon = whole_number(doc["horizon"])
             paths = [[whole_number(v) for v in p] for p in doc["paths"]]
             n = whole_number(doc["n"]) if "n" in doc else max(map(max, paths))
-            weights = np.asarray(doc["weights"], dtype=float)
+            weights = numbers(doc["weights"])
             # a length column keeps paths of different lengths apart
             width = max(map(len, paths), default=0)
             keyed = np.array([[len(p), *p] + [0] * (width - len(p)) for p in paths],
                              dtype=np.int64).reshape(len(paths), width + 1)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"prior {path}: bad path prior: {exc}") from exc
-        if len(paths) != weights.shape[0]:
+        if weights.shape != (len(paths),):
             raise ValidationError(
-                f"prior {path}: {len(paths)} paths but {weights.shape[0]} weights")
+                f"prior {path}: {len(paths)} paths but {weights.size} weights")
         rank = row_ranks(keyed)
         if _repeats(rank).any():
             raise ValidationError(f"prior {path}: duplicate paths")

@@ -54,18 +54,16 @@ __all__ = [
 class ImitationTarget:
     """Behaviour to imitate: Markov step weights or explicit path weights.
 
-    ``initial``/``matrix`` describe a Markov target (step weights over
-    existing edges; rows need not be normalised — set ``stochastic=False``
-    for raw nonnegative weights such as risk scores).  ``path_probs`` is a
-    path-form target aligned with the problem's path space.  ``blend`` mixes
-    the target with the uniform path distribution.
+    ``initial``/``matrix`` describe a Markov target (nonnegative step weights
+    over existing edges, such as risk scores; rows need not be normalised).
+    ``path_probs`` is a path-form target aligned with the problem's path
+    space.  ``blend`` mixes the target with the uniform path distribution.
     """
 
     initial: np.ndarray | None = None
     matrix: np.ndarray | None = None
     path_probs: np.ndarray | None = None
     blend: float = 0.0
-    stochastic: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.blend <= 1.0):
@@ -87,15 +85,6 @@ class ImitationTarget:
                     raise ValidationError("target initial law must be a nonnegative "
                                           "vector matching the matrix dimension")
                 object.__setattr__(self, "initial", init)
-            if self.stochastic:
-                rowsum = mat.sum(axis=1)
-                rows = np.nonzero(rowsum > 0)[0]
-                if np.any(np.abs(rowsum[rows] - 1.0) > 1e-9):
-                    bad = int(rows[np.argmax(np.abs(rowsum[rows] - 1.0))]) + 1
-                    raise ValidationError(
-                        f"target rows must sum to 1 (row {bad} sums to "
-                        f"{float(rowsum[bad - 1])!r}); pass stochastic=False for "
-                        f"raw weights")
         else:
             probs = np.asarray(self.path_probs, dtype=float)
             if probs.ndim != 1 or np.any(probs < 0) or not np.all(np.isfinite(probs)):
@@ -105,10 +94,8 @@ class ImitationTarget:
             object.__setattr__(self, "path_probs", probs)
 
     @classmethod
-    def markov(cls, matrix, initial=None, *, blend: float = 0.0,
-               stochastic: bool = True) -> "ImitationTarget":
-        return cls(initial=initial, matrix=matrix, blend=blend,
-                   stochastic=stochastic)
+    def markov(cls, matrix, initial=None, *, blend: float = 0.0) -> "ImitationTarget":
+        return cls(initial=initial, matrix=matrix, blend=blend)
 
     @classmethod
     def paths(cls, path_probs, *, blend: float = 0.0) -> "ImitationTarget":
@@ -361,11 +348,10 @@ def chain_plan(problem: IOTProblem, solution: BridgeSolution) -> TransportPlan:
 
     Edge usage is a forward pass: ``usage[t] = mu_t[:, None] * Pi_t`` and
     ``mu_{t+1} = usage[t].sum(0)`` from ``mu_0 = nu0``.  The chain's path law
-    is ``nu0(x0) / phi0(x0) * exp(-C(x)/alpha) * Q(x) / init(x0) * phiT(xT)``,
-    so its divergence from the target needs only the bridge potentials:
-    ``KL = sum nu0 (log nu0 - log phi0 - log init) + sum mT log phiT -
-    E[C]/alpha``, with ``mT`` the chain's end law; the target's step weights
-    cancel.
+    is ``nu0(x0) prod_t Pi_t`` and the target's ``init(x0) prod_t M``, so the
+    divergence is read off the chain: ``KL = sum nu0 (log nu0 - log init) +
+    sum_t usage[t] (log Pi_t - log M)`` over the used entries, with no
+    difference of near-equal totals to lose digits at small ``alpha``.
     """
     nu0, n = problem.nu0, problem.nu0.shape[0]
     init = _target_initial(problem.target, n)
@@ -377,10 +363,10 @@ def chain_plan(problem: IOTProblem, solution: BridgeSolution) -> TransportPlan:
     cost = cost_matrix(problem.cost_model, n)
     # the chain never steps off the cost table, where the cost is inf
     expected = float(np.sum(usage * np.where(np.isfinite(cost), cost, 0.0)))
-    start, end = nu0 > 0, mu > 0
-    kl = float(nu0[start] @ (np.log(nu0[start]) - solution.log_phi0[start]
-                             - np.log(init[start]))
-               + mu[end] @ solution.log_phiT[end] - expected / problem.alpha)
+    start, (t, i, j) = nu0 > 0, np.nonzero(usage)
+    kl = float(nu0[start] @ (np.log(nu0[start]) - np.log(init[start]))
+               + usage[t, i, j] @ (np.log(np.stack(solution.transitions)[t, i, j])
+                                   - np.log(problem.target.matrix[i, j])))
     objective = ObjectiveTerms(expected_cost=expected, kl_to_target=kl,
                                total=expected + problem.alpha * kl)
     return TransportPlan(problem=problem, bridge=solution, objective=objective,

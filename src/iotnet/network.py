@@ -780,15 +780,20 @@ def network_to_dict(network: Network, ruled: CostModel | None = None) -> dict:
 
 
 def network_from_dict(doc: dict) -> tuple[Network, CostModel]:
-    from .fileio import parse_field, whole_number
+    from .fileio import number, parse_field, whole_number
     try:
         nodes = [Node(parse_field(f"nodes[{k}].id", whole_number, nd["id"]),
-                      float(nd["x_km"]), float(nd["y_km"]), str(nd.get("label", "")))
+                      *(parse_field(f"nodes[{k}].{axis}", number, nd[axis])
+                        for axis in ("x_km", "y_km")),
+                      str(nd.get("label", "")))
                  for k, nd in enumerate(doc["nodes"])]
         edges = [(*(parse_field(f"edges[{k}].{end}", whole_number, e[end])
-                    for end in ("from", "to")), str(e["kind"]), e.get("length_km"))
+                    for end in ("from", "to")), str(e["kind"]),
+                  None if e.get("length_km") is None
+                  else parse_field(f"edges[{k}].length_km", number, e["length_km"]))
                  for k, e in enumerate(doc["edges"])]
-        rules = {k: float(v) for k, v in doc.get("cost_rules", {}).items()}
+        rules = {k: parse_field(f"cost_rules.{k}", number, v)
+                 for k, v in doc.get("cost_rules", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network document: {exc}") from exc
     try:

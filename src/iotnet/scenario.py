@@ -57,7 +57,7 @@ import numpy as np
 from . import fixtures
 from .errors import ValidationError
 from .fileio import (_read_json, atomic_write_text, fmt, load_path_distribution,
-                     load_step_weights, parse_field, whole_number)
+                     load_step_weights, number, parse_field, whole_number)
 from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
 from .network import (EDGE_KINDS, CostModel, EdgeKind, Network, PathSpace,
                       cost_matrix, count_paths, edge_table, enumerate_paths,
@@ -165,21 +165,21 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _field(what: str, convert: Callable, value: object) -> Any:
-    return parse_field(f"scenario field {what}", convert, value)
+def _field(path: str, what: str, convert: Callable, value: object) -> Any:
+    return parse_field(f"{path}: scenario field {what}", convert, value)
 
 
 def _pairs(value: object) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((int(i), int(j)) for i, j in value))
+    return tuple(sorted((whole_number(i), whole_number(j)) for i, j in value))
 
 
-def _mass_map(obj: object, what: str) -> dict[int, float]:
+def _mass_map(path: str, obj: object, what: str) -> dict[int, float]:
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} must be a JSON object of node -> mass")
     out: dict[int, float] = {}
     for key, val in obj.items():
-        node = _field(what, int, key)
-        mass = _field(what, float, val)
+        node = _field(path, what, whole_number, key)
+        mass = _field(path, what, number, val)
         if not math.isfinite(mass):
             raise ValidationError(f"{what}: non-finite mass {mass!r} at node {node}")
         if mass < 0:
@@ -214,8 +214,8 @@ def load_scenario(path: str) -> ScenarioSpec:
     except KeyError as exc:
         raise ValidationError(
             f"scenario {path}: need network/T/alpha/scenario: {exc}") from exc
-    horizon = _field("T", whole_number, horizon)
-    alpha = _field("alpha", float, alpha)
+    horizon = _field(path, "T", whole_number, horizon)
+    alpha = _field(path, "alpha", number, alpha)
     if not isinstance(block, dict) or "kind" not in block:
         raise ValidationError(f"scenario {path}: 'scenario' needs a 'kind'")
     kind = str(block["kind"]).lower()
@@ -226,8 +226,8 @@ def load_scenario(path: str) -> ScenarioSpec:
     if horizon < 1:
         raise ValidationError(f"scenario {path}: T must be >= 1, got {horizon}")
 
-    supply = _mass_map(doc["supply"], "supply") if "supply" in doc else None
-    demand = _mass_map(doc["demand"], "demand") if "demand" in doc else None
+    supply = _mass_map(path, doc["supply"], "supply") if "supply" in doc else None
+    demand = _mass_map(path, doc["demand"], "demand") if "demand" in doc else None
     if (supply is None) != (demand is None):
         raise ValidationError(
             f"scenario {path}: give both supply and demand, or neither")
@@ -237,7 +237,7 @@ def load_scenario(path: str) -> ScenarioSpec:
             raise ValidationError(
                 f"scenario {path}: supply total {s!r} != demand total {d!r}")
 
-    beta = _field("beta", float, block.get("beta", 0.0))
+    beta = _field(path, "beta", number, block.get("beta", 0.0))
     q_star_ref = block.get("q_star")
     rq_file_ref = block.get("rq_file")
     normalize_rows = block.get("normalize_rows") or False
@@ -253,11 +253,11 @@ def load_scenario(path: str) -> ScenarioSpec:
     if unknown:
         raise ValidationError(
             f"scenario {path}: unknown risk weight keys {sorted(unknown)}")
-    weights = RiskWeights(**{key: _field(f"weights.{key}", float, val)
+    weights = RiskWeights(**{key: _field(path, f"weights.{key}", number, val)
                              for key, val in wdoc.items()})
     affected = None
     if "affected" in block:
-        affected = _field("affected", _pairs, block["affected"])
+        affected = _field(path, "affected", _pairs, block["affected"])
     if kind == "imitation" and (rq_file_ref or "affected" in block):
         raise ValidationError(f"scenario {path}: rq_file/affected belong to "
                               "the risk kind")
@@ -271,8 +271,8 @@ def load_scenario(path: str) -> ScenarioSpec:
         if not isinstance(ddoc, dict):
             raise ValidationError(f"scenario {path}: disaster must be an object")
         disaster = DisasterSpec(
-            edges=_field("disaster.edges", _pairs, ddoc.get("edges", [])),
-            multiplier=_field("disaster.multiplier", float,
+            edges=_field(path, "disaster.edges", _pairs, ddoc.get("edges", [])),
+            multiplier=_field(path, "disaster.multiplier", number,
                               ddoc.get("multiplier", 10.0)))
 
     return ScenarioSpec(kind=kind, network_ref=network_ref, horizon=horizon,
@@ -480,7 +480,7 @@ def _risk_target(spec: ScenarioSpec, network: Network, model: CostModel,
         rowsum = matrix.sum(axis=1, keepdims=True)
         matrix = np.divide(matrix, rowsum, out=np.zeros_like(matrix),
                            where=rowsum > 0)
-    return ImitationTarget.markov(matrix, initial, stochastic=False)
+    return ImitationTarget.markov(matrix, initial)
 
 
 def _disaster_spec(spec: ScenarioSpec,

@@ -34,10 +34,10 @@ from iotnet import (
 )
 from iotnet import fixtures
 from iotnet.cli import main
-from iotnet.network import cost_matrix, count_paths
-from iotnet.scenario import (_min_plus, chain_totals, cheapest_paths,
-                             cheapest_rows, load_scenario, plan_report,
-                             run_scenario)
+from iotnet.network import cost_matrix, count_paths, markov_model_from_network
+from iotnet.scenario import (RiskWeights, _min_plus, build_risk_matrix,
+                             chain_totals, cheapest_paths, cheapest_rows,
+                             load_scenario, plan_report, run_scenario)
 
 
 @st.composite
@@ -83,7 +83,7 @@ def chain_problems(draw):
         matrix[i - 1, j - 1] = draw(st.floats(0.2, 2.0))
     initial = draw(st.none() | st.lists(st.floats(0.2, 1.0), min_size=n,
                                         max_size=n).map(np.array))
-    target = ImitationTarget.markov(matrix, initial, stochastic=False)
+    target = ImitationTarget.markov(matrix, initial)
     return IOTProblem(network=network, cost_model=CostModel.markov(costs),
                       nu0=law(starts), nuT=law(ends),
                       alpha=draw(st.floats(0.5, 3.0)), target=target,
@@ -142,6 +142,24 @@ def test_chain_contractions_match_the_enumerated_path_law(problem):
     path_rows, path_row_cost = cheapest_paths(space, costs)
     assert np.array_equal(path_rows, rows)
     assert np.array_equal(path_row_cost, row_cost)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 40.0])
+def test_chain_kl_keeps_its_digits_at_small_alpha(alpha):
+    """The chain's KL matches the enumerated path sum to 12 digits, also at
+    alpha 1, where ``E[C] / alpha`` is about a thousand times the KL."""
+    fx = fixtures.risk30(0)
+    model = markov_model_from_network(fx.network, fx.ruled)
+    weights = build_risk_matrix(fx.network, model, fx.affected, RiskWeights())
+    rows, cols = np.nonzero(weights)
+    weights[rows, cols] *= np.random.default_rng(1).uniform(0.8, 1.2, rows.size)
+    nu0, nuT = fx.marginals()
+    target = ImitationTarget.markov(weights)
+    plan = solve_iot(IOTProblem(network=fx.network, cost_model=model, nu0=nu0,
+                                nuT=nuT, alpha=alpha, target=target, horizon=3))
+    assert plan.transition_matrices is not None   # the Markov route ran
+    kl = path_kl(plan.path_law, expand_target(target, plan.path_space))
+    assert plan.objective.kl_to_target == pytest.approx(kl, rel=1e-12)
 
 
 def test_cheapest_rows_break_ties_lexicographically():

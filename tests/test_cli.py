@@ -445,6 +445,19 @@ def test_malformed_files_are_refused_with_an_error_naming_them(outdir, capsys,
     assert last.startswith("error:") and name in last
 
 
+def test_robust_cert_refuses_a_plan_alpha_that_is_no_number(outdir, capsys):
+    assert run_cli(["solve", "--network", "builtin:tiny", "--alpha", "0.5",
+                    "--out", "plan.txt"], capsys)[0] == 0
+    text = (outdir / "plan.txt").read_text()
+    (outdir / "plan.txt").write_text(text.replace("alpha\t0.5", "alpha\tabc"))
+    save_path_distribution("q.json", 2, {(1, 2, 3): 1.0})
+    code, _, err = run_cli(["robust-cert", "--plan", "plan.txt", "--q-file", "q.json",
+                            "--epsilon", "0.1"], capsys)
+    assert code == 1 and "Traceback" not in err
+    assert err.strip() == ("error: plan plan.txt: alpha is malformed: could not "
+                           "convert string to float: 'abc'")
+
+
 @pytest.mark.parametrize("command", ["bridge", "approx"])
 @pytest.mark.parametrize("path", [[1, 3], [0, 1]], ids=["above-n", "zero"])
 def test_path_prior_ids_outside_the_nodes_are_refused(outdir, capsys, command, path):

@@ -19,6 +19,7 @@ from iotnet import (
     load_network,
     load_path_distribution,
     load_prior,
+    load_scenario,
     load_step_weights,
     path_costs,
     plan_from_law,
@@ -30,6 +31,7 @@ from iotnet import (
 )
 from iotnet import fixtures
 from iotnet.bridge import MarkovPrior, PathPrior
+from iotnet.cli import main
 from iotnet.fileio import (
     PLAN_PROB_FLOOR,
     _plan_columns,
@@ -489,8 +491,17 @@ def test_step_weights_refuse_non_finite_weights(tmp_path, doc, message):
 # ---------------------------------------------------------------------------
 
 
+def _reference_number(v):
+    """``float(v)``, refusing a boolean, which Python would read as 0 or 1."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
 def _reference_id(v):
-    """``int(v)``, refusing a fractional float instead of truncating it."""
+    """``int(v)``, refusing a boolean and a fractional float (not truncating it)."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a number")
     if isinstance(v, float) and not v.is_integer():
         raise ValueError(f"{v!r} is not a whole number")
     return int(v)
@@ -504,7 +515,7 @@ def _reference_path_distribution(path):
     for ent in doc["entries"]:
         try:
             nodes = tuple(_reference_id(v) for v in ent["path"])
-            prob = float(ent["prob"])
+            prob = _reference_number(ent["prob"])
             # the node matrix is int64: a larger id does not parse, where the
             # loop this mirrors let it through to fail later as an unknown path
             if not all(-2**63 <= v < 2**63 for v in nodes):
@@ -558,7 +569,8 @@ _Q_ENTRIES = st.one_of(
         {"path": [2**64, 1], "prob": 0.5},         # ... and the wrong length
         {"path": [-2**63, 2**63 - 1, 1], "prob": 0.5},   # the int64 extremes
         {"path": [1, 2, float("inf")], "prob": 0.5},
-        {"path": ["2", 1.0, True], "prob": "0.5"},
+        {"path": ["2", 1.0, True], "prob": "0.5"},  # a boolean id
+        {"path": [1, 2, 1], "prob": True},         # a boolean prob
         {"path": [1, 1.5, 2], "prob": 0.5},        # a fractional id
         {"path": [2.0, 1.0, 2.0], "prob": 0.5},    # integral floats read
     ]),
@@ -585,7 +597,7 @@ def _reference_path_prior(path):
     try:
         horizon = int(doc["horizon"])
         paths = tuple(tuple(_reference_id(v) for v in p) for p in doc["paths"])
-        weights = np.asarray(doc["weights"], dtype=float)
+        weights = np.array([_reference_number(w) for w in doc["weights"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"prior {path}: bad path prior: {exc}") from exc
     if len(paths) != weights.shape[0]:
@@ -616,6 +628,8 @@ def _reference_path_prior(path):
     ([[1, 2], [1, 2, 3], ["x"]], [0.2, 0.3, 0.5]),          # ragged + not an id
     ([[1, 2.5], [2, 1]], [0.5, 0.5]),                       # fractional id
     ([[1.0, 2.0], [2, 1]], [0.5, 0.5]),                     # integral floats
+    ([[True, 2], [2, 1]], [0.5, 0.5]),                      # a boolean id
+    ([[1, 2], [2, 1]], [0.5, True]),                        # a boolean weight
 ])
 def test_path_prior_errors_match_the_reference(tmp_path, paths, weights):
     f = tmp_path / "prior.json"
@@ -820,3 +834,100 @@ def test_path_strings_equal_format_path():
     rows = np.array([[1, 20, 3], [-4, 2 ** 62, 0], [1, 20, 3]], dtype=np.int64)
     assert path_strings(rows) == [format_path(r) for r in rows.tolist()]
     assert path_strings(rows[:0]) == []
+
+
+# ---------------------------------------------------------------------------
+# one rule for every reader: a JSON boolean is never a number, node ids are
+# whole numbers, and arrays are rectangular
+# ---------------------------------------------------------------------------
+
+_SOLVE_TINY = ["solve", "--network", "builtin:tiny", "--alpha", "0.5"]
+_BRIDGE = ["bridge", "--prior", "p.json", "--nu0", "m.json", "--nuT", "m.json",
+           "--horizon", "1"]
+_SCENARIO = ["scenario", "--spec", "s.json", "--out-dir", "out"]
+_Q_DOC = {"horizon": 2, "entries": [{"path": [1, 2, 3], "prob": 1.0}]}
+_SCENARIO_DOC = {"network": "builtin:risk30", "T": 3, "alpha": 40.0,
+                 "scenario": {"kind": "risk", "affected": [[1, 2], [2, 3]]},
+                 "disaster": {"edges": [[2, 4]], "multiplier": 4.0}}
+_NETWORK_DOC = dict(_two_node_doc(), cost_rules={"maritime_multiplier": 2.0})
+_DENSE_RQ = {"matrix": [[1.0] * 3] * 3}
+_SPARSE_RQ = {"default": 1.0, "entries": [[1, 2, 3.0]]}
+_MARKOV_PRIOR = {"type": "markov", "initial": [0.5, 0.5],
+                 "matrix": [[1.0, 1.0], [1.0, 1.0]]}
+_STEPS_PRIOR = {"type": "markov", "initial": [0.5, 0.5],
+                "matrices": [[[1.0, 1.0], [1.0, 1.0]]]}
+_PATH_PRIOR = {"type": "paths", "horizon": 1, "n": 2, "paths": [[1, 2], [2, 1]],
+               "weights": [0.5, 0.5]}
+
+
+_READERS = {
+    "q.json": (lambda path, network: load_path_distribution(path),
+               _SOLVE_TINY + ["--q-file", "q.json"]),
+    "s.json": (lambda path, network: load_scenario(path), _SCENARIO),
+    "net.json": (lambda path, network: load_network(path),
+                 ["solve", "--network", "net.json", "--alpha", "1", "--horizon", "2"]),
+    "rq.json": (load_step_weights, _SOLVE_TINY + ["--rq-file", "rq.json"]),
+    "p.json": (lambda path, network: load_prior(path), _BRIDGE),
+}
+
+
+@pytest.mark.parametrize("name, doc, at, value, message", [
+    ("q.json", _Q_DOC, ("entries", 0, "path", 0), True, "bad entry"),
+    ("q.json", _Q_DOC, ("entries", 0, "prob"), True, "bad entry"),
+    ("s.json", _SCENARIO_DOC, ("scenario", "affected", 1, 0), True,
+     "scenario field affected is malformed: True is not a number"),
+    ("s.json", _SCENARIO_DOC, ("scenario", "affected", 0, 0), 1.9,
+     "scenario field affected is malformed: 1.9 is not a whole number"),
+    ("s.json", _SCENARIO_DOC, ("disaster", "edges", 0, 0), 2.5,
+     "scenario field disaster.edges is malformed: 2.5 is not a whole number"),
+    ("s.json", _SCENARIO_DOC, ("alpha",), 10 ** 400,
+     "scenario field alpha is malformed: int too large to convert to float"),
+    ("net.json", _NETWORK_DOC, ("nodes", 1, "x_km"), True,
+     "nodes[1].x_km is malformed: True is not a number"),
+    ("net.json", _NETWORK_DOC, ("edges", 0, "length_km"), True,
+     "edges[0].length_km is malformed: True is not a number"),
+    ("net.json", _NETWORK_DOC, ("cost_rules", "maritime_multiplier"), True,
+     "cost_rules.maritime_multiplier is malformed: True is not a number"),
+    ("rq.json", _DENSE_RQ, ("matrix", 0, 1), True,
+     "matrix is malformed: True is not a number"),
+    ("rq.json", _SPARSE_RQ, ("entries", 0, 0), True, "bad entry"),
+    ("p.json", _MARKOV_PRIOR, ("initial", 0), True,
+     "initial is malformed: True is not a number"),
+    ("p.json", _MARKOV_PRIOR, ("matrix", 1), [1.0], "matrix is malformed"),
+    ("p.json", _STEPS_PRIOR, ("matrices", 0, 1, 0), True,
+     "matrices is malformed: True is not a number"),
+    ("p.json", _PATH_PRIOR, ("paths", 0, 0), True,
+     "bad path prior: True is not a number"),
+    ("p.json", _PATH_PRIOR, ("weights", 1), True,
+     "bad path prior: True is not a number"),
+], ids=["q-path-id", "q-prob", "scenario-affected-bool",
+        "scenario-affected-fraction", "scenario-disaster-fraction",
+        "scenario-alpha-overflow",
+        "network-x", "network-length", "network-cost-rule", "rq-matrix-cell",
+        "rq-entry-id", "prior-initial", "prior-ragged-matrix",
+        "prior-matrices-cell", "prior-path-id", "prior-weight"])
+def test_every_reader_refuses_what_is_no_number(tmp_path, monkeypatch, capsys,
+                                                tiny, name, doc, at, value,
+                                                message):
+    read, argv = _READERS[name]
+    f = tmp_path / name
+    f.write_text(json.dumps(doc))
+    read(str(f), tiny.network)                 # the unpatched file reads
+    doc = json.loads(json.dumps(doc))
+    *inner, last = at
+    node = doc
+    for key in inner:
+        node = node[key]
+    node[last] = value
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        read(str(f), tiny.network)
+    assert str(f) in str(err.value) and message in str(err.value)
+
+    (tmp_path / "m.json").write_text(json.dumps([0.5, 0.5]))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]

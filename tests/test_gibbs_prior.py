@@ -99,7 +99,7 @@ def markov_problems(draw):
         matrix[i - 1, j - 1] = draw(st.floats(0.2, 1.0))
     initial = draw(st.none() | st.lists(st.floats(0.2, 1.0), min_size=n,
                                         max_size=n).map(np.array))
-    target = ImitationTarget.markov(matrix, initial, stochastic=False)
+    target = ImitationTarget.markov(matrix, initial)
     return IOTProblem(network=network, cost_model=model, path_space=space,
                       nu0=law(sorted(rows)), nuT=law(np.flatnonzero(cols).tolist()),
                       alpha=draw(st.floats(0.5, 3.0)), target=target)
@@ -151,7 +151,7 @@ def _acyclic_problem():
     model = CostModel.markov(costs)
     nu0, nuT = np.array([0.6, 0.4, 0.0]), np.array([0.0, 0.3, 0.7])
     space = enumerate_paths(network, 2, [1, 2], [2, 3], model)
-    target = ImitationTarget.markov(np.full((3, 3), 1.0), stochastic=False)
+    target = ImitationTarget.markov(np.full((3, 3), 1.0))
     return IOTProblem(network=network, cost_model=model, path_space=space,
                       nu0=nu0, nuT=nuT, alpha=0.9, target=target)
 
@@ -175,7 +175,7 @@ def test_solve_never_builds_the_walk(monkeypatch, tiny):
     problem = IOTProblem(network=tiny.network, cost_model=tiny.model,
                          path_space=tiny.space, nu0=tiny.nu0, nuT=tiny.nuT,
                          alpha=0.5,
-                         target=ImitationTarget.markov(matrix, stochastic=False))
+                         target=ImitationTarget.markov(matrix))
     markov, path = _both_routes(problem)
     assert tv(markov.path_law, path.path_law) < 1e-8
 
@@ -206,7 +206,7 @@ def _nearly_a_permutation():
     return IOTProblem(network=network, cost_model=model, path_space=space,
                       nu0=np.array([0.5, 0.0, 0.5, 0.0]),
                       nuT=np.array([0.0, 0.5, 0.0, 0.5]), alpha=0.01,
-                      target=ImitationTarget.markov(weights, stochastic=False))
+                      target=ImitationTarget.markov(weights))
 
 
 @pytest.mark.xfail(strict=True, raises=ConvergenceError,

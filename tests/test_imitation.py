@@ -52,14 +52,6 @@ def test_target_requires_exactly_one_form():
         ImitationTarget(matrix=np.eye(2), path_probs=np.array([1.0]))
 
 
-def test_markov_target_checks_stochastic_rows():
-    bad = np.array([[0.5, 0.4], [0.0, 1.0]])
-    with pytest.raises(ValidationError):
-        ImitationTarget.markov(bad)
-    # the same rows pass as raw weights
-    ImitationTarget.markov(bad, stochastic=False)
-
-
 def test_expand_target_markov_products(tiny):
     rng = np.random.default_rng(2)
     mat = rng.uniform(0.1, 1.0, size=(3, 3))
