@@ -156,6 +156,11 @@ def load_marginal(path: str, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _not_a_mass(values: np.ndarray) -> np.ndarray:
+    """Mask of the values that are NaN, infinite or negative."""
+    return ~(np.isfinite(values) & (values >= 0))
+
+
 def _repeats(rank: np.ndarray) -> np.ndarray:
     """Mask of the rows whose rank an earlier row already has."""
     repeat = np.ones(rank.size, dtype=bool)
@@ -168,7 +173,8 @@ def load_path_distribution(path: str) -> tuple[int, np.ndarray, np.ndarray]:
 
     Returns ``(horizon, rows, probs)`` in file order.  An invalid file is reported
     at its first entry that does not parse (ids beyond int64 do not), has the
-    wrong length, a negative prob or an earlier entry's path, in that order.
+    wrong length, a non-finite or negative prob (JSON's ``NaN`` and
+    ``Infinity`` parse) or an earlier entry's path, in that order.
     """
     # the document and the lists built from it are fresh containers, freed
     # when _path_table returns: a collection before then could free nothing
@@ -218,9 +224,11 @@ def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
         # max(): no row fits a negative horizon, so there are none to shape
         rows = np.array(rows, dtype=np.int64).reshape(len(rows), max(horizon + 1, 0))
         probs = np.array(probs, dtype=float)
-    bad = np.flatnonzero((probs < 0) | _repeats(row_ranks(rows)))
+    bad = np.flatnonzero(_not_a_mass(probs) | _repeats(row_ranks(rows)))
     if bad.size:
-        what = "negative prob on" if probs[bad[0]] < 0 else "duplicate path"
+        prob = probs[bad[0]]
+        what = ("non-finite prob on" if not np.isfinite(prob)
+                else "negative prob on" if prob < 0 else "duplicate path")
         raise ValidationError(f"{where}: {what} {tuple(rows[bad[0]].tolist())}")
     if fault is not None:
         raise ValidationError(fault)
@@ -229,12 +237,28 @@ def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     return horizon, rows, probs
 
 
+def _json_tokens(values: list) -> list[str]:
+    """The C encoder's text of each value of a flat list of numbers."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
 def save_path_distribution(path: str, horizon: int,
                            table: Mapping[tuple[int, ...], float]) -> None:
-    entries = [{"path": list(p), "prob": float(v)}
-               for p, v in sorted(table.items())]
-    atomic_write_text(path, json.dumps({"horizon": horizon, "entries": entries},
-                                       indent=2) + "\n")
+    """Write a q-file, byte for byte as ``json.dumps(doc, indent=2)`` lays it
+    out, but with the C encoder: it writes each number, and the layout is
+    joined around them."""
+    items = sorted(table.items())
+    ids = _json_tokens([v for p, _ in items for v in p])
+    probs = _json_tokens([float(v) for _, v in items])
+    entries, at = [], 0
+    for (p, _), prob in zip(items, probs):
+        nodes = ",\n        ".join(ids[at:at + len(p)])
+        at += len(p)
+        listed = f"[\n        {nodes}\n      ]" if p else "[]"
+        entries.append(f'    {{\n      "path": {listed},\n      "prob": {prob}\n    }}')
+    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    atomic_write_text(path, f'{{\n  "horizon": {json.dumps(horizon)},\n'
+                            f'  "entries": {body}\n}}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +336,17 @@ def load_prior(path: str):
             raise ValidationError(f"prior {path}: markov prior needs 'initial'")
         initial = parse_field(f"prior {path}: initial", numbers, doc["initial"])
         if "matrix" in doc:
-            return MarkovPrior(initial=initial, matrix=parse_field(
-                f"prior {path}: matrix", numbers, doc["matrix"]))
-        if "matrices" in doc:
-            return MarkovPrior(initial=initial, matrices=parse_field(
-                f"prior {path}: matrices", lambda v: tuple(numbers(v)), doc["matrices"]))
-        raise ValidationError(f"prior {path}: markov prior needs 'matrix' or 'matrices'")
-    if kind == "paths":
+            fields = {"matrix": parse_field(f"prior {path}: matrix", numbers,
+                                            doc["matrix"])}
+        elif "matrices" in doc:
+            fields = {"matrices": parse_field(f"prior {path}: matrices",
+                                              lambda v: tuple(numbers(v)),
+                                              doc["matrices"])}
+        else:
+            raise ValidationError(
+                f"prior {path}: markov prior needs 'matrix' or 'matrices'")
+        build, fields = MarkovPrior, {"initial": initial, **fields}
+    elif kind == "paths":
         try:
             horizon = whole_number(doc["horizon"])
             paths = [[whole_number(v) for v in p] for p in doc["paths"]]
@@ -344,8 +372,13 @@ def load_prior(path: str):
                                   f" has a node id outside 1..{n}")
         order = np.argsort(rank)
         space = PathSpace(horizon=horizon, n=n, array=keyed[order, 1:])
-        return PathPrior(path_space=space, weights=weights[order])
-    raise ValidationError(f"prior {path}: unknown type {kind!r}")
+        build, fields = PathPrior, {"path_space": space, "weights": weights[order]}
+    else:
+        raise ValidationError(f"prior {path}: unknown type {kind!r}")
+    try:
+        return build(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"prior {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +528,28 @@ def parse_plan_text(text: str) -> dict:
     if repeated.size:
         raise ValidationError(
             f"plan file lists path {format_path(rows[repeated[0]])} more than once")
+    probs, costs = np.array(probs, dtype=float), np.array(costs, dtype=float)
+    bad = np.flatnonzero(_not_a_mass(probs) | ~np.isfinite(costs))
+    if bad.size:
+        prob = probs[bad[0]]
+        what = ("non-finite prob" if not np.isfinite(prob)
+                else "negative prob" if prob < 0 else "non-finite cost")
+        raise ValidationError(
+            f"plan file has a {what} on path {format_path(rows[bad[0]])}")
     order = np.argsort(rank)
     return {"meta": meta, "objective": objective,
-            "paths": (rows[order], np.array(probs)[order], np.array(costs)[order]),
+            "paths": (rows[order], probs[order], costs[order]),
             "edge_usage": usage}
 
 
 def read_plan(path: str) -> dict:
+    """:func:`parse_plan_text` of the file ``path``; an error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_plan_text(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read plan file {path}: {exc}") from exc
+    try:
+        return parse_plan_text(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

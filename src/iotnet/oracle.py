@@ -10,10 +10,9 @@ tautology.
 * :func:`lp_ot` solves the linear transport program on the path formulation
   with a two-phase primal simplex under Bland's rule (guaranteed finite, no
   cycling), handling the redundant marginal constraint via artificial-variable
-  cleanup.  It is the verification oracle for the path LP; the scenario
-  engine calls it once per scenario, on the cheapest path of each endpoint
-  pair (see :func:`iotnet.scenario.cheapest_paths` and
-  :func:`iotnet.scenario.cheapest_rows`).
+  cleanup.  It is the verification oracle for the path LP, including the
+  scenario engine's transportation simplex on the cheapest path of each
+  endpoint pair (:func:`iotnet.scenario.transport_lp`).
 * :func:`objective_eval` recomputes cost / divergence / total by direct
   summation.
 """

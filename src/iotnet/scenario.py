@@ -16,18 +16,19 @@ name (``builtin:synthetic30`` / ``builtin:risk30``, seeded by ``--seed``);
 builtins come with supplies, demands, and — for the risk variant — the
 affected edge set, all overridable in the file.
 
-The cost-optimal plan is the path LP solved by the :func:`~iotnet.oracle.lp_ot`
-oracle on the cheapest path of each (start, end) pair.  The reduction is
-exact: moving a pair's mass onto its cheapest path keeps both marginals and
-never raises the cost.
+The cost-optimal plan is the path LP on the cheapest path of each (start,
+end) pair, solved as a transportation problem (:func:`transport_lp`).  The
+reduction is exact: moving a pair's mass onto its cheapest path keeps both
+marginals and never raises the cost.
 
 Where the numbers come from:
 
-* One LP per scenario, on the cheapest rows.  The imitation kind's costs
-  are not additive over steps, so it enumerates the path space and picks
-  them from it (:func:`cheapest_paths`, the lowest path index on ties); the
-  risk kind finds the same rows, in the same order, by a min-plus pass
-  (:func:`cheapest_rows`).
+* One LP per scenario, on the cheapest rows, by the transportation simplex
+  (:func:`transport_lp`; :func:`~iotnet.oracle.lp_ot` is its test oracle).
+  The imitation kind's costs are not additive over steps, so it enumerates
+  the path space and picks the rows from it (:func:`cheapest_paths`, the
+  lowest path index on ties); the risk kind finds the same rows, in the same
+  order, by a min-plus pass (:func:`cheapest_rows`).
 * Every plan is a node table (one path per row, with its mass and cost) or
   a chain.  Node tables, the LP plan of either kind and the imitation
   kind's target and imitation plan, go through :func:`plan_report`:
@@ -55,7 +56,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import fixtures
-from .errors import ValidationError
+from .errors import InfeasibleError, ValidationError
 from .fileio import (_read_json, atomic_write_text, fmt, load_path_distribution,
                      load_step_weights, number, parse_field, whole_number)
 from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
@@ -64,7 +65,6 @@ from .network import (EDGE_KINDS, CostModel, EdgeKind, Network, PathSpace,
                       load_network, markov_model_from_network,
                       network_from_dict, no_paths_error, pair_matrix,
                       path_vector, reprice, row_costs)
-from .oracle import lp_ot
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
 
@@ -441,6 +441,159 @@ def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,
     return rows[order], np.array(costs)[order]
 
 
+def _transport_simplex(cost: np.ndarray, supply: np.ndarray,
+                       demand: np.ndarray) -> np.ndarray:
+    """Optimal flows of the balanced ``m x n`` transportation problem, as a
+    flat array over cells ``i * n + j``; see :func:`transport_lp`.
+
+    The basis is a spanning tree on the lines: rows ``0..m-1``, then columns
+    ``m..m+n-1``, rooted at row 0.  Each line keeps its parent, depth, link
+    (the basic cell to its parent) and MODI potential, ``u_i + v_j = c_ij``
+    on every basic cell and 0 at the root.
+    """
+    m, n = cost.shape
+    flat = cost.ravel()
+    listed = flat.tolist()
+    flow = [0.0] * (m * n)
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(m + n)]
+    # least-cost start: each cell taken closes one line, so the m + n - 1
+    # cells span a tree; the last open row or column closes only with the
+    # other's last one, so round-off leaves no line without a cell
+    left = supply.tolist() + demand.tolist()
+    closed = [False] * (m + n)
+    rows_open, cols_open = m, n
+    for cell in np.argsort(flat, kind="stable").tolist():
+        i, j = cell // n, m + cell % n
+        if closed[i] or closed[j]:
+            continue
+        flow[cell] = amount = min(left[i], left[j])
+        left[i] -= amount
+        left[j] -= amount
+        adjacent[i].append((j, cell))
+        adjacent[j].append((i, cell))
+        if rows_open == cols_open == 1:
+            break
+        if rows_open > 1 and (left[i] <= left[j] or cols_open == 1):
+            closed[i], rows_open = True, rows_open - 1
+        else:
+            closed[j], cols_open = True, cols_open - 1
+
+    parent, depth, link = [-1] * (m + n), [0] * (m + n), [-1] * (m + n)
+    potential = [0.0] * (m + n)
+
+    def hang(top: int) -> None:
+        """Parent, depth, link and potential of every line below ``top``,
+        from ``top``'s own."""
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            for other, cell in adjacent[node]:
+                if other != parent[node]:
+                    parent[other], depth[other], link[other] = (
+                        node, depth[node] + 1, cell)
+                    potential[other] = listed[cell] - potential[node]
+                    stack.append(other)
+
+    hang(0)
+    # a potential sums up to m + n costs, so a reduced cost within a
+    # relative 1e-12 of 0 is round-off, not a cheaper basis
+    tol = 1e-12 * float(np.abs(flat).max())
+    bland = False
+    while True:
+        uv = np.array(potential)
+        reduced = (cost - uv[:m, None] - uv[None, m:]).ravel()
+        reduced[link[1:]] = 0.0
+        # Dantzig's entering cell, or Bland's while the last pivot was
+        # degenerate; the lowest cell index on ties either way
+        enter = int(np.argmax(reduced < -tol) if bland else np.argmin(reduced))
+        if not reduced[enter] < -tol:
+            return np.array(flow)
+        # the cycle: the entering cell, then the tree path from its row and
+        # its column up to where they meet; each line stands for its link,
+        # and the links lose and gain theta in turn from either end
+        row, col = enter // n, m + enter % n
+        side_row, side_col = [], []
+        a, b = row, col
+        while a != b:
+            if depth[a] >= depth[b]:
+                side_row.append(a)
+                a = parent[a]
+            else:
+                side_col.append(b)
+                b = parent[b]
+        minus = side_row[0::2] + side_col[0::2]
+        theta = min(flow[link[w]] for w in minus)
+        out = min((w for w in minus if flow[link[w]] == theta), key=link.__getitem__)
+        for w in minus:
+            flow[link[w]] -= theta
+        for w in side_row[1::2] + side_col[1::2]:
+            flow[link[w]] += theta
+        flow[enter] = theta
+        bland = theta == 0.0
+        # the leaving link cuts off the subtree below ``out``; it hangs
+        # again from the entering cell's end outside it
+        top, below = (row, col) if out in side_row else (col, row)
+        adjacent[out].remove((parent[out], link[out]))
+        adjacent[parent[out]].remove((out, link[out]))
+        adjacent[top].append((below, enter))
+        adjacent[below].append((top, enter))
+        parent[top], depth[top], link[top] = below, depth[below] + 1, enter
+        potential[top] = listed[enter] - potential[below]
+        hang(top)
+
+
+def transport_lp(rows: np.ndarray, costs: np.ndarray, nu0: np.ndarray,
+                 nuT: np.ndarray) -> tuple[np.ndarray, float]:
+    """The cost-optimal flow on each row of the node table ``rows`` (one path
+    per endpoint pair, at ``costs``) between the start law ``nu0`` and the
+    end law ``nuT``, and its cost ``costs @ flow``.
+
+    This is the Hitchcock transportation problem on a table with one row per
+    positive-mass start and one column per positive-mass end; a row of
+    ``rows`` on a zero-mass start or end carries no flow.  It is solved by
+    the transportation simplex (Dantzig 1951): a least-cost starting basis
+    (cells in stable cost order; it may be degenerate), MODI potentials
+    ``u_i + v_j = c_ij`` from one walk of the basis tree, the most negative
+    reduced cost entering, and flows moved by exactly ``+-theta`` around the
+    cycle the tree closes, so they stay nonnegative and the leaving cell (the
+    lowest index among the cycle's tied minima) drops to 0 exactly.  After a
+    degenerate pivot (``theta = 0``) the entering cell is Bland's, the lowest
+    index with a negative reduced cost, until the next nondegenerate one, so
+    the method cannot cycle on degenerate bases (Bland 1977; Cunningham
+    1976 for network bases).
+    """
+    costs = np.asarray(costs, dtype=float)
+    if not np.all(np.isfinite(costs)):
+        raise ValidationError("LP costs must be finite")
+    sources, sinks = np.flatnonzero(nu0 > 0), np.flatnonzero(nuT > 0)
+    supply, demand = nu0[sources], nuT[sinks]
+    if not (sources.size and math.isclose(supply.sum(), demand.sum(),
+                                          rel_tol=1e-9)):
+        raise InfeasibleError(f"start mass {supply.sum()!r} and end mass "
+                              f"{demand.sum()!r} must be positive and equal")
+    def line(nodes: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        """The table line of each node id, -1 for a node without mass."""
+        at = np.full(nu0.shape[0] + 1, -1)
+        at[lines + 1] = np.arange(lines.size)
+        return at[nodes]
+
+    i, j = line(rows[:, 0], sources), line(rows[:, -1], sinks)
+    used = np.flatnonzero((i >= 0) & (j >= 0))
+    row_at = np.full((sources.size, sinks.size), -1)
+    row_at[i[used], j[used]] = used
+    missing = np.argwhere(row_at < 0)
+    if missing.size:
+        s, e = missing[0]
+        raise InfeasibleError(
+            f"no row joins start node {sources[s] + 1} to end node "
+            f"{sinks[e] + 1}, where both marginals are positive")
+    if used.size != row_at.size:
+        raise ValidationError("two rows join the same start and end")
+    flow = np.zeros(costs.shape[0])
+    flow[row_at.ravel()] = _transport_simplex(costs[row_at], supply, demand)
+    return flow, float(costs @ flow)
+
+
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
@@ -545,8 +698,8 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
         reports = {label: plan_report(label, space.array, law, plan.path_costs, n)
                    for label, law in (("target", q_star),
                                       ("imitation", plan.path_law))}
-    lp = lp_ot(PathSpace(horizon=spec.horizon, n=n, array=rows), costs, nu0, nuT)
-    reports["optimal"] = plan_report("optimal", rows, lp.probabilities, costs, n)
+    flow, lp_objective = transport_lp(rows, costs, nu0, nuT)
+    reports["optimal"] = plan_report("optimal", rows, flow, costs, n)
 
     disaster = None
     event = _disaster_spec(spec, fixture, affected) if risk else None
@@ -554,8 +707,7 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
         step = cost_matrix(reprice(model, event.edges, event.multiplier), n)
         # in field order: imitation before/after, then optimal before/after
         plans = (reports["imitation"], chain_report(step), reports["optimal"],
-                 plan_report("optimal", rows, lp.probabilities,
-                             row_costs(step, rows), n))
+                 plan_report("optimal", rows, flow, row_costs(step, rows), n))
         per_node = tuple(DisasterRow(node, float(nuT[node - 1]),
                                      *(float(p.per_destination_cost[node - 1])
                                        for p in plans))
@@ -564,7 +716,7 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
                                   *(p.total_cost for p in plans))
     return ScenarioResult(kind=spec.kind, alpha=spec.alpha, beta=spec.beta,
                           paths=paths, imitation_plan=plan, reports=reports,
-                          lp_objective=lp.objective, disaster=disaster)
+                          lp_objective=lp_objective, disaster=disaster)
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,6 @@ def test_robust_cert_ignores_target_paths_the_plan_file_dropped(outdir, capsys):
 
 @pytest.mark.parametrize("paths,entries", [
     ("1>2\t0.25\t1.5\n12>1\t0.75\t2.0\n", 2),
-    ("1>2\t1.0\tinf\n", 0),       # an infinite cost leaves the maximizer empty
 ])
 def test_robust_cert_file_is_the_indented_dump_of_its_content(outdir, capsys,
                                                               paths, entries):
@@ -346,6 +345,40 @@ def test_robust_cert_file_is_the_indented_dump_of_its_content(outdir, capsys,
     cert = json.loads(text)
     assert len(cert["maximizer"]) == entries
     assert text == json.dumps(cert, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("q_prob, plan_cost, bad", [
+    ("NaN", "1.5", "q.json: non-finite prob on (1, 2)"),
+    ("Infinity", "1.5", "q.json: non-finite prob on (1, 2)"),
+    ("0.5", "nan", "plan.txt: plan file has a non-finite cost on path 1>2"),
+    ("0.5", "inf", "plan.txt: plan file has a non-finite cost on path 1>2"),
+])
+def test_robust_cert_refuses_non_finite_numbers(outdir, capsys, q_prob, plan_cost,
+                                                bad):
+    """A NaN or infinite number read from either input would reach the
+    certificate as a NaN or infinite cost, which is no JSON."""
+    (outdir / "plan.txt").write_text(
+        f"[meta]\nhorizon\t1\nalpha\t1.0\n[paths]\n"
+        f"1>2\t0.25\t{plan_cost}\n12>1\t0.75\t2.0\n")
+    (outdir / "q.json").write_text(
+        '{"horizon": 1, "entries": [{"path": [1, 2], "prob": %s}, '
+        '{"path": [12, 1], "prob": 0.5}]}' % q_prob)
+    code, _, err = run_cli(["robust-cert", "--plan", "plan.txt",
+                            "--q-file", "q.json", "--epsilon", "0.1"], capsys)
+    assert code == 1 and "Traceback" not in err
+    assert err.strip().endswith(bad)
+    assert not (outdir / "robust_cert.json").exists()
+
+
+def test_solve_names_a_q_file_with_a_non_finite_prob(outdir, capsys):
+    fx = fixtures.tiny_fixture()
+    entries = [{"path": list(p), "prob": 1.0 / fx.space.size} for p in fx.space.paths]
+    entries[3]["prob"] = float("nan")
+    (outdir / "q.json").write_text(json.dumps({"horizon": 2, "entries": entries}))
+    code, _, err = run_cli(_TINY + ["--q-file", "q.json"], capsys)
+    assert code == 1
+    assert err.strip() == (f"error: path distribution q.json: non-finite prob on "
+                           f"{fx.space.paths[3]}")
 
 
 def test_robust_cert_unknown_paths_rejected(outdir, capsys):

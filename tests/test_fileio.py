@@ -162,6 +162,32 @@ def test_path_distribution_validation(tmp_path):
     assert rows.tolist() == [[1, 2]] and rows.dtype == np.int64
 
 
+@pytest.mark.parametrize("prob", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("ids", [[2, 1], [2.0, 1.0]], ids=["columns", "entries"])
+def test_path_distribution_refuses_non_finite_probs(tmp_path, prob, ids):
+    """JSON's ``NaN`` and ``Infinity`` parse as floats; the flat conversion
+    (int ids) and the entry loop (integral float ids) both refuse them."""
+    f = tmp_path / "q.json"
+    f.write_text(json.dumps({"horizon": 1, "entries": [
+        {"path": [1, 2], "prob": 0.5}, {"path": ids, "prob": prob}]}))
+    with pytest.raises(ValidationError) as err:
+        load_path_distribution(str(f))
+    assert str(err.value) == f"path distribution {f}: non-finite prob on (2, 1)"
+
+
+@pytest.mark.parametrize("table", [
+    {},
+    {(1, 2): 5e-324, (2, 1): 1e-300, (1, 1): 1.0, (2, 2): 3},
+    {tuple(range(1, 41)): 0.5, (7,) * 40: 2.5e-17, (): 0.25},
+], ids=["empty", "extremes", "long-paths"])
+def test_path_distribution_writer_equals_the_indented_dump(tmp_path, table):
+    f = tmp_path / "q.json"
+    save_path_distribution(str(f), 39, table)
+    entries = [{"path": list(p), "prob": float(v)} for p, v in sorted(table.items())]
+    assert f.read_text() == json.dumps({"horizon": 39, "entries": entries},
+                                       indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # step-weight files
 # ---------------------------------------------------------------------------
@@ -324,6 +350,22 @@ def test_prior_file_validation(tmp_path):
     f.write_text(json.dumps({"type": "paths", "horizon": 1, "n": 2,
                              "paths": [[1.0, 2.0]], "weights": [1.0]}))
     assert load_prior(str(f)).path_space.paths == ((1, 2),)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"type": "markov", "initial": [0.3, 0.3], "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+     "prior initial law sums to 0.6, expected 1"),
+    ({"type": "markov", "initial": [0.5, 0.5], "matrix": [[1.5, -0.5], [0.5, 0.5]]},
+     "step matrices must be nonnegative and finite"),
+    ({"type": "paths", "horizon": 1, "n": 2, "paths": [[1, 2], [2, 1]],
+      "weights": [1.0, -1.0]}, "path weights must be nonnegative and finite"),
+], ids=["initial-sum", "negative-cell", "negative-weight"])
+def test_prior_validation_errors_name_the_file(tmp_path, doc, message):
+    f = tmp_path / "prior.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        load_prior(str(f))
+    assert str(err.value) == f"prior {f}: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +568,8 @@ def _reference_path_distribution(path):
             raise ValidationError(
                 f"path distribution {path}: path {nodes} has wrong length for "
                 f"horizon {horizon}")
+        if not math.isfinite(prob):
+            raise ValidationError(f"path distribution {path}: non-finite prob on {nodes}")
         if prob < 0:
             raise ValidationError(f"path distribution {path}: negative prob on {nodes}")
         if nodes in table:
@@ -571,6 +615,9 @@ _Q_ENTRIES = st.one_of(
         {"path": [1, 2, float("inf")], "prob": 0.5},
         {"path": ["2", 1.0, True], "prob": "0.5"},  # a boolean id
         {"path": [1, 2, 1], "prob": True},         # a boolean prob
+        {"path": [1, 2, 1], "prob": math.nan},     # JSON's NaN and Infinity
+        {"path": [2, 1, 1], "prob": math.inf},
+        {"path": [2, 2, 1], "prob": -math.inf},
         {"path": [1, 1.5, 2], "prob": 0.5},        # a fractional id
         {"path": [2.0, 1.0, 2.0], "prob": 0.5},    # integral floats read
     ]),
@@ -677,6 +724,12 @@ def _reference_plan_paths(text):
             raise ValidationError(f"plan line {lineno} malformed: {line!r}") from exc
     if not paths:
         raise ValidationError("plan file has no [paths] entries")
+    for p, (prob, cost) in paths.items():
+        what = ("non-finite prob" if not math.isfinite(prob)
+                else "negative prob" if prob < 0
+                else None if math.isfinite(cost) else "non-finite cost")
+        if what:
+            raise ValidationError(f"plan file has a {what} on path {format_path(p)}")
     return {p: paths[p] for p in sorted(paths)}
 
 
@@ -697,6 +750,11 @@ _PLAN = ("[meta]\nhorizon\t2\n[objective]\ntotal\t1.5\n[paths]\n"
     [("1>2>3", "1>x>3"), ("0\t1\t2", "0\t1")],              # path, then usage
     [("total\t1.5", "total\tx"), ("1>2>3", "1>x>3")],       # objective, then path
     [("1>2>3\t0.75\t1.0", "1>x>3\t0.75")],                  # floats before path
+    [("0.75\t1.0", "0.75\tnan")],                           # non-finite cost
+    [("0.25\t3.0", "0.25\t-inf"), ("0.75\t1.0", "nan\t1.0")],   # file order
+    [("0.75\t1.0", "inf\t1.0")],                            # non-finite prob
+    [("0.25\t3.0", "-0.25\t3.0")],                          # negative prob
+    [("0.75\t1.0", "nan\t1.0"), ("0\t1\t2", "0\t1")],        # usage first
 ])
 def test_plan_errors_match_the_reference(edits):
     text = _PLAN
@@ -710,6 +768,27 @@ def test_plan_errors_match_the_reference(edits):
                               zip(probs.tolist(), costs.tolist()))))
         assert list(got[1]) == list(want[1])                # lexicographic
     assert got == want
+
+
+@pytest.mark.parametrize("old, new, what", [
+    ("0.75\t1.0", "0.75\tnan", "non-finite cost"),
+    ("0.75\t1.0", "0.75\tinf", "non-finite cost"),
+    ("0.75\t1.0", "nan\t1.0", "non-finite prob"),
+    ("0.75\t1.0", "inf\t1.0", "non-finite prob"),
+    ("0.75\t1.0", "-0.75\t1.0", "negative prob"),
+])
+@pytest.mark.parametrize("layout", ["columns", "lines"])
+def test_plans_refuse_non_finite_numbers_and_name_the_file(tmp_path, layout, old,
+                                                           new, what):
+    text = _PLAN.replace(old, new)
+    if layout == "lines":   # without [edge_usage] only the line reader reads it
+        text = text.partition("[edge_usage]")[0]
+    assert (_plan_columns(text) is None) == (layout == "lines")
+    f = tmp_path / "plan.txt"
+    f.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        read_plan(str(f))
+    assert str(err.value) == f"{f}: plan file has a {what} on path 1>2>3"
 
 
 def test_plan_rejects_a_path_listed_twice():

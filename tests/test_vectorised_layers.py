@@ -313,19 +313,26 @@ def test_run_scenario_solves_one_lp_on_the_cheapest_rows(name, kind, tmp_path,
     space, costs, nu0, nuT = _lp_case(name)
     seen = []
 
-    def recording_lp(sub, sub_costs, *args):
-        seen.append((sub, sub_costs))
-        return lp_ot(sub, sub_costs, *args)
+    def recording_lp(*args):
+        seen.append((args, scenario_lp(*args)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(scenario, "lp_ot", recording_lp)
+    scenario_lp = scenario.transport_lp
+    monkeypatch.setattr(scenario, "transport_lp", recording_lp)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"network": f"builtin:{name}", "T": 3,
                                 "alpha": 40.0, "scenario": {"kind": kind}}))
     result = scenario.run_scenario(scenario.load_scenario(str(spec)), seed=0)
     assert len(seen) == 1
+    (sub_rows, sub_costs, *marginals), (_, objective) = seen[0]
     rows, row_cost = cheapest_paths(space, costs)
-    assert np.array_equal(seen[0][0].array, rows)
-    assert np.array_equal(seen[0][1], row_cost)
+    assert np.array_equal(sub_rows, rows)
+    assert np.array_equal(sub_costs, row_cost)
+    # the production solver reaches the dense oracle's optimum on those rows
+    oracle = lp_ot(PathSpace(horizon=space.horizon, n=space.n, array=rows),
+                   row_cost, *marginals)
+    assert objective == pytest.approx(oracle.objective, rel=1e-12)
+    assert objective == result.lp_objective
     optimal = result.reports["optimal"]
     assert optimal.total_cost == pytest.approx(result.lp_objective, rel=1e-12)
     assert np.abs(optimal.per_destination_mass - nuT).max() <= 1e-9
