@@ -12,7 +12,8 @@ Two prior representations are supported, each holding its weights as logs:
 * :class:`MarkovPrior` — initial law plus step matrix/matrices; its endpoint
   kernel is the product of the step matrices, taken in log form by a shifted
   matmul (:func:`log_matmul`), and the solution is returned as per-step
-  transition matrices (a new Markov chain).
+  transition matrices (a new Markov chain).  A start without initial mass
+  has a zero kernel row, as on the path route.
 * :class:`PathPrior` — explicit nonnegative weights over an enumerated path
   space; the solution is an endpoint coupling plus a reweighted path law.
 
@@ -109,8 +110,8 @@ class MarkovPrior:
     Step weights are nonnegative and may be unnormalised (any positive scale
     is absorbed by the bridge).  Give them linear (``matrix``/``matrices``)
     or as one time-invariant ``log_matrix``, whose weights need not fit the
-    float range; the bridge reads only ``log_steps``.  The initial law must
-    sum to 1 within 1e-12.
+    float range; the bridge reads ``log_steps`` and where ``initial`` is zero.
+    The initial law is finite, nonnegative and sums to 1 within 1e-12.
     """
 
     initial: np.ndarray
@@ -122,8 +123,9 @@ class MarkovPrior:
     def __post_init__(self):
         initial = np.asarray(self.initial, dtype=float)
         object.__setattr__(self, "initial", initial)
-        if initial.ndim != 1 or np.any(initial < 0):
-            raise ValidationError("prior initial law must be a nonnegative vector")
+        if initial.ndim != 1 or not np.all(np.isfinite(initial) & (initial >= 0)):
+            raise ValidationError("prior initial law must be a nonnegative "
+                                  "finite vector")
         if abs(float(initial.sum()) - 1.0) > 1e-12:
             raise ValidationError(
                 f"prior initial law sums to {float(initial.sum())!r}, expected 1")
@@ -298,7 +300,8 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
     """Bridge a Markov prior: scale its log kernel, then propagate backward.
 
     The log kernel is the product of the step matrices, one shifted matmul
-    per step (:func:`log_matmul`), exact where a shifted sum underflows.
+    per step (:func:`log_matmul`), exact where a shifted sum underflows, and
+    ``-inf`` on the rows of the supported starts without initial mass.
     Backward log potentials ``log phi(t) = logsumexp_j(log M(t) + log
     phi(t+1))`` from ``log phiT`` tilt each step into the solution chain's
     transition matrix; rows whose backward potential vanishes (unreachable
@@ -313,6 +316,9 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
     log_kernel = prior.log_step(0, horizon)
     for t in range(1, horizon):
         log_kernel = log_matmul(log_kernel, prior.log_step(t, horizon))
+    blocked = ((nu0 > 0) & (prior.initial == 0))[:, None]
+    # a new array: at T=1 the kernel is the prior's own step array
+    log_kernel = np.where(blocked, -np.inf, log_kernel)
     solution = _sinkhorn_core(log_kernel, nu0, nuT, tol, max_iter)
     transitions = [None] * horizon
     log_phi = solution.log_phiT  # log phi(t+1) on entry to step t
@@ -332,10 +338,17 @@ def markov_path_law(solution: BridgeSolution, nu0: np.ndarray,
         raise ValidationError("solution does not carry per-step transitions")
     if len(solution.transitions) != space.horizon:
         raise ValidationError("solution horizon does not match path space")
-    arr = space.array - 1
-    law = np.asarray(nu0, dtype=float)[arr[:, 0]].copy()
-    for t, Pi in enumerate(solution.transitions):
-        law *= Pi[arr[:, t], arr[:, t + 1]]
+    return chain_law(nu0, solution.transitions, space.array)
+
+
+def chain_law(initial: np.ndarray, steps, rows: np.ndarray) -> np.ndarray:
+    """A Markov law on the node table ``rows`` (one path per row, node ids):
+    each row's start weight in ``initial`` times the weights ``steps[t]`` of
+    its steps, multiplied left to right."""
+    arr = rows - 1
+    law = np.asarray(initial, dtype=float)[arr[:, 0]]
+    for t, step in enumerate(steps):
+        law *= step[arr[:, t], arr[:, t + 1]]
     return law
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import fixtures
 from .approx import fit_markov, fitted_prior
-from .bridge import (MarkovPrior, path_law_from_endpoint, sinkhorn_markov,
-                     sinkhorn_path)
+from .bridge import (MarkovPrior, chain_law, path_law_from_endpoint,
+                     sinkhorn_markov, sinkhorn_path)
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .fileio import (atomic_write_text, fmt, load_marginal, load_path_distribution,
                      load_prior, load_step_weights, number, parse_field,
@@ -73,6 +73,8 @@ def _resolve_common(args: argparse.Namespace, *, tol_default: float = 1e-10) -> 
     args.tol = getattr(args, "tol", tol_default)
     args.max_iter = getattr(args, "max_iter", 100_000)
     args.out_dir = getattr(args, "out_dir", ".")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     if args.tol <= 0:
         raise ValidationError(f"--tol must be positive, got {args.tol}")
     if args.max_iter < 1:
@@ -171,15 +173,14 @@ def _chain_support_law(initial: np.ndarray,
                        transitions: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Rows and probabilities of a Markov path law's support (small chains)."""
     rows = np.flatnonzero(initial > 0)[:, None]
-    law = initial[rows[:, 0]]
     for mat in transitions:
         parent, nxt = np.nonzero((mat > 0)[rows[:, -1]])
-        law = law[parent] * mat[rows[parent, -1], nxt]
         rows = np.column_stack([rows[parent], nxt])
         if len(rows) > 1_000_000:
             raise ValidationError("path law support is too large to enumerate; "
                                   "drop --emit-paths")
-    return rows + 1, law
+    rows += 1
+    return rows, chain_law(initial, transitions, rows)
 
 
 def _cmd_bridge(args: argparse.Namespace) -> int:

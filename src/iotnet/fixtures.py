@@ -171,7 +171,6 @@ class SyntheticFixture:
     gateway_in: int | None = None
     gateway_out: int | None = None
     affected: tuple[tuple[int, int], ...] = ()
-    disaster_multiplier: float = DISASTER_MULTIPLIER
 
     @property
     def total_mass(self) -> int:
@@ -372,7 +371,7 @@ def synthetic30(seed: int = 0) -> SyntheticFixture:
 
 
 def risk30(seed: int = 0) -> SyntheticFixture:
-    """Seeded risk variant: cut town, disruption zone, disaster multiplier."""
+    """Seeded risk variant: cut town and disruption zone."""
     return _build_30(seed, cut=True)
 
 

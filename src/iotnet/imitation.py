@@ -9,10 +9,11 @@ prior, which is how :func:`solve_iot` computes the optimum:
   Markov prior whose log step matrix is the Gibbs edge log-weights
   ``-c(i,j)/alpha`` plus the log of the target's step weights, so a path's
   prior log-weight is ``-C(x)/alpha + log Q(x)`` up to its start term, which
-  the bridge absorbs.  No strong-connectivity requirement: the bridge exists
-  whenever the ``T``-step kernel links every supported start to every
-  supported end.  No path enumeration either: the plan is the solution chain,
-  whose edge usage and objective are ``n x n`` contractions
+  the bridge absorbs where it is positive; a start without target mass has
+  no prior row, as on the path route.  No strong-connectivity requirement:
+  the bridge exists whenever the ``T``-step kernel links every supported
+  start to every supported end.  No path enumeration either: the plan is the
+  solution chain, whose edge usage and objective are ``n x n`` contractions
   (:func:`chain_plan`); its path arrays are built only when read.
 * Path route (everything else, including rule-based non-additive costs and
   blended targets): build explicit path log-weights ``-C(x)/alpha + log
@@ -34,9 +35,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .bridge import (BridgeSolution, MarkovPrior, PathPrior, markov_path_law,
-                     path_kl, path_law_from_endpoint, sinkhorn_markov,
-                     sinkhorn_path)
+from .bridge import (BridgeSolution, MarkovPrior, PathPrior, chain_law,
+                     markov_path_law, path_kl, path_law_from_endpoint,
+                     sinkhorn_markov, sinkhorn_path)
 from .errors import InfeasibleError, ValidationError
 from .network import (MARKOV, CostModel, Network, PathSpace, cost_matrix,
                       enumerate_paths, log_weight_matrix, path_costs)
@@ -55,9 +56,10 @@ class ImitationTarget:
     """Behaviour to imitate: Markov step weights or explicit path weights.
 
     ``initial``/``matrix`` describe a Markov target (nonnegative step weights
-    over existing edges, such as risk scores; rows need not be normalised).
-    ``path_probs`` is a path-form target aligned with the problem's path
-    space.  ``blend`` mixes the target with the uniform path distribution.
+    over existing edges, such as risk scores; rows need not be normalised;
+    finite start weights, uniform ``1/n`` by default).  ``path_probs`` is a
+    path-form target aligned with the problem's path space.  ``blend`` mixes
+    the target with the uniform path distribution.
     """
 
     initial: np.ndarray | None = None
@@ -79,12 +81,13 @@ class ImitationTarget:
             if np.any(mat < 0) or not np.all(np.isfinite(mat)):
                 raise ValidationError("target matrix must be nonnegative and finite")
             object.__setattr__(self, "matrix", mat)
-            if self.initial is not None:
-                init = np.asarray(self.initial, dtype=float)
-                if init.shape != (mat.shape[0],) or np.any(init < 0):
-                    raise ValidationError("target initial law must be a nonnegative "
-                                          "vector matching the matrix dimension")
-                object.__setattr__(self, "initial", init)
+            n = mat.shape[0]
+            init = (np.full(n, 1.0 / n) if self.initial is None
+                    else np.asarray(self.initial, dtype=float))
+            if init.shape != (n,) or not np.all(np.isfinite(init) & (init >= 0)):
+                raise ValidationError("target initial law must be a nonnegative "
+                                      "finite vector matching the matrix dimension")
+            object.__setattr__(self, "initial", init)
         else:
             probs = np.asarray(self.path_probs, dtype=float)
             if probs.ndim != 1 or np.any(probs < 0) or not np.all(np.isfinite(probs)):
@@ -147,6 +150,10 @@ class IOTProblem:
             if vec.shape != (n,):
                 raise ValidationError(f"{name} must have length {n}")
             object.__setattr__(self, name, vec)
+        if self.target.is_markov and self.target.matrix.shape[0] != n:
+            size = self.target.matrix.shape[0]
+            raise ValidationError(f"target matrix is {size}x{size} but the problem "
+                                  f"has {n} nodes")
 
 
 def problem_space(problem: IOTProblem) -> PathSpace:
@@ -218,30 +225,19 @@ def blend_distribution(q: np.ndarray, beta: float) -> np.ndarray:
     return (1.0 - beta) * q + beta / q.shape[0]
 
 
-def _target_initial(target: ImitationTarget, n: int) -> np.ndarray:
-    """A Markov target's initial weights (uniform when it has none), after
-    checking that its matrix is over the problem's ``n`` nodes."""
-    size = target.matrix.shape[0]
-    if size != n:
-        raise ValidationError(f"target matrix is {size}x{size} but the path "
-                              f"space has {n} nodes")
-    return target.initial if target.initial is not None else np.full(n, 1.0 / n)
-
-
 def expand_target(target: ImitationTarget, space: PathSpace) -> np.ndarray:
     """Evaluate the (blended) target on every path of the space.
 
-    Markov targets multiply their step weights along each path, with the
-    initial law defaulting to uniform over nodes; path targets must already be
-    aligned with the space.  Blending happens after expansion, over the
+    Markov targets multiply their start and step weights along each path
+    (:func:`~iotnet.bridge.chain_law`); path targets must already be aligned
+    with the space.  Blending happens after expansion, over the
     space's paths.
     """
     if target.is_markov:
-        mat, init = target.matrix, _target_initial(target, space.n)
-        arr = space.array - 1
-        q = init[arr[:, 0]].copy()
-        for t in range(space.horizon):
-            q *= mat[arr[:, t], arr[:, t + 1]]
+        if target.initial.shape != (space.n,):
+            raise ValidationError(f"Markov target has {target.initial.size} nodes "
+                                  f"but the path space has {space.n}")
+        q = chain_law(target.initial, [target.matrix] * space.horizon, space.array)
     else:
         q = target.path_probs
         if q.shape != (space.size,):
@@ -259,9 +255,8 @@ def imitation_prior_markov(model: CostModel, alpha: float,
 
     The log step matrix is ``-cost/alpha`` on the edges plus the log of the
     target's step weights; a cost-table pair outside the target's nodes is a
-    :class:`ValidationError`.  The initial law is the target's (uniform when
-    it has none), normalised: the bridge never reads it, but a target whose
-    initial law carries no mass is infeasible.
+    :class:`ValidationError`.  The initial law is the target's, normalised;
+    the bridge reads only its zeros, and one without mass is infeasible.
     """
     if not target.is_markov:
         raise ValidationError("markov prior construction needs a Markov target")
@@ -270,11 +265,10 @@ def imitation_prior_markov(model: CostModel, alpha: float,
     n = target.matrix.shape[0]
     with np.errstate(divide="ignore"):
         step = log_weight_matrix(model, alpha, n) + np.log(target.matrix)
-    init = target.initial if target.initial is not None else np.ones(n)
-    total = float(init.sum())
+    total = float(target.initial.sum())
     if total <= 0:
         raise InfeasibleError("target initial law carries no mass")
-    return MarkovPrior(initial=init / total, log_matrix=step)
+    return MarkovPrior(initial=target.initial / total, log_matrix=step)
 
 
 def imitation_prior_paths(space: PathSpace, costs: np.ndarray, q: np.ndarray,
@@ -353,8 +347,7 @@ def chain_plan(problem: IOTProblem, solution: BridgeSolution) -> TransportPlan:
     sum_t usage[t] (log Pi_t - log M)`` over the used entries, with no
     difference of near-equal totals to lose digits at small ``alpha``.
     """
-    nu0, n = problem.nu0, problem.nu0.shape[0]
-    init = _target_initial(problem.target, n)
+    nu0, n, init = problem.nu0, problem.nu0.shape[0], problem.target.initial
     usage = np.empty((problem.horizon, n, n))
     mu = nu0
     for t, Pi in enumerate(solution.transitions):
@@ -388,16 +381,8 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
                     and problem.target.blend == 0.0
                     and not force_path)
     if markov_route:
-        _target_initial(problem.target, problem.nu0.shape[0])   # checks its size
         prior = imitation_prior_markov(problem.cost_model, problem.alpha,
                                        problem.target)
-        # the bridge never reads the initial law, so check its support here:
-        # a start without target mass has no plan of finite divergence
-        blocked = np.flatnonzero((prior.initial == 0) & (problem.nu0 > 0))
-        if blocked.size:
-            raise InfeasibleError(
-                f"target initial law puts no mass on start node "
-                f"{int(blocked[0]) + 1}, where nu0 is positive")
         solution = sinkhorn_markov(prior, problem.nu0, problem.nuT,
                                    problem.horizon, tol=tol, max_iter=max_iter)
         return chain_plan(problem, solution)

@@ -67,6 +67,9 @@ from .network import (EDGE_KINDS, CostModel, EdgeKind, Network, PathSpace,
                       path_vector, reprice, row_costs)
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
+# the ``scenario`` block fields each kind reads
+_BLOCK_FIELDS = {"imitation": {"kind", "q_star", "beta"},
+                "risk": {"kind", "rq_file", "affected", "weights", "normalize_rows"}}
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class RiskWeights:
 @dataclass(frozen=True)
 class DisasterSpec:
     edges: tuple[tuple[int, int], ...]
-    multiplier: float = 10.0
+    multiplier: float = fixtures.DISASTER_MULTIPLIER
 
 
 @dataclass(frozen=True)
@@ -200,8 +203,9 @@ def load_scenario(path: str) -> ScenarioSpec:
     ``"q_star"`` (a path-distribution file, or ``"builtin"``) and ``"beta"``,
     or ``"risk"`` with either ``"rq_file"`` (explicit step weights) or
     ``"affected"`` + optional ``"weights"`` to build them; ``"normalize_rows"``
-    opts into row-stochastic risk weights.  Supply and demand may be omitted
-    for builtin networks, which carry their own.
+    opts into row-stochastic risk weights.  A field its kind does not read,
+    or ``"weights"`` beside an ``"rq_file"``, is refused.  Supply and demand
+    may be omitted for builtin networks, which carry their own.
     """
     doc = _read_json(path, "scenario")
     if not isinstance(doc, dict):
@@ -225,6 +229,13 @@ def load_scenario(path: str) -> ScenarioSpec:
         raise ValidationError(f"scenario {path}: unknown kind {block['kind']!r}")
     if horizon < 1:
         raise ValidationError(f"scenario {path}: T must be >= 1, got {horizon}")
+    unread = sorted(set(block) - _BLOCK_FIELDS[kind])
+    if unread:
+        raise ValidationError(f"scenario {path}: a {kind} scenario does not read "
+                              f"{unread}")
+    if "rq_file" in block and "weights" in block:
+        raise ValidationError(f"scenario {path}: weights build the risk target "
+                              "only without an rq_file")
 
     supply = _mass_map(path, doc["supply"], "supply") if "supply" in doc else None
     demand = _mass_map(path, doc["demand"], "demand") if "demand" in doc else None
@@ -258,12 +269,6 @@ def load_scenario(path: str) -> ScenarioSpec:
     affected = None
     if "affected" in block:
         affected = _field(path, "affected", _pairs, block["affected"])
-    if kind == "imitation" and (rq_file_ref or "affected" in block):
-        raise ValidationError(f"scenario {path}: rq_file/affected belong to "
-                              "the risk kind")
-    if kind == "risk" and q_star_ref is not None:
-        raise ValidationError(f"scenario {path}: q_star belongs to the "
-                              "imitation kind")
 
     disaster = None
     if "disaster" in doc:
@@ -272,8 +277,8 @@ def load_scenario(path: str) -> ScenarioSpec:
             raise ValidationError(f"scenario {path}: disaster must be an object")
         disaster = DisasterSpec(
             edges=_field(path, "disaster.edges", _pairs, ddoc.get("edges", [])),
-            multiplier=_field(path, "disaster.multiplier", number,
-                              ddoc.get("multiplier", 10.0)))
+            multiplier=_field(path, "disaster.multiplier", number, ddoc.get(
+                "multiplier", fixtures.DISASTER_MULTIPLIER)))
 
     return ScenarioSpec(kind=kind, network_ref=network_ref, horizon=horizon,
                         alpha=alpha, beta=beta, supply=supply, demand=demand,
@@ -637,12 +642,9 @@ def _risk_target(spec: ScenarioSpec, network: Network, model: CostModel,
 
 
 def _disaster_spec(spec: ScenarioSpec,
-                   fixture: fixtures.SyntheticFixture | None,
                    affected: tuple[tuple[int, int], ...]) -> DisasterSpec | None:
     """The spec's disaster, edges defaulting to ``affected``; None if no edges."""
-    multiplier = (fixture.disaster_multiplier if fixture is not None
-                  else fixtures.DISASTER_MULTIPLIER)
-    given = spec.disaster or DisasterSpec(edges=(), multiplier=multiplier)
+    given = spec.disaster or DisasterSpec(edges=())
     edges = given.edges or tuple(affected)
     return DisasterSpec(edges=edges, multiplier=given.multiplier) if edges else None
 
@@ -702,7 +704,7 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
     reports["optimal"] = plan_report("optimal", rows, flow, costs, n)
 
     disaster = None
-    event = _disaster_spec(spec, fixture, affected) if risk else None
+    event = _disaster_spec(spec, affected) if risk else None
     if event is not None:
         step = cost_matrix(reprice(model, event.edges, event.multiplier), n)
         # in field order: imitation before/after, then optimal before/after

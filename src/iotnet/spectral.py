@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bridge import chain_law
 from .errors import ConvergenceError, ValidationError
 from .network import CostModel, log_weight_matrix, unreachable_nodes
 
@@ -130,12 +131,9 @@ def build_rb_prior(model: CostModel, alpha: float, n: int, *,
 
 def rb_path_density(prior: RBPrior, path) -> float:
     """Walk density of one path: stationary start weight times step products."""
-    idx = [int(p) - 1 for p in path]
-    out = float(prior.node_weights[idx[0]])
-    R = prior.transitions
-    for a, b in zip(idx, idx[1:]):
-        out *= float(R[a, b])
-    return out
+    rows = np.array([path], dtype=np.int64)
+    steps = [prior.transitions] * (rows.shape[1] - 1)
+    return float(chain_law(prior.node_weights, steps, rows)[0])
 
 
 def rb_path_density_gibbs(prior: RBPrior, path, cost: float) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from iotnet import (
     ImitationTarget,
+    InfeasibleError,
     IOTProblem,
     ValidationError,
     expand_target,
@@ -218,6 +219,20 @@ def test_fitted_plan_never_beats_the_exact_one(synth30):
     from helpers import marginal_gap
     assert marginal_gap(space, approx_plan.path_law, synth30["nu0"],
                         synth30["nuT"]) < 1e-8
+
+
+def test_fitted_chain_refuses_a_start_it_never_takes(tiny):
+    """No positive prior path starts at node 3, where ``nu0`` is positive: the
+    fitted chain has no start weight there, so it has no bridge."""
+    costs = path_costs(tiny.space, tiny.model, tiny.network)
+    w = np.where(tiny.space.starts == 3, 0.0, np.exp(-costs / 0.5))
+    fit = fit_markov(PathPrior(path_space=tiny.space, weights=w))
+    assert fit.initial_log[2] == -np.inf
+    problem = IOTProblem(network=tiny.network, cost_model=tiny.model,
+                         path_space=tiny.space, nu0=tiny.nu0, nuT=tiny.nuT,
+                         alpha=0.5, target=ImitationTarget.uniform(tiny.space.size))
+    with pytest.raises(InfeasibleError, match="identically zero"):
+        markov_plan_from_fit(fit, problem)
 
 
 def test_fit_dimensions_must_match_problem(tiny, synth30):

@@ -1,5 +1,7 @@
 """Sinkhorn bridges: fixed points, marginals, optimality, and both routes."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +18,11 @@ from iotnet import (
     path_kl,
     solve_iot,
 )
-from iotnet import fixtures
+from iotnet import PathSpace, fixtures
 from iotnet.bridge import (
     MarkovPrior,
     PathPrior,
+    chain_law,
     log_matmul,
     logsumexp,
     marginalize_prior,
@@ -250,3 +253,97 @@ def test_log_matmul_matches_the_exact_log_sum_exp(factors):
     assert np.array_equal(got == -np.inf, exact == -np.inf)
     finite = exact > -np.inf
     np.testing.assert_allclose(got[finite], exact[finite], rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one start law on both routes
+# ---------------------------------------------------------------------------
+
+_SPARSE_WEIGHT = st.just(0.0) | st.integers(1, 5).map(float)
+
+
+@st.composite
+def sparse_markov_cases(draw):
+    """A time-varying Markov prior on 2-4 nodes over 1-3 steps and its
+    marginals, each of the start law, the steps, ``nu0`` and ``nuT`` drawn
+    with zeros."""
+    n, horizon = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+
+    def weights(size):
+        return np.array(draw(st.lists(_SPARSE_WEIGHT, min_size=size,
+                                      max_size=size)))
+
+    def law():
+        vec = weights(n)
+        if not vec.any():
+            vec[0] = 1.0
+        return vec / vec.sum()
+
+    steps = tuple(weights(n * n).reshape(n, n) for _ in range(horizon))
+    return MarkovPrior(initial=law(), matrices=steps), law(), law(), horizon
+
+
+def _path_form(prior, horizon):
+    """The Markov prior as weights on every horizon-step path of its nodes."""
+    rows = np.array(list(itertools.product(range(1, prior.n + 1),
+                                           repeat=horizon + 1)))
+    weights = np.array([prior.initial[p[0] - 1]
+                        * np.prod([step[a - 1, b - 1] for step, a, b
+                                   in zip(prior.matrices, p, p[1:])])
+                        for p in rows])
+    return PathSpace(horizon=horizon, n=prior.n, array=rows), weights
+
+
+def _outcome(solve):
+    try:
+        return "solved", solve().endpoint_coupling
+    except InfeasibleError as exc:
+        return "refused", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_markov_cases())
+def test_a_markov_prior_and_its_path_form_solve_or_refuse_alike(case):
+    """A start without prior mass has no bridge on either route."""
+    prior, nu0, nuT, horizon = case
+    space, weights = _path_form(prior, horizon)
+    markov = _outcome(lambda: sinkhorn_markov(prior, nu0, nuT, horizon))
+    if not weights.any():   # the path form is no prior at all
+        assert markov[0] == "refused"
+        return
+    path = _outcome(lambda: sinkhorn_path(
+        PathPrior(path_space=space, weights=weights), nu0, nuT))
+    assert markov[0] == path[0]
+    if markov[0] == "refused":
+        assert markov[1] == path[1]
+    else:
+        assert np.abs(markov[1] - path[1]).sum() <= 1e-8
+
+
+def test_the_support_rule_leaves_the_prior_unchanged():
+    """At T=1 the log kernel is the prior's own step array."""
+    prior = MarkovPrior(initial=[1.0, 0.0], matrix=np.ones((2, 2)))
+    with pytest.raises(InfeasibleError, match=r"pair \(2, 1\)"):
+        sinkhorn_markov(prior, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 1)
+    assert np.array_equal(prior.log_steps[0], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_markov_prior_refuses_non_finite_start_weights(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        MarkovPrior(initial=[bad, 1.0], matrix=np.ones((2, 2)))
+
+
+def test_chain_law_multiplies_left_to_right(rng):
+    """Each path's start weight times its step weights, in path order, as a
+    scalar loop would."""
+    steps = [rng.random((3, 3)) for _ in range(3)]
+    initial = rng.random(3)
+    rows = np.array(list(itertools.product((1, 2, 3), repeat=4)))
+    expected = []
+    for p in rows.tolist():
+        w = float(initial[p[0] - 1])
+        for step, a, b in zip(steps, p, p[1:]):
+            w *= float(step[a - 1, b - 1])
+        expected.append(w)
+    assert np.array_equal(chain_law(initial, steps, rows), expected)

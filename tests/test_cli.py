@@ -112,6 +112,19 @@ def test_solve_rejects_bad_alpha(outdir, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--network", "builtin:risk30", "--seed", "-1", "--alpha", "40"],
+    ["--seed", "-3", "scenario", "--spec", "spec.json"],
+])
+def test_a_negative_seed_is_refused(outdir, capsys, argv):
+    (outdir / "spec.json").write_text(json.dumps(
+        {"network": "builtin:risk30", "T": 3, "alpha": 40.0,
+         "scenario": {"kind": "risk"}}))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "error: --seed must be >= 0" in err
+
+
 def test_solve_exit_2_on_iteration_budget(outdir, capsys):
     code, _, err = run_cli(["solve", "--network", "builtin:tiny",
                             "--alpha", "0.5", "--max-iter", "1"], capsys)
@@ -246,6 +259,34 @@ def test_bridge_infeasible_marginals(outdir, capsys):
                             "--nu0", "nu0.json", "--nuT", "nuT.json",
                             "--horizon", "2"], capsys)
     assert code == 1
+
+
+def _bridge_two_nodes(outdir, capsys, prior, *extra):
+    (outdir / "prior.json").write_text(json.dumps(prior))
+    (outdir / "m.json").write_text(json.dumps([0.5, 0.5]))
+    return run_cli(["bridge", "--prior", "prior.json", "--nu0", "m.json",
+                    "--nuT", "m.json", *extra], capsys)
+
+
+def test_bridge_refuses_a_zero_start_on_both_prior_forms(outdir, capsys):
+    """No bridge puts mass at a start without prior mass, whichever form the
+    prior is written in."""
+    markov = {"type": "markov", "initial": [1, 0], "matrix": [[1, 1], [1, 1]]}
+    paths = {"type": "paths", "horizon": 1, "n": 2,
+             "paths": [[1, 1], [1, 2], [2, 1], [2, 2]], "weights": [1, 1, 0, 0]}
+    code, _, err = _bridge_two_nodes(outdir, capsys, markov, "--horizon", "1")
+    path_code, _, path_err = _bridge_two_nodes(outdir, capsys, paths)
+    assert code == path_code == 1
+    assert err == path_err
+    assert "endpoint pair (2, 1) is identically zero" in err
+
+
+def test_bridge_refuses_a_nan_start_weight(outdir, capsys):
+    prior = {"type": "markov", "initial": [float("nan"), 1.0],
+             "matrix": [[1, 1], [1, 1]]}
+    code, _, err = _bridge_two_nodes(outdir, capsys, prior, "--horizon", "1")
+    assert code == 1
+    assert "initial law must be a nonnegative finite vector" in err
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,27 @@ def test_target_requires_exactly_one_form():
         ImitationTarget(matrix=np.eye(2), path_probs=np.array([1.0]))
 
 
+def test_markov_target_owns_its_uniform_default_start_law():
+    target = ImitationTarget.markov(np.ones((4, 4)))
+    assert np.array_equal(target.initial, np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_markov_target_refuses_non_finite_start_weights(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        ImitationTarget.markov(np.ones((2, 2)), [bad, 1.0])
+
+
+@pytest.mark.parametrize("given", ["path_space", "horizon"])
+def test_problem_refuses_a_markov_target_of_another_size(tiny, given):
+    where = ({"path_space": tiny.space} if given == "path_space"
+             else {"horizon": tiny.space.horizon})
+    with pytest.raises(ValidationError, match="4x4 but the problem has 3 nodes"):
+        IOTProblem(network=tiny.network, cost_model=tiny.model, nu0=tiny.nu0,
+                   nuT=tiny.nuT, alpha=0.5,
+                   target=ImitationTarget.markov(np.ones((4, 4))), **where)
+
+
 def test_expand_target_markov_products(tiny):
     rng = np.random.default_rng(2)
     mat = rng.uniform(0.1, 1.0, size=(3, 3))
@@ -75,6 +96,11 @@ def test_expand_target_blends_after_expansion(tiny):
     mat = np.full((3, 3), 1.0 / 3.0)
     q = expand_target(ImitationTarget.markov(mat, blend=0.5), tiny.space)
     assert np.allclose(q, 1.0 / 27.0, atol=1e-15)  # uniform blends to itself
+
+
+def test_expand_target_rejects_a_markov_target_of_another_size(tiny):
+    with pytest.raises(ValidationError, match="4 nodes but the path space has 3"):
+        expand_target(ImitationTarget.markov(np.ones((4, 4))), tiny.space)
 
 
 def test_expand_target_rejects_misaligned_paths(tiny):

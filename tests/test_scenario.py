@@ -99,16 +99,45 @@ def test_load_scenario_supply_requires_demand(tmp_path):
 
 
 def test_load_scenario_rejects_mixed_kind_fields(tmp_path):
-    doc = dict(RISK_DOC, scenario={"kind": "imitation", "rq_file": "x.json"})
-    with pytest.raises(ValidationError):
-        load_scenario(_write_spec(tmp_path, doc))
-    doc = dict(RISK_DOC, scenario={"kind": "risk", "q_star": "builtin"})
-    with pytest.raises(ValidationError):
-        load_scenario(_write_spec(tmp_path, doc))
     doc = dict(RISK_DOC, scenario={"kind": "risk",
                                    "weights": {"bogus": 1.0}})
     with pytest.raises(ValidationError):
         load_scenario(_write_spec(tmp_path, doc))
+    # a block field its kind never reads is refused, not ignored
+    for block, message in (
+            ({"kind": "imitation", "rq_file": "x.json"}, "does not read ['rq_file']"),
+            ({"kind": "risk", "q_star": "builtin"}, "does not read ['q_star']"),
+            ({"kind": "riskprior", "q_star": None}, "does not read ['q_star']"),
+            ({"kind": "risk", "beta": 0.9}, "does not read ['beta']"),
+            ({"kind": "imitation", "weights": {"maritime": 2.0}},
+             "does not read ['weights']"),
+            ({"kind": "imitation", "normalize_rows": True},
+             "does not read ['normalize_rows']"),
+            ({"kind": "imitation", "affected": [[1, 2]]},
+             "does not read ['affected']"),
+            ({"kind": "risk", "rqfile": "x.json"}, "does not read ['rqfile']"),
+            ({"kind": "risk", "rq_file": "x.json", "weights": {"maritime": 2.0}},
+             "weights build the risk target only without an rq_file")):
+        doc = dict(RISK_DOC, scenario=block)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_scenario(_write_spec(tmp_path, doc))
+
+
+def test_every_field_each_kind_reads_loads(tmp_path):
+    for block in ({"kind": "imitation", "q_star": "builtin", "beta": 0.1},
+                  {"kind": "risk", "affected": [[1, 2]],
+                   "weights": {"maritime": 2.0}, "normalize_rows": True},
+                  {"kind": "risk", "rq_file": "x.json", "affected": [[1, 2]],
+                   "normalize_rows": False}):
+        load_scenario(_write_spec(tmp_path, dict(RISK_DOC, scenario=block)))
+
+
+def test_the_disaster_multiplier_defaults_to_the_fixture_constant(tmp_path,
+                                                                 risk_result):
+    doc = dict(RISK_DOC, disaster={"edges": [[7, 18]]})
+    assert load_scenario(_write_spec(tmp_path, doc)).disaster.multiplier == \
+        fixtures.DISASTER_MULTIPLIER
+    assert risk_result.disaster.multiplier == fixtures.DISASTER_MULTIPLIER
 
 
 def test_load_scenario_reads_disaster_block(tmp_path):
