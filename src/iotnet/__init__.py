@@ -31,20 +31,18 @@ from .imitation import (ImitationTarget, IOTProblem, ObjectiveTerms,
                         plan_from_law, solve_iot)
 from .network import (CostModel, Edge, EdgeKind, Network, Node, PathSpace,
                       build_network, enumerate_paths, load_network,
-                      log_weight_matrix, markov_edge_cost,
-                      markov_model_from_network, network_from_dict,
-                      network_to_dict, path_cost, path_costs, path_vector,
-                      reprice, ruled_path_cost, save_network,
-                      strongly_connected, unreachable_nodes)
-from .oracle import DenseCoupling, dense_ipf, lp_ot, objective_eval
+                      log_weight_matrix, markov_model_from_network,
+                      network_from_dict, network_to_dict, path_costs,
+                      path_vector, reprice, save_network, strongly_connected,
+                      unreachable_nodes)
+from .oracle import DenseCoupling, dense_ipf, lp_ot
 from .robust import (RobustCertificate, RobustEquivalenceReport,
                      robust_equivalence_check, robust_membership,
                      worst_case_certificate)
 from .scenario import (DisasterResult, DisasterSpec, PlanReport, RiskWeights,
                        ScenarioResult, ScenarioSpec, build_risk_matrix,
                        emit_report, load_scenario, run_scenario)
-from .spectral import (RBPrior, build_rb_prior, perron, rb_path_density,
-                       rb_path_density_gibbs, rb_walk)
+from .spectral import RBPrior, build_rb_prior, perron, rb_walk
 
 __version__ = "0.1.0"
 
@@ -63,13 +61,12 @@ __all__ = [
     "imitation_prior_markov", "imitation_prior_paths", "load_marginal",
     "load_network", "load_path_distribution", "load_prior", "load_scenario",
     "load_step_weights", "log_weight_matrix", "lp_ot", "marginalize_prior",
-    "markov_edge_cost", "markov_model_from_network", "markov_path_law",
-    "markov_plan_from_fit", "network_from_dict", "network_to_dict",
-    "objective_eval", "path_cost", "path_costs", "path_kl",
+    "markov_model_from_network", "markov_path_law", "markov_plan_from_fit",
+    "network_from_dict", "network_to_dict", "path_costs", "path_kl",
     "path_law_from_endpoint", "path_vector", "perron", "plan_from_law",
-    "rb_path_density", "rb_path_density_gibbs", "rb_walk", "read_plan", "reprice",
-    "robust_equivalence_check", "robust_membership", "ruled_path_cost",
-    "run_scenario", "save_network", "save_path_distribution", "sinkhorn_markov",
-    "sinkhorn_path", "solve_iot", "strongly_connected", "unreachable_nodes",
-    "worst_case_certificate", "write_plan",
+    "rb_walk", "read_plan", "reprice", "robust_equivalence_check",
+    "robust_membership", "run_scenario", "save_network",
+    "save_path_distribution", "sinkhorn_markov", "sinkhorn_path", "solve_iot",
+    "strongly_connected", "unreachable_nodes", "worst_case_certificate",
+    "write_plan",
 ]

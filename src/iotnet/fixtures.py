@@ -172,10 +172,6 @@ class SyntheticFixture:
     gateway_out: int | None = None
     affected: tuple[tuple[int, int], ...] = ()
 
-    @property
-    def total_mass(self) -> int:
-        return sum(self.supply.values())
-
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         return marginals(self.network.n, self.supply, self.demand)
 
@@ -347,7 +343,7 @@ def _build_30(seed: int, *, cut: bool) -> SyntheticFixture:
         # there, and nothing else on such routes is affected)
         epicenter = pos[cut_node - 1]
         aff = {(gateway_in, cut_node), (cut_node, gateway_out)}
-        for (i, j) in network.edge_pairs():
+        for (i, j) in network.pairs.tolist():
             if i == j:  # a storage loop, the generator's only self-loops
                 continue
             if cut_node in (i, j):

@@ -15,20 +15,19 @@ a length in km.  Costs come in two flavours:
 A node pair may be joined by parallel edges of several kinds; a step uses
 the cheapest.  `edge_table` makes that choice for every pair at once, as
 ``(n, n)`` arrays of winning kinds and contributions, and the Markov table,
-the ruled path costs and the risk weights all read it.  The scalar
-`_resolve_step` and `_edge_contribution` (under `path_cost`) are the
-references it matches bit for bit.
+the ruled path costs and the risk weights all read it.
 
 `enumerate_paths` materialises the finite path space used by every solver in
 the package: all horizon-``T`` node sequences that start in the source support,
 end in the sink support, and use an existing finite-cost edge at every step,
 in lexicographic order, as the rows of an ``(N, T+1)`` int64 node matrix
 (tuples are made only on demand).  `path_costs` prices a whole space with
-array code over that matrix; `path_cost` is the scalar reference it matches
-bit for bit.  Path-keyed tables such as q-files are node matrices too.  Each
-row packs into one int64 key, its columns in mixed radix over their id ranges,
-so keys sort as the rows do: `row_ranks` ranks the keys with one sort, and
-`row_join` aligns a table with a space by a binary search over them.
+array code over that matrix; the test suite's scalar per-path references
+(``tests/helpers.py``) must equal it bit for bit.  Path-keyed tables such as
+q-files are node matrices too.  Each row packs into one int64 key, its
+columns in mixed radix over their id ranges, so keys sort as the rows do:
+`row_ranks` ranks the keys with one sort, and `row_join` aligns a table with
+a space by a binary search over them.
 """
 
 from __future__ import annotations
@@ -79,29 +78,9 @@ class Network:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
 
-    @cached_property
-    def _by_pair(self) -> dict[tuple[int, int], tuple[Edge, ...]]:
-        by_pair: dict[tuple[int, int], list[Edge]] = {}
-        for e in self.edges:
-            by_pair.setdefault((e.tail, e.head), []).append(e)
-        return {pair: tuple(group) for pair, group in by_pair.items()}
-
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    def position(self, node_id: int) -> tuple[float, float]:
-        node = self.nodes[node_id - 1]
-        return (node.x_km, node.y_km)
-
-    def has_edge(self, tail: int, head: int) -> bool:
-        return (tail, head) in self._by_pair
-
-    def edges_between(self, tail: int, head: int) -> tuple[Edge, ...]:
-        return self._by_pair.get((tail, head), ())
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self._by_pair)
 
     @cached_property
     def _edge_columns(self) -> tuple[np.ndarray, ...]:
@@ -276,19 +255,12 @@ class CostModel:
                    maritime_multiplier=maritime_multiplier)
 
 
-def markov_edge_cost(model: CostModel, tail: int, head: int) -> float:
-    """Per-step cost in Markov mode; ``math.inf`` for an absent pair."""
-    if model.mode != MARKOV:
-        raise ValidationError("markov_edge_cost requires a markov-mode CostModel")
-    return model.edge_costs.get((tail, head), math.inf)
-
-
 def cost_matrix(model: CostModel, n: int) -> np.ndarray:
     """Per-step costs of a Markov model as a read-only ``(n, n)`` array;
     ``inf`` off the cost table.
 
-    Row/column ``i-1`` is node ``i``; entries are :func:`markov_edge_cost`,
-    and a cost-table pair outside ``1..n`` raises :class:`ValidationError`.
+    Row/column ``i-1`` is node ``i``; a cost-table pair outside ``1..n``
+    raises :class:`ValidationError`.
     The table is scattered from the cost table's arrays once per model and
     ``n``, and kept on the model.
     """
@@ -320,77 +292,13 @@ def log_weight_matrix(model: CostModel, alpha: float, n: int) -> np.ndarray:
     return -cost_matrix(model, n) / alpha
 
 
-def _kind_order(kind: EdgeKind) -> str:
-    return kind.value
-
-
-def _edge_contribution(model: CostModel, edge: Edge) -> float:
-    """Kind-adjusted, re-priced contribution of one edge (before run discounts)."""
-    if edge.kind is EdgeKind.MARITIME:
-        base = model.maritime_multiplier * edge.length_km
-    elif edge.kind is EdgeKind.STORAGE:
-        base = model.storage_cost_km
-    else:
-        base = edge.length_km
-    return base * model.edge_multipliers.get((edge.tail, edge.head), 1.0)
-
-
-def _resolve_step(model: CostModel, network: Network, tail: int, head: int) -> Edge:
-    """Pick the edge used for one step; cheapest kind wins among parallels."""
-    candidates = network.edges_between(tail, head)
-    if not candidates:
-        raise InfeasibleError(f"path step ({tail},{head}) uses no existing edge")
-    if len(candidates) == 1:
-        return candidates[0]
-    return min(candidates, key=lambda e: (_edge_contribution(model, e), _kind_order(e.kind)))
-
-
-def ruled_path_cost(model: CostModel, network: Network, path: Sequence[int]) -> float:
-    """Rule-based cost of a whole path (non-additive over steps).
-
-    Per-edge kind-adjusted contributions are re-priced by any edge multipliers,
-    maximal runs of consecutive highway edges get the run discount (20% for a
-    run of 2, 30% for 3 or more, on the run's total), and each position where
-    consecutive edges differ in kind adds the flat switch penalty.
-    """
-    if model.mode != RULED:
-        raise ValidationError("ruled_path_cost requires a ruled-mode CostModel")
-    if len(path) < 2:
-        raise ValidationError("a path needs at least one step")
-    edges = [_resolve_step(model, network, a, b) for a, b in zip(path, path[1:])]
-    contribs = [_edge_contribution(model, e) for e in edges]
-
-    total = 0.0
-    i = 0
-    while i < len(edges):
-        if edges[i].kind is EdgeKind.HIGHWAY:
-            j = i
-            while j < len(edges) and edges[j].kind is EdgeKind.HIGHWAY:
-                j += 1
-            run_total = 0.0
-            for c in contribs[i:j]:
-                run_total += c
-            run_len = j - i
-            if run_len == 2:
-                run_total *= 1.0 - model.highway_discount_2
-            elif run_len >= 3:
-                run_total *= 1.0 - model.highway_discount_3plus
-            total += run_total
-            i = j
-        else:
-            total += contribs[i]
-            i += 1
-    switches = sum(1 for a, b in zip(edges, edges[1:]) if a.kind is not b.kind)
-    total += model.switch_penalty_km * switches
-    return total
-
-
 def edge_table(network: Network, model: CostModel) -> tuple[np.ndarray, np.ndarray]:
     """The edge each node pair uses under ``model``, as two ``(n, n)`` arrays
     (node ``i`` is row ``i-1``): its kind's index in :data:`EDGE_KINDS` (-1
-    off the edge set) and its contribution (0 there).  It decides as
-    :func:`_resolve_step` and :func:`_edge_contribution` do, bit for bit:
-    the cheapest re-priced contribution wins, ties going to the kind name.
+    off the edge set) and its contribution (0 there).  An edge contributes
+    its length, times the maritime multiplier on a sea leg, or the flat
+    storage fee on a storage loop, times its pair's edge multiplier; among
+    parallel edges the cheapest contribution wins, ties going to the kind name.
     """
     pairs, row, kind, length = network._edge_columns
     base = np.where(kind == EDGE_KINDS.index(EdgeKind.MARITIME),
@@ -406,19 +314,6 @@ def edge_table(network: Network, model: CostModel) -> tuple[np.ndarray, np.ndarr
     first = order[np.searchsorted(row[order], np.arange(len(pairs)))]
     return (pair_matrix(network.n, pairs, kind[first], -1),
             pair_matrix(network.n, pairs, contrib[first], 0.0))
-
-
-def path_cost(model: CostModel, network: Network, path: Sequence[int]) -> float:
-    """Cost of a path under either model; ``math.inf`` if any step is absent."""
-    if model.mode == MARKOV:
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += markov_edge_cost(model, a, b)
-        return total
-    for a, b in zip(path, path[1:]):
-        if not network.has_edge(a, b):
-            return math.inf
-    return ruled_path_cost(model, network, path)
 
 
 def reprice(model: CostModel, edges: Iterable[tuple[int, int]],
@@ -675,17 +570,18 @@ def strongly_connected(network: Network) -> bool:
     return not unreachable_nodes(network.n, network.pairs)
 
 
-def _ruled_path_costs(model: CostModel, network: Network,
-                      arr: np.ndarray) -> np.ndarray:
-    """:func:`ruled_path_cost` over the rows of ``arr``, one step at a time.
+def _ruled_costs(model: CostModel, network: Network, arr: np.ndarray) -> np.ndarray:
+    """Rule-based cost of each row of ``arr`` (non-additive over steps).
 
-    The highway-run state machine (run total, run length, kind switches) is
-    carried as columns and every term is added in the order the scalar
-    function adds it, so the floats match it bit for bit.  Rows with a step
-    over no edge come out ``inf``.
+    Each step takes its :func:`edge_table` contribution; maximal runs of
+    consecutive highway edges get the run discount (20% for a run of 2, 30%
+    for 3 or more, on the run's total), and each position where consecutive
+    edges differ in kind adds the flat switch penalty.  The highway-run state
+    (run total, run length, kind switches) is carried as columns, one step at
+    a time.  Rows with a step over no edge come out ``inf``.
     """
     if model.mode != RULED:
-        raise ValidationError("ruled_path_cost requires a ruled-mode CostModel")
+        raise ValidationError("ruled path costs require a ruled-mode CostModel")
     if arr.shape[1] < 2:
         raise ValidationError("a path needs at least one step")
     n = network.n
@@ -732,8 +628,7 @@ def _ruled_path_costs(model: CostModel, network: Network,
 
 def row_costs(cost: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Markov cost of each row of a node matrix: its steps' entries of the
-    ``(n, n)`` step-cost array ``cost`` added left to right, as
-    :func:`path_cost` adds them."""
+    ``(n, n)`` step-cost array ``cost`` added left to right."""
     index = np.asarray(rows) - 1
     out = np.zeros(len(index))
     for t in range(index.shape[1] - 1):
@@ -744,16 +639,15 @@ def row_costs(cost: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def path_costs(space: PathSpace, model: CostModel, network: Network) -> np.ndarray:
     """Vector of path costs aligned with the rows of ``space.array`` (all finite).
 
-    Array version of :func:`path_cost`, equal to it bit for bit: Markov costs
-    add the steps of :func:`cost_matrix` in path order (:func:`row_costs`);
-    ruled costs run :func:`ruled_path_cost`'s run-length rules over all paths
-    at once.
+    Markov costs add the steps of :func:`cost_matrix` in path order
+    (:func:`row_costs`); ruled costs run :func:`_ruled_costs`'s
+    run-length rules over all paths at once.
     """
     arr = space.array
     if model.mode == MARKOV:
         out = row_costs(cost_matrix(model, space.n), arr)
     else:
-        out = _ruled_path_costs(model, network, arr)
+        out = _ruled_costs(model, network, arr)
     if not np.all(np.isfinite(out)):
         bad = list(map(tuple, arr[~np.isfinite(out)][:5].tolist()))
         raise ValidationError(f"path space contains infinite-cost paths, e.g. {bad}")

@@ -13,13 +13,10 @@ tautology.
   cleanup.  It is the verification oracle for the path LP, including the
   scenario engine's transportation simplex on the cheapest path of each
   endpoint pair (:func:`iotnet.scenario.transport_lp`).
-* :func:`objective_eval` recomputes cost / divergence / total by direct
-  summation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,28 +202,3 @@ def lp_ot(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
     x[x < 0] = 0.0  # clip simplex round-off at the bound
     return DenseCoupling(probabilities=x, objective=float(costs @ x))
 
-
-def objective_eval(p: np.ndarray, costs: np.ndarray, q: np.ndarray,
-                   alpha: float) -> tuple[float, float, float]:
-    """Direct recomputation of ``(expected cost, divergence to q, total)``.
-
-    The divergence is ``sum p log(p/q)`` with ``0 log 0 = 0``; mass outside
-    ``q``'s support makes it ``inf``.  Total is ``cost + alpha * divergence``.
-    """
-    p = np.asarray(p, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != costs.shape or p.shape != q.shape:
-        raise ValidationError("objective_eval inputs must share one shape")
-    cost = 0.0
-    div = 0.0
-    for k in range(p.shape[0]):
-        if p[k] == 0.0:
-            continue
-        cost += p[k] * costs[k]
-        if q[k] == 0.0:
-            div = math.inf
-        elif math.isfinite(div):
-            div += p[k] * math.log(p[k] / q[k])
-    total = cost + alpha * div if math.isfinite(div) else math.inf
-    return cost, div, total

@@ -67,7 +67,10 @@ from .network import (EDGE_KINDS, CostModel, EdgeKind, Network, PathSpace,
                       path_vector, reprice, row_costs)
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
-# the ``scenario`` block fields each kind reads
+# the top-level fields and the ``scenario`` block fields each kind reads
+_TOP_FIELDS = {"imitation": {"network", "supply", "demand", "T", "alpha", "scenario"},
+               "risk": {"network", "supply", "demand", "T", "alpha", "scenario",
+                        "disaster"}}
 _BLOCK_FIELDS = {"imitation": {"kind", "q_star", "beta"},
                 "risk": {"kind", "rq_file", "affected", "weights", "normalize_rows"}}
 
@@ -203,9 +206,10 @@ def load_scenario(path: str) -> ScenarioSpec:
     ``"q_star"`` (a path-distribution file, or ``"builtin"``) and ``"beta"``,
     or ``"risk"`` with either ``"rq_file"`` (explicit step weights) or
     ``"affected"`` + optional ``"weights"`` to build them; ``"normalize_rows"``
-    opts into row-stochastic risk weights.  A field its kind does not read,
-    or ``"weights"`` beside an ``"rq_file"``, is refused.  Supply and demand
-    may be omitted for builtin networks, which carry their own.
+    (a boolean) opts into row-stochastic risk weights.  A field, top-level
+    (only risk scenarios read ``"disaster"``) or in the block, that its kind
+    does not read, or ``"weights"`` beside an ``"rq_file"``, is refused.
+    Supply and demand may be omitted for builtin networks, which carry their own.
     """
     doc = _read_json(path, "scenario")
     if not isinstance(doc, dict):
@@ -229,10 +233,12 @@ def load_scenario(path: str) -> ScenarioSpec:
         raise ValidationError(f"scenario {path}: unknown kind {block['kind']!r}")
     if horizon < 1:
         raise ValidationError(f"scenario {path}: T must be >= 1, got {horizon}")
-    unread = sorted(set(block) - _BLOCK_FIELDS[kind])
-    if unread:
-        raise ValidationError(f"scenario {path}: a {kind} scenario does not read "
-                              f"{unread}")
+    for fields, known, where in ((doc, _TOP_FIELDS, " at the top level"),
+                                 (block, _BLOCK_FIELDS, "")):
+        unread = sorted(set(fields) - known[kind])
+        if unread:
+            raise ValidationError(f"scenario {path}: a {kind} scenario does not "
+                                  f"read {unread}{where}")
     if "rq_file" in block and "weights" in block:
         raise ValidationError(f"scenario {path}: weights build the risk target "
                               "only without an rq_file")
@@ -251,12 +257,12 @@ def load_scenario(path: str) -> ScenarioSpec:
     beta = _field(path, "beta", number, block.get("beta", 0.0))
     q_star_ref = block.get("q_star")
     rq_file_ref = block.get("rq_file")
-    normalize_rows = block.get("normalize_rows") or False
-    for key, value, want in (("q_star", q_star_ref, str),
-                             ("rq_file", rq_file_ref, str),
-                             ("normalize_rows", normalize_rows, bool)):
-        if value is not None and not isinstance(value, want):
-            raise ValidationError(f"scenario {path}: {key} must be a {want.__name__}")
+    normalize_rows = block.get("normalize_rows", False)
+    for key, value in (("q_star", q_star_ref), ("rq_file", rq_file_ref)):
+        if value is not None and not isinstance(value, str):
+            raise ValidationError(f"scenario {path}: {key} must be a str")
+    if not isinstance(normalize_rows, bool):
+        raise ValidationError(f"scenario {path}: normalize_rows must be a bool")
     wdoc = block.get("weights", {})
     if not isinstance(wdoc, dict):
         raise ValidationError(f"scenario {path}: weights must be an object")

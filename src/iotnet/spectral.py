@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import chain_law
 from .errors import ConvergenceError, ValidationError
 from .network import CostModel, log_weight_matrix, unreachable_nodes
 
@@ -128,24 +127,3 @@ def build_rb_prior(model: CostModel, alpha: float, n: int, *,
                    left_vector=u, right_vector=v, node_weights=node_weights,
                    transitions=R)
 
-
-def rb_path_density(prior: RBPrior, path) -> float:
-    """Walk density of one path: stationary start weight times step products."""
-    rows = np.array([path], dtype=np.int64)
-    steps = [prior.transitions] * (rows.shape[1] - 1)
-    return float(chain_law(prior.node_weights, steps, rows)[0])
-
-
-def rb_path_density_gibbs(prior: RBPrior, path, cost: float) -> float:
-    """Closed form of the same density: ``u[x0] * v[xT] * lam^-T * exp(-C/alpha)``.
-
-    ``cost`` must be the path's total cost under the model the prior was built
-    from; agreement with :func:`rb_path_density` on every path is exercised in
-    the test suite at 1e-12.
-    """
-    idx = [int(p) - 1 for p in path]
-    horizon = len(idx) - 1
-    if math.isinf(cost):
-        return 0.0
-    return (float(prior.left_vector[idx[0]]) * float(prior.right_vector[idx[-1]])
-            * prior.spectral_radius ** (-horizon) * math.exp(-cost / prior.alpha))

@@ -1,4 +1,8 @@
-"""Shared test utilities: distances, brute-force references, tiny builders."""
+"""Shared test utilities: distances, brute-force references, tiny builders.
+
+The scalar per-path pricing references scan ``network.edges`` for a pair's
+parallel edges, so they share no index with the array code they check.
+"""
 
 import itertools
 import math
@@ -9,12 +13,13 @@ from iotnet import (
     CostModel,
     EdgeKind,
     ImitationTarget,
+    InfeasibleError,
     IOTProblem,
+    ValidationError,
     build_network,
-    enumerate_paths,
-    path_cost,
-    path_costs,
 )
+from iotnet.bridge import chain_law
+from iotnet.network import MARKOV, RULED
 
 
 def tv(a: np.ndarray, b: np.ndarray) -> float:
@@ -51,7 +56,7 @@ def brute_paths(network, horizon, starts, ends, model):
     for combo in itertools.product(nodes, repeat=horizon + 1):
         if combo[0] not in start_set or combo[-1] not in end_set:
             continue
-        if all(network.has_edge(a, b) for a, b in zip(combo, combo[1:])):
+        if all(has_edge(network, a, b) for a, b in zip(combo, combo[1:])):
             if math.isfinite(path_cost(model, network, combo)):
                 out.append(combo)
     return sorted(out)
@@ -90,3 +95,137 @@ def feasible_laws(space, nu0, nuT, rng, count):
         weights = rng.uniform(0.1, 1.0, size=space.size)
         laws.append(dense_ipf(space, weights, nu0, nuT).probabilities)
     return laws
+
+
+def edges_between(network, tail: int, head: int):
+    """The parallel edges from ``tail`` to ``head``, in network order."""
+    return tuple(e for e in network.edges if e.tail == tail and e.head == head)
+
+
+def has_edge(network, tail: int, head: int) -> bool:
+    return any(e.tail == tail and e.head == head for e in network.edges)
+
+
+def edge_pairs(network) -> list[tuple[int, int]]:
+    """The distinct ``(tail, head)`` edge pairs, sorted."""
+    return sorted({(e.tail, e.head) for e in network.edges})
+
+
+def markov_edge_cost(model: CostModel, tail: int, head: int) -> float:
+    """Per-step cost in Markov mode; ``math.inf`` for an absent pair."""
+    if model.mode != MARKOV:
+        raise ValidationError("markov_edge_cost requires a markov-mode CostModel")
+    return model.edge_costs.get((tail, head), math.inf)
+
+
+def _edge_contribution(model: CostModel, edge) -> float:
+    """Kind-adjusted, re-priced contribution of one edge (before run discounts)."""
+    if edge.kind is EdgeKind.MARITIME:
+        base = model.maritime_multiplier * edge.length_km
+    elif edge.kind is EdgeKind.STORAGE:
+        base = model.storage_cost_km
+    else:
+        base = edge.length_km
+    return base * model.edge_multipliers.get((edge.tail, edge.head), 1.0)
+
+
+def _resolve_step(model: CostModel, network, tail: int, head: int):
+    """Pick the edge used for one step; cheapest kind wins among parallels."""
+    candidates = edges_between(network, tail, head)
+    if not candidates:
+        raise InfeasibleError(f"path step ({tail},{head}) uses no existing edge")
+    if len(candidates) == 1:
+        return candidates[0]
+    return min(candidates, key=lambda e: (_edge_contribution(model, e), e.kind.value))
+
+
+def ruled_path_cost(model: CostModel, network, path) -> float:
+    """Rule-based cost of a whole path, one step at a time: highway run
+    discounts, then switch penalties, as ``network._ruled_costs`` adds them."""
+    if model.mode != RULED:
+        raise ValidationError("ruled_path_cost requires a ruled-mode CostModel")
+    if len(path) < 2:
+        raise ValidationError("a path needs at least one step")
+    edges = [_resolve_step(model, network, a, b) for a, b in zip(path, path[1:])]
+    contribs = [_edge_contribution(model, e) for e in edges]
+
+    total = 0.0
+    i = 0
+    while i < len(edges):
+        if edges[i].kind is EdgeKind.HIGHWAY:
+            j = i
+            while j < len(edges) and edges[j].kind is EdgeKind.HIGHWAY:
+                j += 1
+            run_total = 0.0
+            for c in contribs[i:j]:
+                run_total += c
+            run_len = j - i
+            if run_len == 2:
+                run_total *= 1.0 - model.highway_discount_2
+            elif run_len >= 3:
+                run_total *= 1.0 - model.highway_discount_3plus
+            total += run_total
+            i = j
+        else:
+            total += contribs[i]
+            i += 1
+    switches = sum(1 for a, b in zip(edges, edges[1:]) if a.kind is not b.kind)
+    total += model.switch_penalty_km * switches
+    return total
+
+
+def path_cost(model: CostModel, network, path) -> float:
+    """Cost of a path under either model; ``math.inf`` if any step is absent."""
+    if model.mode == MARKOV:
+        total = 0.0
+        for a, b in zip(path, path[1:]):
+            total += markov_edge_cost(model, a, b)
+        return total
+    for a, b in zip(path, path[1:]):
+        if not has_edge(network, a, b):
+            return math.inf
+    return ruled_path_cost(model, network, path)
+
+
+def rb_path_density(prior, path) -> float:
+    """Walk density of one path: stationary start weight times step products."""
+    rows = np.array([path], dtype=np.int64)
+    steps = [prior.transitions] * (rows.shape[1] - 1)
+    return float(chain_law(prior.node_weights, steps, rows)[0])
+
+
+def rb_path_density_gibbs(prior, path, cost: float) -> float:
+    """Closed form of the same density, ``u[x0] * v[xT] * lam^-T * exp(-C/alpha)``,
+    for the path's total ``cost`` under the prior's model."""
+    idx = [int(p) - 1 for p in path]
+    horizon = len(idx) - 1
+    if math.isinf(cost):
+        return 0.0
+    return (float(prior.left_vector[idx[0]]) * float(prior.right_vector[idx[-1]])
+            * prior.spectral_radius ** (-horizon) * math.exp(-cost / prior.alpha))
+
+
+def objective_eval(p: np.ndarray, costs: np.ndarray, q: np.ndarray,
+                   alpha: float) -> tuple[float, float, float]:
+    """Direct recomputation of ``(expected cost, divergence to q, total)``.
+
+    The divergence is ``sum p log(p/q)`` with ``0 log 0 = 0``; mass outside
+    ``q``'s support makes it ``inf``.  Total is ``cost + alpha * divergence``.
+    """
+    p = np.asarray(p, dtype=float)
+    costs = np.asarray(costs, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != costs.shape or p.shape != q.shape:
+        raise ValidationError("objective_eval inputs must share one shape")
+    cost = 0.0
+    div = 0.0
+    for k in range(p.shape[0]):
+        if p[k] == 0.0:
+            continue
+        cost += p[k] * costs[k]
+        if q[k] == 0.0:
+            div = math.inf
+        elif math.isfinite(div):
+            div += p[k] * math.log(p[k] / q[k])
+    total = cost + alpha * div if math.isfinite(div) else math.inf
+    return cost, div, total

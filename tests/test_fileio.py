@@ -46,7 +46,7 @@ from iotnet.fileio import (
     vector_from_obj,
 )
 
-from helpers import uniform_problem, usage_dict_loop
+from helpers import edge_pairs, has_edge, uniform_problem, usage_dict_loop
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def _reference_step_weights(path, network):
         mat = np.asarray(doc["matrix"], dtype=float)
     else:
         mat = np.zeros((n, n), dtype=float)
-        for (i, j) in network.edge_pairs():
+        for (i, j) in edge_pairs(network):
             mat[i - 1, j - 1] = float(doc.get("default", 1.0))
         for ent in doc.get("entries", []):
             try:
@@ -234,7 +234,7 @@ def _reference_step_weights(path, network):
                 i, j, w = int(ent[0]), int(ent[1]), float(ent[2])
             except (TypeError, ValueError, IndexError) as exc:
                 raise ValidationError(f"step weights {path}: bad entry {ent}") from exc
-            if not network.has_edge(i, j):
+            if not has_edge(network, i, j):
                 raise ValidationError(
                     f"step weights {path}: entry ({i},{j}) is not a network edge")
             mat[i - 1, j - 1] = w
@@ -245,7 +245,7 @@ def _reference_step_weights(path, network):
     if np.any(mat < 0):
         raise ValidationError(f"step weights {path}: negative weight")
     off = [(i + 1, j + 1) for i, j in np.argwhere(mat).tolist()
-           if not network.has_edge(i + 1, j + 1)]
+           if not has_edge(network, i + 1, j + 1)]
     if off:
         raise ValidationError(
             f"step weights {path}: positive weight off the edge set, e.g. {off[:5]}")

@@ -13,7 +13,6 @@ from iotnet import (
     expand_target,
     imitation_prior_markov,
     imitation_prior_paths,
-    objective_eval,
     path_costs,
     log_weight_matrix,
     solve_iot,
@@ -22,7 +21,8 @@ from iotnet import fixtures
 from iotnet.bridge import markov_path_law, sinkhorn_markov
 from iotnet.bridge import MarkovPrior
 
-from helpers import feasible_laws, marginal_gap, tv, uniform_problem
+from helpers import (feasible_laws, marginal_gap, objective_eval, tv,
+                     uniform_problem)
 
 
 # ---------------------------------------------------------------------------

@@ -14,21 +14,20 @@ from iotnet import (
     ValidationError,
     build_network,
     enumerate_paths,
-    markov_edge_cost,
     markov_model_from_network,
     network_from_dict,
     network_to_dict,
-    path_cost,
     path_costs,
     reprice,
-    ruled_path_cost,
     strongly_connected,
     unreachable_nodes,
 )
-from iotnet.network import path_vector, row_join, row_ranks
+from iotnet.network import (PathSpace, cost_matrix, path_vector, row_join,
+                            row_ranks)
 from iotnet import fixtures
 
-from helpers import brute_paths, line_network
+from helpers import (brute_paths, edges_between, line_network, path_cost,
+                     ruled_path_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +67,7 @@ def test_parallel_edges_of_distinct_kinds_allowed():
     net = build_network([(1, 0.0, 0.0), (2, 1.0, 0.0)],
                         [(1, 2, EdgeKind.LOCAL, 100.0),
                          (1, 2, EdgeKind.MARITIME, 20.0)])
-    assert len(net.edges_between(1, 2)) == 2
+    assert len(edges_between(net, 1, 2)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -76,32 +75,41 @@ def test_parallel_edges_of_distinct_kinds_allowed():
 # ---------------------------------------------------------------------------
 
 
+def priced(model, net, path) -> float:
+    """The cost of one path by the scalar reference, required to equal
+    ``path_costs`` on a one-row path space bit for bit."""
+    cost = path_cost(model, net, path)
+    space = PathSpace(horizon=len(path) - 1, n=net.n, array=np.array([path]))
+    assert path_costs(space, model, net)[0] == cost
+    return cost
+
+
 def test_single_local_edge_costs_its_length():
     net, model = line_network([(EdgeKind.LOCAL, 50.0)])
-    assert ruled_path_cost(model, net, (1, 2)) == pytest.approx(50.0)
+    assert priced(model, net, (1, 2)) == pytest.approx(50.0)
 
 
 def test_maritime_multiplier_and_switch_penalty():
     # local 50 km, then a 50 km sea leg at x4 = 200, plus one mode switch.
     net, model = line_network([(EdgeKind.LOCAL, 50.0),
                                (EdgeKind.MARITIME, 50.0)])
-    assert ruled_path_cost(model, net, (1, 2, 3)) == pytest.approx(270.0)
+    assert priced(model, net, (1, 2, 3)) == pytest.approx(270.0)
 
 
 def test_highway_run_of_two_gets_twenty_percent_off():
     net, model = line_network([(EdgeKind.HIGHWAY, 100.0),
                                (EdgeKind.HIGHWAY, 100.0)])
-    assert ruled_path_cost(model, net, (1, 2, 3)) == pytest.approx(160.0)
+    assert priced(model, net, (1, 2, 3)) == pytest.approx(160.0)
 
 
 def test_highway_run_of_three_gets_thirty_percent_off():
     net, model = line_network([(EdgeKind.HIGHWAY, 100.0)] * 3)
-    assert ruled_path_cost(model, net, (1, 2, 3, 4)) == pytest.approx(210.0)
+    assert priced(model, net, (1, 2, 3, 4)) == pytest.approx(210.0)
 
 
 def test_single_highway_edge_gets_no_discount():
     net, model = line_network([(EdgeKind.HIGHWAY, 100.0)])
-    assert ruled_path_cost(model, net, (1, 2)) == pytest.approx(100.0)
+    assert priced(model, net, (1, 2)) == pytest.approx(100.0)
 
 
 def test_discount_applies_per_maximal_run():
@@ -112,13 +120,13 @@ def test_discount_applies_per_maximal_run():
                                (EdgeKind.LOCAL, 50.0),
                                (EdgeKind.HIGHWAY, 80.0)])
     expected = 0.8 * 200.0 + 50.0 + 80.0 + 2 * 20.0
-    assert ruled_path_cost(model, net, (1, 2, 3, 4, 5)) == pytest.approx(expected)
+    assert priced(model, net, (1, 2, 3, 4, 5)) == pytest.approx(expected)
 
 
 def test_storage_is_flat_fee_and_counts_as_mode_switch():
     net, model = line_network([(EdgeKind.LOCAL, 50.0)])
     # 1 ->(local) 2 with a storage hold at 1 first: 10 + 50 + one switch.
-    assert ruled_path_cost(model, net, (1, 1, 2)) == pytest.approx(80.0)
+    assert priced(model, net, (1, 1, 2)) == pytest.approx(80.0)
 
 
 def test_storage_flat_fee_ignores_geometry():
@@ -126,7 +134,7 @@ def test_storage_flat_fee_ignores_geometry():
     net = build_network(nodes, [(1, 1, EdgeKind.STORAGE, 999.0),
                                 (1, 2, EdgeKind.LOCAL, 500.0)])
     model = CostModel.ruled()
-    assert ruled_path_cost(model, net, (1, 1)) == pytest.approx(10.0)
+    assert priced(model, net, (1, 1)) == pytest.approx(10.0)
 
 
 def test_parallel_kinds_resolve_to_cheapest_contribution():
@@ -135,13 +143,13 @@ def test_parallel_kinds_resolve_to_cheapest_contribution():
                          (1, 2, EdgeKind.MARITIME, 20.0)])
     model = CostModel.ruled()
     # maritime 20 x4 = 80 beats local 100
-    assert ruled_path_cost(model, net, (1, 2)) == pytest.approx(80.0)
+    assert priced(model, net, (1, 2)) == pytest.approx(80.0)
 
 
 def test_custom_rule_parameters():
     net, _ = line_network([(EdgeKind.HIGHWAY, 100.0), (EdgeKind.HIGHWAY, 100.0)])
     model = CostModel.ruled(highway_discount_2=0.5, switch_penalty_km=7.0)
-    assert ruled_path_cost(model, net, (1, 2, 3)) == pytest.approx(100.0)
+    assert priced(model, net, (1, 2, 3)) == pytest.approx(100.0)
 
 
 def test_ruled_cost_rejects_missing_edge():
@@ -153,15 +161,15 @@ def test_ruled_cost_rejects_missing_edge():
 
 def test_path_cost_markov_mode_is_additive():
     fx = fixtures.tiny_fixture()
-    assert path_cost(fx.model, fx.network, (1, 2, 3)) == pytest.approx(2.0)
-    assert path_cost(fx.model, fx.network, (1, 3, 1)) == pytest.approx(2.5)
+    assert priced(fx.model, fx.network, (1, 2, 3)) == pytest.approx(2.0)
+    assert priced(fx.model, fx.network, (1, 3, 1)) == pytest.approx(2.5)
 
 
 def test_markov_edge_cost_absent_pair_is_infinite():
     fx = fixtures.tiny_fixture()
-    assert markov_edge_cost(fx.model, 1, 2) == pytest.approx(1.0)
+    assert cost_matrix(fx.model, fx.network.n)[0, 1] == pytest.approx(1.0)
     model = CostModel.markov({(1, 2): 3.0})
-    assert markov_edge_cost(model, 2, 1) == math.inf
+    assert cost_matrix(model, 2)[1, 0] == math.inf
 
 
 def test_neutral_rules_reduce_to_additive_markov_costs(rng):
@@ -174,12 +182,10 @@ def test_neutral_rules_reduce_to_additive_markov_costs(rng):
                                   switch_penalty_km=0.0,
                                   storage_cost_km=4.0,
                                   maritime_multiplier=1.0)
-        table = markov_model_from_network(net, neutral)
+        table = cost_matrix(markov_model_from_network(net, neutral), net.n)
         for path in d["space"].paths[:250]:
-            add = sum(markov_edge_cost(table, a, b)
-                      for a, b in zip(path, path[1:]))
-            assert ruled_path_cost(neutral, net, path) == pytest.approx(
-                add, abs=1e-12)
+            add = sum(table[a - 1, b - 1] for a, b in zip(path, path[1:]))
+            assert priced(neutral, net, path) == pytest.approx(add, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +196,8 @@ def test_neutral_rules_reduce_to_additive_markov_costs(rng):
 def test_reprice_markov_scales_table_entries():
     model = CostModel.markov({(1, 2): 3.0, (2, 1): 5.0})
     bumped = reprice(model, [(1, 2)], 10.0)
-    assert markov_edge_cost(bumped, 1, 2) == pytest.approx(30.0)
-    assert markov_edge_cost(bumped, 2, 1) == pytest.approx(5.0)
+    assert cost_matrix(bumped, 2)[0, 1] == pytest.approx(30.0)
+    assert cost_matrix(bumped, 2)[1, 0] == pytest.approx(5.0)
 
 
 def test_reprice_ruled_scales_contribution_not_switch_penalty():
@@ -199,13 +205,13 @@ def test_reprice_ruled_scales_contribution_not_switch_penalty():
                                (EdgeKind.MARITIME, 50.0)])
     bumped = reprice(model, [(2, 3)], 10.0)
     # 50 + 10 * 200 + the unchanged 20 km switch penalty
-    assert ruled_path_cost(bumped, net, (1, 2, 3)) == pytest.approx(2070.0)
+    assert priced(bumped, net, (1, 2, 3)) == pytest.approx(2070.0)
 
 
 def test_reprice_composes_multiplicatively():
     net, model = line_network([(EdgeKind.LOCAL, 50.0)])
     twice = reprice(reprice(model, [(1, 2)], 2.0), [(1, 2)], 3.0)
-    assert ruled_path_cost(twice, net, (1, 2)) == pytest.approx(300.0)
+    assert priced(twice, net, (1, 2)) == pytest.approx(300.0)
 
 
 def test_reprice_rejects_negative_multiplier():
@@ -329,17 +335,15 @@ def test_enumeration_raises_when_no_path_survives():
 
 def test_path_costs_vector_matches_scalar_loop(tiny):
     vec = path_costs(tiny.space, tiny.model, tiny.network)
-    for k, p in enumerate(tiny.space.paths):
-        assert vec[k] == pytest.approx(path_cost(tiny.model, tiny.network, p),
-                                       abs=1e-12)
+    assert vec.tolist() == [path_cost(tiny.model, tiny.network, p)
+                            for p in tiny.space.paths]
 
 
 def test_path_costs_ruled_mode(synth30):
     space, costs = synth30["space"], synth30["costs"]
     fx = synth30["fx"]
     for k in (0, len(space.paths) // 2, len(space.paths) - 1):
-        expected = ruled_path_cost(fx.ruled, fx.network, space.paths[k])
-        assert costs[k] == pytest.approx(expected, abs=1e-12)
+        assert costs[k] == ruled_path_cost(fx.ruled, fx.network, space.paths[k])
 
 
 def test_strongly_connected_detects_both_cases():
@@ -448,8 +452,8 @@ def test_network_dict_round_trip(synth30):
     assert net2.n == fx.network.n
     assert len(net2.edges) == len(fx.network.edges)
     path = synth30["space"].paths[0]
-    assert ruled_path_cost(model2, net2, path) == pytest.approx(
-        ruled_path_cost(fx.ruled, fx.network, path), abs=1e-12)
+    assert priced(model2, net2, path) == pytest.approx(
+        priced(fx.ruled, fx.network, path), abs=1e-12)
 
 
 def test_thirty_node_fixture_is_deterministic():

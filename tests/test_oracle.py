@@ -10,12 +10,11 @@ from iotnet import (
     ValidationError,
     dense_ipf,
     lp_ot,
-    objective_eval,
     path_costs,
 )
 from iotnet import fixtures
 
-from helpers import feasible_laws, marginal_gap
+from helpers import feasible_laws, marginal_gap, objective_eval
 
 
 def _scipy_reference(space, costs, nu0, nuT):

@@ -23,7 +23,7 @@ from iotnet.scenario import (
     run_scenario,
 )
 
-from helpers import usage_dict_loop
+from helpers import edge_pairs, usage_dict_loop
 
 
 def _write_spec(tmp_path, doc, name="scenario.json"):
@@ -98,7 +98,7 @@ def test_load_scenario_supply_requires_demand(tmp_path):
         load_scenario(_write_spec(tmp_path, doc))
 
 
-def test_load_scenario_rejects_mixed_kind_fields(tmp_path):
+def test_load_scenario_rejects_mixed_kind_fields(tmp_path, capsys):
     doc = dict(RISK_DOC, scenario={"kind": "risk",
                                    "weights": {"bogus": 1.0}})
     with pytest.raises(ValidationError):
@@ -121,6 +121,15 @@ def test_load_scenario_rejects_mixed_kind_fields(tmp_path):
         doc = dict(RISK_DOC, scenario=block)
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_scenario(_write_spec(tmp_path, doc))
+    # so is a top-level field: a typo, or a disaster an imitation run never reads
+    for doc, message in (
+            (dict(RISK_DOC, supplies={"1": 5}),
+             "a risk scenario does not read ['supplies'] at the top level"),
+            (dict(IMITATION_DOC, disaster={"edges": [[1, 2]], "multiplier": 3}),
+             "a imitation scenario does not read ['disaster'] at the top level")):
+        assert main(["scenario", "--spec", _write_spec(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_every_field_each_kind_reads_loads(tmp_path):
@@ -155,11 +164,12 @@ def test_load_scenario_reads_disaster_block(tmp_path):
     ({"supply": {"x": 1}, "demand": {"4": 1}}, "supply"),
     ({"scenario": {"kind": "risk", "weights": {"maritime": "big"}}},
      "weights.maritime"),
-    ({"scenario": {"kind": "risk", "normalize_rows": "false"}},
-     "normalize_rows"),
+    *[({"scenario": {"kind": "risk", "normalize_rows": flag}},
+       "normalize_rows must be a bool") for flag in ("false", None, 0, 1, [], "")],
     ({"T": 3.5}, "field T is malformed: 3.5 is not a whole number"),
 ], ids=["affected-triple", "multiplier-text", "disaster-list", "supply-key",
-        "weight-text", "flag-text", "fractional-T"])
+        "weight-text", "flag-text", "flag-null", "flag-zero", "flag-one",
+        "flag-list", "flag-empty", "fractional-T"])
 def test_load_scenario_names_the_malformed_field(tmp_path, patch, field):
     doc = dict(RISK_DOC, **patch)
     with pytest.raises(ValidationError, match=re.escape(field)):
@@ -248,7 +258,7 @@ def test_build_risk_matrix_assigns_three_tiers():
     for (i, j) in sorted(clean_maritime)[:5]:
         assert mat[i - 1, j - 1] == pytest.approx(100.0)
     # off-edge pairs carry exactly zero
-    present = {(i, j) for (i, j) in fx.network.edge_pairs()}
+    present = set(edge_pairs(fx.network))
     zeros = [(i, j) for i in range(1, 31) for j in range(1, 31)
              if (i, j) not in present]
     for (i, j) in zeros[:10]:

@@ -8,14 +8,13 @@ from iotnet import (
     CostModel,
     ValidationError,
     build_rb_prior,
-    path_cost,
     perron,
-    rb_path_density,
-    rb_path_density_gibbs,
     rb_walk,
 )
 from iotnet import fixtures
 from iotnet.spectral import log_weight_matrix
+
+from helpers import path_cost, rb_path_density, rb_path_density_gibbs
 
 
 def _random_irreducible(rng, n):

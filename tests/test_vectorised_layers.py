@@ -30,17 +30,16 @@ from iotnet import (
     edge_usage_from_law,
     enumerate_paths,
     markov_model_from_network,
-    path_cost,
     path_costs,
     reprice,
 )
 from iotnet import fixtures, scenario
-from iotnet.network import (EDGE_KINDS, PathSpace, _edge_contribution,
-                            _resolve_step, edge_table, row_join)
+from iotnet.network import EDGE_KINDS, PathSpace, edge_table, row_join
 from iotnet.oracle import lp_ot
 from iotnet.scenario import RiskWeights, build_risk_matrix, cheapest_paths
 
-from helpers import marginal_gap, usage_dict_loop
+from helpers import (_edge_contribution, _resolve_step, edge_pairs, has_edge,
+                     marginal_gap, path_cost, usage_dict_loop)
 
 ROAD_KINDS = (EdgeKind.HIGHWAY, EdgeKind.MARITIME, EdgeKind.LOCAL)
 PROPERTY = settings(max_examples=60, deadline=None,
@@ -79,7 +78,7 @@ def ruled_networks(draw, length=st.floats(0.0, 100.0, allow_nan=False),
 def priced_spaces(draw):
     """(network, model, space) in either cost mode, possibly re-priced."""
     network, model = draw(ruled_networks())
-    pairs = network.edge_pairs()
+    pairs = edge_pairs(network)
     if draw(st.booleans()):
         kept = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
         table = {pair: draw(st.floats(0.0, 50.0)) for pair in sorted(kept)}
@@ -118,7 +117,7 @@ def tied_networks(draw):
     edge set or outside ``1..n``."""
     network, model = draw(ruled_networks(_TIED_LENGTH, _TIED_MULTIPLIER))
     n = network.n
-    pairs = network.edge_pairs() + [(2, 1), (1, n), (0, 1), (n + 1, n)]
+    pairs = edge_pairs(network) + [(2, 1), (1, n), (0, 1), (n + 1, n)]
     for _ in range(draw(st.integers(0, 2))):
         chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
         model = reprice(model, chosen, draw(_TIED_MULTIPLIER))
@@ -129,10 +128,8 @@ def tied_networks(draw):
 def _reference_markov_table(network, ruled):
     """The per-pair loop ``markov_model_from_network`` ran before the edge
     table."""
-    table = {}
-    for (i, j) in network.edge_pairs():
-        table[(i, j)] = _edge_contribution(ruled, _resolve_step(ruled, network, i, j))
-    return table
+    return {(i, j): _edge_contribution(ruled, _resolve_step(ruled, network, i, j))
+            for (i, j) in edge_pairs(network)}
 
 
 def _reference_risk_matrix(network, model, affected, weights):
@@ -140,7 +137,7 @@ def _reference_risk_matrix(network, model, affected, weights):
     n = network.n
     aff = set(affected)
     out = np.zeros((n, n))
-    for (i, j) in network.edge_pairs():
+    for (i, j) in edge_pairs(network):
         if (i, j) in aff:
             w = weights.affected
         else:
@@ -155,9 +152,9 @@ def _reference_risk_matrix(network, model, affected, weights):
 def test_edge_table_equals_the_scalar_choice_on_every_pair(case):
     network, model, _ = case
     kind, contrib = edge_table(network, model)
-    assert network.pairs.tolist() == [list(p) for p in network.edge_pairs()]
+    assert network.pairs.tolist() == [list(p) for p in edge_pairs(network)]
     for i, j in np.ndindex(kind.shape):
-        if network.has_edge(i + 1, j + 1):
+        if has_edge(network, i + 1, j + 1):
             edge = _resolve_step(model, network, i + 1, j + 1)
             assert EDGE_KINDS[kind[i, j]] is edge.kind
             assert contrib[i, j] == _edge_contribution(model, edge)
