@@ -21,8 +21,7 @@ import numpy as np
 
 from .bridge import MarkovPrior, PathPrior, markov_path_law, sinkhorn_markov
 from .errors import ValidationError
-from .imitation import (IOTProblem, TransportPlan, plan_from_law, problem_space,
-                        solve_iot)
+from .imitation import IOTProblem, TransportPlan, plan_from_law, solve_iot
 
 
 @dataclass
@@ -113,7 +112,7 @@ def markov_plan_from_fit(fit: MarkovFit, problem: IOTProblem, *,
     so the result is directly comparable with the exact plan (and never beats
     it: the fitted plan is feasible but generally suboptimal).
     """
-    space = problem_space(problem)
+    space = problem.space
     if fit.horizon != space.horizon or fit.n != space.n:
         raise ValidationError("fit dimensions do not match the problem")
     prior = fitted_prior(fit)

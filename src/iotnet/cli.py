@@ -29,11 +29,12 @@ from .bridge import (MarkovPrior, chain_law, path_law_from_endpoint,
                      sinkhorn_markov, sinkhorn_path)
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .fileio import (atomic_write_text, fmt, load_marginal, load_path_distribution,
-                     load_prior, load_step_weights, number, parse_field,
-                     path_strings, read_plan, save_path_distribution, write_plan)
+                     load_prior, load_step_weights, load_target, naming,
+                     parse_field, path_strings, read_plan, save_path_distribution,
+                     write_plan)
 from .imitation import ImitationTarget, IOTProblem, expand_target, solve_iot
 from .network import (RULED, CostModel, Network, enumerate_paths, load_network,
-                      markov_model_from_network, path_costs, path_vector, row_join)
+                      markov_model_from_network, path_costs, row_join)
 from .oracle import dense_ipf, lp_ot
 from .robust import worst_case_certificate
 from .scenario import emit_report, load_scenario, run_scenario
@@ -248,12 +249,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     space = enumerate_paths(network, horizon, starts, ends, model)
 
     if args.q_file is not None:
-        q_horizon, rows, probs = load_path_distribution(args.q_file)
-        if q_horizon != horizon:
-            raise ValidationError(
-                f"target horizon {q_horizon} != problem horizon {horizon}")
-        target = ImitationTarget.paths(path_vector(space, rows, probs, "target"),
-                                       blend=args.beta)
+        target = ImitationTarget.paths(load_target(args.q_file, space), blend=args.beta)
     elif args.rq_file is not None:
         initial, matrix = load_step_weights(args.rq_file, network)
         target = ImitationTarget.markov(matrix, initial, blend=args.beta)
@@ -298,22 +294,21 @@ def _cmd_robust_cert(args: argparse.Namespace) -> int:
     _resolve_common(args)
     plan = read_plan(args.plan)
     rows, law, costs = plan["paths"]
-    total = float(law.sum())
-    if not (0.999999 <= total <= 1.000001):
-        raise ValidationError(f"plan probabilities sum to {total!r}, expected 1")
+    alpha = args.alpha
+    with naming("plan", args.plan):
+        total = float(law.sum())
+        if not (0.999999 <= total <= 1.000001):
+            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
+        if alpha is None:
+            if "alpha" not in plan["meta"]:
+                raise ValidationError("plan file carries no alpha; pass --alpha")
+            alpha = parse_field("alpha", float, plan["meta"]["alpha"])
     law = law / total
 
-    alpha = args.alpha
-    if alpha is None:
-        meta = plan["meta"]
-        if "alpha" not in meta:
-            raise ValidationError("plan file carries no alpha; pass --alpha")
-        alpha = parse_field(f"plan {args.plan}: alpha", number, meta["alpha"])
-
     q_horizon, q_rows, q_probs = load_path_distribution(args.q_file)
-    if q_horizon != rows.shape[1] - 1:
-        raise ValidationError(f"target horizon {q_horizon} does not match the "
-                              f"plan's path length")
+    with naming("path distribution", args.q_file):
+        if q_horizon != rows.shape[1] - 1:
+            raise ValidationError(f"horizon {q_horizon} != plan horizon {rows.shape[1] - 1}")
     # target paths the plan file lacks (the writer drops p < PLAN_PROB_FLOOR)
     # add nothing to E_P[C] or KL(P || Q), which reads q as given: skip them
     at = row_join(q_rows, rows)

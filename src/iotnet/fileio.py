@@ -6,9 +6,9 @@ All floats are serialised with ``repr``, the shortest round-trip form, which
 keeps outputs byte-identical across runs.  Path-keyed files (q-files, path
 priors, plan ``[paths]``) are read into node matrices plus value vectors.
 
-Every JSON reader, here and in ``network`` and ``scenario``, reads its numbers
-through :func:`number`, :func:`whole_number` and :func:`numbers`, which own the
-rule of the README's *File formats*; :func:`parse_field` names a refused field.
+Every reader, here and in ``network`` and ``scenario``, runs under :func:`naming`,
+which names its file in any error, and reads its numbers through :func:`number`,
+:func:`whole_number` and :func:`numbers` (the README's *File formats* rule).
 
 Plans are written a column at a time: path strings from one string per node
 id, floats through ``repr`` over ``tolist()``, one ``"\n".join`` at the end.
@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .network import Network, PathSpace, row_ranks
+from .network import Network, PathSpace, path_vector, row_ranks
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -69,18 +69,32 @@ def _collector_paused():
             gc.enable()
 
 
-def _read_json(path: str, what: str) -> object:
+@contextmanager
+def naming(*names: str):
+    """Put ``"<names>: "`` (a file's kind and path, or a field) in front of a
+    :class:`ValidationError` raised inside."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{' '.join(names)}: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read the file: {exc.strerror}") from exc
+
+
+def _read_json(path: str) -> object:
     # the decoded document is a tree of fresh dicts and lists, none of them
     # garbage, so a collection during the decode could free nothing
     with _collector_paused():
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+            return json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{what} file {path} is not valid JSON: {exc}") from exc
+            raise ValidationError(f"not valid JSON: {exc}") from exc
 
 
 def parse_field(what: str, convert: Callable, value: object) -> Any:
@@ -92,15 +106,15 @@ def parse_field(what: str, convert: Callable, value: object) -> Any:
 
 
 def number(value: object) -> float:
-    """``float(value)``, refusing a boolean, which Python would read as 0 or 1."""
-    if isinstance(value, bool):
+    """``float(value)``, refusing a boolean (Python's 0 or 1) and a string."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 
 
 def whole_number(value: object) -> int:
-    """``int(value)``, refusing a boolean and a fractional number (not truncating it)."""
-    if isinstance(value, bool):
+    """``int(value)``, refusing what :func:`number` refuses and a fraction."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"{value!r} is not a number")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
@@ -113,7 +127,7 @@ def numbers(value: object) -> np.ndarray:
     cells = [value]
     for _ in range(array.ndim):
         cells = list(chain.from_iterable(cells))
-    odd = set(map(type, cells)) & {bool, type(None)}
+    odd = set(map(type, cells)) & {bool, str, type(None)}
     if odd:
         number(next(v for v in cells if type(v) in odd))
     return array
@@ -124,31 +138,46 @@ def numbers(value: object) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def vector_from_obj(obj: object, n: int, what: str) -> np.ndarray:
+def node_masses(obj: object) -> dict[int, float]:
+    """The ``{node id: mass}`` map of a JSON object: finite nonnegative masses,
+    each node named once; an id is a key, so a string (``"01"`` names node 1)."""
+    if not isinstance(obj, dict):
+        raise ValidationError("expected a JSON object of node -> mass")
+    masses: dict[int, float] = {}
+    for key, value in obj.items():
+        node = parse_field("node id", int, key)
+        if node in masses:
+            raise ValidationError(f"node {node} is named twice")
+        masses[node] = mass = parse_field("mass", number, value)
+        if not math.isfinite(mass):
+            raise ValidationError(f"non-finite mass {mass!r} at node {node}")
+        if mass < 0:
+            raise ValidationError(f"negative mass at node {node}")
+    return masses
+
+
+def vector_from_obj(obj: object, n: int) -> np.ndarray:
     """Decode a length-``n`` probability vector from a JSON array or id->mass map."""
-    out = np.zeros(n, dtype=float)
     if isinstance(obj, list):
         if len(obj) != n:
-            raise ValidationError(f"{what}: expected {n} entries, got {len(obj)}")
-        out[:] = [parse_field(f"{what}: mass", number, v) for v in obj]
-    elif isinstance(obj, dict):
-        for key, val in obj.items():
-            idx = parse_field(f"{what}: node id", whole_number, key)
-            if not (1 <= idx <= n):
-                raise ValidationError(f"{what}: unknown node id {idx}")
-            out[idx - 1] = parse_field(f"{what}: mass", number, val)
-    else:
-        raise ValidationError(f"{what}: expected a JSON array or object")
-    if np.any(out < 0):
-        raise ValidationError(f"{what}: negative mass")
+            raise ValidationError(f"expected {n} entries, got {len(obj)}")
+        obj = dict(enumerate(obj, 1))
+    elif not isinstance(obj, dict):
+        raise ValidationError("expected a JSON array or object")
+    out = np.zeros(n, dtype=float)
+    for node, mass in node_masses(obj).items():
+        if not (1 <= node <= n):
+            raise ValidationError(f"unknown node id {node}")
+        out[node - 1] = mass
     total = float(out.sum())
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
-        raise ValidationError(f"{what}: masses sum to {total!r}, expected 1")
+        raise ValidationError(f"masses sum to {total!r}, expected 1")
     return out / total
 
 
 def load_marginal(path: str, n: int) -> np.ndarray:
-    return vector_from_obj(_read_json(path, "marginal"), n, f"marginal {path}")
+    with naming("marginal", path):
+        return vector_from_obj(_read_json(path), n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +207,15 @@ def load_path_distribution(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     """
     # the document and the lists built from it are fresh containers, freed
     # when _path_table returns: a collection before then could free nothing
-    with _collector_paused():
+    with _collector_paused(), naming("path distribution", path):
         return _path_table(path)
 
 
 def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
-    doc = _read_json(path, "path distribution")
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "horizon" not in doc or "entries" not in doc:
-        raise ValidationError(
-            f"path distribution {path}: need keys 'horizon' and 'entries'")
-    where = f"path distribution {path}"
-    horizon = parse_field(f"{where}: horizon", whole_number, doc["horizon"])
+        raise ValidationError("need keys 'horizon' and 'entries'")
+    horizon = parse_field("horizon", whole_number, doc["horizon"])
     entries = doc["entries"]
     fault = None
     # one flat conversion reads a valid file faster than the entry loop, which
@@ -213,10 +240,10 @@ def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
                                  dtype=np.int64)
                 prob = number(ent["prob"])
             except (KeyError, TypeError, ValueError, OverflowError):
-                fault = f"{where}: bad entry {ent}"
+                fault = f"bad entry {ent}"
                 break
             if len(nodes) != horizon + 1:
-                fault = (f"{where}: path {tuple(nodes.tolist())} has wrong length "
+                fault = (f"path {tuple(nodes.tolist())} has wrong length "
                          f"for horizon {horizon}")
                 break
             rows.append(nodes)
@@ -229,12 +256,21 @@ def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
         prob = probs[bad[0]]
         what = ("non-finite prob on" if not np.isfinite(prob)
                 else "negative prob on" if prob < 0 else "duplicate path")
-        raise ValidationError(f"{where}: {what} {tuple(rows[bad[0]].tolist())}")
+        raise ValidationError(f"{what} {tuple(rows[bad[0]].tolist())}")
     if fault is not None:
         raise ValidationError(fault)
     if not len(rows):
-        raise ValidationError(f"{where}: no entries")
+        raise ValidationError("no entries")
     return horizon, rows, probs
+
+
+def load_target(path: str, space: PathSpace) -> np.ndarray:
+    """The q-file ``path`` as a normalised vector over ``space``, on its horizon."""
+    horizon, rows, probs = load_path_distribution(path)
+    with naming("path distribution", path):
+        if horizon != space.horizon:
+            raise ValidationError(f"horizon {horizon} != problem horizon {space.horizon}")
+        return path_vector(space, rows, probs, "target")
 
 
 def _json_tokens(values: list) -> list[str]:
@@ -274,43 +310,44 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
     default applies to every existing network edge not listed; pairs without a
     network edge always get weight 0.  Weights must be finite and nonnegative.
     """
-    doc = _read_json(path, "step weights")
-    n, edge, initial = network.n, network.edge_mask, None
-    if isinstance(doc, dict) and "initial" in doc:
-        initial = vector_from_obj(doc["initial"], n, f"step weights {path} initial")
-    if isinstance(doc, dict) and "matrix" in doc:
-        mat = parse_field(f"step weights {path}: matrix", numbers, doc["matrix"])
-        if mat.shape != (n, n):
-            raise ValidationError(
-                f"step weights {path}: matrix shape {mat.shape}, expected {(n, n)}")
-    elif isinstance(doc, dict) and ("entries" in doc or "default" in doc):
-        default = parse_field(f"step weights {path}: default", number,
-                              doc.get("default", 1.0))
-        mat = np.where(edge, default, 0.0)
-        for ent in doc.get("entries", []):
-            try:
-                i, j, w = whole_number(ent[0]), whole_number(ent[1]), number(ent[2])
-            except (LookupError, TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"step weights {path}: bad entry {ent}") from exc
-            if not (1 <= i <= n and 1 <= j <= n and edge[i - 1, j - 1]):
-                raise ValidationError(
-                    f"step weights {path}: entry ({i},{j}) is not a network edge")
-            mat[i - 1, j - 1] = w
-    else:
-        raise ValidationError(f"step weights {path}: need 'matrix' or 'entries'")
-    bad = np.argwhere(~np.isfinite(mat))
-    if bad.size:
-        i, j = bad[0].tolist()
-        raise ValidationError(f"step weights {path}: non-finite weight "
-                              f"{mat[i, j]} at ({i + 1},{j + 1})")
-    if np.any(mat < 0):
-        raise ValidationError(f"step weights {path}: negative weight")
-    tails, heads = np.nonzero((mat != 0) & ~edge)
-    off = list(zip((tails + 1).tolist(), (heads + 1).tolist()))
-    if off:
-        raise ValidationError(
-            f"step weights {path}: positive weight off the edge set, e.g. {off[:5]}")
-    return initial, mat
+    with naming("step weights", path):
+        doc = _read_json(path)
+        n, edge, initial = network.n, network.edge_mask, None
+        if isinstance(doc, dict) and "initial" in doc:
+            with naming("initial"):
+                initial = vector_from_obj(doc["initial"], n)
+        if isinstance(doc, dict) and "matrix" in doc:
+            mat = parse_field("matrix", numbers, doc["matrix"])
+            if mat.shape != (n, n):
+                raise ValidationError(f"matrix shape {mat.shape}, expected {(n, n)}")
+        elif isinstance(doc, dict) and ("entries" in doc or "default" in doc):
+            default = parse_field("default", number, doc.get("default", 1.0))
+            mat = np.where(edge, default, 0.0)
+            named = set()
+            for ent in doc.get("entries", []):
+                try:
+                    i, j, w = whole_number(ent[0]), whole_number(ent[1]), number(ent[2])
+                except (LookupError, TypeError, ValueError, OverflowError) as exc:
+                    raise ValidationError(f"bad entry {ent}") from exc
+                if not (1 <= i <= n and 1 <= j <= n and edge[i - 1, j - 1]):
+                    raise ValidationError(f"entry ({i},{j}) is not a network edge")
+                if (i, j) in named:
+                    raise ValidationError(f"pair ({i},{j}) is named twice")
+                named.add((i, j))
+                mat[i - 1, j - 1] = w
+        else:
+            raise ValidationError("need 'matrix' or 'entries'")
+        bad = np.argwhere(~np.isfinite(mat))
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise ValidationError(f"non-finite weight {mat[i, j]} at ({i + 1},{j + 1})")
+        if np.any(mat < 0):
+            raise ValidationError("negative weight")
+        tails, heads = np.nonzero((mat != 0) & ~edge)
+        off = list(zip((tails + 1).tolist(), (heads + 1).tolist()))
+        if off:
+            raise ValidationError(f"positive weight off the edge set, e.g. {off[:5]}")
+        return initial, mat
 
 
 # ---------------------------------------------------------------------------
@@ -327,58 +364,52 @@ def load_prior(path: str):
     """
     from .bridge import MarkovPrior, PathPrior
 
-    doc = _read_json(path, "prior")
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise ValidationError(f"prior {path}: need a 'type' key")
-    kind = doc["type"]
-    if kind == "markov":
-        if "initial" not in doc:
-            raise ValidationError(f"prior {path}: markov prior needs 'initial'")
-        initial = parse_field(f"prior {path}: initial", numbers, doc["initial"])
-        if "matrix" in doc:
-            fields = {"matrix": parse_field(f"prior {path}: matrix", numbers,
-                                            doc["matrix"])}
-        elif "matrices" in doc:
-            fields = {"matrices": parse_field(f"prior {path}: matrices",
-                                              lambda v: tuple(numbers(v)),
-                                              doc["matrices"])}
+    with naming("prior", path):
+        doc = _read_json(path)
+        if not isinstance(doc, dict) or "type" not in doc:
+            raise ValidationError("need a 'type' key")
+        kind = doc["type"]
+        if kind == "markov":
+            if "initial" not in doc:
+                raise ValidationError("markov prior needs 'initial'")
+            initial = parse_field("initial", numbers, doc["initial"])
+            if "matrix" in doc:
+                fields = {"matrix": parse_field("matrix", numbers, doc["matrix"])}
+            elif "matrices" in doc:
+                fields = {"matrices": parse_field(
+                    "matrices", lambda v: tuple(numbers(v)), doc["matrices"])}
+            else:
+                raise ValidationError("markov prior needs 'matrix' or 'matrices'")
+            build, fields = MarkovPrior, {"initial": initial, **fields}
+        elif kind == "paths":
+            try:
+                horizon = whole_number(doc["horizon"])
+                paths = [[whole_number(v) for v in p] for p in doc["paths"]]
+                n = whole_number(doc["n"]) if "n" in doc else max(map(max, paths))
+                weights = numbers(doc["weights"])
+                # a length column keeps paths of different lengths apart
+                width = max(map(len, paths), default=0)
+                keyed = np.array([[len(p), *p] + [0] * (width - len(p)) for p in paths],
+                                 dtype=np.int64).reshape(len(paths), width + 1)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"bad path prior: {exc}") from exc
+            if weights.shape != (len(paths),):
+                raise ValidationError(f"{len(paths)} paths but {weights.size} weights")
+            rank = row_ranks(keyed)
+            if _repeats(rank).any():
+                raise ValidationError("duplicate paths")
+            if np.any(keyed[:, 0] != horizon + 1):
+                raise ValidationError("inconsistent path lengths")
+            outside = np.flatnonzero(((keyed < 1) | (keyed > n))[:, 1:].any(axis=1))
+            if outside.size:
+                raise ValidationError(f"path {format_path(paths[outside[0]])} has a "
+                                      f"node id outside 1..{n}")
+            order = np.argsort(rank)
+            space = PathSpace(horizon=horizon, n=n, array=keyed[order, 1:])
+            build, fields = PathPrior, {"path_space": space, "weights": weights[order]}
         else:
-            raise ValidationError(
-                f"prior {path}: markov prior needs 'matrix' or 'matrices'")
-        build, fields = MarkovPrior, {"initial": initial, **fields}
-    elif kind == "paths":
-        try:
-            horizon = whole_number(doc["horizon"])
-            paths = [[whole_number(v) for v in p] for p in doc["paths"]]
-            n = whole_number(doc["n"]) if "n" in doc else max(map(max, paths))
-            weights = numbers(doc["weights"])
-            # a length column keeps paths of different lengths apart
-            width = max(map(len, paths), default=0)
-            keyed = np.array([[len(p), *p] + [0] * (width - len(p)) for p in paths],
-                             dtype=np.int64).reshape(len(paths), width + 1)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"prior {path}: bad path prior: {exc}") from exc
-        if weights.shape != (len(paths),):
-            raise ValidationError(
-                f"prior {path}: {len(paths)} paths but {weights.size} weights")
-        rank = row_ranks(keyed)
-        if _repeats(rank).any():
-            raise ValidationError(f"prior {path}: duplicate paths")
-        if np.any(keyed[:, 0] != horizon + 1):
-            raise ValidationError(f"prior {path}: inconsistent path lengths")
-        outside = np.flatnonzero(((keyed < 1) | (keyed > n))[:, 1:].any(axis=1))
-        if outside.size:
-            raise ValidationError(f"prior {path}: path {format_path(paths[outside[0]])}"
-                                  f" has a node id outside 1..{n}")
-        order = np.argsort(rank)
-        space = PathSpace(horizon=horizon, n=n, array=keyed[order, 1:])
-        build, fields = PathPrior, {"path_space": space, "weights": weights[order]}
-    else:
-        raise ValidationError(f"prior {path}: unknown type {kind!r}")
-    try:
+            raise ValidationError(f"unknown type {kind!r}")
         return build(**fields)
-    except ValidationError as exc:
-        raise ValidationError(f"prior {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +575,5 @@ def parse_plan_text(text: str) -> dict:
 
 def read_plan(path: str) -> dict:
     """:func:`parse_plan_text` of the file ``path``; an error names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read plan file {path}: {exc}") from exc
-    try:
-        return parse_plan_text(text)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    with naming("plan", path):
+        return parse_plan_text(_read_text(path))

@@ -46,7 +46,7 @@ __all__ = [
     "ImitationTarget", "IOTProblem", "ObjectiveTerms", "TransportPlan",
     "blend_distribution", "chain_plan", "expand_target",
     "imitation_prior_markov", "imitation_prior_paths", "plan_from_law",
-    "problem_space", "solve_iot", "edge_usage_from_law",
+    "solve_iot", "edge_usage_from_law",
     "evaluate_objective_terms",
 ]
 
@@ -121,7 +121,7 @@ class IOTProblem:
     ``path_space`` may be left out on the Markov route, which solves without
     paths: give ``horizon`` instead, and the space of horizon-step paths
     from ``nu0``'s support to ``nuT``'s is enumerated only when a plan's path
-    arrays are read (:func:`problem_space`).
+    arrays are read (:attr:`space`), once per problem.
     """
 
     network: Network
@@ -155,14 +155,14 @@ class IOTProblem:
             raise ValidationError(f"target matrix is {size}x{size} but the problem "
                                   f"has {n} nodes")
 
-
-def problem_space(problem: IOTProblem) -> PathSpace:
-    """The problem's path space: the given one, or the enumerated one."""
-    if problem.path_space is not None:
-        return problem.path_space
-    return enumerate_paths(problem.network, problem.horizon,
-                           np.flatnonzero(problem.nu0) + 1,
-                           np.flatnonzero(problem.nuT) + 1, problem.cost_model)
+    @cached_property
+    def space(self) -> PathSpace:
+        """The problem's path space: the given one, or the enumerated one."""
+        if self.path_space is not None:
+            return self.path_space
+        return enumerate_paths(self.network, self.horizon,
+                               np.flatnonzero(self.nu0) + 1,
+                               np.flatnonzero(self.nuT) + 1, self.cost_model)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ class TransportPlan:
     sum to 1.  ``path_law``, ``path_costs`` and ``target_probs`` are ``(N,)``
     arrays aligned with ``path_space``.  The path route computes them while
     solving; on the Markov route, which solves without paths, each is built
-    on first access (the space by :func:`problem_space`, the law from the
+    on first access (the space by :attr:`IOTProblem.space`, the law from the
     solution chain).  ``transition_matrices`` (``T`` arrays of shape
     ``(n, n)``) is populated on the Markov route only.
     """
@@ -199,9 +199,9 @@ class TransportPlan:
     def transition_matrices(self) -> list[np.ndarray] | None:
         return self.bridge.transitions
 
-    @cached_property
+    @property
     def path_space(self) -> PathSpace:
-        return problem_space(self.problem)
+        return self.problem.space
 
     @cached_property
     def path_law(self) -> np.ndarray:
@@ -322,7 +322,7 @@ def plan_from_law(problem: IOTProblem, law: np.ndarray,
     ``costs`` and ``q`` are the problem's path costs and expanded target,
     computed here unless the caller already has them.
     """
-    space = problem_space(problem)
+    space = problem.space
     if costs is None:
         costs = path_costs(space, problem.cost_model, problem.network)
     if q is None:
@@ -332,8 +332,7 @@ def plan_from_law(problem: IOTProblem, law: np.ndarray,
         objective=evaluate_objective_terms(law, costs, q, problem.alpha),
         edge_usage=edge_usage_from_law(space, law))
     # the path arrays are known: fill the lazy fields
-    plan.__dict__.update(path_space=space, path_law=law, path_costs=costs,
-                         target_probs=q)
+    plan.__dict__.update(path_law=law, path_costs=costs, target_probs=q)
     return plan
 
 
@@ -386,7 +385,7 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
         solution = sinkhorn_markov(prior, problem.nu0, problem.nuT,
                                    problem.horizon, tol=tol, max_iter=max_iter)
         return chain_plan(problem, solution)
-    space = problem_space(problem)
+    space = problem.space
     q = expand_target(problem.target, space)
     costs = path_costs(space, problem.cost_model, problem.network)
     prior = imitation_prior_paths(space, costs, q, problem.alpha)

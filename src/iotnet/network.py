@@ -703,12 +703,9 @@ def network_from_dict(doc: dict) -> tuple[Network, CostModel]:
 
 def load_network(path: str) -> tuple[Network, CostModel]:
     """Load a network JSON file; returns the network and its ruled cost model."""
-    from .fileio import _read_json
-    doc = _read_json(path, "network")
-    try:
-        return network_from_dict(doc)
-    except ValidationError as exc:
-        raise ValidationError(f"network file {path}: {exc}") from exc
+    from .fileio import _read_json, naming
+    with naming("network file", path):
+        return network_from_dict(_read_json(path))
 
 
 def save_network(network: Network, path: str,

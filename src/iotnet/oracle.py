@@ -135,7 +135,9 @@ def lp_ot(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
     marginals.  Two-phase: artificial variables first (their residual above
     1e-9 is an infeasibility certificate), then the true costs with artificial
     columns barred.  Redundant rows (the duplicated total-mass constraint)
-    are pivoted out or dropped during phase-one cleanup.
+    are pivoted out or dropped during phase-one cleanup.  A path whose start
+    or end has zero target mass is pinned to exactly zero, outside the
+    tableau, so no round-off leaves flow on it.
     """
     costs = np.asarray(costs, dtype=float)
     nu0 = np.asarray(nu0, dtype=float)
@@ -144,24 +146,17 @@ def lp_ot(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
         raise ValidationError("cost vector shape does not match path space")
     if not np.all(np.isfinite(costs)):
         raise ValidationError("LP costs must be finite")
-    n = space.n
-    nvar = space.size
     starts = space.starts - 1
     ends = space.ends - 1
 
-    # one row per node with positive target OR with candidate paths, so zero
-    # targets pin their groups to zero mass
-    rows0 = sorted(set(np.unique(starts)) | set(np.nonzero(nu0 > 0)[0]))
-    rowsT = sorted(set(np.unique(ends)) | set(np.nonzero(nuT > 0)[0]))
-    m = len(rows0) + len(rowsT)
-    A = np.zeros((m, nvar))
-    b = np.zeros(m)
-    for r, node in enumerate(rows0):
-        A[r, starts == node] = 1.0
-        b[r] = nu0[node]
-    for r, node in enumerate(rowsT):
-        A[len(rows0) + r, ends == node] = 1.0
-        b[len(rows0) + r] = nuT[node]
+    # columns: the paths not pinned to zero; rows: the nodes with positive mass
+    free = np.flatnonzero((nu0[starts] > 0) & (nuT[ends] > 0))
+    nvar = free.size
+    rows0, rowsT = np.flatnonzero(nu0 > 0), np.flatnonzero(nuT > 0)
+    m = rows0.size + rowsT.size
+    A = np.concatenate([starts[free] == rows0[:, None],
+                        ends[free] == rowsT[:, None]]).astype(float)
+    b = np.concatenate([nu0[rows0], nuT[rowsT]])
 
     # phase 1
     tableau = np.hstack([A, np.eye(m), b[:, None]])
@@ -192,13 +187,13 @@ def lp_ot(space: PathSpace, costs: np.ndarray, nu0: np.ndarray,
 
     # phase 2: bar artificial columns
     allowed[nvar:] = False
-    cost2 = np.concatenate([costs, np.zeros(m)])
+    cost2 = np.concatenate([costs[free], np.zeros(m)])
     _bland_iterate(tableau, basis, cost2, allowed)
 
-    x = np.zeros(nvar)
+    x = np.zeros(space.size)
     for r, col in enumerate(basis):
         if col < nvar:
-            x[col] = tableau[r, -1]
+            x[free[col]] = tableau[r, -1]
     x[x < 0] = 0.0  # clip simplex round-off at the bound
     return DenseCoupling(probabilities=x, objective=float(costs @ x))
 

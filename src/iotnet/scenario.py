@@ -51,14 +51,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
 
 import numpy as np
 
 from . import fixtures
 from .errors import InfeasibleError, ValidationError
-from .fileio import (_read_json, atomic_write_text, fmt, load_path_distribution,
-                     load_step_weights, number, parse_field, whole_number)
+from .fileio import (_read_json, atomic_write_text, fmt, load_step_weights,
+                     load_target, naming, node_masses, number, parse_field,
+                     whole_number)
 from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
 from .network import (EDGE_KINDS, CostModel, EdgeKind, Network, PathSpace,
                       cost_matrix, count_paths, edge_table, enumerate_paths,
@@ -91,6 +91,7 @@ class DisasterSpec:
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: str
+    path: str
     network_ref: str | dict
     horizon: int
     alpha: float
@@ -103,7 +104,10 @@ class ScenarioSpec:
     risk_weights: RiskWeights = field(default_factory=RiskWeights)
     affected: tuple[tuple[int, int], ...] | None = None
     disaster: DisasterSpec | None = None
-    base_dir: str = "."
+
+    def resolve(self, ref: str) -> str:
+        """The path of a file the scenario names, from its own directory."""
+        return os.path.join(os.path.dirname(os.path.abspath(self.path)), ref)
 
 
 @dataclass(frozen=True)
@@ -171,30 +175,23 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _field(path: str, what: str, convert: Callable, value: object) -> Any:
-    return parse_field(f"{path}: scenario field {what}", convert, value)
-
-
 def _pairs(value: object) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((whole_number(i), whole_number(j)) for i, j in value))
+    pairs = sorted((whole_number(i), whole_number(j)) for i, j in value)
+    for (i, j), later in zip(pairs, pairs[1:]):
+        if (i, j) == later:
+            raise ValueError(f"pair ({i},{j}) is named twice")
+    return tuple(pairs)
 
 
-def _mass_map(path: str, obj: object, what: str) -> dict[int, float]:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{what} must be a JSON object of node -> mass")
-    out: dict[int, float] = {}
-    for key, val in obj.items():
-        node = _field(path, what, whole_number, key)
-        mass = _field(path, what, number, val)
-        if not math.isfinite(mass):
-            raise ValidationError(f"{what}: non-finite mass {mass!r} at node {node}")
-        if mass < 0:
-            raise ValidationError(f"{what}: negative mass at node {node}")
-        if mass > 0:
-            out[node] = mass
-    if not out:
-        raise ValidationError(f"{what} carries no mass")
-    return out
+def _mass_map(doc: dict, name: str) -> dict[int, float] | None:
+    """The positive masses of the node -> mass map ``doc[name]``; None without it."""
+    if name not in doc:
+        return None
+    with naming(name):
+        out = {node: mass for node, mass in node_masses(doc[name]).items() if mass > 0}
+        if not out:
+            raise ValidationError("carries no mass")
+        return out
 
 
 def load_scenario(path: str) -> ScenarioSpec:
@@ -211,87 +208,82 @@ def load_scenario(path: str) -> ScenarioSpec:
     does not read, or ``"weights"`` beside an ``"rq_file"``, is refused.
     Supply and demand may be omitted for builtin networks, which carry their own.
     """
-    doc = _read_json(path, "scenario")
-    if not isinstance(doc, dict):
-        raise ValidationError(f"scenario {path}: expected a JSON object")
-    try:
-        network_ref = doc["network"]
-        horizon = doc["T"]
-        alpha = doc["alpha"]
-        block = doc["scenario"]
-    except KeyError as exc:
-        raise ValidationError(
-            f"scenario {path}: need network/T/alpha/scenario: {exc}") from exc
-    horizon = _field(path, "T", whole_number, horizon)
-    alpha = _field(path, "alpha", number, alpha)
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ValidationError(f"scenario {path}: 'scenario' needs a 'kind'")
-    kind = str(block["kind"]).lower()
-    if kind == "riskprior":
-        kind = "risk"
-    if kind not in ("imitation", "risk"):
-        raise ValidationError(f"scenario {path}: unknown kind {block['kind']!r}")
-    if horizon < 1:
-        raise ValidationError(f"scenario {path}: T must be >= 1, got {horizon}")
-    for fields, known, where in ((doc, _TOP_FIELDS, " at the top level"),
-                                 (block, _BLOCK_FIELDS, "")):
-        unread = sorted(set(fields) - known[kind])
-        if unread:
-            raise ValidationError(f"scenario {path}: a {kind} scenario does not "
-                                  f"read {unread}{where}")
-    if "rq_file" in block and "weights" in block:
-        raise ValidationError(f"scenario {path}: weights build the risk target "
-                              "only without an rq_file")
-
-    supply = _mass_map(path, doc["supply"], "supply") if "supply" in doc else None
-    demand = _mass_map(path, doc["demand"], "demand") if "demand" in doc else None
-    if (supply is None) != (demand is None):
-        raise ValidationError(
-            f"scenario {path}: give both supply and demand, or neither")
-    if supply is not None:
-        s, d = sum(supply.values()), sum(demand.values())
-        if not math.isclose(s, d, rel_tol=1e-9, abs_tol=0.0):
+    with naming("scenario", path):
+        doc = _read_json(path)
+        if not isinstance(doc, dict):
+            raise ValidationError("expected a JSON object")
+        try:
+            network_ref = doc["network"]
+            horizon = doc["T"]
+            alpha = doc["alpha"]
+            block = doc["scenario"]
+        except KeyError as exc:
+            raise ValidationError(f"need network/T/alpha/scenario: {exc}") from exc
+        horizon = parse_field("T", whole_number, horizon)
+        alpha = parse_field("alpha", number, alpha)
+        if not isinstance(block, dict) or "kind" not in block:
+            raise ValidationError("'scenario' needs a 'kind'")
+        kind = str(block["kind"]).lower()
+        if kind == "riskprior":
+            kind = "risk"
+        if kind not in ("imitation", "risk"):
+            raise ValidationError(f"unknown kind {block['kind']!r}")
+        if horizon < 1:
+            raise ValidationError(f"T must be >= 1, got {horizon}")
+        for fields, known, level in ((doc, _TOP_FIELDS, " at the top level"),
+                                     (block, _BLOCK_FIELDS, "")):
+            unread = sorted(set(fields) - known[kind])
+            if unread:
+                raise ValidationError(
+                    f"a {kind} scenario does not read {unread}{level}")
+        if "rq_file" in block and "weights" in block:
             raise ValidationError(
-                f"scenario {path}: supply total {s!r} != demand total {d!r}")
+                "weights build the risk target only without an rq_file")
 
-    beta = _field(path, "beta", number, block.get("beta", 0.0))
-    q_star_ref = block.get("q_star")
-    rq_file_ref = block.get("rq_file")
-    normalize_rows = block.get("normalize_rows", False)
-    for key, value in (("q_star", q_star_ref), ("rq_file", rq_file_ref)):
-        if value is not None and not isinstance(value, str):
-            raise ValidationError(f"scenario {path}: {key} must be a str")
-    if not isinstance(normalize_rows, bool):
-        raise ValidationError(f"scenario {path}: normalize_rows must be a bool")
-    wdoc = block.get("weights", {})
-    if not isinstance(wdoc, dict):
-        raise ValidationError(f"scenario {path}: weights must be an object")
-    unknown = set(wdoc) - {"affected", "maritime", "regular"}
-    if unknown:
-        raise ValidationError(
-            f"scenario {path}: unknown risk weight keys {sorted(unknown)}")
-    weights = RiskWeights(**{key: _field(path, f"weights.{key}", number, val)
-                             for key, val in wdoc.items()})
-    affected = None
-    if "affected" in block:
-        affected = _field(path, "affected", _pairs, block["affected"])
+        supply, demand = _mass_map(doc, "supply"), _mass_map(doc, "demand")
+        if (supply is None) != (demand is None):
+            raise ValidationError("give both supply and demand, or neither")
+        if supply is not None:
+            s, d = sum(supply.values()), sum(demand.values())
+            if not math.isclose(s, d, rel_tol=1e-9, abs_tol=0.0):
+                raise ValidationError(f"supply total {s!r} != demand total {d!r}")
 
-    disaster = None
-    if "disaster" in doc:
-        ddoc = doc["disaster"]
-        if not isinstance(ddoc, dict):
-            raise ValidationError(f"scenario {path}: disaster must be an object")
-        disaster = DisasterSpec(
-            edges=_field(path, "disaster.edges", _pairs, ddoc.get("edges", [])),
-            multiplier=_field(path, "disaster.multiplier", number, ddoc.get(
-                "multiplier", fixtures.DISASTER_MULTIPLIER)))
+        beta = parse_field("beta", number, block.get("beta", 0.0))
+        q_star_ref = block.get("q_star")
+        rq_file_ref = block.get("rq_file")
+        normalize_rows = block.get("normalize_rows", False)
+        for key, value in (("q_star", q_star_ref), ("rq_file", rq_file_ref)):
+            if value is not None and not isinstance(value, str):
+                raise ValidationError(f"{key} must be a str")
+        if not isinstance(normalize_rows, bool):
+            raise ValidationError("normalize_rows must be a bool")
+        wdoc = block.get("weights", {})
+        if not isinstance(wdoc, dict):
+            raise ValidationError("weights must be an object")
+        unknown = set(wdoc) - {"affected", "maritime", "regular"}
+        if unknown:
+            raise ValidationError(f"unknown risk weight keys {sorted(unknown)}")
+        weights = RiskWeights(**{key: parse_field(f"weights.{key}", number, val)
+                                 for key, val in wdoc.items()})
+        affected = None
+        if "affected" in block:
+            affected = parse_field("affected", _pairs, block["affected"])
 
-    return ScenarioSpec(kind=kind, network_ref=network_ref, horizon=horizon,
-                        alpha=alpha, beta=beta, supply=supply, demand=demand,
-                        q_star_ref=q_star_ref, rq_file_ref=rq_file_ref,
-                        normalize_rows=normalize_rows, risk_weights=weights,
-                        affected=affected, disaster=disaster,
-                        base_dir=os.path.dirname(os.path.abspath(path)))
+        disaster = None
+        if "disaster" in doc:
+            ddoc = doc["disaster"]
+            if not isinstance(ddoc, dict):
+                raise ValidationError("disaster must be an object")
+            disaster = DisasterSpec(
+                edges=parse_field("disaster.edges", _pairs, ddoc.get("edges", [])),
+                multiplier=parse_field("disaster.multiplier", number, ddoc.get(
+                    "multiplier", fixtures.DISASTER_MULTIPLIER)))
+
+        return ScenarioSpec(kind=kind, network_ref=network_ref, horizon=horizon,
+                            alpha=alpha, beta=beta, supply=supply, demand=demand,
+                            q_star_ref=q_star_ref, rq_file_ref=rq_file_ref,
+                            normalize_rows=normalize_rows, risk_weights=weights,
+                            affected=affected, disaster=disaster, path=path)
 
 
 def _resolve(spec: ScenarioSpec, seed: int) -> tuple[Network, CostModel, dict, dict,
@@ -307,11 +299,12 @@ def _resolve(spec: ScenarioSpec, seed: int) -> tuple[Network, CostModel, dict, d
         demand = spec.demand or dict(fixture.demand)
         fixture = replace(fixture, horizon=spec.horizon, supply=supply, demand=demand)
     elif isinstance(ref, dict):
-        network, ruled = network_from_dict(ref)
+        with naming("network"):
+            network, ruled = network_from_dict(ref)
     else:
-        network, ruled = load_network(os.path.join(spec.base_dir, str(ref)))
+        network, ruled = load_network(spec.resolve(str(ref)))
     if supply is None or demand is None:
-        raise ValidationError("scenario needs supply and demand (builtins provide "
+        raise ValidationError("needs supply and demand (builtins provide "
                               "defaults; files must state them)")
     for name, masses in (("supply", supply), ("demand", demand)):
         for node in masses:
@@ -618,13 +611,8 @@ def _q_star(spec: ScenarioSpec, space: PathSpace,
             raise ValidationError("imitation scenario needs q_star (builtin "
                                   "networks can default to the built-in one)")
         rows, probs = fixtures.synthetic_q_star(fixture)
-    else:
-        horizon, rows, probs = load_path_distribution(
-            os.path.join(spec.base_dir, spec.q_star_ref))
-        if horizon != spec.horizon:
-            raise ValidationError(
-                f"q_star horizon {horizon} != scenario horizon {spec.horizon}")
-    return path_vector(space, rows, probs, "q_star")
+        return path_vector(space, rows, probs, "q_star")
+    return load_target(spec.resolve(spec.q_star_ref), space)
 
 
 def _risk_target(spec: ScenarioSpec, network: Network, model: CostModel,
@@ -632,8 +620,7 @@ def _risk_target(spec: ScenarioSpec, network: Network, model: CostModel,
     """Step weights from an rq-file, or built from the affected edges."""
     initial = None
     if spec.rq_file_ref is not None:
-        initial, matrix = load_step_weights(
-            os.path.join(spec.base_dir, spec.rq_file_ref), network)
+        initial, matrix = load_step_weights(spec.resolve(spec.rq_file_ref), network)
     else:
         if not affected:
             raise ValidationError("risk scenario needs an rq_file or an "
@@ -665,32 +652,34 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
     disaster.  The risk kind enumerates no path: its imitation plan is a
     chain; every other plan is a node table.
     """
-    network, ruled, supply, demand, fixture = _resolve(spec, seed)
-    n = network.n
-    nu0, nuT = fixtures.marginals(n, supply, demand)
-    affected = spec.affected
-    if affected is None:
-        affected = fixture.affected if fixture is not None else ()
     risk = spec.kind == "risk"
-    if risk:
-        model = markov_model_from_network(network, ruled)
-        cost = cost_matrix(model, n)
-        paths = count_paths(np.isfinite(cost), spec.horizon, supply, demand)
-        if not paths:
-            raise no_paths_error(spec.horizon, supply, demand)
-        problem = IOTProblem(network=network, cost_model=model, nu0=nu0,
-                             nuT=nuT, alpha=spec.alpha,
-                             target=_risk_target(spec, network, model, affected),
-                             horizon=spec.horizon)
-    else:
-        model = ruled
-        space = enumerate_paths(network, spec.horizon, sorted(supply),
-                                sorted(demand), model)
-        paths, q_star = space.size, _q_star(spec, space, fixture)
-        problem = IOTProblem(network=network, cost_model=model, nu0=nu0,
-                             nuT=nuT, alpha=spec.alpha,
-                             target=ImitationTarget.paths(q_star, blend=spec.beta),
-                             path_space=space)
+    # everything up to the solve reads the spec and the files it names
+    with naming("scenario", spec.path):
+        network, ruled, supply, demand, fixture = _resolve(spec, seed)
+        n = network.n
+        nu0, nuT = fixtures.marginals(n, supply, demand)
+        affected = spec.affected
+        if affected is None:
+            affected = fixture.affected if fixture is not None else ()
+        if risk:
+            model = markov_model_from_network(network, ruled)
+            cost = cost_matrix(model, n)
+            paths = count_paths(np.isfinite(cost), spec.horizon, supply, demand)
+            if not paths:
+                raise no_paths_error(spec.horizon, supply, demand)
+            problem = IOTProblem(network=network, cost_model=model, nu0=nu0,
+                                 nuT=nuT, alpha=spec.alpha,
+                                 target=_risk_target(spec, network, model, affected),
+                                 horizon=spec.horizon)
+        else:
+            model = ruled
+            space = enumerate_paths(network, spec.horizon, sorted(supply),
+                                    sorted(demand), model)
+            paths, q_star = space.size, _q_star(spec, space, fixture)
+            problem = IOTProblem(network=network, cost_model=model, nu0=nu0,
+                                 nuT=nuT, alpha=spec.alpha,
+                                 target=ImitationTarget.paths(q_star, blend=spec.beta),
+                                 path_space=space)
     plan = solve_iot(problem, tol=tol, max_iter=max_iter)
 
     def chain_report(step: np.ndarray) -> PlanReport:

@@ -162,6 +162,25 @@ def test_chain_kl_keeps_its_digits_at_small_alpha(alpha):
     assert plan.objective.kl_to_target == pytest.approx(kl, rel=1e-12)
 
 
+def test_a_horizon_only_problem_enumerates_its_space_once(monkeypatch):
+    """A blended target takes the path route, whose solve and plan (its path
+    law included) share one enumeration of the problem's space."""
+    calls = []
+    enumerate_once = iotnet.imitation.enumerate_paths
+    monkeypatch.setattr(iotnet.imitation, "enumerate_paths",
+                        lambda *args: calls.append(args) or enumerate_once(*args))
+    fx = fixtures.risk30(0)
+    model = markov_model_from_network(fx.network, fx.ruled)
+    nu0, nuT = fx.marginals()
+    weights = build_risk_matrix(fx.network, model, fx.affected, RiskWeights())
+    plan = solve_iot(IOTProblem(network=fx.network, cost_model=model, nu0=nu0,
+                                nuT=nuT, alpha=40.0, horizon=3,
+                                target=ImitationTarget.markov(weights, blend=0.1)))
+    assert plan.transition_matrices is None     # the path route ran
+    assert plan.path_law.size == plan.path_space.size
+    assert len(calls) == 1
+
+
 def test_cheapest_rows_break_ties_lexicographically():
     # two cheapest paths 1 > 2 > 4 and 1 > 3 > 4 (cost 2), one dearer 1 > 4 > 4
     cost = np.full((4, 4), math.inf)

@@ -491,6 +491,10 @@ def _network_file(path, cost_rules):
 
 
 _TINY = ["solve", "--network", "builtin:tiny", "--alpha", "0.5"]
+_RISK_SPEC = {"network": "builtin:risk30", "T": 3, "alpha": 40.0,
+              "scenario": {"kind": "risk"}}
+_SCENARIO = ["scenario", "--spec", "s.json", "--out-dir", "out"]
+_CERT = ["robust-cert", "--plan", "plan.txt", "--q-file", "q.json", "--epsilon", "0.1"]
 
 
 @pytest.mark.parametrize("name, doc, argv", [
@@ -504,19 +508,88 @@ _TINY = ["solve", "--network", "builtin:tiny", "--alpha", "0.5"]
                 "weights": [1.0]}, ["approx", "--prior", "p.json"]),
     ("net.json", {"switch_penalty_km": "big"},
      ["solve", "--network", "net.json", "--alpha", "1", "--horizon", "2"]),
+    ("s.json", dict(_RISK_SPEC, T="3"), _SCENARIO),
+    ("plan.txt", "[meta]\nhorizon\t1\n", _CERT),
+    ("plan.txt", "[meta]\nhorizon\t1\n[paths]\n1>2\t1.0\t0.5\n", _CERT),
+    ("plan.txt", "[meta]\nalpha\t1.0\n[paths]\n1>2\t0.5\t0.5\n", _CERT),
+    # values a reader takes, which the run then refuses
+    ("s.json", dict(_RISK_SPEC, supply={"1": -1, "8": 2}, demand={"2": 1}), _SCENARIO),
+    ("s.json", dict(_RISK_SPEC, supply={"8": 1}, demand={"99": 1}), _SCENARIO),
+    ("s.json", dict(_RISK_SPEC, network={
+        "nodes": [{"id": 1, "x_km": 0, "y_km": 0}, {"id": 2, "x_km": True, "y_km": 0}],
+        "edges": [{"from": 1, "to": 2, "kind": "local"}]},
+        supply={"1": 1}, demand={"2": 1}), _SCENARIO),
+    ("s.json", {"network": "builtin:synthetic30", "T": 3, "alpha": 50.0,
+                "scenario": {"kind": "imitation", "q_star": "builtin", "beta": 1.5}},
+     _SCENARIO),
+    ("s.json", dict(_RISK_SPEC, alpha=-4.0), _SCENARIO),
+    ("q.json", {"horizon": 2, "entries": [{"path": [9, 9, 9], "prob": 1.0}]},
+     _TINY + ["--q-file", "q.json"]),
 ], ids=["q-horizon", "marginal-entry", "marginal-key", "rq-default",
-        "rq-matrix-entry", "prior-n", "network-cost-rule"])
+        "rq-matrix-entry", "prior-n", "network-cost-rule", "scenario-T-text",
+        "plan-no-paths", "plan-no-alpha", "plan-half-mass", "scenario-negative-supply",
+        "scenario-unknown-demand-node", "scenario-inline-network", "scenario-blend",
+        "scenario-alpha", "q-outside-the-space"])
 def test_malformed_files_are_refused_with_an_error_naming_them(outdir, capsys,
                                                                name, doc, argv):
     if name == "net.json":
         _network_file(outdir / name, doc)
     else:
-        (outdir / name).write_text(json.dumps(doc))
+        (outdir / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert "Traceback" not in err
-    last = err.strip().splitlines()[-1]
-    assert last.startswith("error:") and name in last
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and name in lines[0]
+
+
+@pytest.mark.parametrize("name, doc, argv, message", [
+    ("m.json", {"1": 0.5, "01": 0.5, "2": 0.5}, _TINY + ["--nu0", "m.json"],
+     "marginal m.json: node 1 is named twice"),
+    ("rq.json", {"default": 1.0, "entries": [[1, 1, 5.0], [1, 1, 0.5]]},
+     _TINY + ["--rq-file", "rq.json"], "step weights rq.json: pair (1,1) is named twice"),
+    ("s.json", dict(_RISK_SPEC, supply={"8": 1.0, "08": 1.0}, demand={"3": 1.0}),
+     _SCENARIO, "scenario s.json: supply: node 8 is named twice"),
+    ("s.json", dict(_RISK_SPEC, supply={"8": 1.0}, demand={"3": 1.0, "03": 1.0}),
+     _SCENARIO, "scenario s.json: demand: node 3 is named twice"),
+    ("s.json", dict(_RISK_SPEC, disaster={"edges": [[7, 9], [7, 9]]}), _SCENARIO,
+     "scenario s.json: disaster.edges is malformed: pair (7,9) is named twice"),
+    ("s.json", dict(_RISK_SPEC, scenario={"kind": "risk", "affected": [[7, 9], [7, 9]]}),
+     _SCENARIO, "scenario s.json: affected is malformed: pair (7,9) is named twice"),
+], ids=["marginal", "rq-entries", "supply", "demand", "disaster-edges", "affected"])
+def test_a_node_or_pair_named_twice_is_refused(outdir, capsys, name, doc, argv,
+                                               message):
+    """The later entry would win, or a disaster edge be multiplied twice."""
+    (outdir / name).write_text(json.dumps(doc))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("block, name, doc, detail", [
+    ({"kind": "risk", "rq_file": "rq.json"}, "rq.json", {"default": -1.0},
+     "step weights {}: negative weight"),
+    ({"kind": "imitation", "q_star": "q.json"}, "q.json",
+     {"horizon": 2, "entries": [{"path": [1, 2, 3], "prob": 1.0}]},
+     "path distribution {}: horizon 2 != problem horizon 3"),
+    ({"kind": "imitation", "q_star": "q.json"}, "q.json",
+     {"horizon": 3, "entries": [{"path": [1, 1, 1, 1], "prob": -1.0}]},
+     "path distribution {}: negative prob on (1, 1, 1, 1)"),
+], ids=["rq-file", "q-file-horizon", "q-file-prob"])
+def test_an_error_in_a_file_a_scenario_names_names_both(outdir, capsys, block,
+                                                       name, doc, detail):
+    """The scenario's name comes first, then the referenced file's, which is
+    read from the scenario's directory."""
+    (outdir / "sub").mkdir()
+    spec = {"network": "builtin:synthetic30", "T": 3, "alpha": 50.0, "scenario": block}
+    if block["kind"] == "risk":
+        spec["network"] = "builtin:risk30"
+    (outdir / "sub" / "s.json").write_text(json.dumps(spec))
+    (outdir / "sub" / name).write_text(json.dumps(doc))
+    code, _, err = run_cli(["scenario", "--spec", "sub/s.json"], capsys)
+    assert code == 1
+    referenced = str(outdir / "sub" / name)
+    assert err == f"error: scenario sub/s.json: {detail.format(referenced)}\n"
 
 
 def test_robust_cert_refuses_a_plan_alpha_that_is_no_number(outdir, capsys):

@@ -76,17 +76,17 @@ def test_path_string_round_trip():
 
 
 def test_vector_from_obj_accepts_list_and_map():
-    a = vector_from_obj([0.25, 0.75, 0.0], 3, "test")
-    b = vector_from_obj({"1": 0.25, "2": 0.75}, 3, "test")
+    a = vector_from_obj([0.25, 0.75, 0.0], 3)
+    b = vector_from_obj({"1": 0.25, "2": 0.75}, 3)
     assert np.allclose(a, b, atol=1e-15)
     with pytest.raises(ValidationError):
-        vector_from_obj([0.5, 0.4], 3, "test")
+        vector_from_obj([0.5, 0.4], 3)
     with pytest.raises(ValidationError):
-        vector_from_obj({"9": 1.0}, 3, "test")
+        vector_from_obj({"9": 1.0}, 3)
     with pytest.raises(ValidationError):
-        vector_from_obj([0.9, 0.3, -0.2], 3, "test")
+        vector_from_obj([0.9, 0.3, -0.2], 3)
     with pytest.raises(ValidationError):
-        vector_from_obj([0.5, 0.4, 0.0], 3, "test")  # sums to 0.9
+        vector_from_obj([0.5, 0.4, 0.0], 3)  # sums to 0.9
 
 
 def test_load_marginal(tmp_path):
@@ -104,11 +104,11 @@ def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, collecting):
     was = gc.isenabled()
     try:
         gc.enable() if collecting else gc.disable()
-        assert _read_json(str(good), "test") == {"a": [1, 2]}
+        assert _read_json(str(good)) == {"a": [1, 2]}
         assert gc.isenabled() is collecting
         for path in (bad, tmp_path / "missing.json"):
             with pytest.raises(ValidationError):
-                _read_json(str(path), "test")
+                _read_json(str(path))
             assert gc.isenabled() is collecting
     finally:
         gc.enable() if was else gc.disable()
@@ -214,7 +214,7 @@ def test_step_weights_sparse_form(tmp_path, tiny):
 def _reference_step_weights(path, network):
     """The per-pair loader the edge mask replaced: a default filled edge by
     edge and a ``has_edge`` call per nonzero weight.  Entry ids must be
-    whole numbers and every weight finite."""
+    whole numbers, each pair listed once, and every weight finite."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     n = network.n
@@ -224,10 +224,11 @@ def _reference_step_weights(path, network):
         mat = np.zeros((n, n), dtype=float)
         for (i, j) in edge_pairs(network):
             mat[i - 1, j - 1] = float(doc.get("default", 1.0))
+        named = set()
         for ent in doc.get("entries", []):
             try:
-                if any(isinstance(v, bool) for v in ent[:3]):
-                    raise TypeError("a boolean is not a number")
+                if any(isinstance(v, (bool, str)) for v in ent[:3]):
+                    raise TypeError("a boolean or a string is not a number")
                 if any(isinstance(v, float) and not v.is_integer()
                        for v in ent[:2]):
                     raise ValueError("a node id must be a whole number")
@@ -237,6 +238,9 @@ def _reference_step_weights(path, network):
             if not has_edge(network, i, j):
                 raise ValidationError(
                     f"step weights {path}: entry ({i},{j}) is not a network edge")
+            if (i, j) in named:
+                raise ValidationError(f"step weights {path}: pair ({i},{j}) is named twice")
+            named.add((i, j))
             mat[i - 1, j - 1] = w
     for i, j in np.ndindex(mat.shape):
         if not math.isfinite(mat[i, j]):
@@ -534,15 +538,17 @@ def test_step_weights_refuse_non_finite_weights(tmp_path, doc, message):
 
 
 def _reference_number(v):
-    """``float(v)``, refusing a boolean, which Python would read as 0 or 1."""
-    if isinstance(v, bool):
+    """``float(v)``, refusing a boolean, which Python would read as 0 or 1,
+    and a string, which JSON keeps apart from numbers."""
+    if isinstance(v, (bool, str)):
         raise TypeError(f"{v!r} is not a number")
     return float(v)
 
 
 def _reference_id(v):
-    """``int(v)``, refusing a boolean and a fractional float (not truncating it)."""
-    if isinstance(v, bool):
+    """``int(v)``, refusing what ``_reference_number`` refuses and a
+    fractional float (not truncating it)."""
+    if isinstance(v, (bool, str)):
         raise TypeError(f"{v!r} is not a number")
     if isinstance(v, float) and not v.is_integer():
         raise ValueError(f"{v!r} is not a whole number")
@@ -606,7 +612,7 @@ _Q_ENTRIES = st.one_of(
         {"path": [1, 2, 3], "prob": [0.5]},
         [1, 2, 3],
         "entry",
-        {"path": "121", "prob": 0.5},              # read digit by digit
+        {"path": "121", "prob": 0.5},              # a string is no path
         {"path": [1, 2**63, 2], "prob": 0.5},      # ids beyond int64
         {"path": [-2**63 - 1, 1, 2], "prob": 0.5},
         {"path": [1, 2, 1e20], "prob": 0.5},
@@ -788,7 +794,7 @@ def test_plans_refuse_non_finite_numbers_and_name_the_file(tmp_path, layout, old
     f.write_text(text)
     with pytest.raises(ValidationError) as err:
         read_plan(str(f))
-    assert str(err.value) == f"{f}: plan file has a {what} on path 1>2>3"
+    assert str(err.value) == f"plan {f}: plan file has a {what} on path 1>2>3"
 
 
 def test_plan_rejects_a_path_listed_twice():
@@ -916,8 +922,8 @@ def test_path_strings_equal_format_path():
 
 
 # ---------------------------------------------------------------------------
-# one rule for every reader: a JSON boolean is never a number, node ids are
-# whole numbers, and arrays are rectangular
+# one rule for every reader: a JSON boolean or string is never a number, node
+# ids are whole numbers, and arrays are rectangular
 # ---------------------------------------------------------------------------
 
 _SOLVE_TINY = ["solve", "--network", "builtin:tiny", "--alpha", "0.5"]
@@ -939,14 +945,16 @@ _PATH_PRIOR = {"type": "paths", "horizon": 1, "n": 2, "paths": [[1, 2], [2, 1]],
                "weights": [0.5, 0.5]}
 
 
+# file name -> (reader, the name it gives the file in errors, a command reading it)
 _READERS = {
-    "q.json": (lambda path, network: load_path_distribution(path),
+    "q.json": (lambda path, network: load_path_distribution(path), "path distribution",
                _SOLVE_TINY + ["--q-file", "q.json"]),
-    "s.json": (lambda path, network: load_scenario(path), _SCENARIO),
-    "net.json": (lambda path, network: load_network(path),
+    "s.json": (lambda path, network: load_scenario(path), "scenario", _SCENARIO),
+    "net.json": (lambda path, network: load_network(path), "network file",
                  ["solve", "--network", "net.json", "--alpha", "1", "--horizon", "2"]),
-    "rq.json": (load_step_weights, _SOLVE_TINY + ["--rq-file", "rq.json"]),
-    "p.json": (lambda path, network: load_prior(path), _BRIDGE),
+    "rq.json": (load_step_weights, "step weights",
+                _SOLVE_TINY + ["--rq-file", "rq.json"]),
+    "p.json": (lambda path, network: load_prior(path), "prior", _BRIDGE),
 }
 
 
@@ -954,13 +962,27 @@ _READERS = {
     ("q.json", _Q_DOC, ("entries", 0, "path", 0), True, "bad entry"),
     ("q.json", _Q_DOC, ("entries", 0, "prob"), True, "bad entry"),
     ("s.json", _SCENARIO_DOC, ("scenario", "affected", 1, 0), True,
-     "scenario field affected is malformed: True is not a number"),
+     "affected is malformed: True is not a number"),
     ("s.json", _SCENARIO_DOC, ("scenario", "affected", 0, 0), 1.9,
-     "scenario field affected is malformed: 1.9 is not a whole number"),
+     "affected is malformed: 1.9 is not a whole number"),
     ("s.json", _SCENARIO_DOC, ("disaster", "edges", 0, 0), 2.5,
-     "scenario field disaster.edges is malformed: 2.5 is not a whole number"),
+     "disaster.edges is malformed: 2.5 is not a whole number"),
     ("s.json", _SCENARIO_DOC, ("alpha",), 10 ** 400,
-     "scenario field alpha is malformed: int too large to convert to float"),
+     "alpha is malformed: int too large to convert to float"),
+    ("s.json", _SCENARIO_DOC, ("T",), "3", "T is malformed: '3' is not a number"),
+    ("s.json", _SCENARIO_DOC, ("alpha",), "40",
+     "alpha is malformed: '40' is not a number"),
+    ("s.json", _SCENARIO_DOC, ("disaster", "edges", 0, 1), "4",
+     "disaster.edges is malformed: '4' is not a number"),
+    ("q.json", _Q_DOC, ("entries", 0, "path"), "123", "bad entry"),
+    ("q.json", _Q_DOC, ("entries", 0, "prob"), "1", "bad entry"),
+    ("net.json", _NETWORK_DOC, ("nodes", 1, "x_km"), "3",
+     "nodes[1].x_km is malformed: '3' is not a number"),
+    ("rq.json", _DENSE_RQ, ("matrix", 0, 1), "1",
+     "matrix is malformed: '1' is not a number"),
+    ("rq.json", _SPARSE_RQ, ("entries", 0, 2), "3", "bad entry"),
+    ("p.json", _PATH_PRIOR, ("weights", 1), "0.5",
+     "bad path prior: '0.5' is not a number"),
     ("net.json", _NETWORK_DOC, ("nodes", 1, "x_km"), True,
      "nodes[1].x_km is malformed: True is not a number"),
     ("net.json", _NETWORK_DOC, ("edges", 0, "length_km"), True,
@@ -981,14 +1003,16 @@ _READERS = {
      "bad path prior: True is not a number"),
 ], ids=["q-path-id", "q-prob", "scenario-affected-bool",
         "scenario-affected-fraction", "scenario-disaster-fraction",
-        "scenario-alpha-overflow",
+        "scenario-alpha-overflow", "scenario-T-text", "scenario-alpha-text",
+        "scenario-disaster-text", "q-path-text", "q-prob-text", "network-x-text",
+        "rq-matrix-text", "rq-entry-text", "prior-weight-text",
         "network-x", "network-length", "network-cost-rule", "rq-matrix-cell",
         "rq-entry-id", "prior-initial", "prior-ragged-matrix",
         "prior-matrices-cell", "prior-path-id", "prior-weight"])
 def test_every_reader_refuses_what_is_no_number(tmp_path, monkeypatch, capsys,
                                                 tiny, name, doc, at, value,
                                                 message):
-    read, argv = _READERS[name]
+    read, what, argv = _READERS[name]
     f = tmp_path / name
     f.write_text(json.dumps(doc))
     read(str(f), tiny.network)                 # the unpatched file reads
@@ -1001,7 +1025,7 @@ def test_every_reader_refuses_what_is_no_number(tmp_path, monkeypatch, capsys,
     f.write_text(json.dumps(doc))
     with pytest.raises(ValidationError) as err:
         read(str(f), tiny.network)
-    assert str(f) in str(err.value) and message in str(err.value)
+    assert str(err.value).startswith(f"{what} {f}: ") and message in str(err.value)
 
     (tmp_path / "m.json").write_text(json.dumps([0.5, 0.5]))
     monkeypatch.chdir(tmp_path)

@@ -166,7 +166,7 @@ def test_load_scenario_reads_disaster_block(tmp_path):
      "weights.maritime"),
     *[({"scenario": {"kind": "risk", "normalize_rows": flag}},
        "normalize_rows must be a bool") for flag in ("false", None, 0, 1, [], "")],
-    ({"T": 3.5}, "field T is malformed: 3.5 is not a whole number"),
+    ({"T": 3.5}, "T is malformed: 3.5 is not a whole number"),
 ], ids=["affected-triple", "multiplier-text", "disaster-list", "supply-key",
         "weight-text", "flag-text", "flag-null", "flag-zero", "flag-one",
         "flag-list", "flag-empty", "fractional-T"])
@@ -191,8 +191,8 @@ def test_scenario_refuses_a_non_finite_mass(tmp_path, capsys, field, mass):
 
 
 @pytest.mark.parametrize("patch, field", [
-    ({"supply": {"8": True}, "demand": {"3": 1.0}}, "supply"),
-    ({"supply": {"8": 1.0}, "demand": {"3": True}}, "demand"),
+    ({"supply": {"8": True}, "demand": {"3": 1.0}}, "supply: mass"),
+    ({"supply": {"8": 1.0}, "demand": {"3": True}}, "demand: mass"),
     ({"T": True}, "T"),
     ({"alpha": True}, "alpha"),
 ], ids=["supply", "demand", "T", "alpha"])
@@ -201,8 +201,8 @@ def test_scenario_refuses_a_boolean_number(tmp_path, capsys, patch, field):
     spec = _write_spec(tmp_path, dict(RISK_DOC, **patch))
     assert main(["scenario", "--spec", spec, "--out-dir",
                  str(tmp_path / "out")]) == 1
-    assert (f"scenario field {field} is malformed: True is not a number"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == (f"error: scenario {spec}: {field} is "
+                                       "malformed: True is not a number\n")
     assert not (tmp_path / "out").exists()
 
 

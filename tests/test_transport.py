@@ -10,7 +10,7 @@ which carry no flow.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iotnet.errors import InfeasibleError, ValidationError
@@ -90,6 +90,8 @@ def _check_against_the_oracle(table):
 
 @settings(max_examples=300, deadline=None)
 @given(tables())
+# the oracle once left 5.6e-17 of flow on the row 5>7, whose start has no mass
+@example(_table([0, 0, 0, 2, 0, 1], [3, 0], [0] * 8 + [19] + [0] * 3))
 def test_transport_lp_reaches_the_dense_oracles_optimum(table):
     _check_against_the_oracle(table)
 
