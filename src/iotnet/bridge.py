@@ -82,19 +82,24 @@ def log_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     A shifted matmul: ``log(exp(A - a) @ exp(B - b)) + a + b`` with ``a`` the
     row maxima of ``A`` and ``b`` the column maxima of ``B``, so every factor
-    is at most 1.  An entry whose shifted sum is below 1e-280 (its largest
-    terms underflowed or went subnormal, or it has none) is recomputed as an
-    exact log-sum-exp over its own terms, in slabs of at most 2^20 terms;
-    ``-inf`` is where no term is finite.
+    is at most 1.  ``-inf`` is where no term is finite (a structural zero,
+    whose shifted sum is exactly 0).  Any other entry whose shifted sum is
+    below 1e-280 (its largest terms underflowed or went subnormal) is
+    recomputed as an exact log-sum-exp over its own terms, in slabs of at
+    most 2^20 terms; the structural zeros are told apart by the support
+    product ``isfinite(A) @ isfinite(B)``, one float matmul, which is 0
+    there.
     """
     a = np.max(A, axis=1, keepdims=True)
     b = np.max(B, axis=0, keepdims=True)
     a[a == -np.inf] = 0.0
     b[b == -np.inf] = 0.0
     total = np.exp(A - a) @ np.exp(B - b)
-    low = total < _SUM_FLOOR
     with np.errstate(divide="ignore"):
         out = np.log(total) + a + b
+    low = total < _SUM_FLOOR
+    if low.any():
+        low &= np.isfinite(A).astype(float) @ np.isfinite(B).astype(float) > 0
     rows, cols = np.nonzero(low)
     slab = max(1, _SLAB_TERMS // A.shape[1])
     for k in range(0, rows.size, slab):

@@ -15,9 +15,13 @@ id, floats through ``repr`` over ``tolist()``, one ``"\n".join`` at the end.
 Text in the writer's layout is read back the same way, with one split and one
 conversion per column of ``[paths]`` and ``[edge_usage]`` once every line has
 the writer's cell count; any other text goes to the line-by-line reader,
-which names the first bad line.  JSON files are decoded with the cyclic
-garbage collector paused, since the fresh document holds no garbage; a
-q-file keeps it paused until its document is converted and freed.
+which names the first bad line.  The sparse ``entries`` of an rq-file are
+read the same way: one conversion per column when every entry is a
+well-formed ``[i, j, w]`` on its own network edge, else the entry loop,
+which names the first bad entry.  Every input file is UTF-8 text.  JSON
+files are decoded with the cyclic garbage collector paused, since the fresh
+document holds no garbage; a q-file keeps it paused until its document is
+converted and freed.
 """
 
 from __future__ import annotations
@@ -85,6 +89,9 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read the file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not UTF-8 text: {exc.reason} at byte "
+                              f"{exc.start}") from exc
 
 
 def _read_json(path: str) -> object:
@@ -217,6 +224,8 @@ def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
         raise ValidationError("need keys 'horizon' and 'entries'")
     horizon = parse_field("horizon", whole_number, doc["horizon"])
     entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise ValidationError("'entries' must be a list")
     fault = None
     # one flat conversion reads a valid file faster than the entry loop, which
     # is the reference for how an entry reads and runs unless every id is an int,
@@ -302,12 +311,58 @@ def save_path_distribution(path: str, horizon: int,
 # ---------------------------------------------------------------------------
 
 
+def _entry_weights(entries: list, edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat cells of ``edge`` and the weights that rq-file entries
+    ``[i, j, w]`` name, read one entry at a time: the reference for how an
+    entry reads, which names the first bad one."""
+    n = edge.shape[0]
+    cells, weights = {}, []
+    for ent in entries:
+        try:
+            i, j, w = whole_number(ent[0]), whole_number(ent[1]), number(ent[2])
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"bad entry {ent}") from exc
+        if not (1 <= i <= n and 1 <= j <= n and edge[i - 1, j - 1]):
+            raise ValidationError(f"entry ({i},{j}) is not a network edge")
+        if (i, j) in cells:
+            raise ValidationError(f"pair ({i},{j}) is named twice")
+        cells[(i, j)] = (i - 1) * n + j - 1
+        weights.append(w)
+    return np.array(list(cells.values()), dtype=np.int64), np.array(weights, dtype=float)
+
+
+def _listed_weights(entries: list, edge: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """What :func:`_entry_weights` reads, by one conversion per column, when
+    every entry is an ``[int, int, int or float]`` list naming its own network
+    edge; None otherwise, for the entry loop to read or to refuse."""
+    if not entries or set(map(type, entries)) != {list} or (
+            list(map(len, entries)).count(3) != len(entries)):
+        return None
+    tails, heads, values = zip(*entries)
+    if set(map(type, tails + heads)) != {int} or set(map(type, values)) - {int, float}:
+        return None
+    try:
+        ends = np.array((tails, heads), dtype=np.int64)
+        weights = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    n = edge.shape[0]
+    inside = ((ends >= 1) & (ends <= n)).all(axis=0)
+    at = np.clip(ends, 1, n) - 1
+    cells = at[0] * n + at[1]
+    if not (inside & edge.flat[cells]).all() or _repeats(cells).any():
+        return None
+    return cells, weights
+
+
 def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, np.ndarray]:
     """Load Markov step weights for an imitation target.
 
     Dense form: ``{"matrix": [[...]] [, "initial": [...]]}``.
-    Sparse form: ``{"default": w0, "entries": [[i, j, w], ...]}`` where the
-    default applies to every existing network edge not listed; pairs without a
+    Sparse form: ``{"default": w0, "entries": [[i, j, w], ...]}`` (a list;
+    :func:`_listed_weights`, else :func:`_entry_weights`) where the default
+    applies to every existing network edge not listed; pairs without a
     network edge always get weight 0.  Weights must be finite and nonnegative.
     """
     with naming("step weights", path):
@@ -322,19 +377,13 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
                 raise ValidationError(f"matrix shape {mat.shape}, expected {(n, n)}")
         elif isinstance(doc, dict) and ("entries" in doc or "default" in doc):
             default = parse_field("default", number, doc.get("default", 1.0))
+            entries = doc.get("entries", [])
+            if not isinstance(entries, list):
+                raise ValidationError("'entries' must be a list")
             mat = np.where(edge, default, 0.0)
-            named = set()
-            for ent in doc.get("entries", []):
-                try:
-                    i, j, w = whole_number(ent[0]), whole_number(ent[1]), number(ent[2])
-                except (LookupError, TypeError, ValueError, OverflowError) as exc:
-                    raise ValidationError(f"bad entry {ent}") from exc
-                if not (1 <= i <= n and 1 <= j <= n and edge[i - 1, j - 1]):
-                    raise ValidationError(f"entry ({i},{j}) is not a network edge")
-                if (i, j) in named:
-                    raise ValidationError(f"pair ({i},{j}) is named twice")
-                named.add((i, j))
-                mat[i - 1, j - 1] = w
+            cells, weights = (_listed_weights(entries, edge)
+                              or _entry_weights(entries, edge))
+            mat.flat[cells] = weights
         else:
             raise ValidationError("need 'matrix' or 'entries'")
         bad = np.argwhere(~np.isfinite(mat))

@@ -218,16 +218,8 @@ class CostModel:
 
     @classmethod
     def markov(cls, edge_costs: Mapping[tuple[int, int], float]) -> "CostModel":
-        table = {}
-        for (i, j), c in edge_costs.items():
-            c = float(c)
-            if not math.isfinite(c) or c < 0:
-                raise ValidationError(
-                    f"markov cost for ({i},{j}) must be finite nonnegative, got {c}")
-            table[(int(i), int(j))] = c
-        if not table:
-            raise ValidationError("markov cost table is empty")
-        return cls(mode=MARKOV, edge_costs=table)
+        return _checked_markov({(int(i), int(j)): float(c)
+                                for (i, j), c in edge_costs.items()})
 
     @classmethod
     def ruled(cls, *, highway_discount_2: float = 0.20,
@@ -253,6 +245,20 @@ class CostModel:
                    switch_penalty_km=switch_penalty_km,
                    storage_cost_km=storage_cost_km,
                    maritime_multiplier=maritime_multiplier)
+
+
+def _checked_markov(table: dict[tuple[int, int], float], **rules: float) -> CostModel:
+    """The Markov model on ``table`` (int pairs to float costs), with the
+    ruled-mode fields ``rules``, once every cost is finite and nonnegative."""
+    costs = np.fromiter(table.values(), float, len(table))
+    bad = np.flatnonzero(~(np.isfinite(costs) & (costs >= 0)))
+    if bad.size:
+        (i, j), c = list(table.items())[bad[0]]
+        raise ValidationError(
+            f"markov cost for ({i},{j}) must be finite nonnegative, got {c}")
+    if not table:
+        raise ValidationError("markov cost table is empty")
+    return CostModel(mode=MARKOV, edge_costs=table, **rules)
 
 
 def cost_matrix(model: CostModel, n: int) -> np.ndarray:
@@ -345,14 +351,19 @@ def markov_model_from_network(network: Network,
 
     Each edge pair costs its :func:`edge_table` contribution.  Run discounts
     and switch penalties are path-level rules and do not enter the table;
-    the ruled model's fields are copied onto the Markov model.
+    the ruled model's fields are copied onto the Markov model, and its
+    :func:`cost_matrix` table is the edge table's own, ``inf`` off the edges.
     """
     if ruled is None:
         ruled = CostModel.ruled()
-    costs = edge_table(network, ruled)[1][network.edge_mask]  # in pair order
-    model = CostModel.markov(dict(zip(map(tuple, network.pairs.tolist()),
-                                      costs.tolist())))
-    return replace(model, **{name: getattr(ruled, name) for name in RULE_FIELDS})
+    contrib = edge_table(network, ruled)[1]
+    costs = contrib[network.edge_mask]   # in pair order
+    table = dict(zip(map(tuple, network.pairs.tolist()), costs.tolist()))
+    model = _checked_markov(table, **{name: getattr(ruled, name) for name in RULE_FIELDS})
+    step = np.where(network.edge_mask, contrib, math.inf)
+    step.flags.writeable = False
+    model._cost_tables[network.n] = step
+    return model
 
 
 # ---------------------------------------------------------------------------

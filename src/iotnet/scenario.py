@@ -28,7 +28,9 @@ Where the numbers come from:
   The imitation kind's costs are not additive over steps, so it enumerates
   the path space and picks the rows from it (:func:`cheapest_paths`, the
   lowest path index on ties); the risk kind finds the same rows, in the same
-  order, by a min-plus pass (:func:`cheapest_rows`).
+  order, by a min-plus pass and one vectorised descent for every endpoint
+  pair at once, with a depth-first search as the fallback for a pair whose
+  descent misses its smallest cost (:func:`cheapest_rows`).
 * Every plan is a node table (one path per row, with its mass and cost) or
   a chain.  Node tables, the LP plan of either kind and the imitation
   kind's target and imitation plan, go through :func:`plan_report`:
@@ -44,6 +46,8 @@ Where the numbers come from:
 * The risk kind's Markov costs and step weights (:func:`build_risk_matrix`,
   an ``np.where`` over kinds and affected pairs) both read the network's
   edge table (:func:`~iotnet.network.edge_table`).
+* Report files are written a column at a time (:func:`emit_report`): each
+  column is one ``map`` over a list, and the rows one ``",".join``.
 """
 
 from __future__ import annotations
@@ -399,14 +403,18 @@ def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,
 
     A forward min-plus pass gives each pair's smallest cost exactly, since
     rounding is monotone: the cheapest left-to-right sum extends a cheapest
-    prefix.  A depth-first walk over successors in ascending order then
-    finds the first path reaching it, pruned where the prefix plus the
-    cheapest cost-to-go (a backward min-plus pass, summed in another order)
-    exceeds it by more than a relative 1e-12.
+    prefix.  The first path reaching it is the first leaf of a depth-first
+    walk over successors in ascending order, pruned where the prefix plus
+    the cheapest cost-to-go (a backward min-plus pass, summed in another
+    order, with a column per end node) exceeds it by more than a relative
+    1e-12.  That walk's first descent is taken for every pair at once: at
+    each step, the lowest successor within the bound, one ``argmax`` over a
+    (pairs x nodes) mask.  The walk itself runs only for the pairs whose
+    descent stops short or does not add up to the smallest cost exactly.
     """
     n = cost.shape[0]
-    # to_go[t][j, e]: cheapest cost from node j to end e in horizon - t steps
-    to_go = [np.where(np.eye(n, dtype=bool), 0.0, math.inf)]
+    # to_go[t][j, c]: cheapest cost from node j to ends[c] in horizon - t steps
+    to_go = [np.where(np.arange(n)[:, None] == ends - 1, 0.0, math.inf)]
     for _ in range(horizon):
         to_go.insert(0, _min_plus(cost, to_go[0]))
     # best[k, e]: smallest left-to-right cost from starts[k] to e
@@ -415,34 +423,46 @@ def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,
     for _ in range(horizon):
         best = _min_plus(best, cost)
 
-    succ = [np.flatnonzero(np.isfinite(row)).tolist() for row in cost]
-    step, to_go = cost.tolist(), [m.tolist() for m in to_go]
+    # one pair per (start, end column) with a path, in start-major order
+    k, col = np.nonzero(best[:, ends - 1] < math.inf)
+    target = best[k, ends[col] - 1]
+    bound = target + 1e-12 * np.abs(target)
+    pick = np.arange(k.size)
+    node, prefix = starts[k] - 1, np.zeros(k.size)
+    path, landed = [node], np.ones(k.size, dtype=bool)
+    for t in range(horizon):
+        total = prefix[:, None] + cost[node]
+        fits = total + to_go[t + 1][:, col].T <= bound[:, None]
+        node = np.argmax(fits, axis=1)
+        landed &= fits[pick, node]
+        prefix = total[pick, node]
+        path.append(node)
+    rows = np.stack(path, axis=1)
+    redo = np.flatnonzero(~landed | (prefix != target))
 
-    def first(path: list[int], prefix: float, end: int, target: float,
-              bound: float) -> list[int] | None:
-        t, i = len(path) - 1, path[-1]
-        if t == horizon:
-            return path if prefix == target else None
-        for j in succ[i]:
-            total = prefix + step[i][j]
-            if total + to_go[t + 1][j][end] <= bound:
-                found = first(path + [j], total, end, target, bound)
-                if found is not None:
-                    return found
-        return None
+    if redo.size:
+        succ = [np.flatnonzero(np.isfinite(row)).tolist() for row in cost]
+        step, to_go = cost.tolist(), [m.tolist() for m in to_go]
 
-    rows, costs = [], []
-    for k, s in enumerate(starts.tolist()):
-        for e in ends.tolist():
-            target = float(best[k, e - 1])
-            if target < math.inf:
-                path = first([s - 1], 0.0, e - 1, target,
-                             target + 1e-12 * abs(target))
-                rows.append(path)
-                costs.append(target)
-    rows = np.array(rows, dtype=np.int64).reshape(len(rows), horizon + 1) + 1
+        def first(path: list[int], prefix: float, end: int, target: float,
+                  bound: float) -> list[int] | None:
+            t, i = len(path) - 1, path[-1]
+            if t == horizon:
+                return path if prefix == target else None
+            for j in succ[i]:
+                total = prefix + step[i][j]
+                if total + to_go[t + 1][j][end] <= bound:
+                    found = first(path + [j], total, end, target, bound)
+                    if found is not None:
+                        return found
+            return None
+
+        for p in redo.tolist():
+            rows[p] = first([int(rows[p, 0])], 0.0, int(col[p]), float(target[p]),
+                            float(bound[p]))
+    rows += 1
     order = np.lexsort(rows.T[::-1])
-    return rows[order], np.array(costs)[order]
+    return rows[order], target[order]
 
 
 def _transport_simplex(cost: np.ndarray, supply: np.ndarray,
@@ -735,9 +755,9 @@ def emit_report(result: ScenarioResult, out_dir: str) -> list[str]:
     for t, usage in enumerate(plan.edge_usage):
         lines = ["from,to,mass"]
         tails, heads = np.nonzero(usage >= DISPLAY_THRESHOLD)
-        for i, j, mass in zip((tails + 1).tolist(), (heads + 1).tolist(),
-                              usage[tails, heads].tolist()):
-            lines.append(f"{i},{j},{fmt(mass)}")
+        lines += map(",".join, zip(map(str, (tails + 1).tolist()),
+                                   map(str, (heads + 1).tolist()),
+                                   map(repr, usage[tails, heads].tolist())))
         path = os.path.join(out_dir, f"report_usage_t{t}.csv")
         atomic_write_text(path, "\n".join(lines) + "\n")
         written.append(path)
@@ -764,16 +784,14 @@ def emit_report(result: ScenarioResult, out_dir: str) -> list[str]:
     written.append(path)
 
     if result.disaster is not None:
+        rows = result.disaster.rows
+        values = np.array([(r.mass, r.imitation_before, r.imitation_after,
+                            r.imitation_delta, r.optimal_before, r.optimal_after,
+                            r.optimal_delta) for r in rows], dtype=float)
         lines = ["node,demand_mass,imitation_before,imitation_after,"
                  "imitation_delta,optimal_before,optimal_after,optimal_delta"]
-        for row in result.disaster.rows:
-            lines.append(",".join([str(row.node), fmt(row.mass),
-                                   fmt(row.imitation_before),
-                                   fmt(row.imitation_after),
-                                   fmt(row.imitation_delta),
-                                   fmt(row.optimal_before),
-                                   fmt(row.optimal_after),
-                                   fmt(row.optimal_delta)]))
+        lines += map(",".join, zip(map(str, [r.node for r in rows]),
+                                   *(map(repr, col) for col in values.T.tolist())))
         path = os.path.join(out_dir, "report_disaster.csv")
         atomic_write_text(path, "\n".join(lines) + "\n")
         written.append(path)

@@ -231,14 +231,28 @@ _LOG_ENTRIES = st.floats(-3000.0, 0.0) | st.just(-np.inf)
 @st.composite
 def log_factors(draw):
     """Log matrices ``A`` (m x k) and ``B`` (k x p), shapes 1..8, with entries
-    in [-3000, 0] or ``-inf``: wide enough that shifted sums underflow."""
+    in [-3000, 0] or ``-inf``: wide enough that shifted sums underflow.  Half
+    the draws are sparse: about two cells in three of each factor are
+    ``-inf``, and so are some whole rows of ``A`` and columns of ``B``, so
+    that many products have no finite term (a structural zero)."""
     m, k, p = (draw(st.integers(1, 8)) for _ in range(3))
 
     def matrix(rows, cols):
         return np.array(draw(st.lists(_LOG_ENTRIES, min_size=rows * cols,
                                       max_size=rows * cols))).reshape(rows, cols)
 
-    return matrix(m, k), matrix(k, p)
+    def blank(rows, cols):
+        return np.array(draw(st.lists(st.sampled_from([False, True, True]),
+                                      min_size=rows * cols,
+                                      max_size=rows * cols))).reshape(rows, cols)
+
+    A, B = matrix(m, k), matrix(k, p)
+    if draw(st.booleans()):
+        A[blank(m, k)] = -np.inf
+        B[blank(k, p)] = -np.inf
+        A[sorted(draw(st.sets(st.integers(0, m - 1))))] = -np.inf
+        B[:, sorted(draw(st.sets(st.integers(0, p - 1))))] = -np.inf
+    return A, B
 
 
 @settings(max_examples=300, deadline=None)
@@ -246,6 +260,10 @@ def log_factors(draw):
 # partly underflowed: both terms are exp(-740), subnormal, whose sum keeps
 # only a few bits unless it is recomputed in log space
 @example((np.array([[0.0, -740.0]]), np.array([[-740.0], [0.0]])))
+# structural zeros: no term of the corner entry is finite, and the second
+# row of A and the second column of B are -inf throughout
+@example((np.array([[0.0, -np.inf], [-np.inf, -np.inf]]),
+          np.array([[-np.inf, -np.inf], [0.0, -np.inf]])))
 def test_log_matmul_matches_the_exact_log_sum_exp(factors):
     A, B = factors
     exact = logsumexp(A[:, :, None] + B[None], axis=1)

@@ -9,12 +9,13 @@ scenario (:func:`iotnet.scenario.chain_totals`,
 enumerate a single path.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import iotnet
@@ -24,6 +25,7 @@ from iotnet import (
     ImitationTarget,
     InfeasibleError,
     IOTProblem,
+    PathSpace,
     build_network,
     edge_usage_from_law,
     enumerate_paths,
@@ -34,7 +36,8 @@ from iotnet import (
 )
 from iotnet import fixtures
 from iotnet.cli import main
-from iotnet.network import cost_matrix, count_paths, markov_model_from_network
+from iotnet.network import (cost_matrix, count_paths, markov_model_from_network,
+                            row_costs)
 from iotnet.scenario import (RiskWeights, _min_plus, build_risk_matrix,
                              chain_totals, cheapest_paths, cheapest_rows,
                              load_scenario, plan_report, run_scenario)
@@ -181,11 +184,16 @@ def test_a_horizon_only_problem_enumerates_its_space_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_cheapest_rows_break_ties_lexicographically():
-    # two cheapest paths 1 > 2 > 4 and 1 > 3 > 4 (cost 2), one dearer 1 > 4 > 4
+def _tie_case():
+    """Two cheapest paths 1 > 2 > 4 and 1 > 3 > 4 (cost 2), one dearer 1 > 4 > 4."""
     cost = np.full((4, 4), math.inf)
     cost[0, 1] = cost[0, 2] = cost[1, 3] = cost[2, 3] = 1.0
     cost[0, 3], cost[3, 3] = 1.5, 1.0
+    return cost, 2, np.array([1]), np.array([4])
+
+
+def test_cheapest_rows_break_ties_lexicographically():
+    cost = _tie_case()[0]
     rows, costs = cheapest_rows(cost, 2, np.array([1]), np.array([4]))
     assert rows.tolist() == [[1, 2, 4]] and costs.tolist() == [2.0]
     # 1 + (1 + 2**-52) rounds to 2.0: still a tie, as the path sums see it
@@ -195,6 +203,61 @@ def test_cheapest_rows_break_ties_lexicographically():
     cost[1, 3] = np.nextafter(cost[1, 3], 2.0)   # now 1 > 3 > 4 is cheaper
     rows, _ = cheapest_rows(cost, 2, np.array([1]), np.array([4]))
     assert rows.tolist() == [[1, 3, 4]]
+
+
+def _fallback_case():
+    """1 > 2 > 4 costs 1 + 2**-52, within the 1e-12 bound of the smallest
+    cost 1.0 at every step, so the first descent takes it; only 1 > 3 > 4
+    adds up to 1.0 exactly."""
+    cost = np.full((4, 4), math.inf)
+    cost[0, 1], cost[0, 2] = 1.0 + 2.0**-52, 1.0
+    cost[1, 3] = cost[2, 3] = 0.0
+    return cost, 2, np.array([1]), np.array([4])
+
+
+def test_cheapest_rows_search_where_the_first_descent_misses_the_sum():
+    rows, costs = cheapest_rows(*_fallback_case())
+    assert rows.tolist() == [[1, 3, 4]] and costs.tolist() == [1.0]
+
+
+# dyadic step costs of several magnitudes: equal sums tie exactly, and a
+# small cost beside a large one rounds away (1 + 2**-53 is 1.0)
+_DYADIC_COST = st.sampled_from([math.inf, 0.0, 2.0**-53, 0.5, 1.0, 1.0 + 2.0**-52,
+                                2.0**53])
+
+
+@st.composite
+def step_cost_cases(draw):
+    """A step-cost array on 2-5 nodes (``inf`` off its steps), a horizon of
+    1-3, and start and end nodes, each a nonempty sorted set."""
+    n = draw(st.integers(2, 5))
+    cost = np.array(draw(st.lists(_DYADIC_COST, min_size=n * n,
+                                  max_size=n * n))).reshape(n, n)
+    nodes = st.sets(st.integers(1, n), min_size=1).map(sorted).map(np.array)
+    return cost, draw(st.integers(1, 3)), draw(nodes), draw(nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_cost_cases())
+@example(_tie_case())
+@example(_fallback_case())
+def test_cheapest_rows_are_the_lowest_index_cheapest_paths(case):
+    """Per endpoint pair, the enumerated space's lowest-index path among those
+    of smallest left-to-right cost, in lexicographic order."""
+    cost, horizon, starts, ends = case
+    n = cost.shape[0]
+    rows = np.array(list(itertools.product(range(1, n + 1), repeat=horizon + 1)))
+    rows = rows[np.isin(rows[:, 0], starts) & np.isin(rows[:, -1], ends)]
+    costs = row_costs(cost, rows)
+    space = PathSpace(horizon=horizon, n=n, array=rows[np.isfinite(costs)])
+    costs = costs[np.isfinite(costs)]
+    got_rows, got_costs = cheapest_rows(cost, horizon, starts, ends)
+    if not space.size:
+        assert got_rows.shape == (0, horizon + 1) and got_costs.size == 0
+        return
+    keep = _lowest_index_cheapest(space, costs)
+    assert np.array_equal(got_rows, space.array[keep])
+    assert np.array_equal(got_costs, costs[keep])
 
 
 def _min_plus_by_columns(a, b):

@@ -525,15 +525,23 @@ _CERT = ["robust-cert", "--plan", "plan.txt", "--q-file", "q.json", "--epsilon",
     ("s.json", dict(_RISK_SPEC, alpha=-4.0), _SCENARIO),
     ("q.json", {"horizon": 2, "entries": [{"path": [9, 9, 9], "prob": 1.0}]},
      _TINY + ["--q-file", "q.json"]),
+    ("q.json", {"horizon": 2, "entries": 5}, _TINY + ["--q-file", "q.json"]),
+    ("rq.json", {"default": 1.0, "entries": 5},
+     _TINY + ["--cost", "markov", "--rq-file", "rq.json"]),
+    # a UTF-16 byte-order mark: no UTF-8 text starts with the byte ff
+    ("m.json", b"\xff\xfe[0.5, 0.5]", _TINY + ["--nu0", "m.json"]),
 ], ids=["q-horizon", "marginal-entry", "marginal-key", "rq-default",
         "rq-matrix-entry", "prior-n", "network-cost-rule", "scenario-T-text",
         "plan-no-paths", "plan-no-alpha", "plan-half-mass", "scenario-negative-supply",
         "scenario-unknown-demand-node", "scenario-inline-network", "scenario-blend",
-        "scenario-alpha", "q-outside-the-space"])
+        "scenario-alpha", "q-outside-the-space", "q-entries-not-a-list",
+        "rq-entries-not-a-list", "marginal-not-utf8"])
 def test_malformed_files_are_refused_with_an_error_naming_them(outdir, capsys,
                                                                name, doc, argv):
     if name == "net.json":
         _network_file(outdir / name, doc)
+    elif isinstance(doc, bytes):
+        (outdir / name).write_bytes(doc)
     else:
         (outdir / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, _, err = run_cli(argv, capsys)
