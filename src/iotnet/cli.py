@@ -210,6 +210,7 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
         "horizon": horizon,
         "n": n,
         "iterations": solution.iterations,
+        "newton_steps": solution.newton_steps,
         "residual": solution.residual,
         "phi0": np.exp(solution.log_phi0).tolist(),
         "phiT": np.exp(solution.log_phiT).tolist(),

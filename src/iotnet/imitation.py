@@ -30,6 +30,7 @@ beta * uniform``; a blended Markov target is no longer Markov, so any
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -365,6 +366,31 @@ def chain_plan(problem: IOTProblem, solution: BridgeSolution) -> TransportPlan:
                          edge_usage=usage)
 
 
+def _largest_chain_cost(problem: IOTProblem) -> float:
+    """The largest cost of a horizon-step path from ``nu0``'s support to
+    ``nuT``'s, by a max-plus pass over the step costs: the largest of the path
+    route's costs, added in the same order (``-inf`` where no path runs)."""
+    steps = cost_matrix(problem.cost_model, problem.nu0.size)
+    steps = np.where(np.isfinite(steps), steps, -np.inf)
+    largest = np.where(problem.nu0 > 0, 0.0, -np.inf)
+    for _ in range(problem.horizon):
+        largest = np.max(largest[:, None] + steps, axis=0)
+    return float(largest[problem.nuT > 0].max())
+
+
+def _check_cost_scale(largest: float, alpha: float) -> None:
+    """Refuse an ``alpha`` at which the largest path cost over ``alpha``
+    overflows: the path's prior weight would read as zero."""
+    if largest / alpha < math.inf:
+        return
+    smallest = largest / sys.float_info.max
+    if not largest / smallest < math.inf:
+        smallest = math.nextafter(smallest, math.inf)
+    raise ValidationError(
+        f"alpha {alpha!r} is too small for path costs up to {largest!r}: cost / "
+        f"alpha overflows; the smallest alpha that keeps it finite is {smallest!r}")
+
+
 def solve_iot(problem: IOTProblem, *, force_path: bool = False,
               tol: float = 1e-10, max_iter: int = 100_000) -> TransportPlan:
     """Solve the imitation-regularized transport problem.
@@ -380,6 +406,7 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
                     and problem.target.blend == 0.0
                     and not force_path)
     if markov_route:
+        _check_cost_scale(_largest_chain_cost(problem), problem.alpha)
         prior = imitation_prior_markov(problem.cost_model, problem.alpha,
                                        problem.target)
         solution = sinkhorn_markov(prior, problem.nu0, problem.nuT,
@@ -388,6 +415,7 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
     space = problem.space
     q = expand_target(problem.target, space)
     costs = path_costs(space, problem.cost_model, problem.network)
+    _check_cost_scale(float(costs.max(initial=0.0)), problem.alpha)
     prior = imitation_prior_paths(space, costs, q, problem.alpha)
     solution = sinkhorn_path(prior, problem.nu0, problem.nuT,
                              tol=tol, max_iter=max_iter)

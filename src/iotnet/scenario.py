@@ -278,10 +278,14 @@ def load_scenario(path: str) -> ScenarioSpec:
             ddoc = doc["disaster"]
             if not isinstance(ddoc, dict):
                 raise ValidationError("disaster must be an object")
+            multiplier = parse_field("disaster.multiplier", number, ddoc.get(
+                "multiplier", fixtures.DISASTER_MULTIPLIER))
+            if not 0 <= multiplier < math.inf:
+                raise ValidationError("disaster.multiplier must be nonnegative "
+                                      f"and finite, got {multiplier}")
             disaster = DisasterSpec(
                 edges=parse_field("disaster.edges", _pairs, ddoc.get("edges", [])),
-                multiplier=parse_field("disaster.multiplier", number, ddoc.get(
-                    "multiplier", fixtures.DISASTER_MULTIPLIER)))
+                multiplier=multiplier)
 
         return ScenarioSpec(kind=kind, network_ref=network_ref, horizon=horizon,
                             alpha=alpha, beta=beta, supply=supply, demand=demand,
@@ -413,9 +417,10 @@ def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,
     descent stops short or does not add up to the smallest cost exactly.
     """
     n = cost.shape[0]
-    # to_go[t][j, c]: cheapest cost from node j to ends[c] in horizon - t steps
+    # to_go[t][j, c]: cheapest cost from node j to ends[c] in the horizon - t - 1
+    # steps after step t
     to_go = [np.where(np.arange(n)[:, None] == ends - 1, 0.0, math.inf)]
-    for _ in range(horizon):
+    for _ in range(horizon - 1):
         to_go.insert(0, _min_plus(cost, to_go[0]))
     # best[k, e]: smallest left-to-right cost from starts[k] to e
     best = np.full((len(starts), n), math.inf)
@@ -432,7 +437,7 @@ def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,
     path, landed = [node], np.ones(k.size, dtype=bool)
     for t in range(horizon):
         total = prefix[:, None] + cost[node]
-        fits = total + to_go[t + 1][:, col].T <= bound[:, None]
+        fits = total + to_go[t][:, col].T <= bound[:, None]
         node = np.argmax(fits, axis=1)
         landed &= fits[pick, node]
         prefix = total[pick, node]
@@ -451,7 +456,7 @@ def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,
                 return path if prefix == target else None
             for j in succ[i]:
                 total = prefix + step[i][j]
-                if total + to_go[t + 1][j][end] <= bound:
+                if total + to_go[t][j][end] <= bound:
                     found = first(path + [j], total, end, target, bound)
                     if found is not None:
                         return found

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iotnet import (
+    ConvergenceError,
     ImitationTarget,
     InfeasibleError,
     IOTProblem,
@@ -22,6 +23,7 @@ from iotnet import PathSpace, fixtures
 from iotnet.bridge import (
     MarkovPrior,
     PathPrior,
+    _sinkhorn_core,
     chain_law,
     log_matmul,
     logsumexp,
@@ -32,7 +34,7 @@ from iotnet.bridge import (
     sinkhorn_path,
 )
 
-from helpers import feasible_laws, marginal_gap, tv
+from helpers import feasible_laws, marginal_gap, sweep_coupling, tv
 
 
 def _tiny_markov_prior(tiny, alpha=0.5):
@@ -93,7 +95,8 @@ def test_scaling_absorbs_kernels_beyond_the_float_range():
     """Entries e^-1000 and e^-2000 underflow as floats, not as logs.
 
     The kernel's cross ratio is 1, so the bridge is the independent coupling;
-    reaching it needs scalings near e^1000, which only absorption allows.
+    reaching it needs potentials about 1000 nats apart, which only log
+    potentials hold.
     """
     prior = MarkovPrior(initial=np.array([0.5, 0.5]),
                         log_matrix=np.array([[0.0, -1000.0], [-1000.0, -2000.0]]))
@@ -101,6 +104,48 @@ def test_scaling_absorbs_kernels_beyond_the_float_range():
     sol = sinkhorn_markov(prior, nu0, nuT, 1, tol=1e-12)
     assert np.max(np.abs(sol.endpoint_coupling - np.outer(nu0, nuT))) < 1e-12
     assert sol.residual <= 1e-12
+
+
+def _stress_kernels(count: int):
+    """Seeded log kernels of 2-6 starts by 2-6 ends, entries ``-U(0, 1)``
+    times a scale of 1 to 3000 nats, with Dirichlet marginals."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        m, n = rng.integers(2, 7, size=2)
+        scale = rng.choice([1, 10, 100, 1000, 3000])
+        log_kernel = -rng.uniform(0, 1, size=(m, n)) * scale
+        yield log_kernel, rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+
+
+def test_newton_steps_lose_no_kernel_the_sweeps_solve():
+    """The core solves every kernel at tol 1e-10 (the sweeps alone stall on
+    one of the 200), to the sweeps' coupling within 1e-8 total variation
+    wherever they solve too."""
+    for log_kernel, nu0, nuT in _stress_kernels(200):
+        sol = _sinkhorn_core(log_kernel, nu0, nuT, 1e-10, 100_000)
+        assert sol.residual <= 1e-10
+        try:
+            reference = sweep_coupling(log_kernel, nu0, nuT, 1e-10, 100_000)
+        except ConvergenceError:
+            continue
+        assert tv(sol.endpoint_coupling, reference) < 1e-8
+
+
+def test_sweeps_finish_what_the_newton_steps_leave():
+    """Potentials thousands of nats apart take more than the 200 capped
+    Newton steps; the sweeps go on from where they stopped, and
+    ``max_iter`` bounds both kinds of step together."""
+    log_kernel = np.array([[-1801.0, -1114.0, -8308.0], [-9610.0, -7342.0, -730.0]])
+    nu0, nuT = np.full(2, 1 / 2), np.full(3, 1 / 3)
+    sol = _sinkhorn_core(log_kernel, nu0, nuT, 1e-10, 100_000)
+    assert sol.newton_steps == 200 < sol.iterations
+    assert sol.residual <= 1e-10
+    reference = sweep_coupling(log_kernel, nu0, nuT, 1e-10, 100_000)
+    assert tv(sol.endpoint_coupling, reference) < 1e-8
+    with pytest.raises(ConvergenceError):
+        _sinkhorn_core(log_kernel, nu0, nuT, 1e-10, sol.iterations - 1)
+    again = _sinkhorn_core(log_kernel, nu0, nuT, 1e-10, sol.iterations)
+    assert again.iterations == sol.iterations
 
 
 def test_bridge_matches_dense_ipf(tiny):

@@ -147,6 +147,24 @@ def test_solve_at_small_alpha(outdir, capsys, network, extra):
     assert sum(doc["paths"][1].tolist()) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("extra", [[], ["--cost", "markov", "--rq-file", "rq.json"]],
+                         ids=["path", "markov"])
+def test_an_alpha_whose_cost_ratio_overflows_is_refused(outdir, capsys, extra):
+    """At alpha 1e-308 a path cost over alpha overflows, which once read as a
+    zero prior weight and gave a false infeasibility.  The refusal names the
+    smallest alpha that fits, the same on both routes; that one is solved."""
+    (outdir / "rq.json").write_text(json.dumps({"default": 1.0}))
+    argv = ["solve", "--network", "builtin:tiny"] + extra
+    code, _, err = run_cli(argv + ["--alpha", "1e-308"], capsys)
+    assert code == 1
+    assert err.startswith("error: alpha 1e-308 is too small for path costs up "
+                          "to 3.1:")
+    smallest = err.strip().rsplit(" ", 1)[1]
+    assert float(smallest) == 3.1 / sys.float_info.max
+    code, _, err = run_cli(argv + ["--alpha", smallest, "--max-iter", "1"], capsys)
+    assert code == 2, err
+
+
 @pytest.mark.parametrize("cost, derived", [("ruled", 0), ("auto", 0),
                                            ("markov", 1)])
 def test_solve_derives_the_markov_model_only_when_it_prices(outdir, capsys,
@@ -224,6 +242,7 @@ def test_bridge_markov_prior(outdir, capsys):
     pi = np.array(doc["endpoint_coupling"])
     assert np.max(np.abs(pi.sum(axis=1) - [0.5, 0.3, 0.2])) < 1e-9
     assert np.max(np.abs(pi.sum(axis=0) - [0.2, 0.3, 0.5])) < 1e-9
+    assert 0 < doc["newton_steps"] <= doc["iterations"]
 
 
 def test_bridge_markov_requires_horizon(outdir, capsys):

@@ -190,6 +190,18 @@ def test_scenario_refuses_a_non_finite_mass(tmp_path, capsys, field, mass):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), -1.0])
+def test_a_disaster_multiplier_out_of_range_names_the_scenario(tmp_path, capsys,
+                                                              multiplier):
+    spec = _write_spec(tmp_path, dict(RISK_DOC, disaster={"edges": [[7, 18]],
+                                                          "multiplier": multiplier}))
+    assert main(["scenario", "--spec", spec, "--out-dir",
+                 str(tmp_path / "out")]) == 1
+    assert (f"error: scenario {spec}: disaster.multiplier must be nonnegative and "
+            f"finite, got {multiplier}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("patch, field", [
     ({"supply": {"8": True}, "demand": {"3": 1.0}}, "supply: mass"),
     ({"supply": {"8": 1.0}, "demand": {"3": True}}, "demand: mass"),
