@@ -21,7 +21,8 @@ well-formed ``[i, j, w]`` on its own network edge, else the entry loop,
 which names the first bad entry.  Every input file is UTF-8 text.  JSON
 files are decoded with the cyclic garbage collector paused, since the fresh
 document holds no garbage; a q-file keeps it paused until its document is
-converted and freed.
+converted and freed.  A q-file, the one large input, is decoded by orjson
+and kept only when it reads as valid; ``json`` decodes and refuses any other.
 """
 
 from __future__ import annotations
@@ -211,15 +212,67 @@ def load_path_distribution(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     at its first entry that does not parse (ids beyond int64 do not), has the
     wrong length, a non-finite or negative prob (JSON's ``NaN`` and
     ``Infinity`` parse) or an earlier entry's path, in that order.
+
+    The file is first decoded by orjson and kept only when :func:`_accepted`
+    finds it valid; any other file is decoded again by ``json`` and read, or
+    refused, by :func:`_path_table`.
     """
     # the document and the lists built from it are fresh containers, freed
-    # when _path_table returns: a collection before then could free nothing
+    # when the table returns: a collection before then could free nothing
     with _collector_paused(), naming("path distribution", path):
-        return _path_table(path)
+        return _accepted(path) or _path_table(_read_json(path))
 
 
-def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
-    doc = _read_json(path)
+def _columns(horizon: int, entries: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """The node matrix and probs of ``entries`` by one flat conversion, when
+    every id is an int, every prob an int or float (no bool or string) and
+    every path ``horizon + 1`` long; None otherwise, for the entry loop."""
+    try:
+        paths = [ent["path"] for ent in entries]
+        ids = list(chain.from_iterable(paths))
+        probs = [ent["prob"] for ent in entries]
+        if (set(map(type, ids)) <= {int} and set(map(type, probs)) <= {float, int}
+                and list(map(len, paths)).count(horizon + 1) == len(paths)):
+            return (np.fromiter(ids, np.int64, len(ids)).reshape(len(paths), -1),
+                    np.array(probs, dtype=float))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
+def _accepted(path: str) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """The q-file ``path`` decoded by orjson, when its horizon is an int and
+    :func:`_columns` reads its entries to finite probs in ``[0, 2**63)`` on
+    distinct paths; None for every other file, refused ones included.
+
+    orjson turns an integer beyond 64 bits into a float, where ``json`` keeps
+    it whole, so the guard lets no such number through: an id is an int that
+    fits int64, and a prob that could be such an integer is left to ``json``.
+    """
+    # imported at the first q-file read: with datetime, uuid and zoneinfo it
+    # costs about 9 ms, 5% of importing the package, which most runs never use
+    import orjson
+
+    try:
+        with open(path, "rb") as fh:
+            doc = orjson.loads(fh.read())
+    except (OSError, orjson.JSONDecodeError):
+        return None
+    if not (isinstance(doc, dict) and type(doc.get("horizon")) is int
+            and isinstance(doc.get("entries"), list)):
+        return None
+    horizon, table = doc["horizon"], _columns(doc["horizon"], doc["entries"])
+    del doc
+    if table is None:
+        return None
+    rows, probs = table
+    if not ((probs >= 0) & (probs < 2.0 ** 63)).all() or _repeats(row_ranks(rows)).any():
+        return None
+    return horizon, rows, probs
+
+
+def _path_table(doc: object) -> tuple[int, np.ndarray, np.ndarray]:
+    """Read a q-file's ``json`` document: the reference for every refusal."""
     if not isinstance(doc, dict) or "horizon" not in doc or "entries" not in doc:
         raise ValidationError("need keys 'horizon' and 'entries'")
     horizon = parse_field("horizon", whole_number, doc["horizon"])
@@ -227,21 +280,10 @@ def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     if not isinstance(entries, list):
         raise ValidationError("'entries' must be a list")
     fault = None
-    # one flat conversion reads a valid file faster than the entry loop, which
-    # is the reference for how an entry reads and runs unless every id is an int,
-    # every prob an int or float (no bool or string) and every path T+1 long
-    try:
-        paths = [ent["path"] for ent in entries]
-        ids = list(chain.from_iterable(paths))
-        probs = [ent["prob"] for ent in entries]
-        rows = None
-        if (set(map(type, ids)) <= {int} and set(map(type, probs)) <= {float, int}
-                and list(map(len, paths)).count(horizon + 1) == len(paths)):
-            probs = np.array(probs, dtype=float)
-            rows = np.fromiter(ids, np.int64, len(ids)).reshape(len(paths), -1)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        rows = None
-    if rows is None:
+    # the entry loop, the reference for how an entry reads, runs only where
+    # the flat conversion does not
+    table = _columns(horizon, entries)
+    if table is None:
         rows, probs = [], []
         for ent in entries:
             try:
@@ -257,9 +299,11 @@ def _path_table(path: str) -> tuple[int, np.ndarray, np.ndarray]:
                 break
             rows.append(nodes)
             probs.append(prob)
-        # max(): no row fits a negative horizon, so there are none to shape
-        rows = np.array(rows, dtype=np.int64).reshape(len(rows), max(horizon + 1, 0))
-        probs = np.array(probs, dtype=float)
+        # every row is horizon + 1 long; with none, the width is moot, and a
+        # horizon of 10**30 would be no array dimension
+        table = (np.array(rows, dtype=np.int64) if rows else np.empty((0, 0), np.int64),
+                 np.array(probs, dtype=float))
+    rows, probs = table
     bad = np.flatnonzero(_not_a_mass(probs) | _repeats(row_ranks(rows)))
     if bad.size:
         prob = probs[bad[0]]

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iotnet import (
@@ -114,6 +114,41 @@ def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, collecting):
         gc.enable() if was else gc.disable()
 
 
+_Q_TEXT = '{"horizon": 1, "entries": [{"path": [1, 2], "prob": 1.0}]%s}'
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("data, outcome", [
+    ((_Q_TEXT % "").encode(), "ok"),
+    # orjson refuses a lone surrogate, json reads it: the file reads
+    ((_Q_TEXT % ', "note": "\\ud800"').encode(), "ok"),
+    # orjson refuses NaN, json reads it: the reader refuses the file
+    (_Q_TEXT.replace("1.0", "NaN").encode() % b"", "non-finite prob on (1, 2)"),
+    # both decoders read it, and the reader refuses it
+    (_Q_TEXT.replace("1.0", "-1.0").encode() % b"", "negative prob on (1, 2)"),
+    # both decoders refuse it: a UTF-16 byte-order mark starts no UTF-8 text
+    (b"\xff\xfe" + (_Q_TEXT % "").encode("utf-16-le"),
+     "not UTF-8 text: invalid start byte at byte 0"),
+], ids=["accepted", "orjson-refuses", "nan", "negative", "not-utf8"])
+def test_q_files_leave_the_collector_as_they_found_it(tmp_path, collecting, data,
+                                                      outcome):
+    f = tmp_path / "q.json"
+    f.write_bytes(data)
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        if outcome == "ok":
+            horizon, rows, probs = load_path_distribution(str(f))
+            assert (horizon, rows.tolist(), probs.tolist()) == (1, [[1, 2]], [1.0])
+        else:
+            with pytest.raises(ValidationError) as err:
+                load_path_distribution(str(f))
+            assert str(err.value) == f"path distribution {f}: {outcome}"
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+
+
 # ---------------------------------------------------------------------------
 # path distributions
 # ---------------------------------------------------------------------------
@@ -160,6 +195,27 @@ def test_path_distribution_validation(tmp_path):
         {"path": [1.0, 2], "prob": 1.0}]}))
     horizon, rows, probs = load_path_distribution(str(f))
     assert rows.tolist() == [[1, 2]] and rows.dtype == np.int64
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{"horizon": 1, "entries": []}], "need keys 'horizon' and 'entries'"),
+    (5, "need keys 'horizon' and 'entries'"),
+    ({"horizon": 1}, "need keys 'horizon' and 'entries'"),
+    ({"entries": [{"path": [1, 2], "prob": 1.0}]}, "need keys 'horizon' and 'entries'"),
+    ({"horizon": 1, "entries": 5}, "'entries' must be a list"),
+    ({"horizon": 1, "entries": {"path": [1, 2], "prob": 1.0}}, "'entries' must be a list"),
+    ({"horizon": None, "entries": []}, "horizon is malformed: int() argument must be "
+                                       "a string, a bytes-like object or a real "
+                                       "number, not 'NoneType'"),
+    ({"horizon": 1, "entries": []}, "no entries"),
+], ids=["list", "number", "no-entries-key", "no-horizon-key", "entries-number",
+        "entries-object", "horizon-null", "empty"])
+def test_path_distribution_refuses_a_document_of_another_shape(tmp_path, doc, message):
+    f = tmp_path / "q.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        load_path_distribution(str(f))
+    assert str(err.value) == f"path distribution {f}: {message}"
 
 
 @pytest.mark.parametrize("prob", [math.nan, math.inf, -math.inf])
@@ -558,7 +614,11 @@ def _reference_id(v):
 def _reference_path_distribution(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    horizon = int(doc["horizon"])
+    try:
+        horizon = _reference_id(doc["horizon"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"path distribution {path}: horizon is malformed: {exc}") from exc
     table = {}
     for ent in doc["entries"]:
         try:
@@ -626,22 +686,64 @@ _Q_ENTRIES = st.one_of(
         {"path": [2, 2, 1], "prob": -math.inf},
         {"path": [1, 1.5, 2], "prob": 0.5},        # a fractional id
         {"path": [2.0, 1.0, 2.0], "prob": 0.5},    # integral floats read
+        {"path": [], "prob": 0.5},                 # fits horizon -1
+        # probs where orjson and json could differ: big ints (orjson makes the
+        # first a float and refuses the second), the float extremes, -0.0, and
+        # a decimal that underflows to 0.0 (written as text, see _q_text)
+        {"path": [1, 2, 2], "prob": 2**64},
+        {"path": [1, 2, 2], "prob": 10**400},
+        {"path": [2, 1, 2], "prob": 5e-324},
+        {"path": [2, 2, 2], "prob": 1.7976931348623157e308},
+        {"path": [1, 1, 1], "prob": -0.0},
+        {"path": [2, 1, 1], "prob": "<1e-400>"},
     ]),
 )
 
+# horizons where orjson and json differ (2**64 and 10**30 orjson reads as
+# floats), or that the reader refuses (true) or reads as a whole number (2.0)
+_Q_HORIZONS = st.one_of(st.just(2), st.sampled_from([2**64, 10**30, 2.0, True, -1]))
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_Q_ENTRIES, max_size=7))
-def test_path_distribution_errors_name_the_same_entry(tmp_path_factory, entries):
+
+def _q_text(horizon, entries):
+    """The q-file text of ``entries``, with the string ``"<x>"`` written as the
+    bare number ``x``."""
+    return re.sub(r'"<([^"]*)>"', r"\1",
+                  json.dumps({"horizon": horizon, "entries": entries}))
+
+
+@settings(max_examples=400, deadline=None)
+@given(entries=st.lists(_Q_ENTRIES, max_size=7), horizon=_Q_HORIZONS)
+@example(entries=[{"path": [1, 2, 3], "prob": 1.0}], horizon=10**30)
+def test_path_distribution_errors_name_the_same_entry(tmp_path_factory, entries,
+                                                      horizon):
     f = tmp_path_factory.getbasetemp() / "q_errors.json"
-    f.write_text(json.dumps({"horizon": 2, "entries": entries}))
+    f.write_text(_q_text(horizon, entries))
     want = _outcome(_reference_path_distribution, str(f))
     got = _outcome(load_path_distribution, str(f))
     if want[0] == "ok" and got[0] == "ok":
         horizon, rows, probs = got[1]
-        got = ("ok", (horizon, dict(zip(map(tuple, rows.tolist()), probs.tolist()))))
+        assert type(horizon) is int and rows.dtype == np.int64
+        # float.hex keeps -0.0 apart from 0.0
+        got = ("ok", (horizon, dict(zip(map(tuple, rows.tolist()),
+                                        map(float.hex, probs.tolist())))))
+        want = ("ok", (want[1][0], {p: v.hex() for p, v in want[1][1].items()}))
         assert list(got[1][1]) == list(want[1][1])          # file order
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(-2**63, 2**63 - 1)] * 3),
+                       st.floats(0, allow_infinity=False), min_size=1, max_size=12))
+@example({(1, 2, 3): 5e-324, (1, 1, 1): 1.7976931348623157e308, (2, 2, 2): -0.0,
+          (3, 2, 1): 2.0 ** 63, (3, 3, 3): 2.225073858507201e-308})
+def test_written_q_files_read_back_bit_for_bit(tmp_path_factory, table):
+    f = tmp_path_factory.getbasetemp() / "q_round_trip.json"
+    save_path_distribution(str(f), 2, table)
+    horizon, rows, probs = load_path_distribution(str(f))
+    paths = sorted(table)
+    assert horizon == 2 and rows.tolist() == [list(p) for p in paths]
+    assert probs.view(np.uint64).tolist() == (
+        np.array([table[p] for p in paths]).view(np.uint64).tolist())
 
 
 def _reference_path_prior(path):
