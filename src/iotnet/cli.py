@@ -28,10 +28,10 @@ from .approx import fit_markov, fitted_prior
 from .bridge import (MarkovPrior, chain_law, path_law_from_endpoint,
                      sinkhorn_markov, sinkhorn_path)
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .fileio import (atomic_write_text, fmt, load_marginal, load_path_distribution,
-                     load_prior, load_step_weights, load_target, naming,
-                     parse_field, path_strings, read_plan, save_path_distribution,
-                     write_plan)
+from .fileio import (atomic_write_text, float_texts, fmt, load_marginal,
+                     load_path_distribution, load_prior, load_step_weights,
+                     load_target, naming, parse_field, path_strings, read_plan,
+                     save_path_distribution, write_plan)
 from .imitation import ImitationTarget, IOTProblem, expand_target, solve_iot
 from .network import (RULED, CostModel, Network, enumerate_paths, load_network,
                       markov_model_from_network, path_costs, row_join)
@@ -318,7 +318,6 @@ def _cmd_robust_cert(args: argparse.Namespace) -> int:
     cert = worst_case_certificate(law, costs, q, alpha, args.epsilon)
     out = _out_path(args, "robust_cert.json")
     finite = np.isfinite(cert.maximizer)
-    maximizer = dict(zip(path_strings(rows[finite]), cert.maximizer[finite].tolist()))
     text = json.dumps({
         "alpha": alpha,
         "epsilon": cert.epsilon,
@@ -327,12 +326,12 @@ def _cmd_robust_cert(args: argparse.Namespace) -> int:
         "worst_case_cost": cert.worst_case_cost,
         "maximizer": None,
     }, indent=2, sort_keys=True)
-    # the indented encoder is pure Python; the C one lays the flat map out
-    # the same way when its item separator carries the newline and indent
-    entries = json.dumps(maximizer, sort_keys=True, separators=(",\n    ", ": "))
-    if maximizer:
-        entries = "{\n    " + entries[1:-1] + "\n  }"
-    atomic_write_text(out, text.replace('"maximizer": null', '"maximizer": ' + entries, 1)
+    # the map's lines as json.dumps(indent=2, sort_keys=True) writes them: a
+    # path string needs no escape, and its values are repr's
+    entries = sorted(zip(path_strings(rows[finite]), float_texts(cert.maximizer[finite])))
+    listed = ('{\n    "' + ',\n    "'.join(map('": '.join, entries)) + "\n  }"
+              if entries else "{}")
+    atomic_write_text(out, text.replace('"maximizer": null', '"maximizer": ' + listed, 1)
                       + "\n")
     print(f"nominal_cost={fmt(cert.nominal_cost)} "
           f"worst_case_cost={fmt(cert.worst_case_cost)} wrote {out}")

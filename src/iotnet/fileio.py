@@ -2,27 +2,33 @@
 
 All writers go through :func:`atomic_write_text` (write to a temp file in the
 target directory, then rename), so a crashed run never leaves a partial file.
-All floats are serialised with ``repr``, the shortest round-trip form, which
-keeps outputs byte-identical across runs.  Path-keyed files (q-files, path
-priors, plan ``[paths]``) are read into node matrices plus value vectors.
+All floats are written as ``repr`` writes them, the shortest round-trip form,
+which keeps outputs byte-identical across runs.  Bulk floats (plan columns,
+q-file probs, a certificate's maximizer) take ``repr``'s bytes from
+:func:`float_texts`, which lays orjson's shortest digits out as ``repr`` does.
+Path-keyed files (q-files, path priors, plan ``[paths]``) are read into node
+matrices plus value vectors.
 
 Every reader, here and in ``network`` and ``scenario``, runs under :func:`naming`,
 which names its file in any error, and reads its numbers through :func:`number`,
 :func:`whole_number` and :func:`numbers` (the README's *File formats* rule).
 
 Plans are written a column at a time: path strings from one string per node
-id, floats through ``repr`` over ``tolist()``, one ``"\n".join`` at the end.
+id, floats through :func:`float_texts`, one ``"\n".join`` at the end.
 Text in the writer's layout is read back the same way, with one split and one
 conversion per column of ``[paths]`` and ``[edge_usage]`` once every line has
-the writer's cell count; any other text goes to the line-by-line reader,
-which names the first bad line.  The sparse ``entries`` of an rq-file are
-read the same way: one conversion per column when every entry is a
-well-formed ``[i, j, w]`` on its own network edge, else the entry loop,
-which names the first bad entry.  Every input file is UTF-8 text.  JSON
-files are decoded with the cyclic garbage collector paused, since the fresh
-document holds no garbage; a q-file keeps it paused until its document is
-converted and freed.  A q-file, the one large input, is decoded by orjson
-and kept only when it reads as valid; ``json`` decodes and refuses any other.
+the writer's cell count: orjson decodes each column, and a column it does not
+read as the Python conversion would goes through ``int`` or ``float``.  Any
+other text goes to the line-by-line reader, which names the first bad line.
+The sparse ``entries`` of an rq-file are read the same way: one conversion
+per column when every entry is a well-formed ``[i, j, w]`` on its own network
+edge, else the entry loop, which names the first bad entry.  Every input file
+is UTF-8 text.  JSON files are decoded with the cyclic garbage collector
+paused, since the fresh document holds no garbage; a q-file keeps it paused
+until its document is converted and freed.  A document nested deeper than
+the decoder recurses is refused.  A q-file, the one large input, is decoded
+by orjson and kept only when it reads as valid; ``json`` decodes and refuses
+any other.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import gc
 import json
 import math
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from itertools import chain, repeat
@@ -60,6 +67,37 @@ def atomic_write_text(path: str, text: str) -> None:
 def fmt(x: float) -> str:
     """Shortest round-trip decimal form of a float."""
     return repr(float(x))
+
+
+# orjson writes an exponent as "e16" or "e-7" where repr writes "e+16" or "e-07"
+_UNSIGNED_EXPONENT = re.compile(rb"e(?=\d)")
+_ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d,)")
+
+
+def float_texts(values) -> list[str]:
+    """``list(map(repr, values))`` of a flat float array, from orjson's text.
+
+    orjson writes the shortest round-trip digits, as ``repr`` does, and
+    writes them with an exponent where ``repr`` does, but for three things.
+    Its exponent has no ``+`` and no leading zero (``1e16``, ``1e-7``): two
+    regular expressions with literal replacements, which run in C, put them
+    in.  It writes ``1e-5 <= |x| < 1e-4`` positionally (``repr`` only from
+    ``1e-4``): ``repr`` writes those values.  And it writes NaN and the
+    infinities as ``null``: ``repr`` writes an array that holds one.
+    """
+    array = np.ascontiguousarray(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        return list(map(repr, array.tolist()))
+    import orjson
+
+    text = orjson.dumps(array, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
+    text = _ONE_DIGIT_EXPONENT.sub(b"e-0", _UNSIGNED_EXPONENT.sub(b"e+", text))
+    texts = text.decode().split(",")[:array.size]
+    size = np.abs(array)
+    band = np.flatnonzero((size >= 1e-5) & (size < 1e-4))
+    for k, value in zip(band.tolist(), array[band].tolist()):
+        texts[k] = repr(value)
+    return texts
 
 
 @contextmanager
@@ -103,6 +141,8 @@ def _read_json(path: str) -> object:
             return json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValidationError("JSON nested too deeply to read") from exc
 
 
 def parse_field(what: str, convert: Callable, value: object) -> Any:
@@ -326,23 +366,19 @@ def load_target(path: str, space: PathSpace) -> np.ndarray:
         return path_vector(space, rows, probs, "target")
 
 
-def _json_tokens(values: list) -> list[str]:
-    """The C encoder's text of each value of a flat list of numbers."""
-    return json.dumps(values)[1:-1].split(", ") if values else []
-
-
 def save_path_distribution(path: str, horizon: int,
                            table: Mapping[tuple[int, ...], float]) -> None:
     """Write a q-file, byte for byte as ``json.dumps(doc, indent=2)`` lays it
-    out, but with the C encoder: it writes each number, and the layout is
-    joined around them."""
+    out: each id is written by ``str``, each prob by :func:`float_texts` (or,
+    where it is not finite, by ``json``), and the layout is joined around them."""
     items = sorted(table.items())
-    ids = _json_tokens([v for p, _ in items for v in p])
-    probs = _json_tokens([float(v) for _, v in items])
-    entries, at = [], 0
+    values = np.array([v for _, v in items], dtype=float)
+    probs = float_texts(values)
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        probs[k] = json.dumps(float(values[k]))
+    entries = []
     for (p, _), prob in zip(items, probs):
-        nodes = ",\n        ".join(ids[at:at + len(p)])
-        at += len(p)
+        nodes = ",\n        ".join(map(str, p))
         listed = f"[\n        {nodes}\n      ]" if p else "[]"
         entries.append(f'    {{\n      "path": {listed},\n      "prob": {prob}\n    }}')
     body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
@@ -541,15 +577,15 @@ def plan_to_text(plan) -> str:
     lines.append("[paths]")
     kept = np.flatnonzero(plan.path_law >= PLAN_PROB_FLOOR)
     lines += map("\t".join, zip(path_strings(space.array[kept]),
-                                map(repr, plan.path_law[kept].tolist()),
-                                map(repr, plan.path_costs[kept].tolist())))
+                                float_texts(plan.path_law[kept]),
+                                float_texts(plan.path_costs[kept])))
     lines.append("[edge_usage]")
     lines.append("t\tfrom\tto\tmass")
     usage = plan.edge_usage
     steps, tails, heads = np.nonzero(usage >= PLAN_PROB_FLOOR)
     lines += map("\t".join, zip(map(str, steps.tolist()), map(str, (tails + 1).tolist()),
                                 map(str, (heads + 1).tolist()),
-                                map(repr, usage[steps, tails, heads].tolist())))
+                                float_texts(usage[steps, tails, heads])))
     return "\n".join(lines) + "\n"
 
 
@@ -605,6 +641,29 @@ def _counts_are(cells: list[str], sep: str, count: int) -> bool:
     return list(map(str.count, cells, repeat(sep))) == [count] * len(cells)
 
 
+def _column(cells: list[str], kind: type) -> list:
+    """``list(map(kind, cells))``, decoded by orjson when it reads every cell
+    as a ``kind`` (``int`` or ``float``), and so as the conversion does.
+
+    A JSON number is a number to ``int`` or ``float`` too, and orjson reads
+    an int exactly and a float with ``float``'s rounding.  A cell that is no
+    JSON number (``nan``, ``1_0``, ``1.``, a comma it would split at) leaves
+    the column to the conversion, and so does an int in a float column or a
+    float in an int column: ``-0`` is an int to orjson, which ``float``
+    reads as -0.0, and an integer beyond 64 bits is a float to orjson, at
+    least 2**63 in size, which the float column declines too.
+    """
+    import orjson
+
+    try:
+        values = orjson.loads("[" + ",".join(cells) + "]")
+        kept = (len(values) == len(cells) and set(map(type, values)) <= {kind}
+                and (kind is int or (np.abs(values) < 2.0 ** 63).all()))
+    except orjson.JSONDecodeError:
+        kept = False
+    return values if kept else list(map(kind, cells))
+
+
 def _plan_columns(text: str) -> tuple | None:
     """What :func:`_plan_lines` reads from text in :func:`plan_to_text`'s
     layout, with one split and one conversion per column of ``[paths]`` and
@@ -624,11 +683,11 @@ def _plan_columns(text: str) -> tuple | None:
         return None
     usage_cells = tail.replace("\n", "\t").split("\t")[:-1]
     try:
-        rows = np.array(list(map(int, ">".join(paths).split(">"))),
+        rows = np.array(_column(">".join(paths).split(">"), int),
                         dtype=np.int64).reshape(len(paths), -1)
-        probs, costs = list(map(float, cells[1::3])), list(map(float, cells[2::3]))
-        usage = dict(zip(zip(*(map(int, usage_cells[k::4]) for k in range(3))),
-                         map(float, usage_cells[3::4])))
+        probs, costs = _column(cells[1::3], float), _column(cells[2::3], float)
+        usage = dict(zip(zip(*(_column(usage_cells[k::4], int) for k in range(3))),
+                         _column(usage_cells[3::4], float)))
     except (ValueError, OverflowError):
         return None
     meta, objective, head_rows, _, _, head_usage = _plan_lines(head)

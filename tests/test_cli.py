@@ -407,6 +407,26 @@ def test_robust_cert_file_is_the_indented_dump_of_its_content(outdir, capsys,
     assert text == json.dumps(cert, indent=2, sort_keys=True) + "\n"
 
 
+def test_robust_cert_maximizer_is_written_as_json_writes_it(outdir, capsys):
+    """Where the target is the plan and epsilon is 0, the maximizer is each
+    path's cost: costs from 1e-12 to 1e19 put it in every decade where repr
+    and orjson lay digits out otherwise, 1e-05 written as 0.00001 among them."""
+    costs = [1.2345 * 10.0 ** k for k in range(-12, 20)] + [-2.5e-5, 1e-5, 9.5e-5, 0.0]
+    paths = [f"{1 + k % 9}>{1 + k // 9}" for k in range(len(costs))]
+    (outdir / "plan.txt").write_text(
+        "[meta]\nhorizon\t1\nalpha\t1.0\n[paths]\n"
+        + "".join(f"{p}\t{1 / len(costs)!r}\t{c!r}\n" for p, c in zip(paths, costs)))
+    save_path_distribution(str(outdir / "q.json"), 1,
+                           {tuple(map(int, p.split(">"))): 1 / len(costs) for p in paths})
+    code, _, err = run_cli(["robust-cert", "--plan", "plan.txt", "--q-file", "q.json",
+                            "--epsilon", "0"], capsys)
+    assert code == 0, err
+    text = (outdir / "robust_cert.json").read_text()
+    cert = json.loads(text)
+    assert text == json.dumps(cert, indent=2, sort_keys=True) + "\n"
+    assert sorted(cert["maximizer"].values()) == sorted(costs)
+
+
 @pytest.mark.parametrize("q_prob, plan_cost, bad", [
     ("NaN", "1.5", "q.json: non-finite prob on (1, 2)"),
     ("Infinity", "1.5", "q.json: non-finite prob on (1, 2)"),
@@ -568,6 +588,28 @@ def test_malformed_files_are_refused_with_an_error_naming_them(outdir, capsys,
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and name in lines[0]
+
+
+_KIND = {"m.json": "marginal", "q.json": "path distribution", "rq.json": "step weights",
+         "p.json": "prior", "net.json": "network file", "s.json": "scenario"}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("m.json", _TINY + ["--nu0", "m.json"]),
+    ("q.json", _TINY + ["--q-file", "q.json"]),
+    ("rq.json", _TINY + ["--rq-file", "rq.json"]),
+    ("p.json", ["approx", "--prior", "p.json"]),
+    ("net.json", ["solve", "--network", "net.json", "--alpha", "1", "--horizon", "2"]),
+    ("s.json", _SCENARIO),
+], ids=["marginal", "q-file", "rq-file", "prior", "network", "scenario"])
+def test_json_nested_past_the_decoders_depth_is_refused_by_name(outdir, capsys, name,
+                                                                argv):
+    """A document of 100,000 nested arrays, which the json decoder cannot
+    recurse through, is one error naming the file, not a traceback."""
+    (outdir / name).write_text("[" * 100_000)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err == f"error: {_KIND[name]} {name}: JSON nested too deeply to read\n"
 
 
 @pytest.mark.parametrize("name, doc, argv, message", [

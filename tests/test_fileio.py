@@ -1,11 +1,13 @@
 """Round trips and validation for every on-disk format."""
 
 import dataclasses
+import decimal
 import gc
 import json
 import math
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from iotnet.fileio import (
     _plan_lines,
     _read_json,
     atomic_write_text,
+    float_texts,
     fmt,
     format_path,
     parse_plan_text,
@@ -57,6 +60,27 @@ from helpers import edge_pairs, has_edge, uniform_problem, usage_dict_loop
 def test_fmt_round_trips_exactly():
     for x in (0.1, 1.0 / 3.0, 1e-300, 123456.789, 2.0 ** -52):
         assert float(fmt(x)) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), max_size=40))
+@example([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+@example([1e-5, 9.999999999999999e-05, 1e-4, 1e16, 1e-7, 1.5e-10, 1.7976931348623157e308])
+def test_float_texts_are_repr(values):
+    assert float_texts(np.array(values, dtype=float)) == list(map(repr, values))
+    assert float_texts(values) == list(map(repr, values))
+
+
+def test_float_texts_are_repr_at_every_scale():
+    rng = np.random.default_rng(20231)
+    bits = rng.integers(0, 2 ** 64, 1_000_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    for array in (values, twos, -twos, tens, np.nextafter(tens, 0.0),
+                  np.nextafter(tens, np.inf), -tens):
+        assert float_texts(array) == list(map(repr, array.tolist()))
 
 
 def test_atomic_write_creates_parents_and_replaces(tmp_path):
@@ -241,6 +265,21 @@ def test_path_distribution_writer_equals_the_indented_dump(tmp_path, table):
     save_path_distribution(str(f), 39, table)
     entries = [{"path": list(p), "prob": float(v)} for p, v in sorted(table.items())]
     assert f.read_text() == json.dumps({"horizon": 39, "entries": entries},
+                                       indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=3).map(tuple),
+                       st.floats(), max_size=12))
+@example({(1, 2): 1.5e-05, (2, 1): 1e16, (1, 1): 2.5e-07, (2, 2): -0.0})
+def test_path_distribution_writer_equals_the_indented_dump_at_every_scale(
+        tmp_path_factory, table):
+    """Probs are written as json writes them: repr's text, and NaN and
+    Infinity where they are not finite."""
+    f = tmp_path_factory.getbasetemp() / "q_dump.json"
+    save_path_distribution(str(f), 2, table)
+    entries = [{"path": list(p), "prob": float(v)} for p, v in sorted(table.items())]
+    assert f.read_text() == json.dumps({"horizon": 2, "entries": entries},
                                        indent=2) + "\n"
 
 
@@ -1008,6 +1047,76 @@ def test_corrupt_plans_fail_as_the_reference_loop_does(text):
     both = _both_readers(text)
     if both is not None:                       # read by columns
         assert both[0] == both[1]
+
+
+# cells that JSON refuses, reads as the other type, or (beyond 64 bits) reads
+# as a float: the column decoder must pass each on to int() or float()
+_ODD_CELLS = ["-0", "01", "+1", ".5", "1.", "1_0", " 1.5", "1.5 ", "1E5", "nan",
+              "Infinity", "-inf", "1e400", "-1e-400", "-0.0", str(2 ** 63),
+              str(2 ** 64), str(-2 ** 63 - 1), "123456789012345678901234567890",
+              "true", "null", '"1"', "[1]", "1,2", "", "0x10"]
+
+
+def _halfway(x):
+    """The exact decimal halfway between ``x`` and the next float up."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        low, high = decimal.Decimal(x), decimal.Decimal(math.nextafter(x, math.inf))
+        return str(low + (high - low) / 2)
+
+
+_FLOAT_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.builds("{}.{:040d}e{}".format, st.integers(0, 99),
+              st.integers(0, 10 ** 40 - 1), st.integers(-345, 310)),
+    st.floats(0, 1e308).map(_halfway),
+    st.sampled_from(_ODD_CELLS))
+_ID_CELLS = st.one_of(st.integers(1, 3).map(str), st.integers(-2 ** 64, 2 ** 64).map(str),
+                      st.sampled_from(_ODD_CELLS))
+
+
+@st.composite
+def _drawn_plans(draw):
+    """A plan in the writer's layout, with drawn cells in its number columns."""
+    ids = st.one_of(st.integers(1, 9).map(str), _ID_CELLS)
+    paths = [">".join(draw(ids) for _ in range(3)) for _ in range(draw(st.integers(1, 4)))]
+    usage = [[draw(ids) for _ in range(3)] + [draw(_FLOAT_CELLS)]
+             for _ in range(draw(st.integers(0, 3)))]
+    return ("[meta]\nhorizon\t2\n[objective]\ntotal\t1.5\n[paths]\n"
+            + "".join(f"{p}\t{draw(_FLOAT_CELLS)}\t{draw(_FLOAT_CELLS)}\n" for p in paths)
+            + "[edge_usage]\nt\tfrom\tto\tmass\n"
+            + "".join("\t".join(cells) + "\n" for cells in usage))
+
+
+def _hexed(value):
+    """``value`` with every float as ``float.hex``, so -0.0 and NaN compare."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return _hexed(value.tolist())
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+@settings(max_examples=500, deadline=None)
+@given(_drawn_plans())
+@example("[paths]\n1>2>3\t-0\t1e400\n[edge_usage]\nt\tfrom\tto\tmass\n")
+@example("[paths]\n1>2>3\t123456789012345678901234567890\t1.0\n"
+         "[edge_usage]\nt\tfrom\tto\tmass\n-0\t01\t1_0\t0.5\n")
+def test_plan_columns_read_numbers_as_the_conversion_does(text):
+    """orjson's reading of a column is kept only where it is int()'s or
+    float()'s, bit for bit; every other text reads, or is refused, as the line
+    reader reads or refuses it."""
+    with mock.patch("iotnet.fileio._plan_columns", lambda text: None):
+        want = _hexed(_outcome(parse_plan_text, text))
+    assert _hexed(_outcome(parse_plan_text, text)) == want
+    columns = _outcome(_plan_columns, text)
+    if columns != ("ok", None):
+        assert _hexed(columns) == _hexed(_outcome(_plan_lines, text))
 
 
 def test_paths_above_the_writers_section_are_read_too():
