@@ -7,7 +7,8 @@ with Sinkhorn scaling.  Markov structure is exploited when it exists (the
 Gibbs edge weights times the target's step weights are bridged as a Markov
 prior, and the plan is read off the solution chain without paths), and
 explicit path enumeration handles rule-based, non-additive costs
-(both in ``imitation``).  ``spectral`` builds the maximum-entropy-rate walk
+(both in ``imitation``); ``chain`` holds the step products every pass along
+a chain is made of.  ``spectral`` builds the maximum-entropy-rate walk
 for ``iot rbwalk``; no solve needs it.  ``approx`` fits the best Markov chain to
 a non-Markov solution, ``robust`` certifies worst-case costs over an entropic
 ball of cost perturbations, ``oracle`` provides brute-force reference solvers,

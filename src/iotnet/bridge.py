@@ -10,10 +10,10 @@ weights like ``exp(-cost/alpha)`` at small ``alpha`` never exist as floats.
 Two prior representations are supported, each holding its weights as logs:
 
 * :class:`MarkovPrior` — initial law plus step matrix/matrices; its endpoint
-  kernel is the product of the step matrices, taken in log form by a shifted
-  matmul (:func:`log_matmul`), and the solution is returned as per-step
-  transition matrices (a new Markov chain).  A start without initial mass
-  has a zero kernel row, as on the path route.
+  kernel is the log-domain product of the step matrices
+  (:func:`~iotnet.chain.log_matmul`), and the solution is returned as
+  per-step transition matrices (a new Markov chain).  A start without
+  initial mass has a zero kernel row, as on the path route.
 * :class:`PathPrior` — explicit nonnegative weights over an enumerated path
   space; the solution is an endpoint coupling plus a reweighted path law.
 
@@ -30,9 +30,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
+from .chain import chain_law, log_matmul, logsumexp
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .network import PathSpace
 
@@ -64,49 +66,6 @@ def _log_form(linear, log, what: str) -> np.ndarray:
     if np.any(np.isnan(log) | (log == np.inf)):
         raise ValidationError(f"log {what} must be finite or -inf")
     return log
-
-
-def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """``log(sum(exp(a)))`` along ``axis``; ``-inf`` where every term is."""
-    top = np.max(a, axis=axis, keepdims=True)
-    top[top == -np.inf] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis)
-
-
-_SUM_FLOOR = 1e-280   # shifted sums below are recomputed exactly in log space
-_SLAB_TERMS = 2**20  # sum terms per slab of an exact recomputation
-
-
-def log_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``log(exp(A) @ exp(B))`` for log matrices (``-inf`` for a zero).
-
-    A shifted matmul: ``log(exp(A - a) @ exp(B - b)) + a + b`` with ``a`` the
-    row maxima of ``A`` and ``b`` the column maxima of ``B``, so every factor
-    is at most 1.  ``-inf`` is where no term is finite (a structural zero,
-    whose shifted sum is exactly 0).  Any other entry whose shifted sum is
-    below 1e-280 (its largest terms underflowed or went subnormal) is
-    recomputed as an exact log-sum-exp over its own terms, in slabs of at
-    most 2^20 terms; the structural zeros are told apart by the support
-    product ``isfinite(A) @ isfinite(B)``, one float matmul, which is 0
-    there.
-    """
-    a = np.max(A, axis=1, keepdims=True)
-    b = np.max(B, axis=0, keepdims=True)
-    a[a == -np.inf] = 0.0
-    b[b == -np.inf] = 0.0
-    total = np.exp(A - a) @ np.exp(B - b)
-    with np.errstate(divide="ignore"):
-        out = np.log(total) + a + b
-    low = total < _SUM_FLOOR
-    if low.any():
-        low &= np.isfinite(A).astype(float) @ np.isfinite(B).astype(float) > 0
-    rows, cols = np.nonzero(low)
-    slab = max(1, _SLAB_TERMS // A.shape[1])
-    for k in range(0, rows.size, slab):
-        r, c = rows[k:k + slab], cols[k:k + slab]
-        out[r, c] = logsumexp(A[r] + B[:, c].T, axis=1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -387,9 +346,9 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
                     max_iter: int = 100_000) -> BridgeSolution:
     """Bridge a Markov prior: scale its log kernel, then propagate backward.
 
-    The log kernel is the product of the step matrices, one shifted matmul
-    per step (:func:`log_matmul`), exact where a shifted sum underflows, and
-    ``-inf`` on the rows of the supported starts without initial mass.
+    The log kernel is the product of the step matrices, one
+    :func:`~iotnet.chain.log_matmul` per step, and ``-inf`` on the rows of
+    the supported starts without initial mass.
     Backward log potentials ``log phi(t) = logsumexp_j(log M(t) + log
     phi(t+1))`` from ``log phiT`` tilt each step into the solution chain's
     transition matrix; rows whose backward potential vanishes (unreachable
@@ -401,9 +360,8 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
         raise ValidationError("marginal length does not match prior dimension")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    log_kernel = prior.log_step(0, horizon)
-    for t in range(1, horizon):
-        log_kernel = log_matmul(log_kernel, prior.log_step(t, horizon))
+    log_kernel = reduce(log_matmul, (prior.log_step(t, horizon)
+                                     for t in range(horizon)))
     blocked = ((nu0 > 0) & (prior.initial == 0))[:, None]
     # a new array: at T=1 the kernel is the prior's own step array
     log_kernel = np.where(blocked, -np.inf, log_kernel)
@@ -427,17 +385,6 @@ def markov_path_law(solution: BridgeSolution, nu0: np.ndarray,
     if len(solution.transitions) != space.horizon:
         raise ValidationError("solution horizon does not match path space")
     return chain_law(nu0, solution.transitions, space.array)
-
-
-def chain_law(initial: np.ndarray, steps, rows: np.ndarray) -> np.ndarray:
-    """A Markov law on the node table ``rows`` (one path per row, node ids):
-    each row's start weight in ``initial`` times the weights ``steps[t]`` of
-    its steps, multiplied left to right."""
-    arr = rows - 1
-    law = np.asarray(initial, dtype=float)[arr[:, 0]]
-    for t, step in enumerate(steps):
-        law *= step[arr[:, t], arr[:, t + 1]]
-    return law
 
 
 def sinkhorn_path(prior: PathPrior, nu0: np.ndarray, nuT: np.ndarray, *,

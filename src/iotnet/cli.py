@@ -25,8 +25,9 @@ import numpy as np
 
 from . import fixtures
 from .approx import fit_markov, fitted_prior
-from .bridge import (MarkovPrior, chain_law, path_law_from_endpoint,
-                     sinkhorn_markov, sinkhorn_path)
+from .bridge import (MarkovPrior, path_law_from_endpoint, sinkhorn_markov,
+                     sinkhorn_path)
+from .chain import chain_law, grow
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .fileio import (atomic_write_text, float_texts, fmt, load_marginal,
                      load_path_distribution, load_prior, load_step_weights,
@@ -173,14 +174,12 @@ def _cmd_rbwalk(args: argparse.Namespace) -> int:
 def _chain_support_law(initial: np.ndarray,
                        transitions: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Rows and probabilities of a Markov path law's support (small chains)."""
-    rows = np.flatnonzero(initial > 0)[:, None]
+    rows = np.flatnonzero(initial > 0)[:, None] + 1
     for mat in transitions:
-        parent, nxt = np.nonzero((mat > 0)[rows[:, -1]])
-        rows = np.column_stack([rows[parent], nxt])
+        rows = grow(rows, mat > 0)
         if len(rows) > 1_000_000:
             raise ValidationError("path law support is too large to enumerate; "
                                   "drop --emit-paths")
-    rows += 1
     return rows, chain_law(initial, transitions, rows)
 
 

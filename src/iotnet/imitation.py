@@ -32,13 +32,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
 
 import numpy as np
 
-from .bridge import (BridgeSolution, MarkovPrior, PathPrior, chain_law,
-                     markov_path_law, path_kl, path_law_from_endpoint,
-                     sinkhorn_markov, sinkhorn_path)
+from .bridge import (BridgeSolution, MarkovPrior, PathPrior, markov_path_law,
+                     path_kl, path_law_from_endpoint, sinkhorn_markov,
+                     sinkhorn_path)
+from .chain import chain_law, min_plus
 from .errors import InfeasibleError, ValidationError
 from .network import (MARKOV, CostModel, Network, PathSpace, cost_matrix,
                       enumerate_paths, log_weight_matrix, path_costs)
@@ -230,7 +232,7 @@ def expand_target(target: ImitationTarget, space: PathSpace) -> np.ndarray:
     """Evaluate the (blended) target on every path of the space.
 
     Markov targets multiply their start and step weights along each path
-    (:func:`~iotnet.bridge.chain_law`); path targets must already be aligned
+    (:func:`~iotnet.chain.chain_law`); path targets must already be aligned
     with the space.  Blending happens after expansion, over the
     space's paths.
     """
@@ -368,14 +370,14 @@ def chain_plan(problem: IOTProblem, solution: BridgeSolution) -> TransportPlan:
 
 def _largest_chain_cost(problem: IOTProblem) -> float:
     """The largest cost of a horizon-step path from ``nu0``'s support to
-    ``nuT``'s, by a max-plus pass over the step costs: the largest of the path
-    route's costs, added in the same order (``-inf`` where no path runs)."""
+    ``nuT``'s, by a min-plus pass over the negated step costs (``inf`` off the
+    table): the largest of the path route's costs, added in the same order,
+    as negation commutes with rounding (``-inf`` where no path runs)."""
     steps = cost_matrix(problem.cost_model, problem.nu0.size)
-    steps = np.where(np.isfinite(steps), steps, -np.inf)
-    largest = np.where(problem.nu0 > 0, 0.0, -np.inf)
-    for _ in range(problem.horizon):
-        largest = np.max(largest[:, None] + steps, axis=0)
-    return float(largest[problem.nuT > 0].max())
+    steps = np.where(np.isfinite(steps), -steps, np.inf)
+    start = np.where(problem.nu0 > 0, 0.0, np.inf)[None]
+    least = reduce(min_plus, repeat(steps, problem.horizon), start)
+    return -float(least[0, problem.nuT > 0].min())
 
 
 def _check_cost_scale(largest: float, alpha: float) -> None:

@@ -41,6 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .chain import grow, walk_counts
 from .errors import InfeasibleError, ValidationError
 
 
@@ -484,10 +485,11 @@ def enumerate_paths(network: Network, horizon: int,
                     model: CostModel) -> PathSpace:
     """Materialise the feasible path space as its ``(N, T+1)`` node matrix.
 
-    Backward reachability prunes each step to the nodes that still reach the
-    end support; each row then grows by the kept successors of its last node,
-    in sorted order, so the rows come out lexicographic without a sort.
-    Raises :class:`InfeasibleError` when no path survives.
+    Backward walk counts (:func:`~iotnet.chain.walk_counts`) prune each step
+    to the nodes that still reach the end support; each row then grows by
+    the kept successors of its last node, in sorted order
+    (:func:`~iotnet.chain.grow`), so the rows come out lexicographic without
+    a sort.  Raises :class:`InfeasibleError` when no path survives.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
@@ -503,29 +505,12 @@ def enumerate_paths(network: Network, horizon: int,
     steps = network.edge_mask
     if model.mode == MARKOV:  # a Markov step also needs a cost-table entry
         steps = steps & pair_matrix(n, list(model.edge_costs), True, False)
-    tails, heads = np.argwhere(steps).T + 1  # the sorted edge pairs kept
     # reach[t, i]: the end support is reachable from node i in horizon-t steps
-    reach = np.zeros((horizon + 1, n + 1), dtype=bool)
-    reach[horizon, sorted(ends)] = True
-    for t in range(horizon - 1, 0, -1):
-        reach[t, tails[reach[t + 1, heads]]] = True
-
+    reach = walk_counts(steps, horizon, ends) > 0
     # a start that reaches no end keeps no successor and drops out
     array = np.array(starts, dtype=np.int64)[:, None]
     for t in range(horizon):
-        kept = reach[t + 1, heads]
-        succ = heads[kept]
-        # CSR offsets: node i's kept successors are succ[offsets[i]:offsets[i+1]]
-        offsets = np.searchsorted(tails[kept], np.arange(n + 2))
-        lo = offsets[array[:, -1]]
-        count = offsets[array[:, -1] + 1] - lo
-        parent = np.repeat(np.arange(len(array)), count)
-        # grown row r takes its parent's successor number r - (parent's first row)
-        shift = lo - (np.cumsum(count) - count)
-        grown = np.empty((parent.size, t + 2), dtype=np.int64)
-        grown[:, :-1] = array[parent]
-        grown[:, -1] = succ[np.arange(parent.size) + shift[parent]]
-        array = grown
+        array = grow(array, steps & reach[t + 1, 1:])
     if not len(array):
         raise no_paths_error(horizon, starts, ends)
     return PathSpace(horizon=horizon, n=n, array=array)
@@ -536,26 +521,6 @@ def no_paths_error(horizon: int, starts: Iterable[int],
     return InfeasibleError(
         f"empty path space: no horizon-{horizon} path from {sorted(starts)} "
         f"to {sorted(ends)} over feasible edges")
-
-
-def count_paths(steps: np.ndarray, horizon: int, starts: Iterable[int],
-                ends: Iterable[int]) -> int:
-    """Number of horizon-step walks from ``starts`` to ``ends`` over the
-    ``True`` entries of the ``(n, n)`` step mask ``steps`` (node ``i`` is row
-    ``i-1``): the size :func:`enumerate_paths` would reach over those steps,
-    counted forward in Python ints, which cannot overflow."""
-    succ = [np.flatnonzero(row).tolist() for row in steps]
-    count = [0] * len(succ)
-    for s in set(starts):
-        count[s - 1] = 1
-    for _ in range(horizon):
-        step = [0] * len(succ)
-        for i, walks in enumerate(count):
-            if walks:
-                for j in succ[i]:
-                    step[j] += walks
-        count = step
-    return sum(count[e - 1] for e in set(ends))
 
 
 def unreachable_nodes(n: int, pairs: Sequence[Sequence[int]] | np.ndarray) -> list[int]:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import logsumexp, path_kl
+from .bridge import path_kl
+from .chain import logsumexp
 from .errors import InfeasibleError, ValidationError
 from .imitation import IOTProblem, solve_iot
 from .oracle import dense_ipf

@@ -28,9 +28,7 @@ Where the numbers come from:
   The imitation kind's costs are not additive over steps, so it enumerates
   the path space and picks the rows from it (:func:`cheapest_paths`, the
   lowest path index on ties); the risk kind finds the same rows, in the same
-  order, by a min-plus pass and one vectorised descent for every endpoint
-  pair at once, with a depth-first search as the fallback for a pair whose
-  descent misses its smallest cost (:func:`cheapest_rows`).
+  order, without enumerating (:func:`cheapest_rows`).
 * Every plan is a node table (one path per row, with its mass and cost) or
   a chain.  Node tables, the LP plan of either kind and the imitation
   kind's target and imitation plan, go through :func:`plan_report`:
@@ -39,10 +37,10 @@ Where the numbers come from:
   so edge usage and the KL come from the solve
   (:func:`~iotnet.imitation.chain_plan`), per-destination cost and mass
   from one backward pass per cost model (:func:`chain_totals`), and the
-  path count from an integer walk count.  The disaster reprices the LP's
-  rows by their steps (:func:`~iotnet.network.row_costs`).  The space is
-  enumerated only if a caller reads ``ScenarioResult.space`` or the plan's
-  path arrays.
+  path count from :func:`~iotnet.chain.walk_counts`.  The disaster
+  reprices the LP's rows by their steps (:func:`~iotnet.network.row_costs`).
+  The space is enumerated only if a caller reads ``ScenarioResult.space``
+  or the plan's path arrays.
 * The risk kind's Markov costs and step weights (:func:`build_risk_matrix`,
   an ``np.where`` over kinds and affected pairs) both read the network's
   edge table (:func:`~iotnet.network.edge_table`).
@@ -59,13 +57,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fixtures
+from .chain import min_plus, walk_counts
 from .errors import InfeasibleError, ValidationError
 from .fileio import (_read_json, atomic_write_text, fmt, load_step_weights,
                      load_target, naming, node_masses, number, parse_field,
                      whole_number)
 from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
 from .network import (EDGE_KINDS, CostModel, EdgeKind, Network, PathSpace,
-                      cost_matrix, count_paths, edge_table, enumerate_paths,
+                      cost_matrix, edge_table, enumerate_paths,
                       load_network, markov_model_from_network,
                       network_from_dict, no_paths_error, pair_matrix,
                       path_vector, reprice, row_costs)
@@ -387,14 +386,6 @@ def cheapest_paths(space: PathSpace, costs: np.ndarray
     return space.array[keep], costs[keep]
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus product ``out[i, j] = min_k a[i, k] + b[k, j]``, broadcast in
-    slabs of rows of at most 2^20 sum terms."""
-    slab = max(1, 2**20 // b.size)
-    return np.concatenate([np.min(a[i:i + slab, :, None] + b, axis=1)
-                           for i in range(0, a.shape[0], slab)])
-
-
 def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,
                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows :func:`cheapest_paths` keeps, found without enumeration.
@@ -421,12 +412,12 @@ def cheapest_rows(cost: np.ndarray, horizon: int, starts: np.ndarray,
     # steps after step t
     to_go = [np.where(np.arange(n)[:, None] == ends - 1, 0.0, math.inf)]
     for _ in range(horizon - 1):
-        to_go.insert(0, _min_plus(cost, to_go[0]))
+        to_go.insert(0, min_plus(cost, to_go[0]))
     # best[k, e]: smallest left-to-right cost from starts[k] to e
     best = np.full((len(starts), n), math.inf)
     best[np.arange(len(starts)), starts - 1] = 0.0
     for _ in range(horizon):
-        best = _min_plus(best, cost)
+        best = min_plus(best, cost)
 
     # one pair per (start, end column) with a path, in start-major order
     k, col = np.nonzero(best[:, ends - 1] < math.inf)
@@ -689,7 +680,8 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
         if risk:
             model = markov_model_from_network(network, ruled)
             cost = cost_matrix(model, n)
-            paths = count_paths(np.isfinite(cost), spec.horizon, supply, demand)
+            counts = walk_counts(np.isfinite(cost), spec.horizon, demand)
+            paths = counts[0, sorted(supply)].sum()
             if not paths:
                 raise no_paths_error(spec.horizon, supply, demand)
             problem = IOTProblem(network=network, cost_model=model, nu0=nu0,

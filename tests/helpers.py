@@ -19,7 +19,7 @@ from iotnet import (
     ValidationError,
     build_network,
 )
-from iotnet.bridge import chain_law, logsumexp
+from iotnet.chain import chain_law, logsumexp
 from iotnet.network import MARKOV, RULED
 
 

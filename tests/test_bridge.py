@@ -24,15 +24,13 @@ from iotnet.bridge import (
     MarkovPrior,
     PathPrior,
     _sinkhorn_core,
-    chain_law,
-    log_matmul,
-    logsumexp,
     marginalize_prior,
     markov_path_law,
     path_law_from_endpoint,
     sinkhorn_markov,
     sinkhorn_path,
 )
+from iotnet.chain import chain_law, log_matmul, logsumexp
 
 from helpers import feasible_laws, marginal_gap, sweep_coupling, tv
 

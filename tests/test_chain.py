@@ -5,18 +5,25 @@ Covers the plan's edge usage and objective (:func:`iotnet.imitation.chain_plan`)
 the per-destination contraction and the cheapest-path rows of the risk
 scenario (:func:`iotnet.scenario.chain_totals`,
 :func:`iotnet.scenario.cheapest_rows`), the path count
-(:func:`iotnet.network.count_paths`), and an ``iot scenario`` run that may not
-enumerate a single path.
+(:func:`iotnet.chain.walk_counts`), each product of :mod:`iotnet.chain`
+against its enumerated space, an ``iot scenario`` run that may not enumerate a
+single path, and horizons too large to count.
 """
 
+import functools
 import itertools
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 import iotnet
 from iotnet import (
@@ -36,11 +43,12 @@ from iotnet import (
 )
 from iotnet import fixtures
 from iotnet.cli import main
-from iotnet.network import (cost_matrix, count_paths, markov_model_from_network,
-                            row_costs)
-from iotnet.scenario import (RiskWeights, _min_plus, build_risk_matrix,
-                             chain_totals, cheapest_paths, cheapest_rows,
-                             load_scenario, plan_report, run_scenario)
+from iotnet.chain import log_matmul, min_plus, walk_counts
+from iotnet.imitation import _largest_chain_cost, imitation_prior_markov
+from iotnet.network import cost_matrix, markov_model_from_network, row_costs
+from iotnet.scenario import (RiskWeights, build_risk_matrix, chain_totals,
+                             cheapest_paths, cheapest_rows, load_scenario,
+                             plan_report, run_scenario)
 
 
 @st.composite
@@ -122,7 +130,8 @@ def test_chain_contractions_match_the_enumerated_path_law(problem):
     cost = cost_matrix(problem.cost_model, problem.network.n)
 
     assert plan.path_space.size == space.size
-    assert count_paths(np.isfinite(cost), problem.horizon, starts, ends) == space.size
+    counts = walk_counts(np.isfinite(cost), problem.horizon, ends)
+    assert counts[0, starts].sum() == space.size
     assert np.abs(plan.edge_usage - edge_usage_from_law(space, law)).max() <= 1e-12
 
     obj = plan.objective
@@ -282,7 +291,7 @@ def test_min_plus_equals_the_column_loop(shape):
     b[rng.random((k, p)) < 0.4] = math.inf
     a[-1] = math.inf          # a row and a column without a finite entry
     b[:, 0] = math.inf
-    got = _min_plus(a, b)
+    got = min_plus(a, b)
     assert got.shape == (m, p)
     assert np.array_equal(got, _min_plus_by_columns(a, b))
     assert np.all(got[-1] == math.inf) and np.all(got[:, 0] == math.inf)
@@ -290,7 +299,107 @@ def test_min_plus_equals_the_column_loop(shape):
 
 def test_count_paths_does_not_overflow():
     steps = np.ones((3, 3), dtype=bool)
-    assert count_paths(steps, 64, [1], [1, 2, 3]) == 3 ** 64
+    assert walk_counts(steps, 64, [1, 2, 3])[0, 1] == 3 ** 64
+
+
+def _complete_problem(n: int, horizon: int) -> IOTProblem:
+    """Every step allowed on ``n`` nodes, so ``n ** horizon`` walks run from
+    each node to the whole node set: 3**40, above 2**53, for 3 nodes at T=40."""
+    pairs = list(itertools.product(range(1, n + 1), repeat=2))
+    edges = [(i, j, EdgeKind.STORAGE if i == j else EdgeKind.LOCAL, 1.0)
+             for (i, j) in pairs]
+    network = build_network([(i, float(i), 0.0) for i in range(1, n + 1)], edges)
+    return IOTProblem(network=network,
+                      cost_model=CostModel.markov({p: float(sum(p) % 3) for p in pairs}),
+                      nu0=np.full(n, 1.0 / n), nuT=np.full(n, 1.0 / n), alpha=1.0,
+                      target=ImitationTarget.markov(np.ones((n, n))), horizon=horizon)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(chain_problems())
+@example(_complete_problem(3, 40))
+def test_each_chain_product_matches_its_enumerated_space(problem):
+    """Counting, log-sum-exp and min-plus, each against a brute force over
+    the walks: the walk count equals the leaves of a depth-first enumeration
+    at every node and step; where the space is small enough to list, the log
+    kernel is the log-sum-exp of the listed paths' summed log weights per
+    endpoint pair, and the largest chain cost is the largest path cost."""
+    n, horizon = problem.network.n, problem.horizon
+    cost = cost_matrix(problem.cost_model, n)
+    starts = np.flatnonzero(problem.nu0) + 1
+    ends = np.flatnonzero(problem.nuT) + 1
+    counts = walk_counts(np.isfinite(cost), horizon, ends)
+
+    @functools.cache
+    def leaves(node, left):
+        """Walks from ``node`` to ``ends`` in ``left`` steps, one by one (the
+        subtrees of a node and a step count are shared)."""
+        if not left:
+            return int(node in ends)
+        return sum(leaves(j, left - 1) for j in range(1, n + 1)
+                   if cost[node - 1, j - 1] < math.inf)
+
+    assert counts[:, 1:].tolist() == [[leaves(i, horizon - t) for i in range(1, n + 1)]
+                                      for t in range(horizon + 1)]
+    assert all(type(c) is int for c in counts.flat)
+    if n ** (horizon + 1) > 100_000:
+        assert counts[0, 1] == 3 ** 40   # the example: too many walks to list
+        return
+
+    rows = np.array(list(itertools.product(range(1, n + 1), repeat=horizon + 1)))
+    walks = rows[np.isfinite(row_costs(cost, rows))]
+    space = enumerate_paths(problem.network, horizon, starts, ends, problem.cost_model)
+    assert counts[0, starts].sum() == space.size
+    assert space.size == np.sum(np.isin(walks[:, 0], starts) & np.isin(walks[:, -1], ends))
+
+    prior = imitation_prior_markov(problem.cost_model, problem.alpha, problem.target)
+    kernel = functools.reduce(log_matmul, [prior.log_step(t, horizon)
+                                           for t in range(horizon)])
+    logw = row_costs(prior.log_step(0, horizon), rows)
+    exact = np.full((n, n), -np.inf)
+    for s, e in itertools.product(range(1, n + 1), repeat=2):
+        terms = logw[(rows[:, 0] == s) & (rows[:, -1] == e) & (logw > -np.inf)]
+        if terms.size:
+            exact[s - 1, e - 1] = scipy_logsumexp(terms)
+    assert np.array_equal(kernel == -np.inf, exact == -np.inf)
+    finite = exact > -np.inf
+    np.testing.assert_allclose(kernel[finite], exact[finite], rtol=1e-12, atol=1e-12)
+
+    costs = path_costs(space, problem.cost_model, problem.network)
+    assert _largest_chain_cost(problem) == costs.max()
+
+
+_HUGE = 10 ** 30
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["scenario", "--spec", "risk.json"], "scenario risk.json: "),
+    (["scenario", "--spec", "imitation.json"], "scenario imitation.json: "),
+    (["solve", "--network", "builtin:tiny", "--alpha", "0.5", "--horizon", str(_HUGE)], ""),
+])
+def test_a_huge_horizon_is_refused_by_name(tmp_path, argv, named):
+    """A horizon of 10**30 ends in one ``error:`` line naming it (and the
+    scenario file): the walk-count table that sizes the chain cannot be
+    allocated, and no loop over the horizon runs first.  ``iot`` runs in a
+    child process, killed after 60 s and held to a 2 GiB address space."""
+    for kind, network in (("risk", "builtin:risk30"), ("imitation", "builtin:synthetic30")):
+        (tmp_path / f"{kind}.json").write_text(json.dumps(
+            {"network": network, "T": _HUGE, "alpha": 40.0, "scenario": {"kind": kind}}))
+    src = os.path.dirname(os.path.dirname(iotnet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "iotnet.cli", *argv, "--out-dir", "out"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60, preexec_fn=limit)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert errors == [f"error: {named}horizon {_HUGE} is too large"]
 
 
 # ---------------------------------------------------------------------------
