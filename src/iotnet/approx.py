@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import MarkovPrior, PathPrior, markov_path_law, sinkhorn_markov
+from .chain import table
 from .errors import ValidationError
 from .imitation import IOTProblem, TransportPlan, plan_from_law, solve_iot
 
@@ -68,6 +69,8 @@ def fit_markov(prior: PathPrior) -> MarkovFit:
     b = prior.log_weights[keep]
 
     n, m = space.n, arr.shape[0]
+    # the (n+1) x (n+1) score table first, so its keys below fit int64
+    scores = table((n + 1) ** 2, -np.inf, f"a chain of {n} nodes")
     # a virtual node 0 before every path makes its start a step 0 -> x0; step
     # i -> j is keyed i * (n + 1) + j, so the sorted keys are the start
     # columns, then the step columns in (i, j) order
@@ -84,7 +87,6 @@ def fit_markov(prior: PathPrior) -> MarkovFit:
     gauge = np.where(cols <= n, -float(space.horizon), 1.0)
     gauge_component = float(theta @ gauge) / float(gauge @ gauge)
 
-    scores = np.full((n + 1) ** 2, -np.inf)
     scores[cols] = theta
     scores = scores.reshape(n + 1, n + 1)
     return MarkovFit(n=n, horizon=space.horizon, initial_log=scores[0, 1:].copy(),

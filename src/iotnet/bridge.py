@@ -21,8 +21,9 @@ Zero handling is strict: a zero weight is a ``-inf`` log entry; starts and
 ends without marginal mass get ``-inf`` log potentials (support restriction),
 while a ``-inf`` kernel entry between a supported start and a supported end
 raises :class:`InfeasibleError` — never a NaN.  The scaling takes damped
-Newton steps on the dual first, and sweeps where they stop short; it stops
-when the L1 violation of the marginals is at most ``tol``.
+Newton steps on the dual, on a ladder of kernel scales from a block that
+spans at most 300 nats up to the kernel itself; it stops when the L1
+violation of the marginals is at most ``tol``.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ from functools import reduce
 
 import numpy as np
 
-from .chain import chain_law, log_matmul, logsumexp
+from .chain import chain_law, log_matmul, logsumexp, table
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .network import PathSpace
 
 _SUM_TOL = 1e-9
-_SCALE_MAX = 1e30   # linear scalings above are absorbed into the log potentials
 
 
 def _check_probability(vec: np.ndarray, name: str) -> np.ndarray:
@@ -177,10 +177,9 @@ class BridgeSolution:
     """Log potentials (``-inf`` where one vanishes), coupling and transitions.
 
     The coupling is ``exp(log_phihat0_i + log_kernel_ij + log_phiT_j)``;
-    ``residual`` is its final L1 marginal violation.  ``iterations`` counts
-    the Newton steps and the sweeps of the scaling together, ``newton_steps``
-    the Newton steps alone.  ``transitions[t]`` (Markov route only) holds the
-    per-step matrices of the solution chain.
+    ``residual`` is its final L1 marginal violation and ``iterations`` the
+    Newton steps of the scaling.  ``transitions`` (Markov route only) is the
+    ``(T, n, n)`` array of the solution chain's per-step matrices.
     """
 
     log_phi0: np.ndarray
@@ -188,19 +187,22 @@ class BridgeSolution:
     log_phihat0: np.ndarray
     log_phihatT: np.ndarray
     iterations: int
-    newton_steps: int
     residual: float
     endpoint_coupling: np.ndarray
-    transitions: list[np.ndarray] | None = None
+    transitions: np.ndarray | None = None
 
 
-_NEWTON_STEPS = 200   # Newton's share of max_iter at most; the sweeps get the rest
 _NEWTON_CAP = 30.0    # largest change of a potential in one Newton step, in nats
+_RUNG_SPAN = 300.0    # nats the first rung's block spans at most
+_RUNG_TOL = 1e-6      # L1 violation at which a rung before the last stops
+_FLOOR = 1e-14        # violations below this times the rung's span are float noise
+_STALL = 20           # steps at that floor without halving the violation stop a rung
 
 
 def _newton(block: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
             max_steps: int):
-    """Damped Newton steps on the semi-dual of a finite log kernel, over its rows.
+    """Damped Newton steps on the semi-dual of a finite log kernel, over its
+    rows, on a ladder of kernel scales.
 
     The column log potentials ``g`` are exact for the row ones ``f`` at every
     step (one column log-sum-exp), so ``P = exp(f_i + block_ij + g_j)`` has
@@ -213,72 +215,92 @@ def _newton(block: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     by Armijo's 1e-4 of ``t (a - r).d``.  ``mu`` falls tenfold (to 1e-12 at
     least) after a full step and rises a hundredfold after a shorter one:
     where the coupling splits into nearly disconnected blocks, ``H`` is
-    nearly singular, and the damping and the cap keep the step finite.  The
-    steps stop at an L1 row violation of ``tol``, after ``max_steps``, or
-    where the line search accepts no ``t``.  Returns ``f, g, P``, that
-    violation and the number of steps taken.
+    nearly singular, and the damping and the cap keep the step finite.
+
+    The steps run on the block with each row shifted to a largest entry of
+    0, so the potentials stay of the order of its ``span`` (the largest row
+    span) whatever offset the kernel carries, and on its scaled copies ``lam
+    * block``: ``lam_0 = min(1, 300 / span)``, then ``lam_(k+1) = min(1, 10
+    lam_k)``, each rung from the last one's ``f`` times ``lam_(k+1) / lam_k``
+    (epsilon-scaling, Schmitzer 2019); a block that spans at most 300 nats
+    takes one rung.  A rung stops at an L1 row violation of 1e-6 (``tol``
+    on the last rung, ``lam = 1``), where the line search accepts no ``t``,
+    or at the float floor: after 20 steps that leave the violation at most
+    1e-14 times the rung's span without halving the smallest one yet.  At
+    most ``max_steps`` are taken over all rungs.  Returns the last rung's
+    ``f, g, P``, its violation and the number of steps taken.
     """
-    f = np.log(a) - logsumexp(block, axis=1)
+    shift = block.max(axis=1)    # put back into f on return
+    block = block - shift[:, None]
+    span = float(-block.min())
+    lam = _RUNG_SPAN / max(span, _RUNG_SPAN)
+    f = np.log(a) - logsumexp(lam * block, axis=1)
     free = np.arange(a.size) != np.argmax(a)
-    mu, steps = 1e-3, 0
+    steps = 0
     while True:
-        z = block + f[:, None]
-        top = z.max(axis=0)
-        e = np.exp(z - top)
-        scale = b / e.sum(axis=0)
-        g = np.log(scale) - top
-        P = e * scale
-        r = P.sum(axis=1)
-        residual = float(np.abs(r - a).sum())
-        if residual <= tol or steps == max_steps:
-            return f, g, P, residual, steps
-        grad = a - r
-        H = (P / b) @ -P.T
-        H.flat[::a.size + 1] += (1.0 + mu) * r
-        d = np.zeros(a.size)
-        try:
-            d[free] = np.linalg.solve(H[free][:, free], grad[free])
-        except np.linalg.LinAlgError:
-            return f, g, P, residual, steps
-        size = np.abs(d).max()
-        if not size < math.inf:
-            return f, g, P, residual, steps
-        if size > _NEWTON_CAP:
-            d *= _NEWTON_CAP / size
-        # the gain a.(t d) + b.(g(f + t d) - g), with g's change taken as
-        # log1p of P's column shares: no difference of large potentials, so
-        # it keeps its digits near the solution; an entry that underflowed
-        # in P stays below 1e-294 after a step of at most 30 nats
-        slope, lift = grad @ d, a @ d
-        t = 1.0
-        while t >= 1e-3:
-            gain = t * lift - b @ np.log1p((np.expm1(t * d) @ P) / b)
-            if gain >= 1e-4 * t * slope:
+        scaled, goal = lam * block, tol if lam == 1.0 else _RUNG_TOL
+        mu, best, stalled = 1e-3, math.inf, 0
+        while True:
+            z = scaled + f[:, None]
+            top = z.max(axis=0)
+            e = np.exp(z - top)
+            scale = b / e.sum(axis=0)
+            g = np.log(scale) - top
+            P = e * scale
+            r = P.sum(axis=1)
+            residual = float(np.abs(r - a).sum())
+            if residual <= best / 2:
+                best, stalled = residual, 0
+            elif residual <= _FLOOR * lam * span:
+                stalled += 1
+            if residual <= goal or steps == max_steps or stalled == _STALL:
                 break
-            t /= 2
-        else:
-            return f, g, P, residual, steps
-        f = f + t * d
-        steps += 1
-        mu = max(mu / 10.0, 1e-12) if t == 1.0 else mu * 100.0
+            grad = a - r
+            H = (P / b) @ -P.T
+            H.flat[::a.size + 1] += (1.0 + mu) * r
+            d = np.zeros(a.size)
+            try:
+                d[free] = np.linalg.solve(H[free][:, free], grad[free])
+            except np.linalg.LinAlgError:
+                break
+            size = np.abs(d).max()
+            if not size < math.inf:
+                break
+            if size > _NEWTON_CAP:
+                d *= _NEWTON_CAP / size
+            # the gain a.(t d) + b.(g(f + t d) - g), with g's change taken as
+            # log1p of P's column shares: no difference of large potentials,
+            # so it keeps its digits near the solution; an entry that
+            # underflowed in P stays below 1e-294 after a step of at most 30 nats
+            slope, lift = grad @ d, a @ d
+            t = 1.0
+            while t >= 1e-3:
+                gain = t * lift - b @ np.log1p((np.expm1(t * d) @ P) / b)
+                if gain >= 1e-4 * t * slope:
+                    break
+                t /= 2
+            else:
+                break
+            f = f + t * d
+            steps += 1
+            mu = max(mu / 10.0, 1e-12) if t == 1.0 else mu * 100.0
+        if lam == 1.0:
+            return f - shift, g, P, residual, steps
+        up = min(1.0, 10 * lam)
+        f, lam = f * (up / lam), up
 
 
 def _sinkhorn_core(log_kernel: np.ndarray, nu0: np.ndarray, nuT: np.ndarray,
                    tol: float, max_iter: int) -> BridgeSolution:
-    """Newton steps, then log-domain scaling, on the supported block of a log
-    endpoint kernel.
+    """Newton steps on a ladder of kernel scales, on the supported block of a
+    log endpoint kernel.
 
-    On supported starts ``x`` supported ends, :func:`_newton` runs first, over
-    the smaller side, for at most 200 steps of ``max_iter``.  Where it stops
-    short of ``tol``, sweeps continue from its potentials with the rest of
-    the budget: the coupling is ``u_i exp(f_i + log_kernel_ij + g_j) v_j``,
-    log potentials ``f``/``g`` absorbed into the kernel ``K``, times linear
-    scalings ``u``/``v``.  A scaling above 1e30 (``inf`` where a kernel sum
-    underflowed) is absorbed by an exact log-sum-exp update of its side
-    (Schmitzer 2019, stabilised scaling); as ``K <= 1`` after each, no
-    scaling gets far below 1e-30.  Each sweep fixes the end marginal, then
-    stops once the L1 violation of the start marginal is at most ``tol``.
-    The gauge has ``max log_phiT = 0``.
+    On supported starts ``x`` supported ends, :func:`_newton` runs over the
+    smaller side, with ``max_iter`` steps over all its rungs.  Where it
+    stops short of ``tol`` (the budget spent, or potentials too far apart
+    for floats to resolve the violation), :class:`ConvergenceError` names
+    the violation reached and the steps taken.  The gauge has ``max
+    log_phiT = 0``.
     """
     if not (tol > 0):
         raise ValidationError(f"tolerance must be positive, got {tol}")
@@ -294,51 +316,25 @@ def _sinkhorn_core(log_kernel: np.ndarray, nu0: np.ndarray, nuT: np.ndarray,
             f"prior kernel entry for endpoint pair {pair} is identically zero "
             f"while both marginals are positive there; the bridge does not exist")
     a, b = nu0[rows], nuT[cols]
-    budget = min(_NEWTON_STEPS, int(max_iter))
     if rows.size <= cols.size:
-        f, g, K, residual, newton_steps = _newton(block, a, b, tol, budget)
+        f, g, P, residual, steps = _newton(block, a, b, tol, int(max_iter))
     else:
-        g, f, K, residual, newton_steps = _newton(block.T, b, a, tol, budget)
-        K = K.T
-    u, v = np.ones(rows.size), np.ones(cols.size)
-    iterations = newton_steps
+        g, f, P, residual, steps = _newton(block.T, b, a, tol, int(max_iter))
+        P = P.T
     if residual > tol:
-        with np.errstate(all="ignore"):   # an inf scaling is absorbed below
-            for iterations in range(newton_steps + 1, int(max_iter) + 1):
-                v = b / (u @ K)
-                if not v.max() < _SCALE_MAX:
-                    f += np.log(u)
-                    g = np.log(b) - logsumexp(block + f[:, None], axis=0)
-                    K = np.exp(block + f[:, None] + g)
-                    u, v = np.ones(rows.size), np.ones(cols.size)
-                mass = K @ v
-                u_next = a / mass
-                residual = float(np.abs(u - u_next) @ mass)   # = sum |u * mass - a|
-                if residual <= tol:
-                    break
-                u = u_next
-                if not u.max() < _SCALE_MAX:
-                    g += np.log(v)
-                    f = np.log(a) - logsumexp(block + g, axis=1)
-                    K = np.exp(block + f[:, None] + g)
-                    u, v = np.ones(rows.size), np.ones(cols.size)
-            else:
-                raise ConvergenceError(
-                    f"Sinkhorn did not reach an L1 marginal violation of {tol} in "
-                    f"{max_iter} iterations (final violation {residual:.3e})",
-                    residual=residual)
-    f, g = f + np.log(u), g + np.log(v)
+        raise ConvergenceError(
+            f"Sinkhorn stopped at an L1 marginal violation of {residual:.3e} after "
+            f"{steps} Newton steps, short of the tolerance {tol}", residual=residual)
     shift = g.max()
     log_phihat0, log_phiT = np.full_like(nu0, -np.inf), np.full_like(nuT, -np.inf)
     log_phihat0[rows], log_phiT[cols] = f + shift, g - shift
     coupling = np.zeros_like(log_kernel)
-    coupling[np.ix_(rows, cols)] = u[:, None] * K * v
+    coupling[np.ix_(rows, cols)] = P
     return BridgeSolution(
         log_phi0=logsumexp(log_kernel[:, cols] + log_phiT[cols], axis=1),
         log_phiT=log_phiT, log_phihat0=log_phihat0,
         log_phihatT=logsumexp(log_kernel[rows] + log_phihat0[rows, None], axis=0),
-        iterations=iterations, newton_steps=newton_steps, residual=residual,
-        endpoint_coupling=coupling)
+        iterations=steps, residual=residual, endpoint_coupling=coupling)
 
 
 def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
@@ -346,9 +342,12 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
                     max_iter: int = 100_000) -> BridgeSolution:
     """Bridge a Markov prior: scale its log kernel, then propagate backward.
 
-    The log kernel is the product of the step matrices, one
-    :func:`~iotnet.chain.log_matmul` per step, and ``-inf`` on the rows of
-    the supported starts without initial mass.
+    The ``(T, n, n)`` table of the solution's transitions is allocated
+    first, so a horizon whose table does not fit raises
+    :class:`ValidationError` before any product.  The log kernel is the
+    product of the step matrices, one :func:`~iotnet.chain.log_matmul` per
+    step, and ``-inf`` on the rows of the supported starts without initial
+    mass.
     Backward log potentials ``log phi(t) = logsumexp_j(log M(t) + log
     phi(t+1))`` from ``log phiT`` tilt each step into the solution chain's
     transition matrix; rows whose backward potential vanishes (unreachable
@@ -360,13 +359,13 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
         raise ValidationError("marginal length does not match prior dimension")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    transitions = table((horizon, prior.n, prior.n), 0.0, f"horizon {horizon}")
     log_kernel = reduce(log_matmul, (prior.log_step(t, horizon)
                                      for t in range(horizon)))
     blocked = ((nu0 > 0) & (prior.initial == 0))[:, None]
     # a new array: at T=1 the kernel is the prior's own step array
     log_kernel = np.where(blocked, -np.inf, log_kernel)
     solution = _sinkhorn_core(log_kernel, nu0, nuT, tol, max_iter)
-    transitions = [None] * horizon
     log_phi = solution.log_phiT  # log phi(t+1) on entry to step t
     for t in range(horizon - 1, -1, -1):
         tilted = prior.log_step(t, horizon) + log_phi

@@ -13,6 +13,9 @@ loop:
 * counting: :func:`walk_counts` (exact path counts and the reachability
   that prunes enumeration), and :func:`grow`, which extends rows by their
   successors.
+
+A table a pass fills is sized first by :func:`table`, which refuses a
+horizon or a node count whose table cannot be allocated.
 """
 
 import numpy as np
@@ -82,6 +85,16 @@ def chain_law(initial: np.ndarray, steps, rows: np.ndarray) -> np.ndarray:
     return law
 
 
+def table(shape, fill, what: str, dtype=float) -> np.ndarray:
+    """``np.full(shape, fill, dtype)``, sized before any pass fills it: a
+    table that cannot be allocated raises :class:`ValidationError` naming
+    ``what`` (a horizon, a node count) as too large."""
+    try:
+        return np.full(shape, fill, dtype=dtype)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"{what} is too large") from None
+
+
 def walk_counts(steps: np.ndarray, horizon: int, ends) -> np.ndarray:
     """Walks to ``ends`` over the ``True`` entries of the ``(n, n)`` step mask
     ``steps`` (node ``i`` is row ``i-1``): ``out[t, i]`` counts the
@@ -91,10 +104,7 @@ def walk_counts(steps: np.ndarray, horizon: int, ends) -> np.ndarray:
     cannot be allocated.
     """
     tails, heads = np.argwhere(steps).T + 1
-    try:
-        counts = np.zeros((horizon + 1, steps.shape[0] + 1), dtype=object)
-    except (ValueError, MemoryError):
-        raise ValidationError(f"horizon {horizon} is too large") from None
+    counts = table((horizon + 1, steps.shape[0] + 1), 0, f"horizon {horizon}", object)
     counts[horizon, sorted(ends)] = 1
     for t in range(horizon - 1, -1, -1):
         np.add.at(counts[t], tails, counts[t + 1, heads])

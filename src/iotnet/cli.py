@@ -172,7 +172,7 @@ def _cmd_rbwalk(args: argparse.Namespace) -> int:
 
 
 def _chain_support_law(initial: np.ndarray,
-                       transitions: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+                       transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows and probabilities of a Markov path law's support (small chains)."""
     rows = np.flatnonzero(initial > 0)[:, None] + 1
     for mat in transitions:
@@ -209,7 +209,6 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
         "horizon": horizon,
         "n": n,
         "iterations": solution.iterations,
-        "newton_steps": solution.newton_steps,
         "residual": solution.residual,
         "phi0": np.exp(solution.log_phi0).tolist(),
         "phiT": np.exp(solution.log_phiT).tolist(),
@@ -274,7 +273,8 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     prior = load_prior(args.prior)
     if isinstance(prior, MarkovPrior):
         raise ValidationError("the prior is already Markov; nothing to fit")
-    fit = fit_markov(prior)
+    with naming("prior", args.prior):
+        fit = fit_markov(prior)
     chain = fitted_prior(fit)
     out = _out_path(args, "approx.json")
     _dump_json(out, {

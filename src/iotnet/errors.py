@@ -2,8 +2,8 @@
 
 Callers can rely on three stable categories: bad input (:class:`ValidationError`),
 well-formed input with no feasible answer (:class:`InfeasibleError`), and an
-iterative solver running out of budget (:class:`ConvergenceError`).  The CLI maps
-the first two to exit code 1 and the last to exit code 2.
+iterative solver stopping short of its tolerance (:class:`ConvergenceError`).  The
+CLI maps the first two to exit code 1 and the last to exit code 2.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ class InfeasibleError(IOTError):
 
 
 class ConvergenceError(IOTError):
-    """An iterative solver exhausted its iteration budget.
+    """An iterative solver stopped short of its tolerance: its iteration budget
+    ran out, or floats could not resolve the residual any further.
 
     Carries the final residual so callers can report how close the run got.
     """

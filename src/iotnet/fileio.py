@@ -45,7 +45,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import IOTError, ValidationError
 from .network import Network, PathSpace, path_vector, row_ranks
 
 
@@ -114,12 +114,14 @@ def _collector_paused():
 
 @contextmanager
 def naming(*names: str):
-    """Put ``"<names>: "`` (a file's kind and path, or a field) in front of a
-    :class:`ValidationError` raised inside."""
+    """Put ``"<names>: "`` (a file's kind and path, a field, an alpha) in
+    front of an :class:`IOTError` raised inside, keeping its type and its
+    fields (a :class:`ConvergenceError`'s residual)."""
     try:
         yield
-    except ValidationError as exc:
-        raise ValidationError(f"{' '.join(names)}: {exc}") from exc
+    except IOTError as exc:
+        exc.args = (f"{' '.join(names)}: {exc}",)
+        raise
 
 
 def _read_text(path: str) -> str:

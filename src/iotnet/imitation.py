@@ -42,6 +42,7 @@ from .bridge import (BridgeSolution, MarkovPrior, PathPrior, markov_path_law,
                      sinkhorn_path)
 from .chain import chain_law, min_plus
 from .errors import InfeasibleError, ValidationError
+from .fileio import naming
 from .network import (MARKOV, CostModel, Network, PathSpace, cost_matrix,
                       enumerate_paths, log_weight_matrix, path_costs)
 
@@ -185,8 +186,8 @@ class TransportPlan:
     arrays aligned with ``path_space``.  The path route computes them while
     solving; on the Markov route, which solves without paths, each is built
     on first access (the space by :attr:`IOTProblem.space`, the law from the
-    solution chain).  ``transition_matrices`` (``T`` arrays of shape
-    ``(n, n)``) is populated on the Markov route only.
+    solution chain).  ``transition_matrices`` (a ``(T, n, n)`` array) is
+    populated on the Markov route only.
     """
 
     problem: IOTProblem
@@ -199,7 +200,7 @@ class TransportPlan:
         return self.problem.alpha
 
     @property
-    def transition_matrices(self) -> list[np.ndarray] | None:
+    def transition_matrices(self) -> np.ndarray | None:
         return self.bridge.transitions
 
     @property
@@ -360,7 +361,7 @@ def chain_plan(problem: IOTProblem, solution: BridgeSolution) -> TransportPlan:
     expected = float(np.sum(usage * np.where(np.isfinite(cost), cost, 0.0)))
     start, (t, i, j) = nu0 > 0, np.nonzero(usage)
     kl = float(nu0[start] @ (np.log(nu0[start]) - np.log(init[start]))
-               + usage[t, i, j] @ (np.log(np.stack(solution.transitions)[t, i, j])
+               + usage[t, i, j] @ (np.log(solution.transitions[t, i, j])
                                    - np.log(problem.target.matrix[i, j])))
     objective = ObjectiveTerms(expected_cost=expected, kl_to_target=kl,
                                total=expected + problem.alpha * kl)
@@ -411,15 +412,17 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
         _check_cost_scale(_largest_chain_cost(problem), problem.alpha)
         prior = imitation_prior_markov(problem.cost_model, problem.alpha,
                                        problem.target)
-        solution = sinkhorn_markov(prior, problem.nu0, problem.nuT,
-                                   problem.horizon, tol=tol, max_iter=max_iter)
+        with naming(f"alpha {problem.alpha!r}"):   # the bridge does not know it
+            solution = sinkhorn_markov(prior, problem.nu0, problem.nuT,
+                                       problem.horizon, tol=tol, max_iter=max_iter)
         return chain_plan(problem, solution)
     space = problem.space
     q = expand_target(problem.target, space)
     costs = path_costs(space, problem.cost_model, problem.network)
     _check_cost_scale(float(costs.max(initial=0.0)), problem.alpha)
     prior = imitation_prior_paths(space, costs, q, problem.alpha)
-    solution = sinkhorn_path(prior, problem.nu0, problem.nuT,
-                             tol=tol, max_iter=max_iter)
+    with naming(f"alpha {problem.alpha!r}"):
+        solution = sinkhorn_path(prior, problem.nu0, problem.nuT,
+                                 tol=tol, max_iter=max_iter)
     law = path_law_from_endpoint(solution, prior)
     return plan_from_law(problem, law, solution, costs=costs, q=q)

@@ -180,6 +180,8 @@ class ScenarioResult:
 
 def _pairs(value: object) -> tuple[tuple[int, int], ...]:
     pairs = sorted((whole_number(i), whole_number(j)) for i, j in value)
+    if any(abs(k) >= 2 ** 63 for pair in pairs for k in pair):
+        raise ValueError("a node id does not fit int64")
     for (i, j), later in zip(pairs, pairs[1:]):
         if (i, j) == later:
             raise ValueError(f"pair ({i},{j}) is named twice")
@@ -350,7 +352,7 @@ def plan_report(label: str, rows: np.ndarray, law: np.ndarray, costs: np.ndarray
                                                        minlength=n))
 
 
-def chain_totals(transitions: list[np.ndarray], nu0: np.ndarray,
+def chain_totals(transitions: np.ndarray, nu0: np.ndarray,
                  cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cost and mass per destination of the chain ``nu0``, ``Pi_0..Pi_{T-1}``
     on the ``(n, n)`` step costs ``cost``, as ``(n,)`` arrays.

@@ -116,9 +116,9 @@ def _stress_kernels(count: int):
 
 
 def test_newton_steps_lose_no_kernel_the_sweeps_solve():
-    """The core solves every kernel at tol 1e-10 (the sweeps alone stall on
-    one of the 200), to the sweeps' coupling within 1e-8 total variation
-    wherever they solve too."""
+    """The core solves every kernel at tol 1e-10 (the reference sweeps alone
+    stall on one of the 200), to the sweeps' coupling within 1e-8 total
+    variation wherever they solve too."""
     for log_kernel, nu0, nuT in _stress_kernels(200):
         sol = _sinkhorn_core(log_kernel, nu0, nuT, 1e-10, 100_000)
         assert sol.residual <= 1e-10
@@ -129,14 +129,13 @@ def test_newton_steps_lose_no_kernel_the_sweeps_solve():
         assert tv(sol.endpoint_coupling, reference) < 1e-8
 
 
-def test_sweeps_finish_what_the_newton_steps_leave():
-    """Potentials thousands of nats apart take more than the 200 capped
-    Newton steps; the sweeps go on from where they stopped, and
-    ``max_iter`` bounds both kinds of step together."""
+def test_potentials_thousands_of_nats_apart_solve():
+    """A block spanning 8,880 nats, whose potentials lie thousands of nats
+    apart, climbs the ladder of kernel scales to the sweeps' coupling, and
+    ``max_iter`` bounds the Newton steps over all rungs exactly."""
     log_kernel = np.array([[-1801.0, -1114.0, -8308.0], [-9610.0, -7342.0, -730.0]])
     nu0, nuT = np.full(2, 1 / 2), np.full(3, 1 / 3)
     sol = _sinkhorn_core(log_kernel, nu0, nuT, 1e-10, 100_000)
-    assert sol.newton_steps == 200 < sol.iterations
     assert sol.residual <= 1e-10
     reference = sweep_coupling(log_kernel, nu0, nuT, 1e-10, 100_000)
     assert tv(sol.endpoint_coupling, reference) < 1e-8
@@ -144,6 +143,27 @@ def test_sweeps_finish_what_the_newton_steps_leave():
         _sinkhorn_core(log_kernel, nu0, nuT, 1e-10, sol.iterations - 1)
     again = _sinkhorn_core(log_kernel, nu0, nuT, 1e-10, sol.iterations)
     assert again.iterations == sol.iterations
+
+
+@pytest.mark.parametrize("offset", [-1e8, 3.3e10, 1e13])
+def test_a_kernel_offset_far_beyond_its_span_solves(offset):
+    """Endpoint pairs whose cheapest costs are nearly equal put every block
+    entry near one large offset.  The potentials stay of the order of the
+    5-nat span, not of the offset, whose ulp (1.5e-8 nats at 1e8) would
+    otherwise floor the violation: a few steps solve, as on the kernel
+    without the offset."""
+    rng = np.random.default_rng(0)
+    log_kernel = offset - rng.uniform(0, 5, size=(20, 30))
+    nu0, nuT = rng.dirichlet(np.ones(20)), rng.dirichlet(np.ones(30))
+    sol = _sinkhorn_core(log_kernel, nu0, nuT, 1e-10, 1_000)
+    assert sol.residual <= 1e-10 and sol.iterations < 20
+    # exact: each entry lies within a factor 2 of the offset
+    reference = sweep_coupling(log_kernel - offset, nu0, nuT, 1e-10, 100_000)
+    assert tv(sol.endpoint_coupling, reference) < 1e-8
+    half = np.full(2, 0.5)
+    sol = _sinkhorn_core(np.array([[-1e8, -1e8], [-1e8, -1e8 - 1]]), half, half,
+                         1e-10, 1_000)
+    assert sol.residual <= 1e-10
 
 
 def test_bridge_matches_dense_ipf(tiny):

@@ -377,15 +377,21 @@ _HUGE = 10 ** 30
     (["scenario", "--spec", "risk.json"], "scenario risk.json: "),
     (["scenario", "--spec", "imitation.json"], "scenario imitation.json: "),
     (["solve", "--network", "builtin:tiny", "--alpha", "0.5", "--horizon", str(_HUGE)], ""),
+    (["bridge", "--prior", "prior.json", "--nu0", "half.json", "--nuT", "half.json",
+      "--horizon", str(_HUGE)], ""),
 ])
 def test_a_huge_horizon_is_refused_by_name(tmp_path, argv, named):
     """A horizon of 10**30 ends in one ``error:`` line naming it (and the
-    scenario file): the walk-count table that sizes the chain cannot be
-    allocated, and no loop over the horizon runs first.  ``iot`` runs in a
-    child process, killed after 60 s and held to a 2 GiB address space."""
+    scenario file): the walk-count table that sizes the chain, or the
+    bridge's table of transitions, cannot be allocated, and no loop over the
+    horizon runs first.  ``iot`` runs in a child process, killed after 60 s
+    and held to a 2 GiB address space."""
     for kind, network in (("risk", "builtin:risk30"), ("imitation", "builtin:synthetic30")):
         (tmp_path / f"{kind}.json").write_text(json.dumps(
             {"network": network, "T": _HUGE, "alpha": 40.0, "scenario": {"kind": kind}}))
+    (tmp_path / "prior.json").write_text(json.dumps(
+        {"type": "markov", "initial": [0.5, 0.5], "matrix": [[1, 1], [1, 1]]}))
+    (tmp_path / "half.json").write_text(json.dumps([0.5, 0.5]))
     src = os.path.dirname(os.path.dirname(iotnet.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")]))}

@@ -133,27 +133,27 @@ def _nearly_a_permutation():
 
 @st.composite
 def small_alpha_problems(draw):
-    """``markov_problems`` with ``alpha`` from 1e-2 to 1 times the cost spread.
+    """``markov_problems`` with ``alpha`` from 1e-5 to 1 times the cost spread.
 
-    At the low end ``exp(-C/alpha)`` spans about ``e^-100`` over the paths,
-    which still fits a float after a global shift, so dense IPF can serve as
-    the reference.
+    At the low end the log weights ``-C/alpha + log Q`` span about 1e5 nats
+    over the paths, far past the float range of ``exp``.
     """
     problem = draw(markov_problems())
     costs = path_costs(problem.path_space, problem.cost_model, problem.network)
     spread = max(float(costs.max() - costs.min()), 0.5)
     return dataclasses.replace(
-        problem, alpha=spread * 10.0 ** draw(st.floats(-2.0, 0.0)))
+        problem, alpha=spread * 10.0 ** draw(st.floats(-5.0, 0.0)))
 
 
 @PROPERTY
 @given(small_alpha_problems())
 @example(_nearly_a_permutation())
 def test_routes_and_dense_ipf_agree_down_to_small_alpha(problem):
-    """Where dense IPF converges, it is the reference.  On a nearly
-    permutation coupling plain scaling stalls, IPF as well, and the routes
-    must still agree and meet the marginals.  IPF gets 5,000 iterations:
-    over 1,500 drawn problems it needed at most 157."""
+    """Where the log weights span at most 700 nats, their shifted exponentials
+    keep every path's weight, and dense IPF, where it converges, is the
+    reference.  On a nearly permutation coupling plain scaling stalls, IPF
+    as well, and the routes must still agree and meet the marginals.  IPF
+    gets 5,000 iterations: over 1,500 drawn problems it needed at most 157."""
     markov, path = _both_routes(problem)
     space = problem.path_space
     assert tv(markov.path_law, path.path_law) < 1e-8
@@ -161,6 +161,8 @@ def test_routes_and_dense_ipf_agree_down_to_small_alpha(problem):
         assert marginal_gap(space, plan.path_law, problem.nu0, problem.nuT) < 1e-10
     logw = (-path_costs(space, problem.cost_model, problem.network) / problem.alpha
             + np.log(expand_target(problem.target, space)))
+    if logw.max() - logw.min() > 700:
+        return
     try:
         ipf = dense_ipf(space, np.exp(logw - logw.max()), problem.nu0, problem.nuT,
                         tol=1e-13, max_iter=5_000).probabilities
