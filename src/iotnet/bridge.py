@@ -226,9 +226,12 @@ def _newton(block: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     takes one rung.  A rung stops at an L1 row violation of 1e-6 (``tol``
     on the last rung, ``lam = 1``), where the line search accepts no ``t``,
     or at the float floor: after 20 steps that leave the violation at most
-    1e-14 times the rung's span without halving the smallest one yet.  At
-    most ``max_steps`` are taken over all rungs.  Returns the last rung's
-    ``f, g, P``, its violation and the number of steps taken.
+    1e-14 times the rung's span without halving the smallest one yet.  A
+    rung before the last that stops at its float floor hands its ``f`` to
+    the last rung directly: the rungs between have higher floors, so they
+    could only climb to the same refusal.  At most ``max_steps`` are taken
+    over all rungs.  Returns the last rung's ``f, g, P``, its violation and
+    the number of steps taken.
     """
     shift = block.max(axis=1)    # put back into f on return
     block = block - shift[:, None]
@@ -286,7 +289,8 @@ def _newton(block: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
             mu = max(mu / 10.0, 1e-12) if t == 1.0 else mu * 100.0
         if lam == 1.0:
             return f - shift, g, P, residual, steps
-        up = min(1.0, 10 * lam)
+        # past a rung's float floor the rungs up to the last have higher ones
+        up = 1.0 if stalled == _STALL else min(1.0, 10 * lam)
         f, lam = f * (up / lam), up
 
 

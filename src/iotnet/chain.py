@@ -10,17 +10,18 @@ loop:
   :func:`logsumexp` (its potentials);
 * min-plus: :func:`min_plus` (cheapest rows, the largest path cost);
 * sum-product: :func:`chain_law` (a Markov law along given rows);
-* counting: :func:`walk_counts` (exact path counts and the reachability
-  that prunes enumeration), and :func:`grow`, which extends rows by their
-  successors.
+* counting: :func:`walk_counts` (exact walk counts, as Python ints).
 
-A table a pass fills is sized first by :func:`table`, which refuses a
-horizon or a node count whose table cannot be allocated.
+A path space is counted before it is listed: :func:`count_walks` takes its
+exact size from the walk counts, and :func:`walks`, the one lister, fills
+that many rows a column at a time from the same counts.  A table a pass
+fills is sized first by :func:`table`, which refuses a horizon, a node count
+or a path space whose table cannot be allocated.
 """
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InfeasibleError, ValidationError
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -86,45 +87,82 @@ def chain_law(initial: np.ndarray, steps, rows: np.ndarray) -> np.ndarray:
 
 
 def table(shape, fill, what: str, dtype=float) -> np.ndarray:
-    """``np.full(shape, fill, dtype)``, sized before any pass fills it: a
+    """``np.full(shape, fill, dtype)`` (``np.empty`` for a ``fill`` of None,
+    where the pass writes every cell), sized before any pass fills it: a
     table that cannot be allocated raises :class:`ValidationError` naming
-    ``what`` (a horizon, a node count) as too large."""
+    ``what`` (a horizon, a node count, a path space) as too large."""
     try:
-        return np.full(shape, fill, dtype=dtype)
+        return np.empty(shape, dtype) if fill is None else np.full(shape, fill, dtype)
     except (ValueError, MemoryError):
         raise ValidationError(f"{what} is too large") from None
 
 
+def _step(steps: np.ndarray, t: int) -> np.ndarray:
+    """Step ``t``'s mask: one ``(n, n)`` mask serves every step, a ``(T, n,
+    n)`` stack holds one per step."""
+    return steps if steps.ndim == 2 else steps[t]
+
+
 def walk_counts(steps: np.ndarray, horizon: int, ends) -> np.ndarray:
-    """Walks to ``ends`` over the ``True`` entries of the ``(n, n)`` step mask
-    ``steps`` (node ``i`` is row ``i-1``): ``out[t, i]`` counts the
-    ``horizon - t``-step walks from node ``i``, as exact Python ints (column
-    0 is unused).  Counted backward, one ``np.add.at`` over the mask's edges
-    per step.  Raises :class:`ValidationError` when the ``(T+1, n+1)`` table
-    cannot be allocated.
+    """Walks to ``ends`` over the ``True`` entries of the step masks
+    ``steps``, one ``(n, n)`` mask or a ``(horizon, n, n)`` stack of one
+    per step: ``out[t, i]`` counts the ``horizon - t``-step walks from node
+    ``i`` at step ``t``, as exact Python ints (column 0 is unused).  Counted
+    backward, one ``np.add.at`` over a mask's edges per step.  Raises
+    :class:`ValidationError` naming the horizon when the ``(T+1, n+1)``
+    table cannot be allocated, before any step is counted.
     """
-    tails, heads = np.argwhere(steps).T + 1
-    counts = table((horizon + 1, steps.shape[0] + 1), 0, f"horizon {horizon}", object)
+    counts = table((horizon + 1, steps.shape[-1] + 1), 0, f"horizon {horizon}", object)
     counts[horizon, sorted(ends)] = 1
     for t in range(horizon - 1, -1, -1):
+        tails, heads = np.argwhere(_step(steps, t)).T + 1
         np.add.at(counts[t], tails, counts[t + 1, heads])
     return counts
 
 
-def grow(rows: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Each row of the node table ``rows`` extended by every successor of its
-    last node over the ``True`` entries of the ``(n, n)`` step mask ``step``
-    (node ``i`` is row ``i-1``), in ascending order, so lexicographic rows
-    stay lexicographic.  A row whose last node has no successor drops out."""
-    tails, heads = np.argwhere(step).T + 1
-    # CSR offsets: node i's successors are heads[offsets[i]:offsets[i+1]]
-    offsets = np.searchsorted(tails, np.arange(step.shape[0] + 2))
-    lo = offsets[rows[:, -1]]
-    count = offsets[rows[:, -1] + 1] - lo
-    parent = np.repeat(np.arange(len(rows)), count)
-    # grown row r takes its parent's successor number r - (parent's first row)
-    shift = lo - (np.cumsum(count) - count)
-    grown = np.empty((parent.size, rows.shape[1] + 1), dtype=np.int64)
-    grown[:, :-1] = rows[parent]
-    grown[:, -1] = heads[np.arange(parent.size) + shift[parent]]
-    return grown
+def count_walks(steps: np.ndarray, horizon: int, starts, ends) -> tuple[int, np.ndarray]:
+    """The exact number of ``horizon``-step walks from ``starts`` to ``ends``
+    over the step masks ``steps`` (as in :func:`walk_counts`), and the walk
+    counts it sums.  Raises :class:`InfeasibleError` when there is none."""
+    counts = walk_counts(steps, horizon, ends)
+    starts = sorted(set(starts))
+    size = int(counts[0, starts].sum())
+    if not size:
+        raise InfeasibleError(
+            f"empty path space: no horizon-{horizon} path from {starts} "
+            f"to {sorted(set(ends))} over feasible edges")
+    return size, counts
+
+
+def walks(steps: np.ndarray, horizon: int, starts, ends) -> np.ndarray:
+    """The ``(N, horizon+1)`` node table of every walk that
+    :func:`count_walks` counts, one per row in lexicographic order.
+
+    The table is allocated once, at its exact size, through :func:`table`,
+    so a space too large to hold is refused naming the horizon and the count
+    before any row is listed.  It is then filled a column at a time: column
+    ``t`` holds each level-``t`` prefix's last node, repeated by its number
+    of completions ``counts[t, node]``, and the next level's prefixes are
+    the successors over step ``t``'s mask that still complete.  Each cell is
+    written once.
+    """
+    size, counts = count_walks(steps, horizon, starts, ends)
+    # the interpreter refuses to print an int of more than 4,300 digits
+    count = size if size.bit_length() < 10_000 else f"at least 2**{size.bit_length() - 1}"
+    rows = table((size, horizon + 1), None,
+                 f"a horizon-{horizon} space of {count} paths", np.int64)
+    # a used prefix completes at most size ways: int64 holds each used count
+    width = np.minimum(counts, size).astype(np.int64)
+    last = np.array([s for s in sorted(set(starts)) if width[0, s]], dtype=np.int64)
+    rows[:, 0] = np.repeat(last, width[0, last])
+    for t in range(horizon):
+        # the steps that still complete, as CSR: node i's successors are
+        # heads[begin[i]:begin[i + 1]], in ascending order
+        tails, heads = np.argwhere(_step(steps, t) & (width[t + 1, 1:] > 0)).T + 1
+        begin = np.searchsorted(tails, np.arange(width.shape[1] + 1))
+        degree = begin[last + 1] - begin[last]
+        # successor k of prefix p is heads[begin[last[p]] + k]
+        at = np.repeat(begin[last] - np.cumsum(degree) + degree, degree)
+        last = heads[at + np.arange(at.size)]
+        rows[:, t + 1] = np.repeat(last, width[t + 1, last])
+    return rows

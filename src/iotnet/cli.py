@@ -27,7 +27,7 @@ from . import fixtures
 from .approx import fit_markov, fitted_prior
 from .bridge import (MarkovPrior, path_law_from_endpoint, sinkhorn_markov,
                      sinkhorn_path)
-from .chain import chain_law, grow
+from .chain import chain_law, count_walks, walks
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .fileio import (atomic_write_text, float_texts, fmt, load_marginal,
                      load_path_distribution, load_prior, load_step_weights,
@@ -171,18 +171,6 @@ def _cmd_rbwalk(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chain_support_law(initial: np.ndarray,
-                       transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and probabilities of a Markov path law's support (small chains)."""
-    rows = np.flatnonzero(initial > 0)[:, None] + 1
-    for mat in transitions:
-        rows = grow(rows, mat > 0)
-        if len(rows) > 1_000_000:
-            raise ValidationError("path law support is too large to enumerate; "
-                                  "drop --emit-paths")
-    return rows, chain_law(initial, transitions, rows)
-
-
 def _cmd_bridge(args: argparse.Namespace) -> int:
     _resolve_common(args)
     prior = load_prior(args.prior)
@@ -219,7 +207,14 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
     written = [out]
     if args.emit_paths:
         if markov:
-            rows, law = _chain_support_law(nu0, solution.transitions)
+            # the law's support: walks over the used steps between the supports
+            steps = solution.transitions > 0
+            support = (np.flatnonzero(nu0) + 1, np.flatnonzero(nuT) + 1)
+            if count_walks(steps, horizon, *support)[0] > 1_000_000:
+                raise ValidationError("path law support is too large to "
+                                      "enumerate; drop --emit-paths")
+            rows = walks(steps, horizon, *support)
+            law = chain_law(nu0, solution.transitions, rows)
         else:
             law = path_law_from_endpoint(solution, prior)
             rows, law = prior.path_space.array[law > 0], law[law > 0]
@@ -309,8 +304,11 @@ def _cmd_robust_cert(args: argparse.Namespace) -> int:
     with naming("path distribution", args.q_file):
         if q_horizon != rows.shape[1] - 1:
             raise ValidationError(f"horizon {q_horizon} != plan horizon {rows.shape[1] - 1}")
-    # target paths the plan file lacks (the writer drops p < PLAN_PROB_FLOOR)
-    # add nothing to E_P[C] or KL(P || Q), which reads q as given: skip them
+    # Q is the q-file's law: its probabilities over their total (a file
+    # without mass is refused below).  Target paths the plan file lacks (the
+    # writer drops p < PLAN_PROB_FLOOR) add nothing to E_P[C] or KL(P || Q):
+    # skip them
+    q_probs = q_probs / (q_probs.sum() or 1.0)
     at = row_join(q_rows, rows)
     q = np.bincount(at[at >= 0], weights=q_probs[at >= 0], minlength=len(rows))
 
@@ -403,11 +401,9 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     tv = 0.5 * float(np.abs(plan.path_law - ipf.probabilities).sum())
     report("ipf-vs-bridge", tv <= 1e-8, f"tv={fmt(tv)}")
 
-    start_gap = float(np.abs(np.bincount(space.starts - 1, weights=plan.path_law,
-                                         minlength=network.n) - nu0).max())
-    end_gap = float(np.abs(np.bincount(space.ends - 1, weights=plan.path_law,
-                                       minlength=network.n) - nuT).max())
-    gap = max(start_gap, end_gap)
+    gap = max(float(np.abs(np.bincount(nodes - 1, weights=plan.path_law,
+                                       minlength=network.n) - nu).max())
+              for nodes, nu in ((space.starts, nu0), (space.ends, nuT)))
     report("marginal-gaps", gap <= 1e-8, f"sup={fmt(gap)}")
 
     if run_lp:

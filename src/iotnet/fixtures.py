@@ -44,6 +44,16 @@ class ProblemFixture:
     nuT: np.ndarray
 
 
+def _table_network(nodes, table: dict[tuple[int, int], float]
+                   ) -> tuple[Network, CostModel]:
+    """The network with one edge per pair of a cost table, a storage loop
+    on ``i -> i`` and a local edge otherwise, as long as its cost; and the
+    table's Markov model."""
+    edges = [(i, j, EdgeKind.STORAGE if i == j else EdgeKind.LOCAL, cost)
+             for (i, j), cost in sorted(table.items())]
+    return build_network(nodes, edges), CostModel.markov(table)
+
+
 def tiny_fixture() -> ProblemFixture:
     """Three nodes, every ordered pair an edge, horizon 2: 27 paths.
 
@@ -56,12 +66,7 @@ def tiny_fixture() -> ProblemFixture:
         (2, 1): 1.4, (2, 2): 1.1, (2, 3): 1.0,
         (3, 1): 1.0, (3, 2): 1.6, (3, 3): 1.3,
     }
-    edges = []
-    for (i, j), cost in sorted(table.items()):
-        kind = EdgeKind.STORAGE if i == j else EdgeKind.LOCAL
-        edges.append((i, j, kind, cost))
-    network = build_network(nodes, edges)
-    model = CostModel.markov(table)
+    network, model = _table_network(nodes, table)
     space = enumerate_paths(network, 2, (1, 2, 3), (1, 2, 3), model)
     nu0 = np.array([0.5, 0.3, 0.2])
     nuT = np.array([0.2, 0.3, 0.5])
@@ -77,11 +82,7 @@ def four_node_fixture() -> tuple[Network, CostModel]:
         (1, 3): 2.0, (2, 4): 1.8, (3, 1): 1.1,
         (1, 1): 0.8, (3, 3): 0.7,
     }
-    edges = []
-    for (i, j), cost in sorted(table.items()):
-        kind = EdgeKind.STORAGE if i == j else EdgeKind.LOCAL
-        edges.append((i, j, kind, cost))
-    return build_network(nodes, edges), CostModel.markov(table)
+    return _table_network(nodes, table)
 
 
 def random_markov_problem(rng: np.random.Generator, *, n: int | None = None,
@@ -105,10 +106,7 @@ def random_markov_problem(rng: np.random.Generator, *, n: int | None = None,
             elif i == j and rng.random() < 0.5:
                 pairs.add((i, j))
     table = {pair: float(rng.uniform(0.5, 3.0)) for pair in sorted(pairs)}
-    edges = [(i, j, EdgeKind.STORAGE if i == j else EdgeKind.LOCAL, table[(i, j)])
-             for (i, j) in sorted(pairs)]
-    network = build_network(nodes, edges)
-    model = CostModel.markov(table)
+    network, model = _table_network(nodes, table)
     space = enumerate_paths(network, horizon, range(1, n + 1), range(1, n + 1),
                             model)
 

@@ -40,7 +40,7 @@ import numpy as np
 from .bridge import (BridgeSolution, MarkovPrior, PathPrior, markov_path_law,
                      path_kl, path_law_from_endpoint, sinkhorn_markov,
                      sinkhorn_path)
-from .chain import chain_law, min_plus
+from .chain import chain_law, log_matmul, logsumexp, min_plus
 from .errors import InfeasibleError, ValidationError
 from .fileio import naming
 from .network import (MARKOV, CostModel, Network, PathSpace, cost_matrix,
@@ -218,7 +218,8 @@ class TransportPlan:
 
     @cached_property
     def target_probs(self) -> np.ndarray:
-        return expand_target(self.problem.target, self.path_space)
+        problem = self.problem
+        return expand_target(problem.target, self.path_space, problem.nu0, problem.nuT)
 
 
 def blend_distribution(q: np.ndarray, beta: float) -> np.ndarray:
@@ -229,19 +230,28 @@ def blend_distribution(q: np.ndarray, beta: float) -> np.ndarray:
     return (1.0 - beta) * q + beta / q.shape[0]
 
 
-def expand_target(target: ImitationTarget, space: PathSpace) -> np.ndarray:
+def expand_target(target: ImitationTarget, space: PathSpace,
+                  nu0: np.ndarray | None = None,
+                  nuT: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the (blended) target on every path of the space.
 
     Markov targets multiply their start and step weights along each path
-    (:func:`~iotnet.chain.chain_law`); path targets must already be aligned
-    with the space.  Blending happens after expansion, over the
-    space's paths.
+    (:func:`~iotnet.chain.chain_law`) and are divided by their mass on the
+    rows a plan can use, those from ``nu0``'s support to ``nuT``'s (every
+    row where the marginals are not given), so that Q is a probability law
+    there whatever the weights' scale; :func:`chain_plan` normalises the
+    chain's KL the same way.  Path targets must already be aligned with the
+    space, and are read as given.  Blending happens after expansion, over
+    the space's paths.
     """
     if target.is_markov:
         if target.initial.shape != (space.n,):
             raise ValidationError(f"Markov target has {target.initial.size} nodes "
                                   f"but the path space has {space.n}")
         q = chain_law(target.initial, [target.matrix] * space.horizon, space.array)
+        used = (slice(None) if nu0 is None
+                else (nu0[space.starts - 1] > 0) & (nuT[space.ends - 1] > 0))
+        q = q / (q[used].sum() or 1.0)   # no mass there: the bridge refuses it
     else:
         q = target.path_probs
         if q.shape != (space.size,):
@@ -330,7 +340,7 @@ def plan_from_law(problem: IOTProblem, law: np.ndarray,
     if costs is None:
         costs = path_costs(space, problem.cost_model, problem.network)
     if q is None:
-        q = expand_target(problem.target, space)
+        q = expand_target(problem.target, space, problem.nu0, problem.nuT)
     plan = TransportPlan(
         problem=problem, bridge=solution,
         objective=evaluate_objective_terms(law, costs, q, problem.alpha),
@@ -345,10 +355,15 @@ def chain_plan(problem: IOTProblem, solution: BridgeSolution) -> TransportPlan:
 
     Edge usage is a forward pass: ``usage[t] = mu_t[:, None] * Pi_t`` and
     ``mu_{t+1} = usage[t].sum(0)`` from ``mu_0 = nu0``.  The chain's path law
-    is ``nu0(x0) prod_t Pi_t`` and the target's ``init(x0) prod_t M``, so the
-    divergence is read off the chain: ``KL = sum nu0 (log nu0 - log init) +
-    sum_t usage[t] (log Pi_t - log M)`` over the used entries, with no
-    difference of near-equal totals to lose digits at small ``alpha``.
+    is ``nu0(x0) prod_t Pi_t`` and the target's ``init(x0) prod_t M / Z``,
+    so the divergence is read off the chain: ``KL = sum nu0 (log nu0 - log
+    init) + sum_t usage[t] (log Pi_t - log M) + log Z`` over the used
+    entries, with no difference of near-equal totals to lose digits at small
+    ``alpha``.  ``Z`` is the target's mass on the walks over the cost table
+    between the supports, as :func:`expand_target` normalises it: its start
+    weights on ``nu0``'s support carried through its masked step weights by
+    one log-domain pass (:func:`~iotnet.chain.log_matmul` on a one-row
+    start), summed over ``nuT``'s support.
     """
     nu0, n, init = problem.nu0, problem.nu0.shape[0], problem.target.initial
     usage = np.empty((problem.horizon, n, n))
@@ -363,6 +378,12 @@ def chain_plan(problem: IOTProblem, solution: BridgeSolution) -> TransportPlan:
     kl = float(nu0[start] @ (np.log(nu0[start]) - np.log(init[start]))
                + usage[t, i, j] @ (np.log(solution.transitions[t, i, j])
                                    - np.log(problem.target.matrix[i, j])))
+    # + log Z, the target's mass on the walks between the supports
+    with np.errstate(divide="ignore"):
+        mass = np.where(start, np.log(init), -np.inf)[None]
+        step = np.where(np.isfinite(cost), np.log(problem.target.matrix), -np.inf)
+    mass = reduce(log_matmul, repeat(step, problem.horizon), mass)[0]
+    kl += float(logsumexp(mass[problem.nuT > 0], axis=0))
     objective = ObjectiveTerms(expected_cost=expected, kl_to_target=kl,
                                total=expected + problem.alpha * kl)
     return TransportPlan(problem=problem, bridge=solution, objective=objective,
@@ -417,7 +438,7 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
                                        problem.horizon, tol=tol, max_iter=max_iter)
         return chain_plan(problem, solution)
     space = problem.space
-    q = expand_target(problem.target, space)
+    q = expand_target(problem.target, space, problem.nu0, problem.nuT)
     costs = path_costs(space, problem.cost_model, problem.network)
     _check_cost_scale(float(costs.max(initial=0.0)), problem.alpha)
     prior = imitation_prior_paths(space, costs, q, problem.alpha)

@@ -41,8 +41,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chain import grow, walk_counts
-from .errors import InfeasibleError, ValidationError
+from .chain import walks
+from .errors import ValidationError
 
 
 class EdgeKind(Enum):
@@ -485,42 +485,25 @@ def enumerate_paths(network: Network, horizon: int,
                     model: CostModel) -> PathSpace:
     """Materialise the feasible path space as its ``(N, T+1)`` node matrix.
 
-    Backward walk counts (:func:`~iotnet.chain.walk_counts`) prune each step
-    to the nodes that still reach the end support; each row then grows by
-    the kept successors of its last node, in sorted order
-    (:func:`~iotnet.chain.grow`), so the rows come out lexicographic without
-    a sort.  Raises :class:`InfeasibleError` when no path survives.
+    The rows are the walks over the network's edges (on the Markov model,
+    the cost table's pairs among them) from the start support to the end
+    support, listed by :func:`~iotnet.chain.walks` in lexicographic order:
+    counted first, so a space too large to hold is refused by its horizon
+    and size before any row is built.  Raises :class:`InfeasibleError` when
+    no path runs, also from an empty support.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     n = network.n
-    starts = sorted({int(s) for s in start_support})
-    ends = {int(s) for s in end_support}
-    for s in [*starts, *ends]:
+    starts, ends = {int(s) for s in start_support}, {int(s) for s in end_support}
+    for s in sorted(starts | ends):
         if not (1 <= s <= n):
             raise ValidationError(f"support references unknown node {s}")
-    if not starts or not ends:
-        raise ValidationError("start and end supports must be nonempty")
 
     steps = network.edge_mask
     if model.mode == MARKOV:  # a Markov step also needs a cost-table entry
         steps = steps & pair_matrix(n, list(model.edge_costs), True, False)
-    # reach[t, i]: the end support is reachable from node i in horizon-t steps
-    reach = walk_counts(steps, horizon, ends) > 0
-    # a start that reaches no end keeps no successor and drops out
-    array = np.array(starts, dtype=np.int64)[:, None]
-    for t in range(horizon):
-        array = grow(array, steps & reach[t + 1, 1:])
-    if not len(array):
-        raise no_paths_error(horizon, starts, ends)
-    return PathSpace(horizon=horizon, n=n, array=array)
-
-
-def no_paths_error(horizon: int, starts: Iterable[int],
-                   ends: Iterable[int]) -> InfeasibleError:
-    return InfeasibleError(
-        f"empty path space: no horizon-{horizon} path from {sorted(starts)} "
-        f"to {sorted(ends)} over feasible edges")
+    return PathSpace(horizon=horizon, n=n, array=walks(steps, horizon, starts, ends))
 
 
 def unreachable_nodes(n: int, pairs: Sequence[Sequence[int]] | np.ndarray) -> list[int]:

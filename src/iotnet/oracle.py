@@ -66,21 +66,14 @@ def dense_ipf(space: PathSpace, weights: np.ndarray, nu0: np.ndarray,
 
     p = weights.copy()
     for _ in range(int(max_iter)):
-        mass0 = _group_sums(p, starts, n)
-        if np.any((nu0 > 0) & (mass0 == 0)):
-            bad = int(np.nonzero((nu0 > 0) & (mass0 == 0))[0][0]) + 1
-            raise InfeasibleError(
-                f"no remaining path mass starts at node {bad} but nu0 is positive there")
-        factor0 = np.divide(nu0, mass0, out=np.zeros(n), where=mass0 > 0)
-        p = p * factor0[starts]
-
-        massT = _group_sums(p, ends, n)
-        if np.any((nuT > 0) & (massT == 0)):
-            bad = int(np.nonzero((nuT > 0) & (massT == 0))[0][0]) + 1
-            raise InfeasibleError(
-                f"no remaining path mass ends at node {bad} but nuT is positive there")
-        factorT = np.divide(nuT, massT, out=np.zeros(n), where=massT > 0)
-        p = p * factorT[ends]
+        for groups, target, name, side in ((starts, nu0, "nu0", "starts"),
+                                           (ends, nuT, "nuT", "ends")):
+            mass = _group_sums(p, groups, n)
+            if np.any((target > 0) & (mass == 0)):
+                bad = int(np.nonzero((target > 0) & (mass == 0))[0][0]) + 1
+                raise InfeasibleError(f"no remaining path mass {side} at node {bad} "
+                                      f"but {name} is positive there")
+            p = p * np.divide(target, mass, out=np.zeros(n), where=mass > 0)[groups]
 
         gap0 = float(np.max(np.abs(_group_sums(p, starts, n) - nu0)))
         gapT = float(np.max(np.abs(_group_sums(p, ends, n) - nuT)))

@@ -37,7 +37,8 @@ Where the numbers come from:
   so edge usage and the KL come from the solve
   (:func:`~iotnet.imitation.chain_plan`), per-destination cost and mass
   from one backward pass per cost model (:func:`chain_totals`), and the
-  path count from :func:`~iotnet.chain.walk_counts`.  The disaster
+  path count from :func:`~iotnet.chain.count_walks`, which counts without
+  listing.  The disaster
   reprices the LP's rows by their steps (:func:`~iotnet.network.row_costs`).
   The space is enumerated only if a caller reads ``ScenarioResult.space``
   or the plan's path arrays.
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fixtures
-from .chain import min_plus, walk_counts
+from .chain import count_walks, min_plus
 from .errors import InfeasibleError, ValidationError
 from .fileio import (_read_json, atomic_write_text, fmt, load_step_weights,
                      load_target, naming, node_masses, number, parse_field,
@@ -66,7 +67,7 @@ from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
 from .network import (EDGE_KINDS, CostModel, EdgeKind, Network, PathSpace,
                       cost_matrix, edge_table, enumerate_paths,
                       load_network, markov_model_from_network,
-                      network_from_dict, no_paths_error, pair_matrix,
+                      network_from_dict, pair_matrix,
                       path_vector, reprice, row_costs)
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
@@ -652,6 +653,17 @@ def _risk_target(spec: ScenarioSpec, network: Network, model: CostModel,
     return ImitationTarget.markov(matrix, initial)
 
 
+def _check_edges(network: Network, affected, disaster_edges) -> None:
+    """Refuse an affected pair or a disaster edge that is not an edge of
+    ``network``: its weight or its repricing would otherwise fall on nothing."""
+    n = network.n
+    for name, pairs in (("affected", affected), ("disaster.edges", disaster_edges)):
+        for i, j in pairs:
+            if not (1 <= i <= n and 1 <= j <= n and network.edge_mask[i - 1, j - 1]):
+                raise ValidationError(f"{name} pair ({i}, {j}) is not an edge of "
+                                      "the network")
+
+
 def _disaster_spec(spec: ScenarioSpec,
                    affected: tuple[tuple[int, int], ...]) -> DisasterSpec | None:
     """The spec's disaster, edges defaulting to ``affected``; None if no edges."""
@@ -680,25 +692,20 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
         if affected is None:
             affected = fixture.affected if fixture is not None else ()
         if risk:
+            _check_edges(network, affected, spec.disaster.edges if spec.disaster else ())
             model = markov_model_from_network(network, ruled)
             cost = cost_matrix(model, n)
-            counts = walk_counts(np.isfinite(cost), spec.horizon, demand)
-            paths = counts[0, sorted(supply)].sum()
-            if not paths:
-                raise no_paths_error(spec.horizon, supply, demand)
-            problem = IOTProblem(network=network, cost_model=model, nu0=nu0,
-                                 nuT=nuT, alpha=spec.alpha,
-                                 target=_risk_target(spec, network, model, affected),
-                                 horizon=spec.horizon)
+            paths, _ = count_walks(np.isfinite(cost), spec.horizon, supply, demand)
+            space, target = None, _risk_target(spec, network, model, affected)
         else:
             model = ruled
             space = enumerate_paths(network, spec.horizon, sorted(supply),
                                     sorted(demand), model)
             paths, q_star = space.size, _q_star(spec, space, fixture)
-            problem = IOTProblem(network=network, cost_model=model, nu0=nu0,
-                                 nuT=nuT, alpha=spec.alpha,
-                                 target=ImitationTarget.paths(q_star, blend=spec.beta),
-                                 path_space=space)
+            target = ImitationTarget.paths(q_star, blend=spec.beta)
+        problem = IOTProblem(network=network, cost_model=model, nu0=nu0, nuT=nuT,
+                             alpha=spec.alpha, target=target, path_space=space,
+                             horizon=spec.horizon)
     plan = solve_iot(problem, tol=tol, max_iter=max_iter)
 
     def chain_report(step: np.ndarray) -> PlanReport:

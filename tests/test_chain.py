@@ -10,6 +10,7 @@ against its enumerated space, an ``iot scenario`` run that may not enumerate a
 single path, and horizons too large to count.
 """
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -43,9 +44,10 @@ from iotnet import (
 )
 from iotnet import fixtures
 from iotnet.cli import main
-from iotnet.chain import log_matmul, min_plus, walk_counts
+from iotnet.chain import count_walks, log_matmul, min_plus, walk_counts, walks
 from iotnet.imitation import _largest_chain_cost, imitation_prior_markov
-from iotnet.network import cost_matrix, markov_model_from_network, row_costs
+from iotnet.network import (cost_matrix, markov_model_from_network, network_to_dict,
+                            row_costs)
 from iotnet.scenario import (RiskWeights, build_risk_matrix, chain_totals,
                              cheapest_paths, cheapest_rows, load_scenario,
                              plan_report, run_scenario)
@@ -154,6 +156,35 @@ def test_chain_contractions_match_the_enumerated_path_law(problem):
     path_rows, path_row_cost = cheapest_paths(space, costs)
     assert np.array_equal(path_rows, rows)
     assert np.array_equal(path_row_cost, row_cost)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(chain_problems(), st.sampled_from(["matrix", "initial"]),
+       st.floats(1e-3, 1e3))
+def test_a_markov_target_is_one_probability_law_on_both_routes(problem, part, scale):
+    """Q is the target's law on the walks between the supports: the routes'
+    KLs agree and are never negative, and scaling the step weights or the
+    start weights by a positive constant moves neither plan nor KL, also
+    with a blend, whose uniform part no longer meets an unnormalised Q."""
+    try:
+        plans = [solve_iot(problem, tol=1e-12), solve_iot(problem, force_path=True,
+                                                          tol=1e-12)]
+    except InfeasibleError:
+        assume(False)
+    kls = [plan.objective.kl_to_target for plan in plans]
+    assert min(kls) >= -1e-12
+    assert kls[0] == pytest.approx(kls[1], rel=1e-9, abs=1e-9)
+    target = problem.target
+    scaled = {"matrix": target.matrix, "initial": target.initial}
+    scaled[part] = scaled[part] * scale
+    for beta in (0.0, 0.3):
+        base, moved = (solve_iot(dataclasses.replace(problem, target=ImitationTarget.markov(
+            **weights, blend=beta)), tol=1e-12)
+            for weights in ({"matrix": target.matrix, "initial": target.initial}, scaled))
+        assert 0.5 * np.abs(base.path_law - moved.path_law).sum() <= 1e-9
+        assert moved.objective.kl_to_target == pytest.approx(
+            base.objective.kl_to_target, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 40.0])
@@ -297,6 +328,48 @@ def test_min_plus_equals_the_column_loop(shape):
     assert np.all(got[-1] == math.inf) and np.all(got[:, 0] == math.inf)
 
 
+@st.composite
+def step_masks(draw):
+    """One ``(n, n)`` step mask or a ``(T, n, n)`` stack of them, with start
+    and end node sets: sparse or dense, so that some starts have no walk
+    and some draws have none at all."""
+    n, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = (horizon, n, n) if draw(st.booleans()) else (n, n)
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=math.prod(shape),
+                          max_size=math.prod(shape)))
+    nodes = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+    return (np.array(cells).reshape(shape) < density, horizon, draw(nodes),
+            draw(nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_masks())
+@example((np.array([[True, True, False], [False, False, True], [False, False, False]]),
+          2, [3, 1], [3]))
+@example((np.zeros((2, 2, 2), dtype=bool), 2, [1], [2]))
+def test_walks_lists_what_brute_force_lists_in_its_order(case):
+    """The lister's table equals the walks that plain product-and-filter
+    iteration keeps, row for row in lexicographic order, and has as many
+    rows as the walk count; where none runs both refuse the empty space."""
+    steps, horizon, starts, ends = case
+    n = steps.shape[-1]
+    masks = [steps if steps.ndim == 2 else steps[t] for t in range(horizon)]
+    expected = [walk for walk in itertools.product(range(1, n + 1), repeat=horizon + 1)
+                if walk[0] in starts and walk[-1] in ends
+                and all(masks[t][a - 1, b - 1]
+                        for t, (a, b) in enumerate(zip(walk, walk[1:])))]
+    if not expected:
+        for fn in (walks, count_walks):
+            with pytest.raises(InfeasibleError, match="empty path space"):
+                fn(steps, horizon, starts, ends)
+        return
+    rows = walks(steps, horizon, starts, ends)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, np.array(expected))
+    assert count_walks(steps, horizon, starts, ends)[0] == len(expected)
+
+
 def test_count_paths_does_not_overflow():
     steps = np.ones((3, 3), dtype=bool)
     assert walk_counts(steps, 64, [1, 2, 3])[0, 1] == 3 ** 64
@@ -379,16 +452,29 @@ _HUGE = 10 ** 30
     (["solve", "--network", "builtin:tiny", "--alpha", "0.5", "--horizon", str(_HUGE)], ""),
     (["bridge", "--prior", "prior.json", "--nu0", "half.json", "--nuT", "half.json",
       "--horizon", str(_HUGE)], ""),
+    (["scenario", "--spec", "tiny99.json"], "scenario tiny99.json: "),
+    (["solve", "--network", "builtin:tiny", "--alpha", "0.5", "--horizon", "99"], ""),
+    (["solve", "--network", "builtin:tiny", "--alpha", "0.5", "--horizon", "10000"], ""),
 ])
 def test_a_huge_horizon_is_refused_by_name(tmp_path, argv, named):
     """A horizon of 10**30 ends in one ``error:`` line naming it (and the
     scenario file): the walk-count table that sizes the chain, or the
     bridge's table of transitions, cannot be allocated, and no loop over the
-    horizon runs first.  ``iot`` runs in a child process, killed after 60 s
-    and held to a 2 GiB address space."""
+    horizon runs first.  On tiny's three nodes at T=99 the walks are counted
+    (about 5e47 of them), and the path table of that many rows is refused
+    by its horizon and size before any row is listed; at T=10,000 the count
+    has more digits than the interpreter prints, and the refusal gives its
+    power of two.  ``iot`` runs in a child process, killed after 60 s and
+    held to a 2 GiB address space."""
     for kind, network in (("risk", "builtin:risk30"), ("imitation", "builtin:synthetic30")):
         (tmp_path / f"{kind}.json").write_text(json.dumps(
             {"network": network, "T": _HUGE, "alpha": 40.0, "scenario": {"kind": kind}}))
+    tiny = fixtures.tiny_fixture()
+    (tmp_path / "tiny.json").write_text(json.dumps(network_to_dict(tiny.network)))
+    masses = {str(node): 1.0 for node in (1, 2, 3)}
+    (tmp_path / "tiny99.json").write_text(json.dumps(
+        {"network": "tiny.json", "supply": masses, "demand": masses, "T": 99,
+         "alpha": 40.0, "scenario": {"kind": "imitation"}}))
     (tmp_path / "prior.json").write_text(json.dumps(
         {"type": "markov", "initial": [0.5, 0.5], "matrix": [[1, 1], [1, 1]]}))
     (tmp_path / "half.json").write_text(json.dumps([0.5, 0.5]))
@@ -405,7 +491,15 @@ def test_a_huge_horizon_is_refused_by_name(tmp_path, argv, named):
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     errors = [line for line in done.stderr.splitlines() if "error:" in line]
-    assert errors == [f"error: {named}horizon {_HUGE} is too large"]
+    if {"99", "tiny99.json"} & set(argv):
+        size = walk_counts(tiny.network.edge_mask, 99, [1, 2, 3])[0, 1:].sum()
+        assert errors == [f"error: {named}a horizon-99 space of {size} paths is too large"]
+    elif "10000" in argv:
+        size = walk_counts(tiny.network.edge_mask, 10_000, [1, 2, 3])[0, 1:].sum()
+        assert errors == [f"error: a horizon-10000 space of at least "
+                          f"2**{size.bit_length() - 1} paths is too large"]
+    else:
+        assert errors == [f"error: {named}horizon {_HUGE} is too large"]
 
 
 # ---------------------------------------------------------------------------

@@ -198,23 +198,42 @@ def test_small_alphas_solve(outdir, capsys, network, horizon, alpha, routes):
     assert 0.5 * np.abs(probs[0] - probs[-1]).sum() < 1e-8
 
 
+def test_a_markov_target_is_a_probability_law_on_the_space(outdir, capsys):
+    """All-ones step weights are the uniform law on the space once they are
+    normalised over it, so the rq-file target and the default one give one
+    KL: before, the raw products read -4.19 here, a KL below zero."""
+    (outdir / "rq.json").write_text(json.dumps({"default": 1.0}))
+    argv = ["solve", "--network", "builtin:risk30", "--cost", "markov",
+            "--alpha", "40", "--horizon", "5"]
+    kls = []
+    for extra in (["--rq-file", "rq.json"], []):
+        code, out, err = run_cli(argv + extra, capsys)
+        assert code == 0, err
+        kls.append(float(re.search(r"kl_to_target=(\S+)", out)[1]))
+    assert kls[0] >= 0
+    assert kls[0] == pytest.approx(kls[1], rel=1e-9)
+
+
 @pytest.mark.parametrize("extra", [[], _MARKOV_COST], ids=["path", "markov"])
 def test_an_alpha_at_the_float_floor_is_refused_by_name(outdir, capsys, extra):
     """At alpha 1e-10 tiny's potentials lie billions of nats apart, and floats
     resolve the marginals only to about 1e-16 of that: the scaling stops
     within a few dozen steps and refuses in one line naming alpha, the
-    violation reached and the steps taken."""
+    violation reached and the steps taken.  At 1e-300 the first rung that
+    meets its float floor hands over to the last one, which refuses in
+    under 200 steps instead of climbing some 300 rungs."""
     (outdir / "rq.json").write_text(json.dumps({"default": 1.0}))
-    code, _, err = run_cli(["solve", "--network", "builtin:tiny", "--alpha", "1e-10"]
-                           + extra, capsys)
-    assert code == 2
-    lines = err.strip().splitlines()
-    assert len(lines) == 1
-    refusal = re.fullmatch(r"error: alpha 1e-10: Sinkhorn stopped at an L1 marginal "
-                           r"violation of (\S+) after (\d+) Newton steps, short of the "
-                           r"tolerance 1e-10", lines[0])
-    assert refusal is not None, lines[0]
-    assert float(refusal[1]) > 1e-10 and int(refusal[2]) < 1_000
+    for alpha, most in (("1e-10", 1_000), ("1e-300", 200)):
+        code, _, err = run_cli(["solve", "--network", "builtin:tiny", "--alpha", alpha]
+                               + extra, capsys)
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        refusal = re.fullmatch(rf"error: alpha {alpha}: Sinkhorn stopped at an L1 "
+                               r"marginal violation of (\S+) after (\d+) Newton "
+                               r"steps, short of the tolerance 1e-10", lines[0])
+        assert refusal is not None, lines[0]
+        assert float(refusal[1]) > 1e-10 and int(refusal[2]) < most
 
 
 @pytest.mark.parametrize("cost, derived", [("ruled", 0), ("auto", 0),
@@ -318,6 +337,26 @@ def test_bridge_emit_paths(outdir, capsys):
     doc = json.loads((outdir / "bridge_paths.json").read_text())
     total = sum(e["prob"] for e in doc["entries"])
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_emit_paths_refuses_a_support_past_a_million_rows_before_listing(
+        outdir, capsys, monkeypatch):
+    """Four nodes, every step allowed, T=10: 4**11 (about 4.2 million) walks
+    carry the law, and the refusal comes from their count, before the
+    lister runs."""
+    (outdir / "prior.json").write_text(json.dumps(
+        {"type": "markov", "initial": [0.25] * 4, "matrix": np.ones((4, 4)).tolist()}))
+    (outdir / "m.json").write_text(json.dumps([0.25] * 4))
+
+    def refuse(*args):
+        raise AssertionError("rows listed")
+
+    monkeypatch.setattr(cli, "walks", refuse)
+    code, _, err = run_cli(["bridge", "--prior", "prior.json", "--nu0", "m.json",
+                            "--nuT", "m.json", "--horizon", "10", "--emit-paths"], capsys)
+    assert code == 1
+    assert err == ("error: path law support is too large to enumerate; "
+                   "drop --emit-paths\n")
 
 
 def test_bridge_infeasible_marginals(outdir, capsys):
@@ -430,15 +469,23 @@ def test_robust_cert_ignores_target_paths_the_plan_file_dropped(outdir, capsys):
     cert = json.loads((outdir / "robust_cert.json").read_text())
     assert cert["worst_case_cost"] == pytest.approx(
         plan["objective"]["total"] + 0.25, abs=1e-9)
-    # rows foreign to the plan's network are ignored the same way
+    # rows foreign to the plan's network are skipped the same way, but Q is
+    # the file's probabilities over their total: the space keeps 1/1.75 of it
     fx = fixtures.tiny_fixture()
     table = {p: 1.0 / fx.space.size for p in fx.space.paths}
     table.update({(9, 9, 9): 0.5, (1, 99, 3): 0.25})
-    save_path_distribution(str(outdir / "q.json"), 2, table)
-    code, _, err = run_cli(["robust-cert", "--plan", "plan.txt",
-                            "--q-file", "q.json", "--epsilon", "0.25"], capsys)
-    assert code == 0, err
-    assert json.loads((outdir / "robust_cert.json").read_text()) == cert
+    certs = []
+    for scale in (1.0, 0.5):   # a file and its halved copy are one law
+        save_path_distribution(str(outdir / "q.json"), 2,
+                               {p: scale * q for p, q in table.items()})
+        code, _, err = run_cli(["robust-cert", "--plan", "plan.txt",
+                                "--q-file", "q.json", "--epsilon", "0.25"], capsys)
+        assert code == 0, err
+        certs.append(json.loads((outdir / "robust_cert.json").read_text()))
+    assert certs[0] == certs[1]
+    assert certs[0]["nominal_cost"] == cert["nominal_cost"]
+    assert certs[0]["kl_term"] == pytest.approx(cert["kl_term"] + np.log(1.75),
+                                                rel=1e-12)
 
 
 @pytest.mark.parametrize("paths,entries", [
@@ -691,6 +738,26 @@ def test_a_node_or_pair_named_twice_is_refused(outdir, capsys, name, doc, argv,
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("miss", ["outside", "off-edge"])
+@pytest.mark.parametrize("field", ["affected", "disaster.edges"])
+def test_a_risk_pair_off_the_network_is_refused_by_name(outdir, capsys, field, miss):
+    """An affected pair or a disaster edge that is no edge of the network
+    (outside ``1..n``, or a pair of nodes without an edge) would weigh or
+    reprice nothing, and the disaster would be a silent no-op."""
+    mask = fixtures.risk30(0).network.edge_mask
+    edge, off_edge = (np.argwhere(m)[0] + 1 for m in (mask, ~mask))
+    pair = [99, 2] if miss == "outside" else off_edge.tolist()
+    fields = {"affected": [edge.tolist()], "disaster.edges": [edge.tolist()]}
+    fields[field] = [edge.tolist(), pair]
+    (outdir / "s.json").write_text(json.dumps(dict(
+        _RISK_SPEC, scenario={"kind": "risk", "affected": fields["affected"]},
+        disaster={"edges": fields["disaster.edges"]})))
+    code, _, err = run_cli(_SCENARIO, capsys)
+    assert code == 1
+    assert err == (f"error: scenario s.json: {field} pair ({pair[0]}, {pair[1]}) "
+                   f"is not an edge of the network\n")
 
 
 @pytest.mark.parametrize("block, name, doc, detail", [
