@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -148,6 +148,20 @@ class PathPrior:
         if not np.any(logw > -np.inf):
             raise ValidationError("path prior needs at least one positive weight")
 
+    @cached_property
+    def pair_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each path's flat endpoint pair ``(x0 - 1) * n + (xT - 1)``, its
+        weight shifted by its pair's largest log-weight, and per pair that
+        shift (0 without a path of positive weight) and the shifted sum."""
+        space = self.path_space
+        size = space.n * space.n
+        flat = (space.starts - 1) * space.n + (space.ends - 1)
+        top = np.full(size, -np.inf)
+        np.maximum.at(top, flat, self.log_weights)
+        top[top == -np.inf] = 0.0
+        shifted = np.exp(self.log_weights - top[flat])
+        return flat, shifted, top, np.bincount(flat, weights=shifted, minlength=size)
+
 
 def marginalize_prior(prior: PathPrior) -> np.ndarray:
     """Log endpoint kernel of a path prior: per-pair log-sum-exp of its weights.
@@ -155,16 +169,10 @@ def marginalize_prior(prior: PathPrior) -> np.ndarray:
     Each endpoint pair is shifted by its own largest log-weight before the
     sum, so a pair with a path of positive weight gets a finite entry.
     """
-    space = prior.path_space
-    size = space.n * space.n
-    flat = (space.starts - 1) * space.n + (space.ends - 1)
-    top = np.full(size, -np.inf)
-    np.maximum.at(top, flat, prior.log_weights)
-    top[top == -np.inf] = 0.0
-    mass = np.bincount(flat, weights=np.exp(prior.log_weights - top[flat]),
-                       minlength=size)
+    _, _, top, mass = prior.pair_sums
+    n = prior.path_space.n
     with np.errstate(divide="ignore"):
-        return (np.log(mass) + top).reshape(space.n, space.n)
+        return (np.log(mass) + top).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +414,19 @@ def sinkhorn_path(prior: PathPrior, nu0: np.ndarray, nuT: np.ndarray, *,
 
 
 def path_law_from_endpoint(solution: BridgeSolution, prior: PathPrior) -> np.ndarray:
-    """Full path law of a path-route bridge: ``exp(log w + log phihat0[x0] + log phiT[xT])``."""
-    space = prior.path_space
-    return np.exp(prior.log_weights + solution.log_phihat0[space.starts - 1]
-                  + solution.log_phiT[space.ends - 1])
+    """Full path law of a path-route bridge: each endpoint pair's coupling
+    mass, shared among its paths in proportion to their prior weights.
+
+    That is ``exp(log w + log phihat0[x0] + log phiT[xT])``, taken as
+    ``coupling[x0, xT] / mass * exp(log w - top)`` with the pair's shift
+    ``top`` and shifted sum ``mass`` (:attr:`PathPrior.pair_sums`): the
+    shift is never added back, so at small ``alpha``, where log-weights run
+    to 1e8 nats, the law keeps the coupling's marginals to its rounding.
+    """
+    flat, shifted, _, mass = prior.pair_sums
+    share = np.divide(solution.endpoint_coupling.reshape(-1), mass,
+                      out=np.zeros_like(mass), where=mass > 0)
+    return share[flat] * shifted
 
 
 def path_kl(p: np.ndarray, weights: np.ndarray) -> float:

@@ -29,13 +29,13 @@ from .bridge import (MarkovPrior, path_law_from_endpoint, sinkhorn_markov,
                      sinkhorn_path)
 from .chain import chain_law, count_walks, walks
 from .errors import ConvergenceError, InfeasibleError, ValidationError
-from .fileio import (atomic_write_text, float_texts, fmt, load_marginal,
+from .fileio import (atomic_write_text, digits, float_texts, fmt, load_marginal,
                      load_path_distribution, load_prior, load_step_weights,
-                     load_target, naming, parse_field, path_strings, read_plan,
+                     naming, parse_field, path_strings, read_plan,
                      save_path_distribution, write_plan)
-from .imitation import ImitationTarget, IOTProblem, expand_target, solve_iot
+from .imitation import ImitationTarget, IOTProblem, solve_iot
 from .network import (RULED, CostModel, Network, enumerate_paths, load_network,
-                      markov_model_from_network, path_costs, row_join)
+                      markov_model_from_network, row_join)
 from .oracle import dense_ipf, lp_ot
 from .robust import worst_case_certificate
 from .scenario import emit_report, load_scenario, run_scenario
@@ -238,26 +238,28 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise ValidationError("--horizon is required for this network")
     nu0 = _marginal(args.nu0, bundle.nu0, network.n, "--nu0")
     nuT = _marginal(args.nuT, bundle.nuT, network.n, "--nuT")
-    starts = [i + 1 for i in np.nonzero(nu0 > 0)[0]]
-    ends = [i + 1 for i in np.nonzero(nuT > 0)[0]]
-    space = enumerate_paths(network, horizon, starts, ends, model)
 
     if args.q_file is not None:
-        target = ImitationTarget.paths(load_target(args.q_file, space), blend=args.beta)
+        _, rows, probs = load_path_distribution(args.q_file)
+        target = ImitationTarget.paths(rows, probs, blend=args.beta)
     elif args.rq_file is not None:
         initial, matrix = load_step_weights(args.rq_file, network)
         target = ImitationTarget.markov(matrix, initial, blend=args.beta)
     else:
-        target = ImitationTarget.uniform(space.size)
+        target = ImitationTarget.uniform()
 
-    problem = IOTProblem(network=network, cost_model=model, path_space=space,
+    problem = IOTProblem(network=network, cost_model=model, horizon=horizon,
                          nu0=nu0, nuT=nuT, alpha=args.alpha, target=target)
+    if args.q_file is not None:
+        problem.space   # listed first: a refusal of the space names no q-file
+        with naming("path distribution", args.q_file):
+            problem.target_law
     plan = solve_iot(problem, force_path=args.force_path, tol=args.tol,
                      max_iter=args.max_iter)
     out = _out_path(args, "plan.txt")
     write_plan(out, plan)
     obj = plan.objective
-    print(f"paths={space.size} expected_cost={fmt(obj.expected_cost)} "
+    print(f"paths={plan.path_space.size} expected_cost={fmt(obj.expected_cost)} "
           f"kl_to_target={fmt(obj.kl_to_target)} total={fmt(obj.total)} "
           f"wrote {out}")
     return 0
@@ -343,7 +345,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     written = emit_report(result, args.out_dir)
     opt = result.reports["optimal"].total_cost
     imi = result.reports["imitation"].total_cost
-    line = (f"kind={result.kind} paths={result.paths} "
+    line = (f"kind={result.kind} paths={digits(result.paths)} "
             f"optimal_cost={fmt(opt)} imitation_cost={fmt(imi)}")
     if result.disaster is not None:
         line += (f" imitation_after={fmt(result.disaster.imitation_total_after)}"
@@ -353,38 +355,40 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_problem(args: argparse.Namespace):
+def _oracle_problem(args: argparse.Namespace) -> tuple[IOTProblem, bool]:
+    """The fixture's problem against the uniform target, and whether the
+    LP bound is checked on it."""
     name = args.fixture
     if name == "tiny":
         fx = fixtures.tiny_fixture()
-        alpha = args.alpha if args.alpha is not None else 0.5
-        return fx.network, fx.model, fx.space, fx.nu0, fx.nuT, alpha, True
-    if name == "four":
+        network, model, horizon, nu0, nuT = (fx.network, fx.model, fx.space.horizon,
+                                             fx.nu0, fx.nuT)
+    elif name == "four":
         network, model = fixtures.four_node_fixture()
-        space = enumerate_paths(network, 3, [1], [1, 2, 3, 4], model)
-        counts = np.bincount(space.ends, minlength=network.n + 1)[1:].astype(float)
+        horizon = 3
+        # the end marginal follows the walks' ends, with node 1's count doubled
+        ends = enumerate_paths(network, horizon, [1], [1, 2, 3, 4], model).ends
+        counts = np.bincount(ends, minlength=network.n + 1)[1:].astype(float)
         counts[0] *= 2.0
         nuT = counts / counts.sum()
         nu0 = np.zeros(network.n)
         nu0[0] = 1.0
-        alpha = args.alpha if args.alpha is not None else 0.5
-        return network, model, space, nu0, nuT, alpha, True
-    fx = fixtures.builtin(name, args.seed)
-    nu0, nuT = fx.marginals()
-    space = enumerate_paths(fx.network, fx.horizon, sorted(fx.supply),
-                            sorted(fx.demand), fx.ruled)
-    alpha = args.alpha if args.alpha is not None else 80.0
-    return fx.network, fx.ruled, space, nu0, nuT, alpha, False
+    else:
+        fx = fixtures.builtin(name, args.seed)
+        network, model, horizon = fx.network, fx.ruled, fx.horizon
+        nu0, nuT = fx.marginals()
+    default = 80.0 if name in ("synthetic30", "risk30") else 0.5
+    problem = IOTProblem(network=network, cost_model=model, horizon=horizon,
+                         nu0=nu0, nuT=nuT, target=ImitationTarget.uniform(),
+                         alpha=args.alpha if args.alpha is not None else default)
+    return problem, name in ("tiny", "four")
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     _resolve_common(args)
-    network, model, space, nu0, nuT, alpha, run_lp = _oracle_problem(args)
-    costs = path_costs(space, model, network)
-    target = ImitationTarget.uniform(space.size)
-    problem = IOTProblem(network=network, cost_model=model, path_space=space,
-                         nu0=nu0, nuT=nuT, alpha=alpha, target=target)
+    problem, run_lp = _oracle_problem(args)
     plan = solve_iot(problem, tol=args.tol, max_iter=args.max_iter)
+    space, costs, nu0, nuT = plan.path_space, plan.path_costs, problem.nu0, problem.nuT
 
     failures = 0
 
@@ -394,15 +398,14 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         if not ok:
             failures += 1
 
-    q = expand_target(target, space)
-    weights = np.exp(-(costs - costs.min()) / alpha) * q
+    weights = np.exp(-(costs - costs.min()) / problem.alpha) * plan.target_probs
     ipf = dense_ipf(space, weights, nu0, nuT, tol=args.tol,
                     max_iter=args.max_iter)
     tv = 0.5 * float(np.abs(plan.path_law - ipf.probabilities).sum())
     report("ipf-vs-bridge", tv <= 1e-8, f"tv={fmt(tv)}")
 
     gap = max(float(np.abs(np.bincount(nodes - 1, weights=plan.path_law,
-                                       minlength=network.n) - nu).max())
+                                       minlength=space.n) - nu).max())
               for nodes, nu in ((space.starts, nu0), (space.ends, nuT)))
     report("marginal-gaps", gap <= 1e-8, f"sup={fmt(gap)}")
 

@@ -46,7 +46,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import IOTError, ValidationError
-from .network import Network, PathSpace, path_vector, row_ranks
+from .network import Network, PathSpace, row_ranks
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -67,6 +67,13 @@ def atomic_write_text(path: str, text: str) -> None:
 def fmt(x: float) -> str:
     """Shortest round-trip decimal form of a float."""
     return repr(float(x))
+
+
+def digits(n: int) -> str:
+    """The decimal digits of the whole number ``n``, at any size: ``str``
+    refuses an int of more than 4,300 digits, ``Decimal`` does not."""
+    from decimal import Decimal   # here: importing it costs every command 2 ms
+    return str(Decimal(n))
 
 
 # orjson writes an exponent as "e16" or "e-7" where repr writes "e+16" or "e-07"
@@ -357,15 +364,6 @@ def _path_table(doc: object) -> tuple[int, np.ndarray, np.ndarray]:
     if not len(rows):
         raise ValidationError("no entries")
     return horizon, rows, probs
-
-
-def load_target(path: str, space: PathSpace) -> np.ndarray:
-    """The q-file ``path`` as a normalised vector over ``space``, on its horizon."""
-    horizon, rows, probs = load_path_distribution(path)
-    with naming("path distribution", path):
-        if horizon != space.horizon:
-            raise ValidationError(f"horizon {horizon} != problem horizon {space.horizon}")
-        return path_vector(space, rows, probs, "target")
 
 
 def save_path_distribution(path: str, horizon: int,

@@ -393,13 +393,8 @@ def synthetic_q_star(fx: SyntheticFixture, *, alpha: float = 80.0,
     from .imitation import ImitationTarget, IOTProblem, solve_iot
 
     nu0, nuT = fx.marginals()
-    space = enumerate_paths(fx.network, fx.horizon,
-                            [i for i, m in sorted(fx.supply.items()) if m > 0],
-                            [i for i, m in sorted(fx.demand.items()) if m > 0],
-                            fx.ruled)
-    problem = IOTProblem(network=fx.network, cost_model=fx.ruled,
-                         path_space=space, nu0=nu0, nuT=nuT, alpha=alpha,
-                         target=ImitationTarget.uniform(space.size))
-    plan = solve_iot(problem, tol=tol)
+    plan = solve_iot(IOTProblem(network=fx.network, cost_model=fx.ruled,
+                                horizon=fx.horizon, nu0=nu0, nuT=nuT, alpha=alpha,
+                                target=ImitationTarget.uniform()), tol=tol)
     law = plan.path_law / plan.path_law.sum()
-    return space.array[law > 0], law[law > 0]
+    return plan.path_space.array[law > 0], law[law > 0]

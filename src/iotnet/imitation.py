@@ -44,7 +44,8 @@ from .chain import chain_law, log_matmul, logsumexp, min_plus
 from .errors import InfeasibleError, ValidationError
 from .fileio import naming
 from .network import (MARKOV, CostModel, Network, PathSpace, cost_matrix,
-                      enumerate_paths, log_weight_matrix, path_costs)
+                      enumerate_paths, log_weight_matrix, path_costs,
+                      path_vector, require_edges)
 
 __all__ = [
     "ImitationTarget", "IOTProblem", "ObjectiveTerms", "TransportPlan",
@@ -57,28 +58,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ImitationTarget:
-    """Behaviour to imitate: Markov step weights or explicit path weights.
+    """Behaviour to imitate: Markov step weights, a path table, or neither.
 
     ``initial``/``matrix`` describe a Markov target (nonnegative step weights
     over existing edges, such as risk scores; rows need not be normalised;
-    finite start weights, uniform ``1/n`` by default).  ``path_probs`` is a
-    path-form target aligned with the problem's path space.  ``blend`` mixes
-    the target with the uniform path distribution.
+    finite start weights, uniform ``1/n`` by default).  ``rows``/``probs`` is
+    a path-form target: node rows, one per path, and their nonnegative
+    masses.  Neither is the uniform target.  Whatever its form, the problem
+    reads a target as a probability law on its path space
+    (:func:`expand_target`).  ``blend`` mixes that law with the uniform one.
     """
 
     initial: np.ndarray | None = None
     matrix: np.ndarray | None = None
-    path_probs: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    probs: np.ndarray | None = None
     blend: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.blend <= 1.0):
             raise ValidationError(f"blend must be in [0,1], got {self.blend}")
-        has_markov = self.matrix is not None
-        has_paths = self.path_probs is not None
-        if has_markov == has_paths:
-            raise ValidationError("provide exactly one of matrix / path_probs")
-        if has_markov:
+        if self.matrix is not None and self.rows is not None:
+            raise ValidationError("provide at most one of matrix / rows")
+        if self.matrix is not None:
             mat = np.asarray(self.matrix, dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValidationError("target matrix must be square")
@@ -92,26 +94,32 @@ class ImitationTarget:
                 raise ValidationError("target initial law must be a nonnegative "
                                       "finite vector matching the matrix dimension")
             object.__setattr__(self, "initial", init)
-        else:
-            probs = np.asarray(self.path_probs, dtype=float)
-            if probs.ndim != 1 or np.any(probs < 0) or not np.all(np.isfinite(probs)):
-                raise ValidationError("path_probs must be a nonnegative finite vector")
+        elif self.rows is not None or self.probs is not None:
+            rows, probs = np.asarray(self.rows), np.asarray(self.probs, dtype=float)
+            if (rows.ndim != 2 or not np.issubdtype(rows.dtype, np.integer)
+                    or probs.shape != (len(rows),)):
+                raise ValidationError("a path table is an integer matrix of node "
+                                      "rows and one prob per row")
+            if np.any(probs < 0) or not np.all(np.isfinite(probs)):
+                raise ValidationError("path probs must be nonnegative and finite")
             if not np.any(probs > 0):
-                raise ValidationError("path_probs must carry some mass")
-            object.__setattr__(self, "path_probs", probs)
+                raise ValidationError("path probs must carry some mass")
+            object.__setattr__(self, "rows", rows)
+            object.__setattr__(self, "probs", probs)
 
     @classmethod
     def markov(cls, matrix, initial=None, *, blend: float = 0.0) -> "ImitationTarget":
         return cls(initial=initial, matrix=matrix, blend=blend)
 
     @classmethod
-    def paths(cls, path_probs, *, blend: float = 0.0) -> "ImitationTarget":
-        return cls(path_probs=path_probs, blend=blend)
+    def paths(cls, rows, probs, *, blend: float = 0.0) -> "ImitationTarget":
+        """A path table: ``rows`` of nodes, one per path, and their masses."""
+        return cls(rows=rows, probs=probs, blend=blend)
 
     @classmethod
-    def uniform(cls, size: int) -> "ImitationTarget":
-        """Pure maximum-entropy transport: target the uniform law on ``size`` paths."""
-        return cls(path_probs=np.full(size, 1.0 / size))
+    def uniform(cls) -> "ImitationTarget":
+        """Pure maximum-entropy transport: target the uniform law on the paths."""
+        return cls()
 
     @property
     def is_markov(self) -> bool:
@@ -120,12 +128,13 @@ class ImitationTarget:
 
 @dataclass(frozen=True, eq=False)
 class IOTProblem:
-    """One imitation-regularized transport problem.
+    """One imitation-regularized transport problem over ``horizon`` steps.
 
-    ``path_space`` may be left out on the Markov route, which solves without
-    paths: give ``horizon`` instead, and the space of horizon-step paths
-    from ``nu0``'s support to ``nuT``'s is enumerated only when a plan's path
-    arrays are read (:attr:`space`), once per problem.
+    Its paths are the horizon-step walks over the network (on a Markov cost
+    model, over the cost table's pairs) from ``nu0``'s support to ``nuT``'s:
+    :attr:`space` lists them, once per problem and only when read, so the
+    Markov route, which solves without paths, lists none.  A Markov cost
+    table may price only edges of the network.
     """
 
     network: Network
@@ -134,21 +143,14 @@ class IOTProblem:
     nuT: np.ndarray
     alpha: float
     target: ImitationTarget
-    path_space: PathSpace | None = None
-    horizon: int | None = None
+    horizon: int
 
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
-        space = self.path_space
-        if space is None and self.horizon is None:
-            raise ValidationError("give a path_space or a horizon")
-        if space is not None:
-            if self.horizon not in (None, space.horizon):
-                raise ValidationError(f"horizon {self.horizon} != path space "
-                                      f"horizon {space.horizon}")
-            object.__setattr__(self, "horizon", space.horizon)
-        n = self.network.n if space is None else space.n
+        if self.horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        n = self.network.n
         for name in ("nu0", "nuT"):
             vec = np.asarray(getattr(self, name), dtype=float)
             if vec.shape != (n,):
@@ -158,15 +160,26 @@ class IOTProblem:
             size = self.target.matrix.shape[0]
             raise ValidationError(f"target matrix is {size}x{size} but the problem "
                                   f"has {n} nodes")
+        if self.cost_model.mode == MARKOV:
+            require_edges(self.network, "cost table", sorted(self.cost_model.edge_costs))
 
     @cached_property
     def space(self) -> PathSpace:
-        """The problem's path space: the given one, or the enumerated one."""
-        if self.path_space is not None:
-            return self.path_space
+        """The problem's path space: the walks between the marginals' supports."""
         return enumerate_paths(self.network, self.horizon,
                                np.flatnonzero(self.nu0) + 1,
                                np.flatnonzero(self.nuT) + 1, self.cost_model)
+
+    @cached_property
+    def target_law(self) -> np.ndarray:
+        """The target as a probability law on :attr:`space`, before blending."""
+        return expand_target(self.target, self.space)
+
+    @cached_property
+    def target_probs(self) -> np.ndarray:
+        """Q of the objective: :attr:`target_law`, blended (at ``blend`` 0,
+        its values unchanged)."""
+        return blend_distribution(self.target_law, self.target.blend)
 
 
 @dataclass(frozen=True)
@@ -216,10 +229,9 @@ class TransportPlan:
         return path_costs(self.path_space, self.problem.cost_model,
                           self.problem.network)
 
-    @cached_property
+    @property
     def target_probs(self) -> np.ndarray:
-        problem = self.problem
-        return expand_target(problem.target, self.path_space, problem.nu0, problem.nuT)
+        return self.problem.target_probs
 
 
 def blend_distribution(q: np.ndarray, beta: float) -> np.ndarray:
@@ -230,37 +242,29 @@ def blend_distribution(q: np.ndarray, beta: float) -> np.ndarray:
     return (1.0 - beta) * q + beta / q.shape[0]
 
 
-def expand_target(target: ImitationTarget, space: PathSpace,
-                  nu0: np.ndarray | None = None,
-                  nuT: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate the (blended) target on every path of the space.
+def expand_target(target: ImitationTarget, space: PathSpace) -> np.ndarray:
+    """The target as a probability law on every path of the space, before
+    blending (:attr:`IOTProblem.target_probs` blends it).
 
-    Markov targets multiply their start and step weights along each path
-    (:func:`~iotnet.chain.chain_law`) and are divided by their mass on the
-    rows a plan can use, those from ``nu0``'s support to ``nuT``'s (every
-    row where the marginals are not given), so that Q is a probability law
-    there whatever the weights' scale; :func:`chain_plan` normalises the
-    chain's KL the same way.  Path targets must already be aligned with the
-    space, and are read as given.  Blending happens after expansion, over
-    the space's paths.
+    A Markov target multiplies its start and step weights along each path
+    (:func:`~iotnet.chain.chain_law`); a path table is aligned on the space
+    by :func:`~iotnet.network.path_vector`, which refuses a row outside it;
+    the uniform target is ``1 / N``.  Each is divided by its mass on the
+    space, so Q is a probability law there whatever the weights' scale;
+    :func:`chain_plan` normalises the chain's KL the same way.
     """
     if target.is_markov:
         if target.initial.shape != (space.n,):
             raise ValidationError(f"Markov target has {target.initial.size} nodes "
                                   f"but the path space has {space.n}")
         q = chain_law(target.initial, [target.matrix] * space.horizon, space.array)
-        used = (slice(None) if nu0 is None
-                else (nu0[space.starts - 1] > 0) & (nuT[space.ends - 1] > 0))
-        q = q / (q[used].sum() or 1.0)   # no mass there: the bridge refuses it
-    else:
-        q = target.path_probs
-        if q.shape != (space.size,):
-            raise ValidationError(
-                f"path-form target has {q.shape[0]} entries but the path space "
-                f"has {space.size} paths")
-    if target.blend > 0.0:
-        q = blend_distribution(q, target.blend)
-    return q
+        return q / (q.sum() or 1.0)   # no mass there: the bridge refuses it
+    if target.rows is None:
+        return np.full(space.size, 1.0 / space.size)
+    if target.rows.shape[1] != space.horizon + 1:
+        raise ValidationError(f"horizon {target.rows.shape[1] - 1} != problem "
+                              f"horizon {space.horizon}")
+    return path_vector(space, target.rows, target.probs, "target")
 
 
 def imitation_prior_markov(model: CostModel, alpha: float,
@@ -329,24 +333,23 @@ def evaluate_objective_terms(law: np.ndarray, costs: np.ndarray, q: np.ndarray,
 
 
 def plan_from_law(problem: IOTProblem, law: np.ndarray,
-                  solution: BridgeSolution, *, costs: np.ndarray | None = None,
-                  q: np.ndarray | None = None) -> TransportPlan:
+                  solution: BridgeSolution, *,
+                  costs: np.ndarray | None = None) -> TransportPlan:
     """Assemble the plan of a path law, priced under ``problem``.
 
-    ``costs`` and ``q`` are the problem's path costs and expanded target,
-    computed here unless the caller already has them.
+    ``costs`` are the problem's path costs, computed here unless the caller
+    already has them.
     """
     space = problem.space
     if costs is None:
         costs = path_costs(space, problem.cost_model, problem.network)
-    if q is None:
-        q = expand_target(problem.target, space, problem.nu0, problem.nuT)
     plan = TransportPlan(
         problem=problem, bridge=solution,
-        objective=evaluate_objective_terms(law, costs, q, problem.alpha),
+        objective=evaluate_objective_terms(law, costs, problem.target_probs,
+                                           problem.alpha),
         edge_usage=edge_usage_from_law(space, law))
     # the path arrays are known: fill the lazy fields
-    plan.__dict__.update(path_law=law, path_costs=costs, target_probs=q)
+    plan.__dict__.update(path_law=law, path_costs=costs)
     return plan
 
 
@@ -438,12 +441,11 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
                                        problem.horizon, tol=tol, max_iter=max_iter)
         return chain_plan(problem, solution)
     space = problem.space
-    q = expand_target(problem.target, space, problem.nu0, problem.nuT)
     costs = path_costs(space, problem.cost_model, problem.network)
     _check_cost_scale(float(costs.max(initial=0.0)), problem.alpha)
-    prior = imitation_prior_paths(space, costs, q, problem.alpha)
+    prior = imitation_prior_paths(space, costs, problem.target_probs, problem.alpha)
     with naming(f"alpha {problem.alpha!r}"):
         solution = sinkhorn_path(prior, problem.nu0, problem.nuT,
                                  tol=tol, max_iter=max_iter)
     law = path_law_from_endpoint(solution, prior)
-    return plan_from_law(problem, law, solution, costs=costs, q=q)
+    return plan_from_law(problem, law, solution, costs=costs)

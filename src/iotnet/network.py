@@ -479,6 +479,15 @@ def path_vector(space: PathSpace, rows: np.ndarray, probs: np.ndarray,
     return vec / total
 
 
+def require_edges(network: Network, what: str, pairs) -> None:
+    """Refuse the first ``(tail, head)`` of ``pairs`` that is not an edge of
+    ``network`` (also one outside ``1..n``), calling it a ``what`` pair."""
+    n = network.n
+    for i, j in pairs:
+        if not (1 <= i <= n and 1 <= j <= n and network.edge_mask[i - 1, j - 1]):
+            raise ValidationError(f"{what} pair ({i}, {j}) is not an edge of the network")
+
+
 def enumerate_paths(network: Network, horizon: int,
                     start_support: Iterable[int],
                     end_support: Iterable[int],

@@ -60,15 +60,14 @@ import numpy as np
 from . import fixtures
 from .chain import count_walks, min_plus
 from .errors import InfeasibleError, ValidationError
-from .fileio import (_read_json, atomic_write_text, fmt, load_step_weights,
-                     load_target, naming, node_masses, number, parse_field,
-                     whole_number)
+from .fileio import (_read_json, atomic_write_text, digits, fmt,
+                     load_path_distribution, load_step_weights, naming,
+                     node_masses, number, parse_field, whole_number)
 from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
 from .network import (EDGE_KINDS, CostModel, EdgeKind, Network, PathSpace,
-                      cost_matrix, edge_table, enumerate_paths,
-                      load_network, markov_model_from_network,
-                      network_from_dict, pair_matrix,
-                      path_vector, reprice, row_costs)
+                      cost_matrix, edge_table, load_network,
+                      markov_model_from_network, network_from_dict,
+                      pair_matrix, reprice, require_edges, row_costs)
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
 # the top-level fields and the ``scenario`` block fields each kind reads
@@ -622,16 +621,19 @@ def transport_lp(rows: np.ndarray, costs: np.ndarray, nu0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _q_star(spec: ScenarioSpec, space: PathSpace,
-            fixture: fixtures.SyntheticFixture | None) -> np.ndarray:
-    """The imitation target on ``space``: a q-file, or the builtin's own."""
-    if spec.q_star_ref in (None, "builtin"):
-        if fixture is None:
-            raise ValidationError("imitation scenario needs q_star (builtin "
-                                  "networks can default to the built-in one)")
-        rows, probs = fixtures.synthetic_q_star(fixture)
-        return path_vector(space, rows, probs, "q_star")
-    return load_target(spec.resolve(spec.q_star_ref), space)
+def _q_star(spec: ScenarioSpec, fixture: fixtures.SyntheticFixture | None
+            ) -> tuple[ImitationTarget | None, tuple[str, ...]]:
+    """The imitation target, a q-file's path table or the builtin's, blended
+    by ``beta``, and the names its refusals carry; None without either."""
+    if spec.q_star_ref not in (None, "builtin"):
+        path = spec.resolve(spec.q_star_ref)
+        _, rows, probs = load_path_distribution(path)
+        return (ImitationTarget.paths(rows, probs, blend=spec.beta),
+                ("path distribution", path))
+    if fixture is None:
+        return None, ()
+    return (ImitationTarget.paths(*fixtures.synthetic_q_star(fixture), blend=spec.beta),
+            ("builtin q_star",))
 
 
 def _risk_target(spec: ScenarioSpec, network: Network, model: CostModel,
@@ -656,12 +658,8 @@ def _risk_target(spec: ScenarioSpec, network: Network, model: CostModel,
 def _check_edges(network: Network, affected, disaster_edges) -> None:
     """Refuse an affected pair or a disaster edge that is not an edge of
     ``network``: its weight or its repricing would otherwise fall on nothing."""
-    n = network.n
     for name, pairs in (("affected", affected), ("disaster.edges", disaster_edges)):
-        for i, j in pairs:
-            if not (1 <= i <= n and 1 <= j <= n and network.edge_mask[i - 1, j - 1]):
-                raise ValidationError(f"{name} pair ({i}, {j}) is not an edge of "
-                                      "the network")
+        require_edges(network, name, pairs)
 
 
 def _disaster_spec(spec: ScenarioSpec,
@@ -696,16 +694,22 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
             model = markov_model_from_network(network, ruled)
             cost = cost_matrix(model, n)
             paths, _ = count_walks(np.isfinite(cost), spec.horizon, supply, demand)
-            space, target = None, _risk_target(spec, network, model, affected)
+            target = _risk_target(spec, network, model, affected)
         else:
             model = ruled
-            space = enumerate_paths(network, spec.horizon, sorted(supply),
-                                    sorted(demand), model)
-            paths, q_star = space.size, _q_star(spec, space, fixture)
-            target = ImitationTarget.paths(q_star, blend=spec.beta)
+            target, names = _q_star(spec, fixture)
         problem = IOTProblem(network=network, cost_model=model, nu0=nu0, nuT=nuT,
-                             alpha=spec.alpha, target=target, path_space=space,
+                             alpha=spec.alpha, target=target or ImitationTarget.uniform(),
                              horizon=spec.horizon)
+        if not risk:
+            # listed first: a space too large to hold is refused before the target
+            space = problem.space
+            paths = space.size
+            if target is None:
+                raise ValidationError("imitation scenario needs q_star (builtin "
+                                      "networks can default to the built-in one)")
+            with naming(*names):
+                q_star = problem.target_law
     plan = solve_iot(problem, tol=tol, max_iter=max_iter)
 
     def chain_report(step: np.ndarray) -> PlanReport:
@@ -769,7 +773,7 @@ def emit_report(result: ScenarioResult, out_dir: str) -> list[str]:
         written.append(path)
 
     lines = [f"scenario\t{result.kind}"]
-    lines.append(f"paths\t{result.paths}")
+    lines.append(f"paths\t{digits(result.paths)}")
     lines.append(f"alpha\t{fmt(result.alpha)}")
     if result.kind == "imitation":
         lines.append(f"beta\t{fmt(result.beta)}")

@@ -66,8 +66,8 @@ def brute_paths(network, horizon, starts, ends, model):
 def uniform_problem(fx, alpha: float) -> IOTProblem:
     """Uniform-target problem over a ProblemFixture."""
     return IOTProblem(network=fx.network, cost_model=fx.model,
-                      path_space=fx.space, nu0=fx.nu0, nuT=fx.nuT,
-                      alpha=alpha, target=ImitationTarget.uniform(fx.space.size))
+                      horizon=fx.space.horizon, nu0=fx.nu0, nuT=fx.nuT,
+                      alpha=alpha, target=ImitationTarget.uniform())
 
 
 def line_network(lengths_by_kind):

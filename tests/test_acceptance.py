@@ -167,16 +167,15 @@ def test_04_uniform_target_is_entropic_transport():
     rng = np.random.default_rng(31)
     for _ in range(5):
         d = fixtures.random_markov_problem(rng)
-        space = d["space"]
         problem = IOTProblem(network=d["network"], cost_model=d["model"],
-                             path_space=space, nu0=d["nu0"], nuT=d["nuT"],
+                             horizon=d["space"].horizon, nu0=d["nu0"], nuT=d["nuT"],
                              alpha=d["alpha"],
-                             target=ImitationTarget.uniform(space.size))
+                             target=ImitationTarget.uniform())
         plan = solve_iot(problem, force_path=True)
         rb = io.build_rb_prior(d["model"], d["alpha"], d["network"].n)
         walk = MarkovPrior(initial=rb.node_weights, matrix=rb.transitions)
-        sol = sinkhorn_markov(walk, d["nu0"], d["nuT"], space.horizon)
-        assert tv(plan.path_law, markov_path_law(sol, d["nu0"], space)) < 1e-8
+        sol = sinkhorn_markov(walk, d["nu0"], d["nuT"], problem.horizon)
+        assert tv(plan.path_law, markov_path_law(sol, d["nu0"], plan.path_space)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +235,9 @@ def test_06_markov_fit_recovery_and_reported_error(synth30):
 
     space = synth30["space"]
     problem = IOTProblem(network=synth30["fx"].network,
-                         cost_model=synth30["fx"].ruled, path_space=space,
+                         cost_model=synth30["fx"].ruled, horizon=synth30["fx"].horizon,
                          nu0=synth30["nu0"], nuT=synth30["nuT"], alpha=80.0,
-                         target=ImitationTarget.uniform(space.size))
+                         target=ImitationTarget.uniform())
     exact = solve_iot(problem)
     tilt = _uniform_tilt(synth30["costs"], 80.0)
     fit = fit_markov(PathPrior(path_space=space, weights=tilt))

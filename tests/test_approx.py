@@ -190,11 +190,10 @@ def test_ruled_prior_is_genuinely_non_markov(synth30):
 
 
 def test_fit_objective_error_equals_direct_recomputation(synth30):
-    space = synth30["space"]
     problem = IOTProblem(network=synth30["fx"].network,
-                         cost_model=synth30["fx"].ruled, path_space=space,
+                         cost_model=synth30["fx"].ruled, horizon=synth30["fx"].horizon,
                          nu0=synth30["nu0"], nuT=synth30["nuT"], alpha=80.0,
-                         target=ImitationTarget.uniform(space.size))
+                         target=ImitationTarget.uniform())
     exact = solve_iot(problem)
     fit = fit_markov(_ruled_prior(synth30))
     err = fit_objective_error(fit, problem, exact)
@@ -206,18 +205,17 @@ def test_fit_objective_error_equals_direct_recomputation(synth30):
 
 
 def test_fitted_plan_never_beats_the_exact_one(synth30):
-    space = synth30["space"]
     problem = IOTProblem(network=synth30["fx"].network,
-                         cost_model=synth30["fx"].ruled, path_space=space,
+                         cost_model=synth30["fx"].ruled, horizon=synth30["fx"].horizon,
                          nu0=synth30["nu0"], nuT=synth30["nuT"], alpha=80.0,
-                         target=ImitationTarget.uniform(space.size))
+                         target=ImitationTarget.uniform())
     exact = solve_iot(problem)
     fit = fit_markov(_ruled_prior(synth30))
     approx_plan = markov_plan_from_fit(fit, problem)
     assert approx_plan.objective.total >= exact.objective.total - 1e-9
     # and it is still feasible
     from helpers import marginal_gap
-    assert marginal_gap(space, approx_plan.path_law, synth30["nu0"],
+    assert marginal_gap(approx_plan.path_space, approx_plan.path_law, synth30["nu0"],
                         synth30["nuT"]) < 1e-8
 
 
@@ -229,8 +227,8 @@ def test_fitted_chain_refuses_a_start_it_never_takes(tiny):
     fit = fit_markov(PathPrior(path_space=tiny.space, weights=w))
     assert fit.initial_log[2] == -np.inf
     problem = IOTProblem(network=tiny.network, cost_model=tiny.model,
-                         path_space=tiny.space, nu0=tiny.nu0, nuT=tiny.nuT,
-                         alpha=0.5, target=ImitationTarget.uniform(tiny.space.size))
+                         horizon=tiny.space.horizon, nu0=tiny.nu0, nuT=tiny.nuT,
+                         alpha=0.5, target=ImitationTarget.uniform())
     with pytest.raises(InfeasibleError, match="identically zero"):
         markov_plan_from_fit(fit, problem)
 
@@ -238,8 +236,8 @@ def test_fitted_chain_refuses_a_start_it_never_takes(tiny):
 def test_fit_dimensions_must_match_problem(tiny, synth30):
     fit = fit_markov(_ruled_prior(synth30))
     problem = IOTProblem(network=tiny.network, cost_model=tiny.model,
-                         path_space=tiny.space, nu0=tiny.nu0, nuT=tiny.nuT,
+                         horizon=tiny.space.horizon, nu0=tiny.nu0, nuT=tiny.nuT,
                          alpha=1.0,
-                         target=ImitationTarget.uniform(tiny.space.size))
+                         target=ImitationTarget.uniform())
     with pytest.raises(ValidationError):
         markov_plan_from_fit(fit, problem)

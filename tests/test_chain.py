@@ -11,6 +11,7 @@ single path, and horizons too large to count.
 """
 
 import dataclasses
+import decimal
 import functools
 import itertools
 import json
@@ -500,6 +501,36 @@ def test_a_huge_horizon_is_refused_by_name(tmp_path, argv, named):
                           f"2**{size.bit_length() - 1} paths is too large"]
     else:
         assert errors == [f"error: {named}horizon {_HUGE} is too large"]
+
+
+def test_a_risk_path_count_of_any_size_is_printed(tmp_path):
+    """risk30 at T=5000 counts about 4,900 digits of paths, past the 4,300
+    that ``str`` converts: the scenario solves, and its ``paths=`` line and
+    its summary give the exact count (it ended in a traceback after the
+    solve).  ``iot`` runs in a child process, killed after 60 s and held to
+    a 3 GB address space."""
+    (tmp_path / "r.json").write_text(json.dumps(
+        {"network": "builtin:risk30", "T": 5000, "alpha": 40.0,
+         "scenario": {"kind": "risk"}}))
+    src = os.path.dirname(os.path.dirname(iotnet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "iotnet.cli", "scenario", "--spec",
+                           "r.json", "--out-dir", "out"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert done.returncode == 0, done.stderr
+    fx = fixtures.risk30(0)
+    cost = cost_matrix(markov_model_from_network(fx.network, fx.ruled), fx.network.n)
+    size = count_walks(np.isfinite(cost), 5000, fx.supply, fx.demand)[0]
+    digits = str(decimal.Decimal(size))
+    assert len(digits) > 4300
+    assert f" paths={digits} " in done.stdout
+    summary = (tmp_path / "out" / "report_summary.txt").read_text().splitlines()
+    assert summary[1] == f"paths\t{digits}"
 
 
 # ---------------------------------------------------------------------------

@@ -975,7 +975,7 @@ def test_written_plans_read_by_columns_equal_the_reference(tiny, alpha, beta):
     if beta:
         law = np.arange(1.0, tiny.space.size + 1.0)
         problem = dataclasses.replace(problem, target=ImitationTarget.paths(
-            law / law.sum(), blend=beta))
+            tiny.space.array, law / law.sum(), blend=beta))
     text = plan_to_text(solve_iot(problem))
     columns, lines = _both_readers(text)
     assert columns == lines

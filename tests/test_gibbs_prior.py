@@ -22,6 +22,7 @@ from iotnet import (
     ImitationTarget,
     InfeasibleError,
     IOTProblem,
+    PathSpace,
     ValidationError,
     build_network,
     build_rb_prior,
@@ -100,7 +101,7 @@ def markov_problems(draw):
     initial = draw(st.none() | st.lists(st.floats(0.2, 1.0), min_size=n,
                                         max_size=n).map(np.array))
     target = ImitationTarget.markov(matrix, initial)
-    return IOTProblem(network=network, cost_model=model, path_space=space,
+    return IOTProblem(network=network, cost_model=model, horizon=horizon,
                       nu0=law(sorted(rows)), nuT=law(np.flatnonzero(cols).tolist()),
                       alpha=draw(st.floats(0.5, 3.0)), target=target)
 
@@ -108,10 +109,53 @@ def markov_problems(draw):
 @PROPERTY
 @given(markov_problems())
 def test_markov_route_matches_path_route_without_strong_connectivity(problem):
+    """A problem is sized by its horizon: both routes plan on the walks
+    between the marginals' supports, and a path table holding the Markov
+    target's law there poses the same problem as the step weights do."""
     markov, path = _both_routes(problem)
+    supports = (np.flatnonzero(problem.nu0) + 1, np.flatnonzero(problem.nuT) + 1)
+    walks = enumerate_paths(problem.network, problem.horizon, *supports,
+                            problem.cost_model)
+    for plan in (markov, path):
+        assert np.array_equal(plan.path_space.array, walks.array)
     assert tv(markov.path_law, path.path_law) < 1e-8
-    assert marginal_gap(problem.path_space, markov.path_law,
-                        problem.nu0, problem.nuT) < 1e-8
+    assert marginal_gap(walks, markov.path_law, problem.nu0, problem.nuT) < 1e-8
+    table = ImitationTarget.paths(walks.array, expand_target(problem.target, walks))
+    tabled = solve_iot(dataclasses.replace(problem, target=table), tol=1e-12)
+    assert tv(markov.path_law, tabled.path_law) < 1e-8
+    assert tabled.objective.kl_to_target == pytest.approx(
+        markov.objective.kl_to_target, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.05])
+def test_a_target_zero_off_a_subset_is_dense_ipf_on_the_subset(tiny, alpha):
+    """A restricted space is a path table that is zero off the chosen paths:
+    their prior weight is -inf, so the plan is the bridge on the subset."""
+    rows = tiny.space.array[::2]
+    target = ImitationTarget.paths(rows, np.ones(len(rows)))
+    plan = solve_iot(IOTProblem(network=tiny.network, cost_model=tiny.model,
+                                nu0=tiny.nu0, nuT=tiny.nuT, alpha=alpha, horizon=2,
+                                target=target), tol=1e-12)
+    subset = PathSpace(horizon=2, n=3, array=rows)
+    costs = path_costs(subset, tiny.model, tiny.network)
+    ipf = dense_ipf(subset, np.exp(-(costs - costs.min()) / alpha), tiny.nu0,
+                    tiny.nuT, tol=1e-13).probabilities
+    assert np.all(plan.path_law[1::2] == 0.0)
+    assert tv(plan.path_law[::2], ipf) < 1e-8
+
+
+def test_a_cost_table_pair_off_the_network_is_refused(tiny):
+    """Tiny's table on its network without the 1 -> 3 edge: the Markov route
+    would move mass along the pair the path route cannot step on."""
+    network = build_network(
+        [(node.id, node.x_km, node.y_km) for node in tiny.network.nodes],
+        [(edge.tail, edge.head, edge.kind, edge.length_km)
+         for edge in tiny.network.edges if (edge.tail, edge.head) != (1, 3)])
+    with pytest.raises(ValidationError,
+                       match=r"^cost table pair \(1, 3\) is not an edge of the network$"):
+        IOTProblem(network=network, cost_model=tiny.model, nu0=tiny.nu0,
+                   nuT=tiny.nuT, alpha=0.5, horizon=2,
+                   target=ImitationTarget.markov(np.ones((3, 3))))
 
 
 def _nearly_a_permutation():
@@ -124,8 +168,7 @@ def _nearly_a_permutation():
     model = CostModel.markov(costs)
     weights = np.zeros((4, 4))
     weights[tuple(np.array(sorted(costs)).T - 1)] = 1.0
-    space = enumerate_paths(network, 1, [1, 3], [2, 4], model)
-    return IOTProblem(network=network, cost_model=model, path_space=space,
+    return IOTProblem(network=network, cost_model=model, horizon=1,
                       nu0=np.array([0.5, 0.0, 0.5, 0.0]),
                       nuT=np.array([0.0, 0.5, 0.0, 0.5]), alpha=0.01,
                       target=ImitationTarget.markov(weights))
@@ -139,7 +182,7 @@ def small_alpha_problems(draw):
     over the paths, far past the float range of ``exp``.
     """
     problem = draw(markov_problems())
-    costs = path_costs(problem.path_space, problem.cost_model, problem.network)
+    costs = path_costs(problem.space, problem.cost_model, problem.network)
     spread = max(float(costs.max() - costs.min()), 0.5)
     return dataclasses.replace(
         problem, alpha=spread * 10.0 ** draw(st.floats(-5.0, 0.0)))
@@ -155,7 +198,7 @@ def test_routes_and_dense_ipf_agree_down_to_small_alpha(problem):
     as well, and the routes must still agree and meet the marginals.  IPF
     gets 5,000 iterations: over 1,500 drawn problems it needed at most 157."""
     markov, path = _both_routes(problem)
-    space = problem.path_space
+    space = problem.space
     assert tv(markov.path_law, path.path_law) < 1e-8
     for plan in (markov, path):
         assert marginal_gap(space, plan.path_law, problem.nu0, problem.nuT) < 1e-10
@@ -179,9 +222,8 @@ def _acyclic_problem():
     network = _network(3, pairs, costs)
     model = CostModel.markov(costs)
     nu0, nuT = np.array([0.6, 0.4, 0.0]), np.array([0.0, 0.3, 0.7])
-    space = enumerate_paths(network, 2, [1, 2], [2, 3], model)
     target = ImitationTarget.markov(np.full((3, 3), 1.0))
-    return IOTProblem(network=network, cost_model=model, path_space=space,
+    return IOTProblem(network=network, cost_model=model, horizon=2,
                       nu0=nu0, nuT=nuT, alpha=0.9, target=target)
 
 
@@ -202,7 +244,7 @@ def test_solve_never_builds_the_walk(monkeypatch, tiny):
     rng = np.random.default_rng(7)
     matrix = rng.uniform(0.2, 1.0, size=(3, 3))
     problem = IOTProblem(network=tiny.network, cost_model=tiny.model,
-                         path_space=tiny.space, nu0=tiny.nu0, nuT=tiny.nuT,
+                         horizon=tiny.space.horizon, nu0=tiny.nu0, nuT=tiny.nuT,
                          alpha=0.5,
                          target=ImitationTarget.markov(matrix))
     markov, path = _both_routes(problem)
@@ -214,7 +256,7 @@ def test_target_initial_law_must_cover_the_starts(tiny, initial):
     """No plan has finite divergence when a supported start has no target mass."""
     target = ImitationTarget.markov(np.full((3, 3), 1.0 / 3.0), initial)
     problem = IOTProblem(network=tiny.network, cost_model=tiny.model,
-                         path_space=tiny.space, nu0=tiny.nu0, nuT=tiny.nuT,
+                         horizon=tiny.space.horizon, nu0=tiny.nu0, nuT=tiny.nuT,
                          alpha=0.5, target=target)
     for force_path in (False, True):
         with pytest.raises(InfeasibleError):
@@ -225,7 +267,7 @@ def test_target_initial_law_must_cover_the_starts(tiny, initial):
 def test_a_nearly_permutation_coupling_solves_on_both_routes(force_path):
     """Sweeps alone raise here after 100,000 sweeps; the Newton steps solve it."""
     problem = _nearly_a_permutation()
-    assert problem.path_space.size == 4
+    assert problem.space.size == 4
     plan = solve_iot(problem, force_path=force_path, tol=1e-12)
-    assert marginal_gap(problem.path_space, plan.path_law,
+    assert marginal_gap(problem.space, plan.path_law,
                         problem.nu0, problem.nuT) < 1e-12

@@ -45,11 +45,11 @@ def test_blend_zero_and_one_are_endpoints():
         blend_distribution(q, 1.5)
 
 
-def test_target_requires_exactly_one_form():
-    with pytest.raises(ValidationError):
-        ImitationTarget()
-    with pytest.raises(ValidationError):
-        ImitationTarget(matrix=np.eye(2), path_probs=np.array([1.0]))
+def test_a_target_takes_at_most_one_form(tiny):
+    assert np.array_equal(expand_target(ImitationTarget(), tiny.space),
+                          np.full(27, 1.0 / 27.0))
+    with pytest.raises(ValidationError, match="at most one"):
+        ImitationTarget(matrix=np.eye(2), rows=[[1, 2]], probs=[1.0])
 
 
 def test_markov_target_owns_its_uniform_default_start_law():
@@ -63,14 +63,11 @@ def test_markov_target_refuses_non_finite_start_weights(bad):
         ImitationTarget.markov(np.ones((2, 2)), [bad, 1.0])
 
 
-@pytest.mark.parametrize("given", ["path_space", "horizon"])
-def test_problem_refuses_a_markov_target_of_another_size(tiny, given):
-    where = ({"path_space": tiny.space} if given == "path_space"
-             else {"horizon": tiny.space.horizon})
+def test_problem_refuses_a_markov_target_of_another_size(tiny):
     with pytest.raises(ValidationError, match="4x4 but the problem has 3 nodes"):
         IOTProblem(network=tiny.network, cost_model=tiny.model, nu0=tiny.nu0,
-                   nuT=tiny.nuT, alpha=0.5,
-                   target=ImitationTarget.markov(np.ones((4, 4))), **where)
+                   nuT=tiny.nuT, alpha=0.5, horizon=2,
+                   target=ImitationTarget.markov(np.ones((4, 4))))
 
 
 def test_expand_target_markov_products(tiny):
@@ -93,9 +90,15 @@ def test_expand_target_defaults_to_uniform_initial(tiny):
 
 
 def test_expand_target_blends_after_expansion(tiny):
-    mat = np.full((3, 3), 1.0 / 3.0)
-    q = expand_target(ImitationTarget.markov(mat, blend=0.5), tiny.space)
-    assert np.allclose(q, 1.0 / 27.0, atol=1e-15)  # uniform blends to itself
+    """``expand_target`` gives the target's law on the space; the problem's
+    Q blends it, over the space's paths."""
+    target = ImitationTarget.markov(np.arange(1.0, 10.0).reshape(3, 3), blend=0.5)
+    problem = IOTProblem(network=tiny.network, cost_model=tiny.model, nu0=tiny.nu0,
+                         nuT=tiny.nuT, alpha=0.5, horizon=2, target=target)
+    law = expand_target(target, tiny.space)
+    assert law.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(problem.target_law, law)
+    assert np.array_equal(problem.target_probs, blend_distribution(law, 0.5))
 
 
 def test_expand_target_rejects_a_markov_target_of_another_size(tiny):
@@ -104,8 +107,16 @@ def test_expand_target_rejects_a_markov_target_of_another_size(tiny):
 
 
 def test_expand_target_rejects_misaligned_paths(tiny):
-    with pytest.raises(ValidationError):
-        expand_target(ImitationTarget.paths(np.ones(5) / 5.0), tiny.space)
+    """A row outside the space, or a table of another horizon, is refused;
+    a table on the space is its normalised law there."""
+    with pytest.raises(ValidationError, match="outside the feasible space"):
+        expand_target(ImitationTarget.paths([[1, 2, 3], [1, 4, 3]], [1.0, 1.0]),
+                      tiny.space)
+    with pytest.raises(ValidationError, match="horizon 1 != problem horizon 2"):
+        expand_target(ImitationTarget.paths([[1, 2]], [1.0]), tiny.space)
+    law = expand_target(ImitationTarget.paths(tiny.space.array[::-1],
+                                              np.full(27, 2.0)), tiny.space)
+    assert np.array_equal(law, np.full(27, 1.0 / 27.0))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +211,7 @@ def test_markov_and_path_routes_produce_one_plan(rng):
         d = fixtures.random_markov_problem(rng)
         target = ImitationTarget.markov(d["target_matrix"], d["target_initial"])
         problem = IOTProblem(network=d["network"], cost_model=d["model"],
-                             path_space=d["space"], nu0=d["nu0"], nuT=d["nuT"],
+                             horizon=d["space"].horizon, nu0=d["nu0"], nuT=d["nuT"],
                              alpha=d["alpha"], target=target)
         fast = solve_iot(problem)
         slow = solve_iot(problem, force_path=True)
@@ -256,13 +267,29 @@ def test_uniform_target_reduces_to_entropic_transport(rng):
     """With a uniform target the solver equals the plain walk-prior bridge."""
     for _ in range(3):
         d = fixtures.random_markov_problem(rng)
-        space = d["space"]
         problem = IOTProblem(network=d["network"], cost_model=d["model"],
-                             path_space=space, nu0=d["nu0"], nuT=d["nuT"],
+                             horizon=d["space"].horizon, nu0=d["nu0"], nuT=d["nuT"],
                              alpha=d["alpha"],
-                             target=ImitationTarget.uniform(space.size))
+                             target=ImitationTarget.uniform())
         plan = solve_iot(problem, force_path=True)
         rb = build_rb_prior(d["model"], d["alpha"], d["network"].n)
         walk = MarkovPrior(initial=rb.node_weights, matrix=rb.transitions)
-        sol = sinkhorn_markov(walk, d["nu0"], d["nuT"], space.horizon)
-        assert tv(plan.path_law, markov_path_law(sol, d["nu0"], space)) < 1e-8
+        sol = sinkhorn_markov(walk, d["nu0"], d["nuT"], problem.horizon)
+        assert tv(plan.path_law, markov_path_law(sol, d["nu0"], plan.path_space)) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 1e-6])
+def test_the_path_route_law_keeps_the_coupling_marginals_at_small_alpha(synth30, alpha):
+    """synthetic30 at T=3, where log weights run to 1e8 nats: the path law
+    shares each endpoint pair's coupling mass among its paths, so its mass
+    and marginal gaps are the bridge's, not 1e-8 off as when each path's
+    weight was the exponential of its potentials and log weight."""
+    fx = synth30["fx"]
+    plan = solve_iot(IOTProblem(network=fx.network, cost_model=fx.ruled, horizon=3,
+                                nu0=synth30["nu0"], nuT=synth30["nuT"], alpha=alpha,
+                                target=ImitationTarget.uniform()))
+    law, space = plan.path_law, plan.path_space
+    assert abs(law.sum() - 1.0) <= 1e-10
+    for nodes, nu in ((space.starts, synth30["nu0"]), (space.ends, synth30["nuT"])):
+        gap = np.abs(np.bincount(nodes - 1, weights=law, minlength=space.n) - nu).sum()
+        assert gap <= 1e-10
