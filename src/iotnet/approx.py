@@ -102,7 +102,7 @@ def fitted_prior(fit: MarkovFit) -> MarkovPrior:
     prior scale is gauge).
     """
     init = np.exp(fit.initial_log - fit.initial_log.max())
-    return MarkovPrior(initial=init / init.sum(), log_matrix=fit.step_log)
+    return MarkovPrior(initial=init / init.sum(), log_steps=fit.step_log)
 
 
 def markov_plan_from_fit(fit: MarkovFit, problem: IOTProblem, *,

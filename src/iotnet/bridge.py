@@ -7,15 +7,17 @@ between fixed endpoints is kept, so the whole problem reduces to a scaling
 fixed point on an ``n x n`` endpoint kernel, handed over as logs so that
 weights like ``exp(-cost/alpha)`` at small ``alpha`` never exist as floats.
 
-Two prior representations are supported, each holding its weights as logs:
+Two prior representations are supported, each holding its weights as logs
+(``-inf`` for a zero), in one form each; linear weights exist only in prior
+files (:func:`~iotnet.fileio.load_prior` takes their logs):
 
-* :class:`MarkovPrior` — initial law plus step matrix/matrices; its endpoint
-  kernel is the log-domain product of the step matrices
+* :class:`MarkovPrior` — initial law plus log step weights, one table or one
+  per step; its endpoint kernel is the log-domain product of the steps
   (:func:`~iotnet.chain.log_matmul`), and the solution is returned as
   per-step transition matrices (a new Markov chain).  A start without
   initial mass has a zero kernel row, as on the path route.
-* :class:`PathPrior` — explicit nonnegative weights over an enumerated path
-  space; the solution is an endpoint coupling plus a reweighted path law.
+* :class:`PathPrior` — log weights over an enumerated path space; the
+  solution is an endpoint coupling plus a reweighted path law.
 
 Zero handling is strict: a zero weight is a ``-inf`` log entry; starts and
 ends without marginal mass get ``-inf`` log potentials (support restriction),
@@ -30,12 +32,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .chain import chain_law, log_matmul, logsumexp, table
+from .chain import at_step, log_matmul, logsumexp, logs, row_sums, table
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .network import PathSpace
 
@@ -54,14 +56,8 @@ def _check_probability(vec: np.ndarray, name: str) -> np.ndarray:
     return vec
 
 
-def _log_form(linear, log, what: str) -> np.ndarray:
-    """Weights given linear or as logs, in log form (``-inf`` for a zero)."""
-    if linear is not None:
-        linear = np.asarray(linear, dtype=float)
-        if np.any(linear < 0) or not np.all(np.isfinite(linear)):
-            raise ValidationError(f"{what} must be nonnegative and finite")
-        with np.errstate(divide="ignore"):
-            return np.log(linear)
+def _log_weights(log, what: str) -> np.ndarray:
+    """Log weights as a float array: finite, or ``-inf`` for a zero weight."""
     log = np.asarray(log, dtype=float)
     if np.any(np.isnan(log) | (log == np.inf)):
         raise ValidationError(f"log {what} must be finite or -inf")
@@ -70,20 +66,18 @@ def _log_form(linear, log, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MarkovPrior:
-    """Initial law plus step weights: one matrix (time-invariant) or one per step.
+    """Initial law plus log step weights: one ``(n, n)`` table serving every
+    step, or a ``(T, n, n)`` stack of one per step (as
+    :func:`~iotnet.chain.at_step` reads them).
 
-    Step weights are nonnegative and may be unnormalised (any positive scale
-    is absorbed by the bridge).  Give them linear (``matrix``/``matrices``)
-    or as one time-invariant ``log_matrix``, whose weights need not fit the
-    float range; the bridge reads ``log_steps`` and where ``initial`` is zero.
-    The initial law is finite, nonnegative and sums to 1 within 1e-12.
+    Step weights may be unnormalised (any positive scale is absorbed by the
+    bridge) and need not fit the float range; the bridge reads them and
+    where ``initial`` is zero.  The initial law is linear: finite,
+    nonnegative and summing to 1 within 1e-12.
     """
 
     initial: np.ndarray
-    matrix: np.ndarray | None = None
-    matrices: tuple[np.ndarray, ...] | None = None
-    log_matrix: np.ndarray | None = None
-    log_steps: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    log_steps: np.ndarray
 
     def __post_init__(self):
         initial = np.asarray(self.initial, dtype=float)
@@ -94,52 +88,28 @@ class MarkovPrior:
         if abs(float(initial.sum()) - 1.0) > 1e-12:
             raise ValidationError(
                 f"prior initial law sums to {float(initial.sum())!r}, expected 1")
-        given = (self.matrix, self.matrices, self.log_matrix)
-        if sum(m is not None for m in given) != 1:
-            raise ValidationError("provide exactly one of matrix / matrices / "
-                                  "log_matrix")
         n = initial.shape[0]
-        if self.log_matrix is not None:
-            steps = (_log_form(None, self.log_matrix, "step weights"),)
-        else:
-            linear = (self.matrix,) if self.matrix is not None else self.matrices
-            steps = tuple(_log_form(M, None, "step matrices") for M in linear)
-        for L in steps:
-            if L.shape != (n, n):
-                raise ValidationError(f"step matrix shape {L.shape}, expected {(n, n)}")
+        steps = _log_weights(self.log_steps, "step weights")
+        if steps.ndim not in (2, 3) or steps.shape[-2:] != (n, n):
+            shape = steps.shape[1:] if steps.ndim == 3 else steps.shape
+            raise ValidationError(f"step matrix shape {shape}, expected {(n, n)}")
         object.__setattr__(self, "log_steps", steps)
 
     @property
     def n(self) -> int:
         return self.initial.shape[0]
 
-    def log_step(self, t: int, horizon: int) -> np.ndarray:
-        if self.matrices is not None:
-            if len(self.matrices) != horizon:
-                raise ValidationError(
-                    f"time-varying prior has {len(self.matrices)} step matrices "
-                    f"but horizon is {horizon}")
-            return self.log_steps[t]
-        return self.log_steps[0]
-
 
 @dataclass(frozen=True)
 class PathPrior:
-    """Explicit nonnegative weights over an enumerated path space.
-
-    Give them linear (``weights``) or as ``log_weights`` (``-inf`` for a zero
-    weight), which need not fit the float range; the bridge reads only
-    ``log_weights``.
-    """
+    """Log weights over an enumerated path space (``-inf`` for a zero
+    weight), which need not fit the float range."""
 
     path_space: PathSpace
-    weights: np.ndarray | None = None
-    log_weights: np.ndarray | None = None
+    log_weights: np.ndarray
 
     def __post_init__(self):
-        if (self.weights is None) == (self.log_weights is None):
-            raise ValidationError("provide exactly one of weights / log_weights")
-        logw = _log_form(self.weights, self.log_weights, "path weights")
+        logw = _log_weights(self.log_weights, "path weights")
         object.__setattr__(self, "log_weights", logw)
         if logw.shape != (self.path_space.size,):
             raise ValidationError(
@@ -171,8 +141,7 @@ def marginalize_prior(prior: PathPrior) -> np.ndarray:
     """
     _, _, top, mass = prior.pair_sums
     n = prior.path_space.n
-    with np.errstate(divide="ignore"):
-        return (np.log(mass) + top).reshape(n, n)
+    return (logs(mass) + top).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +326,8 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
     The ``(T, n, n)`` table of the solution's transitions is allocated
     first, so a horizon whose table does not fit raises
     :class:`ValidationError` before any product.  The log kernel is the
-    product of the step matrices, one :func:`~iotnet.chain.log_matmul` per
-    step, and ``-inf`` on the rows of the supported starts without initial
-    mass.
+    product of the log steps, one :func:`~iotnet.chain.log_matmul` per step,
+    and ``-inf`` on the rows of the supported starts without initial mass.
     Backward log potentials ``log phi(t) = logsumexp_j(log M(t) + log
     phi(t+1))`` from ``log phiT`` tilt each step into the solution chain's
     transition matrix; rows whose backward potential vanishes (unreachable
@@ -372,15 +340,18 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     transitions = table((horizon, prior.n, prior.n), 0.0, f"horizon {horizon}")
-    log_kernel = reduce(log_matmul, (prior.log_step(t, horizon)
-                                     for t in range(horizon)))
+    steps = prior.log_steps
+    if steps.ndim == 3 and len(steps) != horizon:
+        raise ValidationError(f"time-varying prior has {len(steps)} step matrices "
+                              f"but horizon is {horizon}")
+    log_kernel = reduce(log_matmul, (at_step(steps, t) for t in range(horizon)))
     blocked = ((nu0 > 0) & (prior.initial == 0))[:, None]
     # a new array: at T=1 the kernel is the prior's own step array
     log_kernel = np.where(blocked, -np.inf, log_kernel)
     solution = _sinkhorn_core(log_kernel, nu0, nuT, tol, max_iter)
     log_phi = solution.log_phiT  # log phi(t+1) on entry to step t
     for t in range(horizon - 1, -1, -1):
-        tilted = prior.log_step(t, horizon) + log_phi
+        tilted = at_step(steps, t) + log_phi
         log_phi = logsumexp(tilted, axis=1)
         transitions[t] = np.exp(tilted - np.where(log_phi > -np.inf, log_phi,
                                                   0.0)[:, None])
@@ -390,12 +361,14 @@ def sinkhorn_markov(prior: MarkovPrior, nu0: np.ndarray, nuT: np.ndarray,
 
 def markov_path_law(solution: BridgeSolution, nu0: np.ndarray,
                     space: PathSpace) -> np.ndarray:
-    """Evaluate the solution chain on an enumerated path space."""
+    """Evaluate the solution chain on an enumerated path space: ``exp`` of
+    each path's log start mass plus its steps' log transitions
+    (:func:`~iotnet.chain.row_sums`)."""
     if solution.transitions is None:
         raise ValidationError("solution does not carry per-step transitions")
     if len(solution.transitions) != space.horizon:
         raise ValidationError("solution horizon does not match path space")
-    return chain_law(nu0, solution.transitions, space.array)
+    return np.exp(row_sums(logs(solution.transitions), space.array, logs(nu0)))
 
 
 def sinkhorn_path(prior: PathPrior, nu0: np.ndarray, nuT: np.ndarray, *,

@@ -9,8 +9,12 @@ loop:
 * log-sum-exp: :func:`log_matmul` (the bridge's endpoint kernel) and
   :func:`logsumexp` (its potentials);
 * min-plus: :func:`min_plus` (cheapest rows, the largest path cost);
-* sum-product: :func:`chain_law` (a Markov law along given rows);
 * counting: :func:`walk_counts` (exact walk counts, as Python ints).
+
+Along given rows there is one pass, :func:`row_sums`: each row's step
+entries added left to right onto a start term.  Over step costs it prices
+the rows; over log weights (:func:`logs`) it gives each row's log weight
+under a Markov law, so no product of weights leaves the float range.
 
 A path space is counted before it is listed: :func:`count_walks` takes its
 exact size from the walk counts, and :func:`walks`, the one lister, fills
@@ -24,12 +28,18 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError
 
 
+def logs(weights) -> np.ndarray:
+    """``np.log`` of nonnegative weights, ``-inf`` (without a warning) for a
+    zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(weights)
+
+
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """``log(sum(exp(a)))`` along ``axis``; ``-inf`` where every term is."""
     top = np.max(a, axis=axis, keepdims=True)
     top[top == -np.inf] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis)
+    return logs(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis)
 
 
 _SUM_FLOOR = 1e-280   # shifted sums below are recomputed exactly in log space
@@ -54,8 +64,7 @@ def log_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     a[a == -np.inf] = 0.0
     b[b == -np.inf] = 0.0
     total = np.exp(A - a) @ np.exp(B - b)
-    with np.errstate(divide="ignore"):
-        out = np.log(total) + a + b
+    out = logs(total) + a + b
     low = total < _SUM_FLOOR
     if low.any():
         low &= np.isfinite(A).astype(float) @ np.isfinite(B).astype(float) > 0
@@ -75,15 +84,18 @@ def min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                            for i in range(0, a.shape[0], slab)])
 
 
-def chain_law(initial: np.ndarray, steps, rows: np.ndarray) -> np.ndarray:
-    """A Markov law on the node table ``rows`` (one path per row, node ids):
-    each row's start weight in ``initial`` times the weights ``steps[t]`` of
-    its steps, multiplied left to right."""
-    arr = rows - 1
-    law = np.asarray(initial, dtype=float)[arr[:, 0]]
-    for t, step in enumerate(steps):
-        law *= step[arr[:, t], arr[:, t + 1]]
-    return law
+def row_sums(steps: np.ndarray, rows: np.ndarray, start=None) -> np.ndarray:
+    """Each row of the node table ``rows`` (one path per row, node ids) summed
+    along its steps: its start term ``start[x0]`` (0.0 without ``start``)
+    plus the entries ``steps[t][x_t, x_t+1]`` of its steps, added left to
+    right, over one ``(n, n)`` table or a stack of one per step
+    (:func:`at_step`)."""
+    arr = np.asarray(rows) - 1
+    out = (np.zeros(len(arr)) if start is None
+           else np.asarray(start, dtype=float)[arr[:, 0]])
+    for t in range(arr.shape[1] - 1):
+        out += at_step(steps, t)[arr[:, t], arr[:, t + 1]]
+    return out
 
 
 def table(shape, fill, what: str, dtype=float) -> np.ndarray:
@@ -97,8 +109,8 @@ def table(shape, fill, what: str, dtype=float) -> np.ndarray:
         raise ValidationError(f"{what} is too large") from None
 
 
-def _step(steps: np.ndarray, t: int) -> np.ndarray:
-    """Step ``t``'s mask: one ``(n, n)`` mask serves every step, a ``(T, n,
+def at_step(steps: np.ndarray, t: int) -> np.ndarray:
+    """Step ``t``'s table: one ``(n, n)`` table serves every step, a ``(T, n,
     n)`` stack holds one per step."""
     return steps if steps.ndim == 2 else steps[t]
 
@@ -115,7 +127,7 @@ def walk_counts(steps: np.ndarray, horizon: int, ends) -> np.ndarray:
     counts = table((horizon + 1, steps.shape[-1] + 1), 0, f"horizon {horizon}", object)
     counts[horizon, sorted(ends)] = 1
     for t in range(horizon - 1, -1, -1):
-        tails, heads = np.argwhere(_step(steps, t)).T + 1
+        tails, heads = np.argwhere(at_step(steps, t)).T + 1
         np.add.at(counts[t], tails, counts[t + 1, heads])
     return counts
 
@@ -158,7 +170,7 @@ def walks(steps: np.ndarray, horizon: int, starts, ends) -> np.ndarray:
     for t in range(horizon):
         # the steps that still complete, as CSR: node i's successors are
         # heads[begin[i]:begin[i + 1]], in ascending order
-        tails, heads = np.argwhere(_step(steps, t) & (width[t + 1, 1:] > 0)).T + 1
+        tails, heads = np.argwhere(at_step(steps, t) & (width[t + 1, 1:] > 0)).T + 1
         begin = np.searchsorted(tails, np.arange(width.shape[1] + 1))
         degree = begin[last + 1] - begin[last]
         # successor k of prefix p is heads[begin[last[p]] + k]

@@ -25,17 +25,17 @@ import numpy as np
 
 from . import fixtures
 from .approx import fit_markov, fitted_prior
-from .bridge import (MarkovPrior, path_law_from_endpoint, sinkhorn_markov,
-                     sinkhorn_path)
-from .chain import chain_law, count_walks, walks
+from .bridge import (MarkovPrior, markov_path_law, path_law_from_endpoint,
+                     sinkhorn_markov, sinkhorn_path)
+from .chain import count_walks, walks
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .fileio import (atomic_write_text, digits, float_texts, fmt, load_marginal,
                      load_path_distribution, load_prior, load_step_weights,
                      naming, parse_field, path_strings, read_plan,
                      save_path_distribution, write_plan)
 from .imitation import ImitationTarget, IOTProblem, solve_iot
-from .network import (RULED, CostModel, Network, enumerate_paths, load_network,
-                      markov_model_from_network, row_join)
+from .network import (RULED, CostModel, Network, PathSpace, enumerate_paths,
+                      load_network, markov_model_from_network, row_join)
 from .oracle import dense_ipf, lp_ot
 from .robust import worst_case_certificate
 from .scenario import emit_report, load_scenario, run_scenario
@@ -176,12 +176,12 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
     prior = load_prior(args.prior)
     markov = isinstance(prior, MarkovPrior)
     if markov:
-        n, horizon = prior.initial.shape[0], args.horizon
+        n, horizon = prior.n, args.horizon
         if horizon is None:
-            if prior.matrices is None:
+            if prior.log_steps.ndim == 2:
                 raise ValidationError(
                     "--horizon is required for a markov prior with one matrix")
-            horizon = len(prior.matrices)
+            horizon = len(prior.log_steps)
     else:
         n, horizon = prior.path_space.n, prior.path_space.horizon
         if args.horizon is not None and args.horizon != horizon:
@@ -214,7 +214,8 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
                 raise ValidationError("path law support is too large to "
                                       "enumerate; drop --emit-paths")
             rows = walks(steps, horizon, *support)
-            law = chain_law(nu0, solution.transitions, rows)
+            law = markov_path_law(solution, nu0,
+                                  PathSpace(horizon=horizon, n=n, array=rows))
         else:
             law = path_law_from_endpoint(solution, prior)
             rows, law = prior.path_space.array[law > 0], law[law > 0]
@@ -250,8 +251,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     problem = IOTProblem(network=network, cost_model=model, horizon=horizon,
                          nu0=nu0, nuT=nuT, alpha=args.alpha, target=target)
+    # listed before the solve on either route: the plan writer reads it, and a
+    # refusal of the space names no q-file
+    problem.space
     if args.q_file is not None:
-        problem.space   # listed first: a refusal of the space names no q-file
         with naming("path distribution", args.q_file):
             problem.target_law
     plan = solve_iot(problem, force_path=args.force_path, tol=args.tol,
@@ -277,7 +280,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     _dump_json(out, {
         "type": "markov",
         "initial": chain.initial.tolist(),
-        "matrix": np.exp(chain.log_steps[0]).tolist(),
+        "matrix": np.exp(chain.log_steps).tolist(),
         "fit_residual": fit.residual,
         "gauge_component": fit.gauge_component,
         "horizon": fit.horizon,

@@ -45,6 +45,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from .chain import logs
 from .errors import IOTError, ValidationError
 from .network import Network, PathSpace, row_ranks
 
@@ -484,12 +485,21 @@ def load_step_weights(path: str, network: Network) -> tuple[np.ndarray | None, n
 # ---------------------------------------------------------------------------
 
 
+def _logs(weights: np.ndarray, what: str) -> np.ndarray:
+    """The logs of a prior file's linear weights (``-inf`` for a zero)."""
+    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        raise ValidationError(f"{what} must be nonnegative and finite")
+    return logs(weights)
+
+
 def load_prior(path: str):
     """Load a prior file into a MarkovPrior or PathPrior.
 
     Markov form: ``{"type": "markov", "initial": [...], "matrix": [[...]]}``
     (or ``"matrices"`` for a time-varying list).  Path form:
     ``{"type": "paths", "horizon": T, "n": n, "paths": [[...]], "weights": [...]}``.
+    The files hold linear weights, nonnegative and finite; the priors hold
+    their logs.
     """
     from .bridge import MarkovPrior, PathPrior
 
@@ -503,13 +513,17 @@ def load_prior(path: str):
                 raise ValidationError("markov prior needs 'initial'")
             initial = parse_field("initial", numbers, doc["initial"])
             if "matrix" in doc:
-                fields = {"matrix": parse_field("matrix", numbers, doc["matrix"])}
+                key, axes = "matrix", 2      # one table for every step
             elif "matrices" in doc:
-                fields = {"matrices": parse_field(
-                    "matrices", lambda v: tuple(numbers(v)), doc["matrices"])}
+                key, axes = "matrices", 3    # a list of one table per step
             else:
                 raise ValidationError("markov prior needs 'matrix' or 'matrices'")
-            build, fields = MarkovPrior, {"initial": initial, **fields}
+            steps = parse_field(key, numbers, doc[key])
+            if steps.ndim != axes:
+                raise ValidationError(f"{key} is malformed: {steps.ndim} axes, "
+                                      f"expected {axes}")
+            build, fields = MarkovPrior, {"initial": initial,
+                                          "log_steps": _logs(steps, "step matrices")}
         elif kind == "paths":
             try:
                 horizon = whole_number(doc["horizon"])
@@ -535,7 +549,8 @@ def load_prior(path: str):
                                       f"node id outside 1..{n}")
             order = np.argsort(rank)
             space = PathSpace(horizon=horizon, n=n, array=keyed[order, 1:])
-            build, fields = PathPrior, {"path_space": space, "weights": weights[order]}
+            build, fields = PathPrior, {"path_space": space,
+                                        "log_weights": _logs(weights[order], "path weights")}
         else:
             raise ValidationError(f"unknown type {kind!r}")
         return build(**fields)

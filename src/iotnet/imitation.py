@@ -40,7 +40,7 @@ import numpy as np
 from .bridge import (BridgeSolution, MarkovPrior, PathPrior, markov_path_law,
                      path_kl, path_law_from_endpoint, sinkhorn_markov,
                      sinkhorn_path)
-from .chain import chain_law, log_matmul, logsumexp, min_plus
+from .chain import log_matmul, logs, logsumexp, min_plus, row_sums
 from .errors import InfeasibleError, ValidationError
 from .fileio import naming
 from .network import (MARKOV, CostModel, Network, PathSpace, cost_matrix,
@@ -246,19 +246,25 @@ def expand_target(target: ImitationTarget, space: PathSpace) -> np.ndarray:
     """The target as a probability law on every path of the space, before
     blending (:attr:`IOTProblem.target_probs` blends it).
 
-    A Markov target multiplies its start and step weights along each path
-    (:func:`~iotnet.chain.chain_law`); a path table is aligned on the space
-    by :func:`~iotnet.network.path_vector`, which refuses a row outside it;
-    the uniform target is ``1 / N``.  Each is divided by its mass on the
-    space, so Q is a probability law there whatever the weights' scale;
-    :func:`chain_plan` normalises the chain's KL the same way.
+    A Markov target adds its log start and step weights along each path
+    (:func:`~iotnet.chain.row_sums`), shifted by the largest sum before
+    ``exp``, so no path's weight leaves the float range at any scale; a path
+    table is aligned on the space by :func:`~iotnet.network.path_vector`,
+    which refuses a row outside it; the uniform target is ``1 / N``.  Each
+    is divided by its mass on the space, so Q is a probability law there
+    whatever the weights' scale; :func:`chain_plan` normalises the chain's
+    KL the same way.
     """
     if target.is_markov:
         if target.initial.shape != (space.n,):
             raise ValidationError(f"Markov target has {target.initial.size} nodes "
                                   f"but the path space has {space.n}")
-        q = chain_law(target.initial, [target.matrix] * space.horizon, space.array)
-        return q / (q.sum() or 1.0)   # no mass there: the bridge refuses it
+        logq = row_sums(logs(target.matrix), space.array, logs(target.initial))
+        top = logq.max()
+        if top == -np.inf:
+            return np.zeros(space.size)   # no mass there: the bridge refuses it
+        q = np.exp(logq - top)
+        return q / q.sum()
     if target.rows is None:
         return np.full(space.size, 1.0 / space.size)
     if target.rows.shape[1] != space.horizon + 1:
@@ -280,13 +286,11 @@ def imitation_prior_markov(model: CostModel, alpha: float,
         raise ValidationError("markov prior construction needs a Markov target")
     if target.blend != 0.0:
         raise ValidationError("blended targets are not Markov; use the path route")
-    n = target.matrix.shape[0]
-    with np.errstate(divide="ignore"):
-        step = log_weight_matrix(model, alpha, n) + np.log(target.matrix)
+    step = log_weight_matrix(model, alpha, target.matrix.shape[0]) + logs(target.matrix)
     total = float(target.initial.sum())
     if total <= 0:
         raise InfeasibleError("target initial law carries no mass")
-    return MarkovPrior(initial=target.initial / total, log_matrix=step)
+    return MarkovPrior(initial=target.initial / total, log_steps=step)
 
 
 def imitation_prior_paths(space: PathSpace, costs: np.ndarray, q: np.ndarray,
@@ -301,8 +305,7 @@ def imitation_prior_paths(space: PathSpace, costs: np.ndarray, q: np.ndarray,
         raise ValidationError("costs and q must align with the path space")
     if np.any(q < 0):
         raise ValidationError("q must be nonnegative")
-    with np.errstate(divide="ignore"):
-        logw = np.where(q > 0, -costs / alpha + np.log(np.where(q > 0, q, 1.0)), -np.inf)
+    logw = -costs / alpha + logs(q)
     if not np.any(logw > -np.inf):
         raise InfeasibleError("target q puts no mass on any feasible path")
     return PathPrior(path_space=space, log_weights=logw)
@@ -382,9 +385,8 @@ def chain_plan(problem: IOTProblem, solution: BridgeSolution) -> TransportPlan:
                + usage[t, i, j] @ (np.log(solution.transitions[t, i, j])
                                    - np.log(problem.target.matrix[i, j])))
     # + log Z, the target's mass on the walks between the supports
-    with np.errstate(divide="ignore"):
-        mass = np.where(start, np.log(init), -np.inf)[None]
-        step = np.where(np.isfinite(cost), np.log(problem.target.matrix), -np.inf)
+    mass = np.where(start, logs(init), -np.inf)[None]
+    step = np.where(np.isfinite(cost), logs(problem.target.matrix), -np.inf)
     mass = reduce(log_matmul, repeat(step, problem.horizon), mass)[0]
     kl += float(logsumexp(mass[problem.nuT > 0], axis=0))
     objective = ObjectiveTerms(expected_cost=expected, kl_to_target=kl,

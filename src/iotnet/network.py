@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chain import walks
+from .chain import row_sums, walks
 from .errors import ValidationError
 
 
@@ -594,26 +594,16 @@ def _ruled_costs(model: CostModel, network: Network, arr: np.ndarray) -> np.ndar
     return total
 
 
-def row_costs(cost: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Markov cost of each row of a node matrix: its steps' entries of the
-    ``(n, n)`` step-cost array ``cost`` added left to right."""
-    index = np.asarray(rows) - 1
-    out = np.zeros(len(index))
-    for t in range(index.shape[1] - 1):
-        out += cost[index[:, t], index[:, t + 1]]
-    return out
-
-
 def path_costs(space: PathSpace, model: CostModel, network: Network) -> np.ndarray:
     """Vector of path costs aligned with the rows of ``space.array`` (all finite).
 
     Markov costs add the steps of :func:`cost_matrix` in path order
-    (:func:`row_costs`); ruled costs run :func:`_ruled_costs`'s
+    (:func:`~iotnet.chain.row_sums`); ruled costs run :func:`_ruled_costs`'s
     run-length rules over all paths at once.
     """
     arr = space.array
     if model.mode == MARKOV:
-        out = row_costs(cost_matrix(model, space.n), arr)
+        out = row_sums(cost_matrix(model, space.n), arr)
     else:
         out = _ruled_costs(model, network, arr)
     if not np.all(np.isfinite(out)):

@@ -39,7 +39,7 @@ Where the numbers come from:
   from one backward pass per cost model (:func:`chain_totals`), and the
   path count from :func:`~iotnet.chain.count_walks`, which counts without
   listing.  The disaster
-  reprices the LP's rows by their steps (:func:`~iotnet.network.row_costs`).
+  reprices the LP's rows by their steps (:func:`~iotnet.chain.row_sums`).
   The space is enumerated only if a caller reads ``ScenarioResult.space``
   or the plan's path arrays.
 * The risk kind's Markov costs and step weights (:func:`build_risk_matrix`,
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fixtures
-from .chain import count_walks, min_plus
+from .chain import count_walks, min_plus, row_sums
 from .errors import InfeasibleError, ValidationError
 from .fileio import (_read_json, atomic_write_text, digits, fmt,
                      load_path_distribution, load_step_weights, naming,
@@ -67,7 +67,7 @@ from .imitation import ImitationTarget, IOTProblem, TransportPlan, solve_iot
 from .network import (EDGE_KINDS, CostModel, EdgeKind, Network, PathSpace,
                       cost_matrix, edge_table, load_network,
                       markov_model_from_network, network_from_dict,
-                      pair_matrix, reprice, require_edges, row_costs)
+                      pair_matrix, reprice, require_edges)
 
 DISPLAY_THRESHOLD = 1e-4  # hide flows below 0.01% of a step's mass
 # the top-level fields and the ``scenario`` block fields each kind reads
@@ -734,7 +734,7 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
         step = cost_matrix(reprice(model, event.edges, event.multiplier), n)
         # in field order: imitation before/after, then optimal before/after
         plans = (reports["imitation"], chain_report(step), reports["optimal"],
-                 plan_report("optimal", rows, flow, row_costs(step, rows), n))
+                 plan_report("optimal", rows, flow, row_sums(step, rows), n))
         per_node = tuple(DisasterRow(node, float(nuT[node - 1]),
                                      *(float(p.per_destination_cost[node - 1])
                                        for p in plans))

@@ -19,7 +19,7 @@ from iotnet import (
     ValidationError,
     build_network,
 )
-from iotnet.chain import chain_law, logsumexp
+from iotnet.chain import logs, logsumexp, row_sums
 from iotnet.network import MARKOV, RULED
 
 
@@ -191,8 +191,8 @@ def path_cost(model: CostModel, network, path) -> float:
 def rb_path_density(prior, path) -> float:
     """Walk density of one path: stationary start weight times step products."""
     rows = np.array([path], dtype=np.int64)
-    steps = [prior.transitions] * (rows.shape[1] - 1)
-    return float(chain_law(prior.node_weights, steps, rows)[0])
+    return float(np.exp(row_sums(logs(prior.transitions), rows,
+                                 logs(prior.node_weights))[0]))
 
 
 def rb_path_density_gibbs(prior, path, cost: float) -> float:

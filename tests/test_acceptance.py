@@ -24,6 +24,7 @@ from iotnet.bridge import (
     sinkhorn_markov,
     sinkhorn_path,
 )
+from iotnet.chain import logs
 from iotnet.cli import main
 from iotnet.imitation import ImitationTarget, IOTProblem, expand_target, solve_iot
 from iotnet.oracle import dense_ipf, lp_ot
@@ -145,7 +146,7 @@ def test_03_bridge_matches_dense_ipf_oracle(synth30, risk30):
     start = time.perf_counter()
     for space, weights, nu0, nuT in cases:
         assert space.size <= 10_000
-        prior = PathPrior(path_space=space, weights=weights)
+        prior = PathPrior(path_space=space, log_weights=logs(weights))
         sol = sinkhorn_path(prior, nu0, nuT, tol=kappa)
         law = path_law_from_endpoint(sol, prior)
         oracle = dense_ipf(space, weights, nu0, nuT, tol=kappa).probabilities
@@ -173,7 +174,7 @@ def test_04_uniform_target_is_entropic_transport():
                              target=ImitationTarget.uniform())
         plan = solve_iot(problem, force_path=True)
         rb = io.build_rb_prior(d["model"], d["alpha"], d["network"].n)
-        walk = MarkovPrior(initial=rb.node_weights, matrix=rb.transitions)
+        walk = MarkovPrior(initial=rb.node_weights, log_steps=logs(rb.transitions))
         sol = sinkhorn_markov(walk, d["nu0"], d["nuT"], problem.horizon)
         assert tv(plan.path_law, markov_path_law(sol, d["nu0"], plan.path_space)) < 1e-8
 
@@ -224,9 +225,9 @@ def test_06_markov_fit_recovery_and_reported_error(synth30):
         w = init[space.array[:, 0] - 1].copy()
         for t in range(space.horizon):
             w *= mat[space.array[:, t] - 1, space.array[:, t + 1] - 1]
-        fit = fit_markov(PathPrior(path_space=space, weights=w))
+        fit = fit_markov(PathPrior(path_space=space, log_weights=logs(w)))
         assert fit.residual < 1e-10
-        solA = sinkhorn_markov(MarkovPrior(initial=init, matrix=mat),
+        solA = sinkhorn_markov(MarkovPrior(initial=init, log_steps=logs(mat)),
                                d["nu0"], d["nuT"], space.horizon, tol=1e-12)
         solB = sinkhorn_markov(fitted_prior(fit), d["nu0"], d["nuT"],
                                space.horizon, tol=1e-12)
@@ -240,7 +241,7 @@ def test_06_markov_fit_recovery_and_reported_error(synth30):
                          target=ImitationTarget.uniform())
     exact = solve_iot(problem)
     tilt = _uniform_tilt(synth30["costs"], 80.0)
-    fit = fit_markov(PathPrior(path_space=space, weights=tilt))
+    fit = fit_markov(PathPrior(path_space=space, log_weights=logs(tilt)))
     err = fit_objective_error(fit, problem, exact)
     approx_plan = markov_plan_from_fit(fit, problem)
     recomputed = abs(approx_plan.objective.total - exact.objective.total) / abs(
@@ -272,7 +273,7 @@ def test_07_factored_route_outpaces_dense_lp(synth30):
         return min(times), result
 
     def bridge_route():
-        prior = PathPrior(path_space=space, weights=weights)
+        prior = PathPrior(path_space=space, log_weights=logs(weights))
         sol = sinkhorn_path(prior, nu0, nuT, tol=1e-10)
         return path_law_from_endpoint(sol, prior)
 

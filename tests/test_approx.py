@@ -26,6 +26,7 @@ from iotnet.bridge import (
     markov_path_law,
     sinkhorn_markov,
 )
+from iotnet.chain import logs
 
 from helpers import tv
 
@@ -41,7 +42,7 @@ def _ruled_prior(synth30, alpha=80.0):
     space, costs = synth30["space"], synth30["costs"]
     q = np.full(space.size, 1.0 / space.size)
     w = np.exp(-(costs - costs.min()) / alpha) * q
-    return PathPrior(path_space=space, weights=w)
+    return PathPrior(path_space=space, log_weights=logs(w))
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +55,7 @@ def test_exactly_markov_prior_recovers_with_zero_residual(rng):
         d = fixtures.random_markov_problem(rng)
         space = d["space"]
         w = _chain_weights(space, d["target_initial"], d["target_matrix"])
-        fit = fit_markov(PathPrior(path_space=space, weights=w))
+        fit = fit_markov(PathPrior(path_space=space, log_weights=logs(w)))
         assert fit.residual < 1e-10
 
 
@@ -64,8 +65,8 @@ def test_exactly_markov_prior_reproduces_the_plan(rng):
         space = d["space"]
         init, mat = d["target_initial"], d["target_matrix"]
         w = _chain_weights(space, init, mat)
-        fit = fit_markov(PathPrior(path_space=space, weights=w))
-        solA = sinkhorn_markov(MarkovPrior(initial=init, matrix=mat),
+        fit = fit_markov(PathPrior(path_space=space, log_weights=logs(w)))
+        solA = sinkhorn_markov(MarkovPrior(initial=init, log_steps=logs(mat)),
                                d["nu0"], d["nuT"], space.horizon, tol=1e-12)
         solB = sinkhorn_markov(fitted_prior(fit), d["nu0"], d["nuT"],
                                space.horizon, tol=1e-12)
@@ -79,7 +80,7 @@ def test_fit_is_gauge_free(rng):
     d = fixtures.random_markov_problem(rng)
     space = d["space"]
     w = _chain_weights(space, d["target_initial"], d["target_matrix"])
-    fit = fit_markov(PathPrior(path_space=space, weights=w))
+    fit = fit_markov(PathPrior(path_space=space, log_weights=logs(w)))
     assert abs(fit.gauge_component) < 1e-10
 
 
@@ -88,8 +89,8 @@ def test_gauge_shifted_priors_fit_to_one_plan(rng):
     d = fixtures.random_markov_problem(rng)
     space = d["space"]
     w = _chain_weights(space, d["target_initial"], d["target_matrix"])
-    fitA = fit_markov(PathPrior(path_space=space, weights=w))
-    fitB = fit_markov(PathPrior(path_space=space, weights=w * 37.5))
+    fitA = fit_markov(PathPrior(path_space=space, log_weights=logs(w)))
+    fitB = fit_markov(PathPrior(path_space=space, log_weights=logs(w * 37.5)))
     solA = sinkhorn_markov(fitted_prior(fitA), d["nu0"], d["nuT"],
                            space.horizon, tol=1e-12)
     solB = sinkhorn_markov(fitted_prior(fitB), d["nu0"], d["nuT"],
@@ -137,7 +138,7 @@ def test_fit_matches_the_dict_era_loop(rng, synth30):
         w *= rng.random(w.size)
         w[rng.random(w.size) < 0.3] = 0.0   # unseen starts and steps
         if w.any():
-            priors.append(PathPrior(path_space=d["space"], weights=w))
+            priors.append(PathPrior(path_space=d["space"], log_weights=logs(w)))
     for prior in priors:
         fit = fit_markov(prior)
         initial, steps, residual, gauge_component = _dict_era_fit(prior)
@@ -176,7 +177,7 @@ def test_normal_equations_equal_the_dense_design_matrix(tiny, rng):
 
 def test_fit_rejects_empty_support(tiny):
     with pytest.raises(ValidationError):
-        PathPrior(path_space=tiny.space, weights=np.zeros(tiny.space.size))
+        PathPrior(path_space=tiny.space, log_weights=logs(np.zeros(tiny.space.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ def test_fitted_chain_refuses_a_start_it_never_takes(tiny):
     fitted chain has no start weight there, so it has no bridge."""
     costs = path_costs(tiny.space, tiny.model, tiny.network)
     w = np.where(tiny.space.starts == 3, 0.0, np.exp(-costs / 0.5))
-    fit = fit_markov(PathPrior(path_space=tiny.space, weights=w))
+    fit = fit_markov(PathPrior(path_space=tiny.space, log_weights=logs(w)))
     assert fit.initial_log[2] == -np.inf
     problem = IOTProblem(network=tiny.network, cost_model=tiny.model,
                          horizon=tiny.space.horizon, nu0=tiny.nu0, nuT=tiny.nuT,

@@ -30,7 +30,7 @@ from iotnet.bridge import (
     sinkhorn_markov,
     sinkhorn_path,
 )
-from iotnet.chain import chain_law, log_matmul, logsumexp
+from iotnet.chain import log_matmul, logs, logsumexp, row_sums
 
 from helpers import feasible_laws, marginal_gap, sweep_coupling, tv
 
@@ -38,16 +38,15 @@ from helpers import feasible_laws, marginal_gap, sweep_coupling, tv
 def _tiny_markov_prior(tiny, alpha=0.5):
     """Gibbs-tilted step prior over the tiny network's cost table."""
     n = tiny.network.n
-    M = np.zeros((n, n))
+    L = np.full((n, n), -np.inf)
     for (i, j), c in tiny.model.edge_costs.items():
-        M[i - 1, j - 1] = np.exp(-c / alpha)
-    return MarkovPrior(initial=np.full(n, 1.0 / n), matrix=M)
+        L[i - 1, j - 1] = -c / alpha
+    return MarkovPrior(initial=np.full(n, 1.0 / n), log_steps=L)
 
 
 def _gibbs_path_prior(fx, alpha=0.5):
     costs = path_costs(fx.space, fx.model, fx.network)
-    return PathPrior(path_space=fx.space,
-                     weights=np.exp(-(costs - costs.min()) / alpha))
+    return PathPrior(path_space=fx.space, log_weights=-(costs - costs.min()) / alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +57,7 @@ def _gibbs_path_prior(fx, alpha=0.5):
 def test_markov_bridge_satisfies_boundary_system(tiny):
     prior = _tiny_markov_prior(tiny)
     sol = sinkhorn_markov(prior, tiny.nu0, tiny.nuT, 2)
-    A = prior.matrix @ prior.matrix
+    A = np.linalg.matrix_power(np.exp(prior.log_steps), 2)
     phi0, phiT, phihat0, phihatT = (np.exp(v) for v in (
         sol.log_phi0, sol.log_phiT, sol.log_phihat0, sol.log_phihatT))
     assert np.max(np.abs(phi0 - A @ phiT)) < 1e-9
@@ -97,7 +96,7 @@ def test_scaling_absorbs_kernels_beyond_the_float_range():
     potentials hold.
     """
     prior = MarkovPrior(initial=np.array([0.5, 0.5]),
-                        log_matrix=np.array([[0.0, -1000.0], [-1000.0, -2000.0]]))
+                        log_steps=np.array([[0.0, -1000.0], [-1000.0, -2000.0]]))
     nu0, nuT = np.array([0.3, 0.7]), np.array([0.6, 0.4])
     sol = sinkhorn_markov(prior, nu0, nuT, 1, tol=1e-12)
     assert np.max(np.abs(sol.endpoint_coupling - np.outer(nu0, nuT))) < 1e-12
@@ -170,7 +169,8 @@ def test_bridge_matches_dense_ipf(tiny):
     prior = _gibbs_path_prior(tiny)
     sol = sinkhorn_path(prior, tiny.nu0, tiny.nuT)
     law = path_law_from_endpoint(sol, prior)
-    ref = dense_ipf(tiny.space, prior.weights, tiny.nu0, tiny.nuT).probabilities
+    ref = dense_ipf(tiny.space, np.exp(prior.log_weights), tiny.nu0,
+                    tiny.nuT).probabilities
     assert tv(law, ref) < 1e-10
 
 
@@ -179,9 +179,10 @@ def test_bridge_minimises_relative_entropy(tiny, rng):
     prior = _gibbs_path_prior(tiny)
     sol = sinkhorn_path(prior, tiny.nu0, tiny.nuT, tol=1e-13)
     law = path_law_from_endpoint(sol, prior)
-    best = path_kl(law, prior.weights)
+    weights = np.exp(prior.log_weights)
+    best = path_kl(law, weights)
     for other in feasible_laws(tiny.space, tiny.nu0, tiny.nuT, rng, 100):
-        assert path_kl(other, prior.weights) >= best - 1e-9
+        assert path_kl(other, weights) >= best - 1e-9
 
 
 def test_bridge_preserves_prior_conditionals(tiny):
@@ -189,11 +190,11 @@ def test_bridge_preserves_prior_conditionals(tiny):
     prior = _gibbs_path_prior(tiny)
     sol = sinkhorn_path(prior, tiny.nu0, tiny.nuT, tol=1e-13)
     law = path_law_from_endpoint(sol, prior)
-    space = tiny.space
+    space, weights = tiny.space, np.exp(prior.log_weights)
     for i, j in ((1, 1), (1, 3), (2, 2)):
         mask = (space.starts == i) & (space.ends == j)
         a = law[mask] / law[mask].sum()
-        b = prior.weights[mask] / prior.weights[mask].sum()
+        b = weights[mask] / weights[mask].sum()
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -205,11 +206,10 @@ def test_markov_and_path_routes_agree(tiny):
     space = tiny.space
     weights = prior.initial[space.array[:, 0] - 1].copy()
     for t in range(space.horizon):
-        weights *= prior.matrix[space.array[:, t] - 1, space.array[:, t + 1] - 1]
-    solP = sinkhorn_path(PathPrior(path_space=space, weights=weights),
-                         tiny.nu0, tiny.nuT, tol=1e-13)
-    lawP = path_law_from_endpoint(solP, PathPrior(path_space=space,
-                                                  weights=weights))
+        weights *= np.exp(prior.log_steps[space.array[:, t] - 1, space.array[:, t + 1] - 1])
+    path_prior = PathPrior(path_space=space, log_weights=logs(weights))
+    solP = sinkhorn_path(path_prior, tiny.nu0, tiny.nuT, tol=1e-13)
+    lawP = path_law_from_endpoint(solP, path_prior)
     assert tv(lawM, lawP) < 1e-8
 
 
@@ -227,10 +227,10 @@ def test_endpoint_coupling_marginals(tiny):
 
 
 def test_unreachable_endpoint_pair_raises(tiny):
-    weights = _gibbs_path_prior(tiny).weights.copy()
+    logw = _gibbs_path_prior(tiny).log_weights.copy()
     mask = (tiny.space.starts == 1) & (tiny.space.ends == 3)
-    weights[mask] = 0.0
-    prior = PathPrior(path_space=tiny.space, weights=weights)
+    logw[mask] = -np.inf
+    prior = PathPrior(path_space=tiny.space, log_weights=logw)
     with pytest.raises(InfeasibleError):
         sinkhorn_path(prior, tiny.nu0, tiny.nuT)
 
@@ -245,9 +245,9 @@ def test_marginals_must_be_probability_vectors(tiny):
 
 def test_zero_marginal_mass_endpoints_are_tolerated(tiny):
     """Kernel zeros outside the marginal supports must not block the bridge."""
-    weights = _gibbs_path_prior(tiny).weights.copy()
-    weights[tiny.space.starts == 2] = 0.0   # node 2 never starts
-    prior = PathPrior(path_space=tiny.space, weights=weights)
+    logw = _gibbs_path_prior(tiny).log_weights.copy()
+    logw[tiny.space.starts == 2] = -np.inf   # node 2 never starts
+    prior = PathPrior(path_space=tiny.space, log_weights=logw)
     nu0 = np.array([0.7, 0.0, 0.3])
     sol = sinkhorn_path(prior, nu0, tiny.nuT, tol=1e-12)
     law = path_law_from_endpoint(sol, prior)
@@ -264,7 +264,7 @@ def test_marginalize_prior_matches_loop(tiny):
     kernel = np.exp(marginalize_prior(prior))
     ref = np.zeros((3, 3))
     for k, p in enumerate(tiny.space.paths):
-        ref[p[0] - 1, p[-1] - 1] += prior.weights[k]
+        ref[p[0] - 1, p[-1] - 1] += np.exp(prior.log_weights[k])
     assert np.max(np.abs(kernel - ref)) < 1e-12
 
 
@@ -361,7 +361,8 @@ def sparse_markov_cases(draw):
         return vec / vec.sum()
 
     steps = tuple(weights(n * n).reshape(n, n) for _ in range(horizon))
-    return MarkovPrior(initial=law(), matrices=steps), law(), law(), horizon
+    prior = MarkovPrior(initial=law(), log_steps=logs(np.stack(steps)))
+    return prior, law(), law(), horizon
 
 
 def _path_form(prior, horizon):
@@ -370,7 +371,7 @@ def _path_form(prior, horizon):
                                            repeat=horizon + 1)))
     weights = np.array([prior.initial[p[0] - 1]
                         * np.prod([step[a - 1, b - 1] for step, a, b
-                                   in zip(prior.matrices, p, p[1:])])
+                                   in zip(np.exp(prior.log_steps), p, p[1:])])
                         for p in rows])
     return PathSpace(horizon=horizon, n=prior.n, array=rows), weights
 
@@ -393,7 +394,7 @@ def test_a_markov_prior_and_its_path_form_solve_or_refuse_alike(case):
         assert markov[0] == "refused"
         return
     path = _outcome(lambda: sinkhorn_path(
-        PathPrior(path_space=space, weights=weights), nu0, nuT))
+        PathPrior(path_space=space, log_weights=logs(weights)), nu0, nuT))
     assert markov[0] == path[0]
     if markov[0] == "refused":
         assert markov[1] == path[1]
@@ -403,28 +404,32 @@ def test_a_markov_prior_and_its_path_form_solve_or_refuse_alike(case):
 
 def test_the_support_rule_leaves_the_prior_unchanged():
     """At T=1 the log kernel is the prior's own step array."""
-    prior = MarkovPrior(initial=[1.0, 0.0], matrix=np.ones((2, 2)))
+    prior = MarkovPrior(initial=[1.0, 0.0], log_steps=np.zeros((2, 2)))
     with pytest.raises(InfeasibleError, match=r"pair \(2, 1\)"):
         sinkhorn_markov(prior, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 1)
-    assert np.array_equal(prior.log_steps[0], np.zeros((2, 2)))
+    assert np.array_equal(prior.log_steps, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_markov_prior_refuses_non_finite_start_weights(bad):
     with pytest.raises(ValidationError, match="finite"):
-        MarkovPrior(initial=[bad, 1.0], matrix=np.ones((2, 2)))
+        MarkovPrior(initial=[bad, 1.0], log_steps=np.zeros((2, 2)))
 
 
-def test_chain_law_multiplies_left_to_right(rng):
-    """Each path's start weight times its step weights, in path order, as a
-    scalar loop would."""
-    steps = [rng.random((3, 3)) for _ in range(3)]
-    initial = rng.random(3)
+def test_row_sums_add_left_to_right(rng):
+    """Each path's start term (0.0 without one) plus its step entries, added
+    in path order as a scalar loop would, bit for bit, over one table or a
+    stack of one per step; a ``-inf`` entry makes its rows ``-inf``."""
     rows = np.array(list(itertools.product((1, 2, 3), repeat=4)))
-    expected = []
-    for p in rows.tolist():
-        w = float(initial[p[0] - 1])
-        for step, a, b in zip(steps, p, p[1:]):
-            w *= float(step[a - 1, b - 1])
-        expected.append(w)
-    assert np.array_equal(chain_law(initial, steps, rows), expected)
+    for shape in ((3, 3), (3, 3, 3)):
+        steps = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+        steps[rng.random(shape) < 0.1] = -np.inf
+        for start in (None, rng.normal(size=3)):
+            expected = []
+            for p in rows.tolist():
+                total = 0.0 if start is None else float(start[p[0] - 1])
+                for t, (a, b) in enumerate(zip(p, p[1:])):
+                    step = steps if steps.ndim == 2 else steps[t]
+                    total += float(step[a - 1, b - 1])
+                expected.append(total)
+            assert np.array_equal(row_sums(steps, rows, start), expected)

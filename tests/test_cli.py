@@ -217,6 +217,40 @@ def test_a_markov_target_is_a_probability_law_on_the_space(outdir, capsys):
     assert kls[0] == pytest.approx(kls[1], rel=1e-9)
 
 
+@pytest.mark.parametrize("weight", [1e-200, 1e-170, 1e200])
+def test_a_markov_target_solves_on_both_routes_at_any_weight_scale(outdir, capsys,
+                                                                  weight):
+    """Step weights of 1e-200 multiply to 1e-400 along a tiny path, which
+    underflowed to a zero target law on the path route ("target q puts no
+    mass on any feasible path") while the Markov route solved; summed as
+    logs, both routes solve and report one total."""
+    (outdir / "rq.json").write_text(json.dumps({"default": weight}))
+    argv = ["solve", "--network", "builtin:tiny", "--alpha", "0.5"] + _MARKOV_COST
+    totals = []
+    for extra in ([], ["--force-path"]):
+        code, out, err = run_cli(argv + extra, capsys)
+        assert code == 0, err
+        totals.append(float(re.search(r"total=(\S+)", out)[1]))
+    assert totals[1] == pytest.approx(totals[0], rel=1e-9)
+
+
+def test_solve_lists_the_path_space_before_solving_on_either_route(outdir, capsys,
+                                                                   monkeypatch):
+    """The plan file lists every path, so a space too large to hold is
+    refused before the Markov route's solve, not after it."""
+    (outdir / "rq.json").write_text(json.dumps({"default": 1.0}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the space was listed")
+
+    monkeypatch.setattr(cli, "solve_iot", refuse)
+    code, _, err = run_cli(["solve", "--network", "builtin:tiny", "--alpha", "0.5",
+                            "--horizon", "99"] + _MARKOV_COST, capsys)
+    assert code == 1
+    assert err == ("error: a horizon-99 space of 515377520732011331036461129765621272"
+                   "702107522001 paths is too large\n")
+
+
 @pytest.mark.parametrize("extra", [[], _MARKOV_COST], ids=["path", "markov"])
 def test_an_alpha_at_the_float_floor_is_refused_by_name(outdir, capsys, extra):
     """At alpha 1e-10 tiny's potentials lie billions of nats apart, and floats
@@ -327,6 +361,22 @@ def test_bridge_markov_requires_horizon(outdir, capsys):
                             "--nu0", "nu0.json", "--nuT", "nuT.json"], capsys)
     assert code == 1
     assert "horizon" in err
+
+
+def test_bridge_reads_the_horizon_of_a_time_varying_prior(outdir, capsys):
+    """A prior with one step matrix per step sets the horizon; another
+    ``--horizon`` is refused."""
+    (outdir / "prior.json").write_text(json.dumps(
+        {"type": "markov", "initial": [0.5, 0.5],
+         "matrices": [[[1.0, 2.0], [1.0, 1.0]], [[1.0, 1.0], [3.0, 1.0]]]}))
+    (outdir / "m.json").write_text(json.dumps([0.5, 0.5]))
+    argv = ["bridge", "--prior", "prior.json", "--nu0", "m.json", "--nuT", "m.json"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert json.loads((outdir / "bridge.json").read_text())["horizon"] == 2
+    code, _, err = run_cli(argv + ["--horizon", "3"], capsys)
+    assert code == 1
+    assert err == "error: time-varying prior has 2 step matrices but horizon is 3\n"
 
 
 def test_bridge_emit_paths(outdir, capsys):

@@ -424,7 +424,7 @@ def test_path_prior_file_sorts_paths(tmp_path):
     prior = load_prior(str(f))
     assert isinstance(prior, PathPrior)
     assert prior.path_space.paths == ((1, 2), (2, 1))
-    assert np.allclose(prior.weights, [0.7, 0.3], atol=1e-15)
+    assert np.array_equal(prior.log_weights, np.log([0.7, 0.3]))
 
 
 def test_prior_file_validation(tmp_path):
@@ -458,7 +458,14 @@ def test_prior_file_validation(tmp_path):
      "step matrices must be nonnegative and finite"),
     ({"type": "paths", "horizon": 1, "n": 2, "paths": [[1, 2], [2, 1]],
       "weights": [1.0, -1.0]}, "path weights must be nonnegative and finite"),
-], ids=["initial-sum", "negative-cell", "negative-weight"])
+    ({"type": "markov", "initial": [0.5, 0.5], "matrix": [[[1.0, 1.0], [1.0, 1.0]]]},
+     "matrix is malformed: 3 axes, expected 2"),
+    ({"type": "markov", "initial": [0.5, 0.5], "matrices": [[1.0, 1.0], [1.0, 1.0]]},
+     "matrices is malformed: 2 axes, expected 3"),
+    ({"type": "markov", "initial": [0.5, 0.5], "matrix": [[1.0] * 3] * 3},
+     "step matrix shape (3, 3), expected (2, 2)"),
+], ids=["initial-sum", "negative-cell", "negative-weight", "matrix-axes",
+        "matrices-axes", "matrix-size"])
 def test_prior_validation_errors_name_the_file(tmp_path, doc, message):
     f = tmp_path / "prior.json"
     f.write_text(json.dumps(doc))
@@ -804,7 +811,7 @@ def _reference_path_prior(path):
         np.array(paths).reshape(len(paths), horizon + 1)
     except ValueError as exc:
         raise ValidationError(f"prior {path}: inconsistent path lengths") from exc
-    return tuple(paths[k] for k in order), weights[order].tolist()
+    return tuple(paths[k] for k in order), np.log(weights[order]).tolist()
 
 
 @pytest.mark.parametrize("paths,weights", [
@@ -832,7 +839,7 @@ def test_path_prior_errors_match_the_reference(tmp_path, paths, weights):
     want = _outcome(_reference_path_prior, str(f))
     got = _outcome(load_prior, str(f))
     if got[0] == "ok":
-        got = ("ok", (got[1].path_space.paths, got[1].weights.tolist()))
+        got = ("ok", (got[1].path_space.paths, got[1].log_weights.tolist()))
     assert got == want
 
 

@@ -20,6 +20,7 @@ from iotnet import (
 from iotnet import fixtures
 from iotnet.bridge import markov_path_law, sinkhorn_markov
 from iotnet.bridge import MarkovPrior
+from iotnet.chain import logs
 
 from helpers import (feasible_laws, marginal_gap, objective_eval, tv,
                      uniform_problem)
@@ -127,7 +128,7 @@ def test_expand_target_rejects_misaligned_paths(tiny):
 def test_markov_tilt_is_entrywise_product(tiny):
     mat = np.full((3, 3), 1.0 / 3.0)
     prior = imitation_prior_markov(tiny.model, 0.5, ImitationTarget.markov(mat))
-    assert np.allclose(np.exp(prior.log_steps[0]),
+    assert np.allclose(np.exp(prior.log_steps),
                        np.exp(log_weight_matrix(tiny.model, 0.5, 3)) / 3.0,
                        atol=1e-15)
 
@@ -273,7 +274,7 @@ def test_uniform_target_reduces_to_entropic_transport(rng):
                              target=ImitationTarget.uniform())
         plan = solve_iot(problem, force_path=True)
         rb = build_rb_prior(d["model"], d["alpha"], d["network"].n)
-        walk = MarkovPrior(initial=rb.node_weights, matrix=rb.transitions)
+        walk = MarkovPrior(initial=rb.node_weights, log_steps=logs(rb.transitions))
         sol = sinkhorn_markov(walk, d["nu0"], d["nuT"], problem.horizon)
         assert tv(plan.path_law, markov_path_law(sol, d["nu0"], plan.path_space)) < 1e-8
 
