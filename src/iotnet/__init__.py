@@ -26,7 +26,7 @@ from .fileio import (atomic_write_text, load_marginal, load_path_distribution,
                      load_prior, load_step_weights, read_plan,
                      save_path_distribution, write_plan)
 from .imitation import (ImitationTarget, IOTProblem, ObjectiveTerms,
-                        TransportPlan, blend_distribution, edge_usage_from_law,
+                        TransportPlan, blend_log_law, edge_usage_from_law,
                         evaluate_objective_terms, expand_target,
                         imitation_prior_markov, imitation_prior_paths,
                         plan_from_law, solve_iot)
@@ -55,7 +55,7 @@ __all__ = [
     "PathPrior", "PathSpace", "PlanReport", "RBPrior", "RiskWeights",
     "RobustCertificate", "RobustEquivalenceReport", "ScenarioResult",
     "ScenarioSpec", "TransportPlan", "ValidationError", "atomic_write_text",
-    "blend_distribution", "build_network", "build_rb_prior",
+    "blend_log_law", "build_network", "build_rb_prior",
     "build_risk_matrix", "dense_ipf", "edge_usage_from_law", "emit_report",
     "enumerate_paths", "evaluate_objective_terms", "expand_target",
     "fit_markov", "fit_objective_error", "fitted_prior",

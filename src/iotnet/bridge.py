@@ -402,23 +402,24 @@ def path_law_from_endpoint(solution: BridgeSolution, prior: PathPrior) -> np.nda
     return share[flat] * shifted
 
 
-def path_kl(p: np.ndarray, weights: np.ndarray) -> float:
-    """Relative entropy ``sum p log(p/weights)`` with 0 log 0 = 0.
+def path_kl(p: np.ndarray, log_q: np.ndarray) -> float:
+    """Relative entropy ``sum p (log p - log_q)`` against reference log
+    weights, with 0 log 0 = 0.
 
-    Support violations (mass where the reference weight is exactly zero) give
-    ``inf`` and a warning listing the first few offending path indices.
+    Support violations (mass where the reference log weight is ``-inf``)
+    give ``inf`` and a warning listing the first few offending path indices.
     """
     p = np.asarray(p, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if p.shape != weights.shape:
+    log_q = np.asarray(log_q, dtype=float)
+    if p.shape != log_q.shape:
         raise ValidationError("shape mismatch between law and reference weights")
     pos = p > 0
-    if np.any(weights[pos] == 0):
-        bad = np.nonzero(pos & (weights == 0))[0]
+    if np.any(log_q[pos] == -np.inf):
+        bad = np.nonzero(pos & (log_q == -np.inf))[0]
         warnings.warn(
             f"law puts mass on {bad.size} path(s) outside the reference support "
             f"(first indices {bad[:5].tolist()}); relative entropy is infinite",
             RuntimeWarning, stacklevel=2)
         return math.inf
-    # log p - log w, not log(p/w): p/w underflows to 0 for subnormal p
-    return float(np.sum(p[pos] * (np.log(p[pos]) - np.log(weights[pos]))))
+    # log p - log q, not log(p/q): p/q underflows to 0 for subnormal p
+    return float(np.sum(p[pos] * (np.log(p[pos]) - log_q[pos])))

@@ -27,7 +27,7 @@ from . import fixtures
 from .approx import fit_markov, fitted_prior
 from .bridge import (MarkovPrior, markov_path_law, path_law_from_endpoint,
                      sinkhorn_markov, sinkhorn_path)
-from .chain import count_walks, walks
+from .chain import count_walks, logs, walks
 from .errors import ConvergenceError, InfeasibleError, ValidationError
 from .fileio import (atomic_write_text, digits, float_texts, fmt, load_marginal,
                      load_path_distribution, load_prior, load_step_weights,
@@ -256,7 +256,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     problem.space
     if args.q_file is not None:
         with naming("path distribution", args.q_file):
-            problem.target_law
+            problem.target_log_law
     plan = solve_iot(problem, force_path=args.force_path, tol=args.tol,
                      max_iter=args.max_iter)
     out = _out_path(args, "plan.txt")
@@ -317,7 +317,7 @@ def _cmd_robust_cert(args: argparse.Namespace) -> int:
     at = row_join(q_rows, rows)
     q = np.bincount(at[at >= 0], weights=q_probs[at >= 0], minlength=len(rows))
 
-    cert = worst_case_certificate(law, costs, q, alpha, args.epsilon)
+    cert = worst_case_certificate(law, costs, logs(q), alpha, args.epsilon)
     out = _out_path(args, "robust_cert.json")
     finite = np.isfinite(cert.maximizer)
     text = json.dumps({
@@ -362,11 +362,7 @@ def _oracle_problem(args: argparse.Namespace) -> tuple[IOTProblem, bool]:
     """The fixture's problem against the uniform target, and whether the
     LP bound is checked on it."""
     name = args.fixture
-    if name == "tiny":
-        fx = fixtures.tiny_fixture()
-        network, model, horizon, nu0, nuT = (fx.network, fx.model, fx.space.horizon,
-                                             fx.nu0, fx.nuT)
-    elif name == "four":
+    if name == "four":
         network, model = fixtures.four_node_fixture()
         horizon = 3
         # the end marginal follows the walks' ends, with node 1's count doubled
@@ -377,9 +373,9 @@ def _oracle_problem(args: argparse.Namespace) -> tuple[IOTProblem, bool]:
         nu0 = np.zeros(network.n)
         nu0[0] = 1.0
     else:
-        fx = fixtures.builtin(name, args.seed)
-        network, model, horizon = fx.network, fx.ruled, fx.horizon
-        nu0, nuT = fx.marginals()
+        ref = _load_network_ref(f"builtin:{name}", args.seed)
+        network, model, horizon, nu0, nuT = (ref.network, ref.model, ref.horizon,
+                                             ref.nu0, ref.nuT)
     default = 80.0 if name in ("synthetic30", "risk30") else 0.5
     problem = IOTProblem(network=network, cost_model=model, horizon=horizon,
                          nu0=nu0, nuT=nuT, target=ImitationTarget.uniform(),
@@ -401,7 +397,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         if not ok:
             failures += 1
 
-    weights = np.exp(-(costs - costs.min()) / problem.alpha) * plan.target_probs
+    weights = np.exp(-(costs - costs.min()) / problem.alpha + plan.target_log_probs)
     ipf = dense_ipf(space, weights, nu0, nuT, tol=args.tol,
                     max_iter=args.max_iter)
     tv = 0.5 * float(np.abs(plan.path_law - ipf.probabilities).sum())

@@ -20,11 +20,14 @@ prior, which is how :func:`solve_iot` computes the optimum:
   Q(x)`` and bridge the explicit prior through its log endpoint kernel.
 
 Both routes stay in the log domain up to the scaling itself, so no
-``exp(-C/alpha)`` can underflow however small ``alpha`` is.  Start and end
-factors on the prior are gauge: the bridge's potentials absorb them, so the
-plan is unchanged (tested).  Blending replaces the target by ``(1-beta) Q +
-beta * uniform``; a blended Markov target is no longer Markov, so any
-``beta > 0`` forces the path route.
+``exp(-C/alpha)`` can underflow however small ``alpha`` is.  The target is
+held the same way: the path route reads ``log Q`` (:func:`expand_target`)
+from the target to the objective, so a path whose target weight is far
+below the space's largest keeps its weight.  Start and end factors on the
+prior are gauge: the bridge's potentials absorb them, so the plan is
+unchanged (tested).  Blending replaces the target by ``(1-beta) Q + beta *
+uniform``, taken in logs (:func:`blend_log_law`); a blended Markov target is
+no longer Markov, so any ``beta > 0`` forces the path route.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .network import (MARKOV, CostModel, Network, PathSpace, cost_matrix,
 
 __all__ = [
     "ImitationTarget", "IOTProblem", "ObjectiveTerms", "TransportPlan",
-    "blend_distribution", "chain_plan", "expand_target",
+    "blend_log_law", "chain_plan", "expand_target",
     "imitation_prior_markov", "imitation_prior_paths", "plan_from_law",
     "solve_iot", "edge_usage_from_law",
     "evaluate_objective_terms",
@@ -65,7 +68,7 @@ class ImitationTarget:
     finite start weights, uniform ``1/n`` by default).  ``rows``/``probs`` is
     a path-form target: node rows, one per path, and their nonnegative
     masses.  Neither is the uniform target.  Whatever its form, the problem
-    reads a target as a probability law on its path space
+    reads a target as the log of a probability law on its path space
     (:func:`expand_target`).  ``blend`` mixes that law with the uniform one.
     """
 
@@ -171,15 +174,15 @@ class IOTProblem:
                                np.flatnonzero(self.nuT) + 1, self.cost_model)
 
     @cached_property
-    def target_law(self) -> np.ndarray:
-        """The target as a probability law on :attr:`space`, before blending."""
+    def target_log_law(self) -> np.ndarray:
+        """The target's log law on :attr:`space`, before blending."""
         return expand_target(self.target, self.space)
 
     @cached_property
-    def target_probs(self) -> np.ndarray:
-        """Q of the objective: :attr:`target_law`, blended (at ``blend`` 0,
-        its values unchanged)."""
-        return blend_distribution(self.target_law, self.target.blend)
+    def target_log_probs(self) -> np.ndarray:
+        """``log Q`` of the objective: :attr:`target_log_law`, blended (at
+        ``blend`` 0, itself)."""
+        return blend_log_law(self.target_log_law, self.target.blend)
 
 
 @dataclass(frozen=True)
@@ -195,12 +198,12 @@ class TransportPlan:
 
     ``edge_usage`` is the ``(T, n, n)`` array whose entry ``[t, i - 1, j - 1]``
     is the mass moved along edge ``(i, j)`` at step ``t``; each step's masses
-    sum to 1.  ``path_law``, ``path_costs`` and ``target_probs`` are ``(N,)``
-    arrays aligned with ``path_space``.  The path route computes them while
-    solving; on the Markov route, which solves without paths, each is built
-    on first access (the space by :attr:`IOTProblem.space`, the law from the
-    solution chain).  ``transition_matrices`` (a ``(T, n, n)`` array) is
-    populated on the Markov route only.
+    sum to 1.  ``path_law``, ``path_costs`` and ``target_log_probs`` are
+    ``(N,)`` arrays aligned with ``path_space``.  The path route computes
+    them while solving; on the Markov route, which solves without paths, each
+    is built on first access (the space by :attr:`IOTProblem.space`, the law
+    from the solution chain).  ``transition_matrices`` (a ``(T, n, n)``
+    array) is populated on the Markov route only.
     """
 
     problem: IOTProblem
@@ -230,47 +233,49 @@ class TransportPlan:
                           self.problem.network)
 
     @property
-    def target_probs(self) -> np.ndarray:
-        return self.problem.target_probs
+    def target_log_probs(self) -> np.ndarray:
+        return self.problem.target_log_probs
 
 
-def blend_distribution(q: np.ndarray, beta: float) -> np.ndarray:
-    """Convex blend with the uniform law: ``(1-beta) q + beta / len(q)``."""
-    q = np.asarray(q, dtype=float)
+def blend_log_law(log_q: np.ndarray, beta: float) -> np.ndarray:
+    """Log of the convex blend with the uniform law, ``log((1-beta) q + beta
+    / N)``, as ``logaddexp(log1p(-beta) + log q, log(beta / N))``; ``log_q``
+    itself at ``beta`` 0."""
     if not (0.0 <= beta <= 1.0):
         raise ValidationError(f"beta must be in [0,1], got {beta}")
-    return (1.0 - beta) * q + beta / q.shape[0]
+    if beta == 0.0:
+        return log_q
+    with np.errstate(divide="ignore"):   # beta 1 keeps none of q
+        keep = np.log1p(-beta)
+    return np.logaddexp(keep + log_q, np.log(beta / log_q.shape[0]))
 
 
 def expand_target(target: ImitationTarget, space: PathSpace) -> np.ndarray:
-    """The target as a probability law on every path of the space, before
-    blending (:attr:`IOTProblem.target_probs` blends it).
+    """The target's log law on every path of the space, before blending
+    (:attr:`IOTProblem.target_log_probs` blends it).
 
     A Markov target adds its log start and step weights along each path
-    (:func:`~iotnet.chain.row_sums`), shifted by the largest sum before
-    ``exp``, so no path's weight leaves the float range at any scale; a path
-    table is aligned on the space by :func:`~iotnet.network.path_vector`,
-    which refuses a row outside it; the uniform target is ``1 / N``.  Each
-    is divided by its mass on the space, so Q is a probability law there
-    whatever the weights' scale; :func:`chain_plan` normalises the chain's
-    KL the same way.
+    (:func:`~iotnet.chain.row_sums`) and subtracts their log-sum-exp, so no
+    path's weight leaves the float range at any scale (a space without mass
+    stays all ``-inf``, which the bridge refuses); a path table is aligned on
+    the space by :func:`~iotnet.network.path_vector`, which refuses a row
+    outside it, and its logs taken; the uniform target is ``log(1 / N)``.
+    Each is a log probability law on the space whatever the weights' scale;
+    :func:`chain_plan` normalises the chain's KL the same way.
     """
     if target.is_markov:
         if target.initial.shape != (space.n,):
             raise ValidationError(f"Markov target has {target.initial.size} nodes "
                                   f"but the path space has {space.n}")
-        logq = row_sums(logs(target.matrix), space.array, logs(target.initial))
-        top = logq.max()
-        if top == -np.inf:
-            return np.zeros(space.size)   # no mass there: the bridge refuses it
-        q = np.exp(logq - top)
-        return q / q.sum()
+        log_q = row_sums(logs(target.matrix), space.array, logs(target.initial))
+        total = logsumexp(log_q, axis=0)
+        return log_q - total if total > -np.inf else log_q
     if target.rows is None:
-        return np.full(space.size, 1.0 / space.size)
+        return np.full(space.size, np.log(1.0 / space.size))
     if target.rows.shape[1] != space.horizon + 1:
         raise ValidationError(f"horizon {target.rows.shape[1] - 1} != problem "
                               f"horizon {space.horizon}")
-    return path_vector(space, target.rows, target.probs, "target")
+    return logs(path_vector(space, target.rows, target.probs, "target"))
 
 
 def imitation_prior_markov(model: CostModel, alpha: float,
@@ -293,19 +298,17 @@ def imitation_prior_markov(model: CostModel, alpha: float,
     return MarkovPrior(initial=target.initial / total, log_steps=step)
 
 
-def imitation_prior_paths(space: PathSpace, costs: np.ndarray, q: np.ndarray,
+def imitation_prior_paths(space: PathSpace, costs: np.ndarray, log_q: np.ndarray,
                           alpha: float) -> PathPrior:
     """Explicit tilted prior with log-weights ``-C(x)/alpha + log q(x)``.
 
-    ``costs`` and ``q`` are aligned with the space; a path without target
-    mass gets ``-inf``.
+    ``costs`` and the target's log law ``log_q`` are aligned with the space;
+    a path without target mass (``log_q`` ``-inf``) gets ``-inf``.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (space.size,) or np.shape(costs) != (space.size,):
-        raise ValidationError("costs and q must align with the path space")
-    if np.any(q < 0):
-        raise ValidationError("q must be nonnegative")
-    logw = -costs / alpha + logs(q)
+    log_q = np.asarray(log_q, dtype=float)
+    if log_q.shape != (space.size,) or np.shape(costs) != (space.size,):
+        raise ValidationError("costs and log q must align with the path space")
+    logw = -costs / alpha + log_q
     if not np.any(logw > -np.inf):
         raise InfeasibleError("target q puts no mass on any feasible path")
     return PathPrior(path_space=space, log_weights=logw)
@@ -327,10 +330,10 @@ def edge_usage_from_law(space: PathSpace, law: np.ndarray) -> np.ndarray:
     return usage
 
 
-def evaluate_objective_terms(law: np.ndarray, costs: np.ndarray, q: np.ndarray,
-               alpha: float) -> ObjectiveTerms:
+def evaluate_objective_terms(law: np.ndarray, costs: np.ndarray,
+                             log_q: np.ndarray, alpha: float) -> ObjectiveTerms:
     cost = float(law @ costs)
-    div = path_kl(law, q)
+    div = path_kl(law, log_q)
     total = cost + alpha * div if math.isfinite(div) else math.inf
     return ObjectiveTerms(expected_cost=cost, kl_to_target=div, total=total)
 
@@ -348,7 +351,7 @@ def plan_from_law(problem: IOTProblem, law: np.ndarray,
         costs = path_costs(space, problem.cost_model, problem.network)
     plan = TransportPlan(
         problem=problem, bridge=solution,
-        objective=evaluate_objective_terms(law, costs, problem.target_probs,
+        objective=evaluate_objective_terms(law, costs, problem.target_log_probs,
                                            problem.alpha),
         edge_usage=edge_usage_from_law(space, law))
     # the path arrays are known: fill the lazy fields
@@ -445,7 +448,8 @@ def solve_iot(problem: IOTProblem, *, force_path: bool = False,
     space = problem.space
     costs = path_costs(space, problem.cost_model, problem.network)
     _check_cost_scale(float(costs.max(initial=0.0)), problem.alpha)
-    prior = imitation_prior_paths(space, costs, problem.target_probs, problem.alpha)
+    prior = imitation_prior_paths(space, costs, problem.target_log_probs,
+                                  problem.alpha)
     with naming(f"alpha {problem.alpha!r}"):
         solution = sinkhorn_path(prior, problem.nu0, problem.nuT,
                                  tol=tol, max_iter=max_iter)

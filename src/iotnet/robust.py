@@ -14,6 +14,10 @@ worst-case cost, and the optimal values differ by exactly ``epsilon`` —
 it (some statements of this result quote a horizon-times-epsilon gap; the
 certificate here follows the closed-form derivation, and the check makes the
 actual offset visible).
+
+``Q`` enters every function here as its log law ``log_q`` (``-inf`` off its
+support), as the solver holds it, so a target weight whose ``exp`` reads 0
+is still a weight.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import path_kl
+from .bridge import _log_weights, path_kl
 from .chain import logsumexp
 from .errors import InfeasibleError, ValidationError
 from .imitation import IOTProblem, solve_iot
@@ -52,24 +56,22 @@ class RobustEquivalenceReport:
     note: str
 
 
-def _check_common(costs: np.ndarray, q: np.ndarray, alpha: float,
+def _check_common(costs: np.ndarray, log_q: np.ndarray, alpha: float,
                   epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     costs = np.asarray(costs, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if costs.shape != q.shape:
-        raise ValidationError("costs and q must share one shape")
-    if np.any(q < 0):
-        raise ValidationError("q must be nonnegative")
-    if not np.any(q > 0):
+    log_q = _log_weights(log_q, "q")
+    if costs.shape != log_q.shape:
+        raise ValidationError("costs and log q must share one shape")
+    if not np.any(log_q > -np.inf):
         raise ValidationError("q must carry some mass")
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValidationError(f"alpha must be positive and finite, got {alpha}")
     if not (epsilon >= 0 and math.isfinite(epsilon)):
         raise ValidationError(f"epsilon must be nonnegative and finite, got {epsilon}")
-    return costs, q
+    return costs, log_q
 
 
-def robust_membership(c_tilde: np.ndarray, costs: np.ndarray, q: np.ndarray,
+def robust_membership(c_tilde: np.ndarray, costs: np.ndarray, log_q: np.ndarray,
                       alpha: float, epsilon: float) -> bool:
     """Is ``c_tilde`` inside the adversary's ball around the nominal costs?
 
@@ -77,30 +79,31 @@ def robust_membership(c_tilde: np.ndarray, costs: np.ndarray, q: np.ndarray,
     a max-shifted log-sum-exp; a relative slack of 1e-9 keeps exact-boundary
     members (e.g. ``costs + epsilon`` uniformly) inside.
     """
-    costs, q = _check_common(costs, q, alpha, epsilon)
+    costs, log_q = _check_common(costs, log_q, alpha, epsilon)
     c_tilde = np.asarray(c_tilde, dtype=float)
     if c_tilde.shape != costs.shape:
         raise ValidationError("c_tilde shape mismatch")
-    on_support = q > 0
+    on_support = log_q > -np.inf
     diff = c_tilde[on_support] - costs[on_support]
     if np.any(np.isnan(diff)) or np.any(diff == math.inf):
         raise ValidationError("c_tilde must be finite above (or -inf) on supp(q)")
-    lhs = _log_moment(diff, q[on_support], alpha)
+    lhs = _log_moment(diff, log_q[on_support], alpha)
     return lhs <= epsilon + _MEMBERSHIP_SLACK * max(1.0, abs(epsilon))
 
 
-def _log_moment(diff: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """``alpha * log sum_x q(x) exp(diff(x)/alpha)`` for ``q > 0``, no overflow.
+def _log_moment(diff: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
+    """``alpha * log sum_x q(x) exp(diff(x)/alpha)`` for finite ``log_q``, no
+    overflow.
 
     The weights enter as ``log q`` beside the exponents, so the max shift of
-    the log-sum-exp also covers subnormal ``q``; ``-inf`` where every
-    ``diff`` is.
+    the log-sum-exp also covers weights below the float range; ``-inf``
+    where every ``diff`` is.
     """
-    return alpha * float(logsumexp(diff / alpha + np.log(q), axis=0))
+    return alpha * float(logsumexp(diff / alpha + log_q, axis=0))
 
 
 def worst_case_certificate(plan_law: np.ndarray, costs: np.ndarray,
-                           q: np.ndarray, alpha: float,
+                           log_q: np.ndarray, alpha: float,
                            epsilon: float) -> RobustCertificate:
     """Closed-form worst-case cost of a fixed plan, with its attaining costs.
 
@@ -109,13 +112,13 @@ def worst_case_certificate(plan_law: np.ndarray, costs: np.ndarray,
     maximizer is ``-inf`` off the plan's support (those paths never matter for
     the plan's cost and only slacken the constraint).
     """
-    costs, q = _check_common(costs, q, alpha, epsilon)
+    costs, log_q = _check_common(costs, log_q, alpha, epsilon)
     p = np.asarray(plan_law, dtype=float)
     if p.shape != costs.shape:
         raise ValidationError("plan shape mismatch")
     if np.any(p < 0):
         raise ValidationError("plan must be nonnegative")
-    bad = np.nonzero((p > 0) & (q == 0))[0]
+    bad = np.nonzero((p > 0) & (log_q == -np.inf))[0]
     if bad.size:
         raise InfeasibleError(
             f"plan puts mass outside the target support (first path indices "
@@ -123,11 +126,11 @@ def worst_case_certificate(plan_law: np.ndarray, costs: np.ndarray,
 
     pos = p > 0
     nominal = float(p @ costs)
-    kl = path_kl(p, q)
+    kl = path_kl(p, log_q)
     worst = nominal + alpha * kl + epsilon
     maximizer = np.full(p.shape, -math.inf)
     # log q - log p, not log(q/p): q/p overflows for subnormal p
-    maximizer[pos] = costs[pos] - alpha * (np.log(q[pos]) - np.log(p[pos])) + epsilon
+    maximizer[pos] = costs[pos] - alpha * (log_q[pos] - np.log(p[pos])) + epsilon
     return RobustCertificate(epsilon=epsilon, nominal_cost=nominal, kl_term=kl,
                              worst_case_cost=worst, maximizer=maximizer)
 
@@ -149,19 +152,19 @@ def robust_equivalence_check(problem: IOTProblem, epsilon: float, *,
     plan = solve_iot(problem, tol=tol, max_iter=max_iter)
     space = plan.path_space
     costs = plan.path_costs
-    q = plan.target_probs
-    cert_opt = worst_case_certificate(plan.path_law, costs, q, problem.alpha,
+    log_q = plan.target_log_probs
+    cert_opt = worst_case_certificate(plan.path_law, costs, log_q, problem.alpha,
                                       epsilon)
 
     rng = np.random.default_rng(seed)
     max_violation = -math.inf
     for k in range(samples):
-        raw = rng.uniform(0.1, 1.0, size=space.size) * (q > 0)
+        raw = rng.uniform(0.1, 1.0, size=space.size) * (log_q > -np.inf)
         feasible = dense_ipf(space, raw, problem.nu0, problem.nuT,
                              tol=tol, max_iter=max_iter).probabilities
         mix = rng.uniform(0.0, 1.0)
         candidate = mix * plan.path_law + (1.0 - mix) * feasible
-        cert = worst_case_certificate(candidate, costs, q, problem.alpha, epsilon)
+        cert = worst_case_certificate(candidate, costs, log_q, problem.alpha, epsilon)
         max_violation = max(max_violation,
                             cert_opt.worst_case_cost - cert.worst_case_cost)
 

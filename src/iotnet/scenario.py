@@ -709,7 +709,7 @@ def run_scenario(spec: ScenarioSpec, *, seed: int = 0, tol: float = 1e-10,
                 raise ValidationError("imitation scenario needs q_star (builtin "
                                       "networks can default to the built-in one)")
             with naming(*names):
-                q_star = problem.target_law
+                q_star = np.exp(problem.target_log_law)
     plan = solve_iot(problem, tol=tol, max_iter=max_iter)
 
     def chain_report(step: np.ndarray) -> PlanReport:

@@ -58,7 +58,7 @@ def test_01_objective_equals_tilted_bridge_divergence():
         space = d["space"]
         costs = io.path_costs(space, d["model"], d["network"])
         target = ImitationTarget.markov(d["target_matrix"], d["target_initial"])
-        q = expand_target(target, space)
+        q = np.exp(expand_target(target, space))
         alpha = d["alpha"]
         m = q * np.exp(-(costs - costs.min()) / alpha)
         m /= m.sum()
@@ -88,8 +88,8 @@ def test_02_worst_case_certificate_bounds_sampled_adversaries():
     alpha, epsilon = 0.5, 0.25
     plan = solve_iot(uniform_problem(fx, alpha))
     costs = plan.path_costs
-    q = plan.target_probs
-    cert = worst_case_certificate(plan.path_law, costs, q, alpha, epsilon)
+    log_q = plan.target_log_probs
+    cert = worst_case_certificate(plan.path_law, costs, log_q, alpha, epsilon)
 
     closed_form = (plan.objective.expected_cost
                    + alpha * plan.objective.kl_to_target + epsilon)
@@ -99,7 +99,7 @@ def test_02_worst_case_certificate_bounds_sampled_adversaries():
     members = rejected = 0
     while members < 1000:
         c_tilde = costs + rng.uniform(-1.0, 1.0, size=costs.size)
-        if robust_membership(c_tilde, costs, q, alpha, epsilon):
+        if robust_membership(c_tilde, costs, log_q, alpha, epsilon):
             members += 1
             assert float(plan.path_law @ c_tilde) <= cert.worst_case_cost + 1e-9
         else:
@@ -132,7 +132,7 @@ def test_03_bridge_matches_dense_ipf_oracle(synth30, risk30):
         d = fixtures.random_markov_problem(rng)
         costs = io.path_costs(d["space"], d["model"], d["network"])
         target = ImitationTarget.markov(d["target_matrix"], d["target_initial"])
-        q = expand_target(target, d["space"])
+        q = np.exp(expand_target(target, d["space"]))
         w = q * np.exp(-(costs - costs.min()) / d["alpha"])
         cases.append((d["space"], w, d["nu0"], d["nuT"]))
 

@@ -179,10 +179,9 @@ def test_bridge_minimises_relative_entropy(tiny, rng):
     prior = _gibbs_path_prior(tiny)
     sol = sinkhorn_path(prior, tiny.nu0, tiny.nuT, tol=1e-13)
     law = path_law_from_endpoint(sol, prior)
-    weights = np.exp(prior.log_weights)
-    best = path_kl(law, weights)
+    best = path_kl(law, prior.log_weights)
     for other in feasible_laws(tiny.space, tiny.nu0, tiny.nuT, rng, 100):
-        assert path_kl(other, weights) >= best - 1e-9
+        assert path_kl(other, prior.log_weights) >= best - 1e-9
 
 
 def test_bridge_preserves_prior_conditionals(tiny):
@@ -270,16 +269,18 @@ def test_marginalize_prior_matches_loop(tiny):
 
 def test_path_kl_basics():
     p = np.array([0.5, 0.5, 0.0])
-    assert path_kl(p, p) == pytest.approx(0.0, abs=1e-15)
-    assert path_kl(p, np.array([1.0, 1.0, 1.0])) == pytest.approx(
-        np.log(0.5), abs=1e-12)
+    assert path_kl(p, logs(p)) == pytest.approx(0.0, abs=1e-15)
+    assert path_kl(p, np.zeros(3)) == pytest.approx(np.log(0.5), abs=1e-12)
     with pytest.warns(RuntimeWarning):
-        assert path_kl(p, np.array([1.0, 0.0, 1.0])) == np.inf
+        assert path_kl(p, np.array([0.0, -np.inf, 0.0])) == np.inf
+    # a reference weight whose exp reads 0 is a weight, not a support violation
+    assert path_kl(p, np.array([-1000.0, 0.0, 0.0])) == pytest.approx(
+        np.log(0.5) + 500.0, rel=1e-15)
 
 
 def test_path_kl_survives_subnormal_mass():
     """``p/q`` underflows to 0 for a subnormal ``p``; ``log p - log q`` does not."""
-    kl = path_kl(np.array([5e-320, 1.0]), np.array([1e6, 1.0]))
+    kl = path_kl(np.array([5e-320, 1.0]), np.log([1e6, 1.0]))
     assert np.isfinite(kl)
     assert kl == pytest.approx(0.0, abs=1e-300)
 

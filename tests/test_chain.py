@@ -159,24 +159,46 @@ def test_chain_contractions_match_the_enumerated_path_law(problem):
     assert np.array_equal(path_row_cost, row_cost)
 
 
+def _tiny_with_faint_steps():
+    """The tiny network at alpha 0.5 under an all-ones Markov target: with
+    steps (1, 1), (1, 2), (1, 3), (2, 3) and (3, 3) made faint, every walk
+    from 1 to 3 weighs 1e-340 against the heaviest walk."""
+    fx = fixtures.tiny_fixture()
+    return IOTProblem(network=fx.network, cost_model=fx.model, nu0=fx.nu0,
+                      nuT=fx.nuT, alpha=0.5, horizon=fx.space.horizon,
+                      target=ImitationTarget.markov(np.ones((3, 3))))
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(chain_problems(), st.sampled_from(["matrix", "initial"]),
-       st.floats(1e-3, 1e3) | st.sampled_from([1e-200, 1e200]))
-def test_a_markov_target_is_one_probability_law_on_both_routes(problem, part, scale):
+       st.floats(1e-3, 1e3) | st.sampled_from([1e-200, 1e200]),
+       st.lists(st.booleans(), min_size=25, max_size=25))
+@example(_tiny_with_faint_steps(), "matrix", 1.0,
+         [k in (0, 1, 2, 5, 8) for k in range(25)])
+def test_a_markov_target_is_one_probability_law_on_both_routes(problem, part, scale,
+                                                               faint):
     """Q is the target's law on the walks between the supports: the routes'
-    KLs agree and are never negative, and scaling the step weights or the
-    start weights by a positive constant moves neither plan nor KL, also
-    with a blend, whose uniform part no longer meets an unnormalised Q."""
+    KLs agree and are never negative, also when some step weights are made
+    1e-170 times fainter (``faint`` picks them; a walk over two of them
+    weighs below the float range against one over none), and wherever the
+    Markov route solves, the path route solves too.  Scaling the drawn step
+    weights or start weights by a positive constant moves neither plan nor
+    KL, also with a blend, whose uniform part no longer meets an
+    unnormalised Q."""
+    target = problem.target
+    n = target.matrix.shape[0]
+    dim = np.array(faint[:n * n]).reshape(n, n)
+    dimmed = dataclasses.replace(problem, target=ImitationTarget.markov(
+        np.where(dim, target.matrix * 1e-170, target.matrix), target.initial))
     try:
-        plans = [solve_iot(problem, tol=1e-12), solve_iot(problem, force_path=True,
-                                                          tol=1e-12)]
+        markov = solve_iot(dimmed, tol=1e-12)
     except InfeasibleError:
         assume(False)
+    plans = [markov, solve_iot(dimmed, force_path=True, tol=1e-12)]
     kls = [plan.objective.kl_to_target for plan in plans]
     assert min(kls) >= -1e-12
     assert kls[0] == pytest.approx(kls[1], rel=1e-9, abs=1e-9)
-    target = problem.target
     scaled = {"matrix": target.matrix, "initial": target.initial}
     scaled[part] = scaled[part] * scale
     for beta in (0.0, 0.3):

@@ -120,7 +120,8 @@ def test_markov_route_matches_path_route_without_strong_connectivity(problem):
         assert np.array_equal(plan.path_space.array, walks.array)
     assert tv(markov.path_law, path.path_law) < 1e-8
     assert marginal_gap(walks, markov.path_law, problem.nu0, problem.nuT) < 1e-8
-    table = ImitationTarget.paths(walks.array, expand_target(problem.target, walks))
+    table = ImitationTarget.paths(walks.array,
+                                  np.exp(expand_target(problem.target, walks)))
     tabled = solve_iot(dataclasses.replace(problem, target=table), tol=1e-12)
     assert tv(markov.path_law, tabled.path_law) < 1e-8
     assert tabled.objective.kl_to_target == pytest.approx(
@@ -203,7 +204,7 @@ def test_routes_and_dense_ipf_agree_down_to_small_alpha(problem):
     for plan in (markov, path):
         assert marginal_gap(space, plan.path_law, problem.nu0, problem.nuT) < 1e-10
     logw = (-path_costs(space, problem.cost_model, problem.network) / problem.alpha
-            + np.log(expand_target(problem.target, space)))
+            + expand_target(problem.target, space))
     if logw.max() - logw.min() > 700:
         return
     try:

@@ -7,7 +7,7 @@ from iotnet import (
     ImitationTarget,
     IOTProblem,
     ValidationError,
-    blend_distribution,
+    blend_log_law,
     build_rb_prior,
     dense_ipf,
     expand_target,
@@ -33,22 +33,31 @@ from helpers import (feasible_laws, marginal_gap, objective_eval, tv,
 
 def test_blend_point_mass_worked_example():
     q = np.array([1.0, 0.0, 0.0, 0.0])
-    out = blend_distribution(q, 0.1)
+    out = np.exp(blend_log_law(logs(q), 0.1))
     assert np.allclose(out, [0.925, 0.025, 0.025, 0.025], atol=1e-15)
     assert out.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_blend_zero_and_one_are_endpoints():
-    q = np.array([0.7, 0.3, 0.0, 0.0])
-    assert np.array_equal(blend_distribution(q, 0.0), q)
-    assert np.allclose(blend_distribution(q, 1.0), 0.25)
+    log_q = logs(np.array([0.7, 0.3, 0.0, 0.0]))
+    assert blend_log_law(log_q, 0.0) is log_q
+    assert np.allclose(np.exp(blend_log_law(log_q, 1.0)), 0.25)
     with pytest.raises(ValidationError):
-        blend_distribution(q, 1.5)
+        blend_log_law(log_q, 1.5)
+
+
+def test_blend_in_logs_is_the_linear_blend():
+    """The log blend is the log of ``(1-beta) q + beta / N`` to rounding."""
+    q = np.random.default_rng(3).uniform(0.0, 1.0, 50)
+    q /= q.sum()
+    for beta in (1e-9, 0.1, 0.5, 0.999):
+        assert np.allclose(np.exp(blend_log_law(np.log(q), beta)),
+                           (1.0 - beta) * q + beta / q.size, rtol=1e-14, atol=0.0)
 
 
 def test_a_target_takes_at_most_one_form(tiny):
     assert np.array_equal(expand_target(ImitationTarget(), tiny.space),
-                          np.full(27, 1.0 / 27.0))
+                          np.full(27, np.log(1.0 / 27.0)))
     with pytest.raises(ValidationError, match="at most one"):
         ImitationTarget(matrix=np.eye(2), rows=[[1, 2]], probs=[1.0])
 
@@ -76,7 +85,7 @@ def test_expand_target_markov_products(tiny):
     mat = rng.uniform(0.1, 1.0, size=(3, 3))
     mat /= mat.sum(axis=1, keepdims=True)
     init = np.array([0.2, 0.3, 0.5])
-    q = expand_target(ImitationTarget.markov(mat, init), tiny.space)
+    q = np.exp(expand_target(ImitationTarget.markov(mat, init), tiny.space))
     for k, p in enumerate(tiny.space.paths):
         ref = init[p[0] - 1]
         for a, b in zip(p, p[1:]):
@@ -86,20 +95,20 @@ def test_expand_target_markov_products(tiny):
 
 def test_expand_target_defaults_to_uniform_initial(tiny):
     mat = np.full((3, 3), 1.0 / 3.0)
-    q = expand_target(ImitationTarget.markov(mat), tiny.space)
+    q = np.exp(expand_target(ImitationTarget.markov(mat), tiny.space))
     assert np.allclose(q, 1.0 / 27.0, atol=1e-15)
 
 
 def test_expand_target_blends_after_expansion(tiny):
-    """``expand_target`` gives the target's law on the space; the problem's
-    Q blends it, over the space's paths."""
+    """``expand_target`` gives the target's log law on the space; the
+    problem's Q blends it, over the space's paths."""
     target = ImitationTarget.markov(np.arange(1.0, 10.0).reshape(3, 3), blend=0.5)
     problem = IOTProblem(network=tiny.network, cost_model=tiny.model, nu0=tiny.nu0,
                          nuT=tiny.nuT, alpha=0.5, horizon=2, target=target)
     law = expand_target(target, tiny.space)
-    assert law.sum() == pytest.approx(1.0, abs=1e-15)
-    assert np.array_equal(problem.target_law, law)
-    assert np.array_equal(problem.target_probs, blend_distribution(law, 0.5))
+    assert np.exp(law).sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(problem.target_log_law, law)
+    assert np.array_equal(problem.target_log_probs, blend_log_law(law, 0.5))
 
 
 def test_expand_target_rejects_a_markov_target_of_another_size(tiny):
@@ -109,7 +118,7 @@ def test_expand_target_rejects_a_markov_target_of_another_size(tiny):
 
 def test_expand_target_rejects_misaligned_paths(tiny):
     """A row outside the space, or a table of another horizon, is refused;
-    a table on the space is its normalised law there."""
+    a table on the space is its normalised log law there."""
     with pytest.raises(ValidationError, match="outside the feasible space"):
         expand_target(ImitationTarget.paths([[1, 2, 3], [1, 4, 3]], [1.0, 1.0]),
                       tiny.space)
@@ -117,7 +126,7 @@ def test_expand_target_rejects_misaligned_paths(tiny):
         expand_target(ImitationTarget.paths([[1, 2]], [1.0]), tiny.space)
     law = expand_target(ImitationTarget.paths(tiny.space.array[::-1],
                                               np.full(27, 2.0)), tiny.space)
-    assert np.array_equal(law, np.full(27, 1.0 / 27.0))
+    assert np.array_equal(law, np.full(27, np.log(1.0 / 27.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +155,9 @@ def test_endpoint_scales_are_gauge(tiny):
 
     space = tiny.space
     costs = path_costs(space, tiny.model, tiny.network)
-    q = np.full(space.size, 1.0 / space.size)
+    log_q = np.full(space.size, np.log(1.0 / space.size))
     rng = np.random.default_rng(4)
-    plain = imitation_prior_paths(space, costs, q, 0.7)
+    plain = imitation_prior_paths(space, costs, log_q, 0.7)
     start_log, end_log = rng.uniform(-300.0, 300.0, size=(2, 3))
     scaled = PathPrior(path_space=space, log_weights=plain.log_weights
                        + start_log[space.starts - 1] + end_log[space.ends - 1])
@@ -172,7 +181,7 @@ def test_objective_equals_divergence_to_tilted_prior_up_to_constant(rng):
         space = d["space"]
         target = ImitationTarget.markov(d["target_matrix"], d["target_initial"])
         costs = path_costs(space, d["model"], d["network"])
-        q = expand_target(target, space)
+        q = np.exp(expand_target(target, space))
         alpha = d["alpha"]
         m = q * np.exp(-(costs - costs.min()) / alpha)
         m /= m.sum()
@@ -199,7 +208,7 @@ def test_solver_hits_marginals_and_normalisation(tiny):
 def test_solver_beats_every_feasible_competitor(tiny, rng):
     problem = uniform_problem(tiny, 0.8)
     plan = solve_iot(problem, tol=1e-12)
-    q = expand_target(problem.target, tiny.space)
+    q = np.exp(expand_target(problem.target, tiny.space))
     costs = plan.path_costs
     best = plan.objective.total
     for law in feasible_laws(tiny.space, tiny.nu0, tiny.nuT, rng, 100):
@@ -226,7 +235,7 @@ def test_markov_and_path_routes_produce_one_plan(rng):
 def test_plan_objective_matches_direct_recomputation(tiny):
     problem = uniform_problem(tiny, 1.3)
     plan = solve_iot(problem)
-    q = expand_target(problem.target, tiny.space)
+    q = np.exp(expand_target(problem.target, tiny.space))
     cost, kl, total = objective_eval(plan.path_law, plan.path_costs, q, 1.3)
     assert plan.objective.expected_cost == pytest.approx(cost, abs=1e-12)
     assert plan.objective.kl_to_target == pytest.approx(kl, abs=1e-12)

@@ -32,8 +32,8 @@ EPS = 0.25
 def _setup(tiny):
     problem = uniform_problem(tiny, ALPHA)
     plan = solve_iot(problem, tol=1e-12)
-    q = expand_target(problem.target, tiny.space)
-    return plan, plan.path_costs, q
+    log_q = expand_target(problem.target, tiny.space)
+    return plan, plan.path_costs, log_q
 
 
 # ---------------------------------------------------------------------------
@@ -42,31 +42,31 @@ def _setup(tiny):
 
 
 def test_nominal_costs_are_a_member(tiny):
-    _, costs, q = _setup(tiny)
-    assert robust_membership(costs, costs, q, ALPHA, EPS)
+    _, costs, log_q = _setup(tiny)
+    assert robust_membership(costs, costs, log_q, ALPHA, EPS)
 
 
 def test_uniform_shift_by_epsilon_is_the_boundary(tiny):
-    _, costs, q = _setup(tiny)
-    assert robust_membership(costs + EPS, costs, q, ALPHA, EPS)
-    assert not robust_membership(costs + EPS + 1e-6, costs, q, ALPHA, EPS)
+    _, costs, log_q = _setup(tiny)
+    assert robust_membership(costs + EPS, costs, log_q, ALPHA, EPS)
+    assert not robust_membership(costs + EPS + 1e-6, costs, log_q, ALPHA, EPS)
 
 
 def test_membership_allows_arbitrarily_low_costs(tiny):
-    _, costs, q = _setup(tiny)
-    assert robust_membership(costs - 100.0, costs, q, ALPHA, EPS)
+    _, costs, log_q = _setup(tiny)
+    assert robust_membership(costs - 100.0, costs, log_q, ALPHA, EPS)
 
 
 def test_membership_permits_spikes_only_on_light_paths(tiny):
     """A big increase on one path is inside the ball iff Q barely sees it."""
-    _, costs, q = _setup(tiny)
+    _, costs, log_q = _setup(tiny)
     spike = costs.copy()
     spike[0] += 5.0
-    assert not robust_membership(spike, costs, q, ALPHA, EPS)
-    light = q.copy()
+    assert not robust_membership(spike, costs, log_q, ALPHA, EPS)
+    light = np.exp(log_q)
     light[0] = 1e-12
     light /= light.sum()
-    assert robust_membership(spike, costs, light, ALPHA, EPS)
+    assert robust_membership(spike, costs, np.log(light), ALPHA, EPS)
 
 
 def _scipy_lhs(c_tilde, costs, q, alpha):
@@ -119,7 +119,7 @@ def test_log_moment_matches_scipy(entries, alpha):
     c_tilde = costs + shift
     on = q > 0
     diff = c_tilde[on] - costs[on]
-    ours = _log_moment(diff, q[on], alpha)
+    ours = _log_moment(diff, np.log(q[on]), alpha)
     scale = max(alpha, float(np.max(np.abs(diff[np.isfinite(diff)]),
                                     initial=0.0)))
     assert _agree(ours, _decimal_lhs(diff, q[on], alpha), scale)
@@ -128,7 +128,8 @@ def test_log_moment_matches_scipy(entries, alpha):
 
 
 def test_membership_agrees_with_scipy_on_the_boundary_cases(tiny):
-    _, costs, q = _setup(tiny)
+    _, costs, log_q = _setup(tiny)
+    q = np.exp(log_q)
     spike = costs.copy()
     spike[0] += 5.0
     light = q.copy()
@@ -139,17 +140,24 @@ def test_membership_agrees_with_scipy_on_the_boundary_cases(tiny):
     for c_tilde, weights in cases:
         expected = (_scipy_lhs(c_tilde, costs, weights, ALPHA)
                     <= EPS + 1e-9 * max(1.0, EPS))
-        assert robust_membership(c_tilde, costs, weights, ALPHA, EPS) == expected
+        assert robust_membership(c_tilde, costs, np.log(weights), ALPHA,
+                                 EPS) == expected
 
 
 def test_membership_validates_inputs(tiny):
-    _, costs, q = _setup(tiny)
+    _, costs, log_q = _setup(tiny)
     with pytest.raises(ValidationError):
-        robust_membership(costs[:-1], costs, q, ALPHA, EPS)
+        robust_membership(costs[:-1], costs, log_q, ALPHA, EPS)
     with pytest.raises(ValidationError):
-        robust_membership(costs, costs, q, -1.0, EPS)
+        robust_membership(costs, costs, log_q, -1.0, EPS)
     with pytest.raises(ValidationError):
-        robust_membership(costs, costs, q, ALPHA, -0.1)
+        robust_membership(costs, costs, log_q, ALPHA, -0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite or -inf"):
+            robust_membership(costs, costs, np.where(log_q == log_q[0], bad, log_q),
+                              ALPHA, EPS)
+    with pytest.raises(ValidationError, match="carry some mass"):
+        robust_membership(costs, costs, np.full_like(log_q, -np.inf), ALPHA, EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +166,8 @@ def test_membership_validates_inputs(tiny):
 
 
 def test_certificate_closed_form(tiny):
-    plan, costs, q = _setup(tiny)
-    cert = worst_case_certificate(plan.path_law, costs, q, ALPHA, EPS)
+    plan, costs, log_q = _setup(tiny)
+    cert = worst_case_certificate(plan.path_law, costs, log_q, ALPHA, EPS)
     expected = (plan.objective.expected_cost
                 + ALPHA * plan.objective.kl_to_target + EPS)
     assert cert.worst_case_cost == pytest.approx(expected, abs=1e-12)
@@ -168,22 +176,22 @@ def test_certificate_closed_form(tiny):
 
 
 def test_certificate_maximizer_is_tight(tiny):
-    plan, costs, q = _setup(tiny)
-    cert = worst_case_certificate(plan.path_law, costs, q, ALPHA, EPS)
-    assert robust_membership(cert.maximizer, costs, q, ALPHA, EPS)
+    plan, costs, log_q = _setup(tiny)
+    cert = worst_case_certificate(plan.path_law, costs, log_q, ALPHA, EPS)
+    assert robust_membership(cert.maximizer, costs, log_q, ALPHA, EPS)
     attained = float(np.where(np.isfinite(cert.maximizer),
                               cert.maximizer, 0.0) @ plan.path_law)
     assert attained == pytest.approx(cert.worst_case_cost, abs=1e-10)
 
 
 def test_sampled_members_never_beat_the_certificate(tiny):
-    plan, costs, q = _setup(tiny)
-    cert = worst_case_certificate(plan.path_law, costs, q, ALPHA, EPS)
+    plan, costs, log_q = _setup(tiny)
+    cert = worst_case_certificate(plan.path_law, costs, log_q, ALPHA, EPS)
     rng = np.random.default_rng(9)
     kept = rejected = 0
     while kept < 200:
         c_tilde = costs + rng.uniform(-1.0, 1.0, size=costs.shape)
-        if robust_membership(c_tilde, costs, q, ALPHA, EPS):
+        if robust_membership(c_tilde, costs, log_q, ALPHA, EPS):
             kept += 1
             assert float(c_tilde @ plan.path_law) <= cert.worst_case_cost + 1e-9
         else:
@@ -193,25 +201,25 @@ def test_sampled_members_never_beat_the_certificate(tiny):
 
 def test_certificate_survives_subnormal_plan_mass():
     """``p/q`` underflows and ``q/p`` overflows for a subnormal ``p``."""
-    p, q = np.array([5e-320, 1.0]), np.array([1e6, 1.0])
-    cert = worst_case_certificate(p, np.zeros(2), q, 1.0, 0.0)
-    assert cert.kl_term == path_kl(p, q)
+    p, log_q = np.array([5e-320, 1.0]), np.log([1e6, 1.0])
+    cert = worst_case_certificate(p, np.zeros(2), log_q, 1.0, 0.0)
+    assert cert.kl_term == path_kl(p, log_q)
     assert np.isfinite(cert.worst_case_cost)
     assert cert.maximizer[0] == pytest.approx(np.log(5e-320) - np.log(1e6),
                                               rel=1e-12)
 
 
 def test_certificate_requires_support_containment(tiny):
-    plan, costs, q = _setup(tiny)
-    gappy = q.copy()
-    gappy[np.argmax(plan.path_law)] = 0.0
+    plan, costs, log_q = _setup(tiny)
+    gappy = log_q.copy()
+    gappy[np.argmax(plan.path_law)] = -np.inf
     with pytest.raises(InfeasibleError):
         worst_case_certificate(plan.path_law, costs, gappy, ALPHA, EPS)
 
 
 def test_degenerate_epsilon_zero(tiny):
-    plan, costs, q = _setup(tiny)
-    cert = worst_case_certificate(plan.path_law, costs, q, ALPHA, 0.0)
+    plan, costs, log_q = _setup(tiny)
+    cert = worst_case_certificate(plan.path_law, costs, log_q, ALPHA, 0.0)
     expected = plan.objective.expected_cost + ALPHA * plan.objective.kl_to_target
     assert cert.worst_case_cost == pytest.approx(expected, abs=1e-12)
 
